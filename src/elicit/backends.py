@@ -26,6 +26,7 @@ API_KEY_ENV = "ELICIT_API_KEY"
 DEFAULT_TIMEOUT_S = 60.0
 MAX_RETRIES = 2
 BACKOFF_BASE_S = 0.5
+RETRYABLE_STATUS = frozenset({408, 429})  # plus every 5xx
 
 
 class BackendError(RuntimeError):
@@ -99,6 +100,7 @@ class HttpBackend:
         self._transport = transport or self._http_post
         self._key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self._semaphore = threading.Semaphore(max(1, config.max_concurrency))
+        self._lock = threading.Lock()
         self.retry_count = 0
 
     def _http_post(self, path: str, body: dict) -> dict:
@@ -119,7 +121,9 @@ class HttpBackend:
         except urllib.error.HTTPError as e:
             if e.code in (401, 403):
                 raise AuthError(f"auth rejected ({e.code})") from e
-            raise TransportError(f"HTTP {e.code}") from e
+            if e.code in RETRYABLE_STATUS or e.code >= 500:
+                raise TransportError(f"HTTP {e.code}") from e
+            raise BackendError(f"request rejected: HTTP {e.code}") from e
         except (urllib.error.URLError, TimeoutError, OSError) as e:
             raise TransportError(str(e)) from e
 
@@ -136,7 +140,8 @@ class HttpBackend:
                 if attempt >= MAX_RETRIES:
                     raise
                 attempt += 1
-                self.retry_count += 1
+                with self._lock:
+                    self.retry_count += 1
                 logger.warning("transport failure (%s), retry %d/%d", e, attempt, MAX_RETRIES)
                 time.sleep(delay)
                 delay *= 2

@@ -209,7 +209,10 @@ def _cmd_run(args) -> int:
         realiser_temperature=settings.realiser_temperature,
         prompt_dir=settings.selector_prompt_dir,
     )
-    needs_client = "llm" in (settings.selector_kind, settings.realiser_kind, settings.detector_kind)
+    needs_client = (
+        "llm" in (settings.selector_kind, settings.realiser_kind, settings.detector_kind)
+        or settings.encoder_kind == "remote"
+    )
     client = _make_client(settings, args.record, args.replay_log) if needs_client else None
     components = build_components(cfg, bank, ont, client=client)
 

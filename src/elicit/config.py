@@ -23,9 +23,6 @@ class Settings:
     detector_kind: str = "rule"
     # encoder.*
     encoder_kind: str = "fallback"
-    encoder_endpoint: str = ""
-    encoder_model: str = ""
-    encoder_dim: int = 256
     # emitter.*
     emitter_M: float = 4.0
     emitter_max_traits: int = 2
@@ -54,9 +51,6 @@ _KEY_MAP = {
     "realiser.temperature": ("realiser_temperature", float),
     "detector.kind": ("detector_kind", str),
     "encoder.kind": ("encoder_kind", str),
-    "encoder.endpoint": ("encoder_endpoint", str),
-    "encoder.model": ("encoder_model", str),
-    "encoder.dim": ("encoder_dim", int),
     "emitter.M": ("emitter_M", float),
     "emitter.max_traits": ("emitter_max_traits", int),
     "emitter.strategy_gain": ("emitter_strategy_gain", float),

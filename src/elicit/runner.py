@@ -90,14 +90,20 @@ def build_components(
 ) -> Components:
     """Wire the component stack named by the config kinds.
 
-    The deterministic kinds need no client; the llm kinds require one.
+    The deterministic kinds need no client; the llm kinds and the remote
+    encoder require one.
     """
     ont = ontology or default_ontology()
-    encoder = FallbackEncoder()
-    if cfg.encoder_kind == "remote":
+    if cfg.encoder_kind == "fallback":
+        encoder = FallbackEncoder()
+    elif cfg.encoder_kind == "remote":
         from .retrieval import RemoteEncoder
 
+        if client is None:
+            raise ValueError("encoder kind 'remote' needs a backend client")
         encoder = RemoteEncoder(client)
+    else:
+        raise ValueError(f"unknown encoder kind {cfg.encoder_kind!r}")
 
     if cfg.selector_kind == "heuristic":
         selector = HeuristicSelector()

@@ -1,10 +1,16 @@
 import json
+import sys
+import threading
+import urllib.error
+import urllib.request
 
 import pytest
 
 from elicit.backends import (
+    MAX_RETRIES,
     AuthError,
     BackendConfig,
+    BackendError,
     GenerationRequest,
     HttpBackend,
     MalformedResponseError,
@@ -165,3 +171,66 @@ def test_record_then_replay_identical(tmp_path):
 
     entries = [json.loads(l) for l in log.read_text().splitlines()]
     assert {e["fingerprint"] for e in entries} == {req("one").fingerprint(), req("two").fingerprint()}
+
+
+def _urlopen_failing_with(code, calls):
+    def fake_urlopen(req, timeout=None):
+        calls.append(req.full_url)
+        if code is None:
+            raise urllib.error.URLError("connection refused")
+        raise urllib.error.HTTPError(req.full_url, code, "status", {}, None)
+
+    return fake_urlopen
+
+
+@pytest.mark.parametrize("code", [400, 404, 422])
+def test_http_client_error_is_not_retried(monkeypatch, code):
+    monkeypatch.setattr("elicit.backends.time.sleep", lambda s: None)
+    calls = []
+    monkeypatch.setattr(urllib.request, "urlopen", _urlopen_failing_with(code, calls))
+    backend = HttpBackend(BackendConfig(endpoint="http://localhost:1"), api_key="k")
+    with pytest.raises(BackendError) as err:
+        backend.complete(req())
+    assert not isinstance(err.value, TransportError)
+    assert str(code) in str(err.value)
+    assert len(calls) == 1
+    assert backend.retry_count == 0
+
+
+@pytest.mark.parametrize("code", [408, 429, 500, 503, None])
+def test_http_retryable_failures_are_retried(monkeypatch, code):
+    monkeypatch.setattr("elicit.backends.time.sleep", lambda s: None)
+    calls = []
+    monkeypatch.setattr(urllib.request, "urlopen", _urlopen_failing_with(code, calls))
+    backend = HttpBackend(BackendConfig(endpoint="http://localhost:1"), api_key="k")
+    with pytest.raises(TransportError):
+        backend.embed(["text"])
+    assert len(calls) == 1 + MAX_RETRIES
+    assert backend.retry_count == MAX_RETRIES
+
+
+def test_retry_count_is_exact_across_threads(monkeypatch):
+    monkeypatch.setattr("elicit.backends.time.sleep", lambda s: None)
+    calls = []
+    monkeypatch.setattr(urllib.request, "urlopen", _urlopen_failing_with(503, calls))
+    backend = HttpBackend(BackendConfig(endpoint="http://localhost:1", max_concurrency=16), api_key="k")
+    n_threads, per_thread = 16, 25
+
+    def worker():
+        for _ in range(per_thread):
+            with pytest.raises(TransportError):
+                backend.complete(req())
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == n_threads * per_thread * (1 + MAX_RETRIES)
+    assert backend.retry_count == n_threads * per_thread * MAX_RETRIES

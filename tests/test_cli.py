@@ -200,3 +200,17 @@ def test_deterministic_pipeline_runs_with_networking_disabled(tmp_path, monkeypa
     assert run_cli("evaluate", "--logs", str(logs), "--out", str(tmp_path / "r.json")) == 0
     assert run_cli("validate", "--bank", str(bank), "--episodes-per-patient", "1",
                    "--turns", "5", "--seed", "6", "--out", str(tmp_path / "f.json")) == 0
+
+
+def test_run_with_remote_encoder_and_no_llm_kinds_fails_with_a_message(tmp_path, monkeypatch, capsys):
+    # the remote encoder needs a backend client even when every other kind is offline
+    monkeypatch.delenv("ELICIT_API_KEY", raising=False)
+    bank = tmp_path / "bank.jsonl"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("encoder.kind = remote\n")
+    assert run_cli("synth", "--patients", "3", "--snippets", "4", "--seed", "9",
+                   "--out", str(bank)) == 0
+    code = run_cli("run", "--bank", str(bank), "--episodes", "1", "--seed", "9",
+                   "--config", str(cfg), "--out", str(tmp_path / "logs"))
+    assert code in (1, 2)
+    assert "ELICIT_API_KEY" in capsys.readouterr().err

@@ -369,3 +369,10 @@ def test_full_llm_stack_with_scripted_backend(synth_bank_module):
     # F6 detected at turn 1 confirms immediately and fills coverage
     assert log.turns[-1].coverage_after == 1.0
     assert log.turns[0].thought["confirmed_analysis"] == "none yet"
+
+
+def test_encoder_kind_is_checked_when_components_are_built(synth_bank_module):
+    with pytest.raises(ValueError, match="needs a backend client"):
+        build_components(EpisodeConfig(encoder_kind="remote"), synth_bank_module)
+    with pytest.raises(ValueError, match="unknown encoder kind"):
+        build_components(EpisodeConfig(encoder_kind="bert"), synth_bank_module)
