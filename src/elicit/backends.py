@@ -204,6 +204,11 @@ class ScriptedBackend:
         return self._map[fp]
 
 
+def _embedding_fingerprint(texts: list[str]) -> str:
+    blob = json.dumps({"input": list(texts)}, ensure_ascii=False)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 @dataclass
 class RecordingBackend:
     """Wraps a live client and appends {fingerprint, request, response} lines."""
@@ -211,6 +216,10 @@ class RecordingBackend:
     inner: HttpBackend
     log_path: Path
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    def _append(self, entry: dict) -> None:
+        with self._lock, open(self.log_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n")
 
     def complete(self, request: GenerationRequest) -> str:
         text = self.inner.complete(request)
@@ -224,24 +233,38 @@ class RecordingBackend:
             },
             "response": text,
         }
-        with self._lock, open(self.log_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n")
+        self._append(entry)
         return text
+
+    def embed(self, texts: list[str]) -> list[list[float]]:
+        vectors = self.inner.embed(texts)
+        entry = {
+            "fingerprint": _embedding_fingerprint(texts),
+            "request": {"input": list(texts)},
+            "response": vectors,
+        }
+        self._append(entry)
+        return vectors
 
 
 class ReplayBackend:
-    """Serves completions recorded by RecordingBackend, keyed by fingerprint."""
+    """Serves completions and embeddings recorded by RecordingBackend, keyed by fingerprint."""
 
     def __init__(self, log_path: str | Path):
-        self._map: dict[str, str] = {}
+        self._map: dict[str, object] = {}
         with open(log_path, encoding="utf-8") as fh:
             for line in fh:
                 if line.strip():
                     entry = json.loads(line)
                     self._map[entry["fingerprint"]] = entry["response"]
 
-    def complete(self, request: GenerationRequest) -> str:
-        fp = request.fingerprint()
+    def _lookup(self, fp: str):
         if fp not in self._map:
             raise ScriptExhaustedError(f"replay log has no entry for fingerprint {fp[:12]}")
         return self._map[fp]
+
+    def complete(self, request: GenerationRequest) -> str:
+        return self._lookup(request.fingerprint())
+
+    def embed(self, texts: list[str]) -> list[list[float]]:
+        return self._lookup(_embedding_fingerprint(texts))

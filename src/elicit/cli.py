@@ -20,12 +20,10 @@ from . import __version__
 from .backends import BackendConfig, BackendError, HttpBackend, RecordingBackend, ReplayBackend
 from .bank import BankSchemaError, SynthSpec, ingest, synthesize_bank, write_bank
 from .config import ConfigError, Settings, load_settings
-from .detector import LlmDetector, RuleDetector
 from .fidelity import FidelityConfig, InsufficientPatientsError, loo_validate
 from .metrics import CorpusReport, NoValidLogsError, aggregate
 from .ontology import TraitId, default_ontology, load_ontology
-from .patient import EmissionParams
-from .runner import EpisodeConfig, build_components, read_logs, run_batch, run_replay, write_logs
+from .runner import build_components, read_logs, run_batch, run_replay, write_logs
 
 
 class UsageError(Exception):
@@ -75,7 +73,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ground-truth", required=True, help="comma-separated trait ids, e.g. F2,F6")
     p.add_argument("--turns", type=int, default=20)
     p.add_argument("--out", required=True)
-    p.add_argument("--detector", choices=["rule", "llm"], default="rule")
+    p.add_argument("--detector", choices=["rule", "llm"], default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--ontology", default=None)
 
@@ -100,7 +98,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("detect", help="run the trait detector over a transcript file")
     p.add_argument("--in", dest="path", required=True, help="JSON-lines of {question, response}")
-    p.add_argument("--backend", choices=["rule", "llm"], default="rule")
+    p.add_argument("--backend", choices=["rule", "llm"], default=None, help="detector kind")
     p.add_argument("--out", default=None, help="output JSON-lines path (default stdout)")
     p.add_argument("--config", default=None)
     p.add_argument("--ontology", default=None)
@@ -112,31 +110,33 @@ def _load_ontology(path: str | None):
     return load_ontology(path) if path else default_ontology()
 
 
-def _emission_from(settings: Settings) -> EmissionParams:
-    return EmissionParams(
-        M=settings.emitter_M,
-        max_traits_per_turn=settings.emitter_max_traits,
-        strategy_gain=settings.emitter_strategy_gain,
-        affinity_enabled=settings.emitter_affinity_enabled,
-        affinity_weight=settings.emitter_affinity_weight,
+def _settings(args, **episode_flags) -> Settings:
+    """The --config file's settings under the given flags; a flag left at None keeps the file's value."""
+    settings = load_settings(args.config)
+    flags = {name: value for name, value in episode_flags.items() if value is not None}
+    return dataclasses.replace(
+        settings,
+        episode=dataclasses.replace(settings.episode, **flags),
+        ontology_path=args.ontology or settings.ontology_path,
     )
 
 
-def _make_client(settings: Settings, record: str | None, replay_log: str | None):
+def _make_client(config: BackendConfig, record: str | None, replay_log: str | None):
     if replay_log:
         return ReplayBackend(replay_log)
-    client = HttpBackend(
-        BackendConfig(
-            endpoint=settings.backend_endpoint,
-            model=settings.backend_model,
-            embed_model=settings.backend_embed_model,
-            timeout_s=settings.backend_timeout_s,
-            max_concurrency=settings.backend_max_concurrency,
-        )
-    )
+    client = HttpBackend(config)
     if record:
         return RecordingBackend(inner=client, log_path=Path(record))
     return client
+
+
+def _components(settings: Settings, bank, ont, record: str | None = None, replay_log: str | None = None):
+    cfg = settings.episode
+    needs_client = (
+        "llm" in (cfg.selector_kind, cfg.realiser_kind, cfg.detector_kind) or cfg.encoder_kind == "remote"
+    )
+    client = _make_client(settings.backend, record, replay_log) if needs_client else None
+    return build_components(cfg, bank, ont, client=client)
 
 
 def _write_manifest(out_dir: Path, args_ns, settings: Settings, episode_ids, skipped, ontology_version: str) -> None:
@@ -183,44 +183,29 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    settings = load_settings(args.config)
-    if args.selector:
-        settings.selector_kind = args.selector
-    if args.realiser:
-        settings.realiser_kind = args.realiser
-    if args.detector:
-        settings.detector_kind = args.detector
-    ont = _load_ontology(args.ontology or settings.ontology_path)
+    settings = _settings(
+        args,
+        max_turns=args.turns,
+        seed=args.seed,
+        selector_kind=args.selector,
+        realiser_kind=args.realiser,
+        detector_kind=args.detector,
+    )
+    ont = _load_ontology(settings.ontology_path)
     bank = ingest(args.bank)
     if not len(bank):
         print("error: bank is empty", file=sys.stderr)
         return 1
 
-    cfg = EpisodeConfig(
-        max_turns=args.turns,
-        tau=settings.tau,
-        seed=args.seed,
-        selector_kind=settings.selector_kind,
-        realiser_kind=settings.realiser_kind,
-        detector_kind=settings.detector_kind,
-        encoder_kind=settings.encoder_kind,
-        emission=_emission_from(settings),
-        selector_temperature=settings.selector_temperature,
-        realiser_temperature=settings.realiser_temperature,
-        prompt_dir=settings.selector_prompt_dir,
-    )
-    needs_client = (
-        "llm" in (settings.selector_kind, settings.realiser_kind, settings.detector_kind)
-        or settings.encoder_kind == "remote"
-    )
-    client = _make_client(settings, args.record, args.replay_log) if needs_client else None
-    components = build_components(cfg, bank, ont, client=client)
+    components = _components(settings, bank, ont, args.record, args.replay_log)
 
     n_episodes = args.episodes
     if args.mode != "replay" and n_episodes < 1:
         print("error: --episodes must be >= 1 for this mode", file=sys.stderr)
         return 1
-    result = run_batch(cfg, bank, args.mode, n_episodes, parallel=args.parallel, components=components)
+    result = run_batch(
+        settings.episode, bank, args.mode, n_episodes, parallel=args.parallel, components=components
+    )
     out_dir = Path(args.out)
     write_logs(result, out_dir)
     _write_manifest(out_dir, args, settings, [l.episode_id for l in result.logs], result.skipped, ont.version)
@@ -249,8 +234,8 @@ def _read_transcript(path: str) -> list[tuple[str, str]]:
 
 
 def _cmd_replay(args) -> int:
-    settings = load_settings(args.config)
-    ont = _load_ontology(args.ontology or settings.ontology_path)
+    settings = _settings(args, max_turns=args.turns, detector_kind=args.detector)
+    ont = _load_ontology(settings.ontology_path)
     transcript = _read_transcript(args.path)
     if not transcript:
         print("error: transcript is empty", file=sys.stderr)
@@ -259,10 +244,8 @@ def _cmd_replay(args) -> int:
     if not gt:
         print("error: ground truth is empty", file=sys.stderr)
         return 1
-    cfg = EpisodeConfig(max_turns=args.turns, detector_kind=args.detector)
-    client = _make_client(settings, None, None) if args.detector == "llm" else None
-    components = build_components(dataclasses.replace(cfg, selector_kind="heuristic"), None, ont, client=client)
-    log = run_replay(transcript, gt, cfg, components, episode_id="replay-0000-manual")
+    components = _components(settings, None, ont)
+    log = run_replay(transcript, gt, settings.episode, components, episode_id="replay-0000-manual")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{log.episode_id}.json").write_text(log.to_json() + "\n", encoding="utf-8")
@@ -352,12 +335,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    settings = load_settings(args.config)
-    ont = _load_ontology(args.ontology or settings.ontology_path)
-    if args.backend == "rule":
-        detector = RuleDetector(ont)
-    else:
-        detector = LlmDetector(_make_client(settings, None, None), ont)
+    settings = _settings(args, detector_kind=args.backend)
+    detector = _components(settings, None, _load_ontology(settings.ontology_path)).detector
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for question, response in _read_transcript(args.path):

@@ -1,104 +1,94 @@
 """Run configuration: dotted-key text files merged under CLI flags.
 
-Precedence is CLI flag > config file > built-in default. The effective
-settings are snapshotted into the run manifest.
+Precedence is CLI flag > config file > built-in default. Each key names one
+field of the dataclass that reads it, and that field's default is the only
+default; the field's annotation gives the key's type. The effective settings
+are snapshotted into the run manifest, keyed as in the file.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
 
+from .backends import BackendConfig
+from .patient import EmissionParams
+from .runner import EpisodeConfig
 
-@dataclass
+
+@dataclass(frozen=True)
 class Settings:
-    # selector.*
-    selector_kind: str = "heuristic"
-    selector_temperature: float = 0.7
-    selector_prompt_dir: str | None = None
-    # realiser.*
-    realiser_kind: str = "template"
-    realiser_temperature: float = 0.7
-    # detector.*
-    detector_kind: str = "rule"
-    # encoder.*
-    encoder_kind: str = "fallback"
-    # emitter.*
-    emitter_M: float = 4.0
-    emitter_max_traits: int = 2
-    emitter_strategy_gain: float = 0.0
-    emitter_affinity_enabled: bool = False
-    emitter_affinity_weight: float = 0.0
-    # backend.*
-    backend_endpoint: str = "http://localhost:8000"
-    backend_model: str = ""
-    backend_embed_model: str = ""
-    backend_timeout_s: float = 60.0
-    backend_max_concurrency: int = 4
-    # run-level
-    tau: float = 0.6
+    """Everything a config file can set: the episode config with its emission params,
+    the backend config, and the ontology path."""
+
+    episode: EpisodeConfig = field(default_factory=EpisodeConfig)
+    backend: BackendConfig = field(default_factory=BackendConfig)
     ontology_path: str | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        owners = {
+            EpisodeConfig: self.episode,
+            EmissionParams: self.episode.emission,
+            BackendConfig: self.backend,
+            Settings: self,
+        }
+        return {key: getattr(owners[cls], name) for key, (cls, name) in KEYS.items()}
 
 
-_KEY_MAP = {
-    "selector.kind": ("selector_kind", str),
-    "selector.temperature": ("selector_temperature", float),
-    "selector.prompt_dir": ("selector_prompt_dir", str),
-    "realiser.kind": ("realiser_kind", str),
-    "realiser.temperature": ("realiser_temperature", float),
-    "detector.kind": ("detector_kind", str),
-    "encoder.kind": ("encoder_kind", str),
-    "emitter.M": ("emitter_M", float),
-    "emitter.max_traits": ("emitter_max_traits", int),
-    "emitter.strategy_gain": ("emitter_strategy_gain", float),
-    "emitter.affinity_enabled": ("emitter_affinity_enabled", None),
-    "emitter.affinity_weight": ("emitter_affinity_weight", float),
-    "backend.endpoint": ("backend_endpoint", str),
-    "backend.model": ("backend_model", str),
-    "backend.embed_model": ("backend_embed_model", str),
-    "backend.timeout_s": ("backend_timeout_s", float),
-    "backend.max_concurrency": ("backend_max_concurrency", int),
-    "tau": ("tau", float),
-    "ontology": ("ontology_path", str),
+KEYS: dict[str, tuple[type, str]] = {
+    "selector.kind": (EpisodeConfig, "selector_kind"),
+    "selector.temperature": (EpisodeConfig, "selector_temperature"),
+    "selector.prompt_dir": (EpisodeConfig, "prompt_dir"),
+    "realiser.kind": (EpisodeConfig, "realiser_kind"),
+    "realiser.temperature": (EpisodeConfig, "realiser_temperature"),
+    "detector.kind": (EpisodeConfig, "detector_kind"),
+    "encoder.kind": (EpisodeConfig, "encoder_kind"),
+    "emitter.M": (EmissionParams, "M"),
+    "emitter.max_traits": (EmissionParams, "max_traits_per_turn"),
+    "emitter.strategy_gain": (EmissionParams, "strategy_gain"),
+    "emitter.affinity_weight": (EmissionParams, "affinity_weight"),
+    "backend.endpoint": (BackendConfig, "endpoint"),
+    "backend.model": (BackendConfig, "model"),
+    "backend.embed_model": (BackendConfig, "embed_model"),
+    "backend.timeout_s": (BackendConfig, "timeout_s"),
+    "backend.max_concurrency": (BackendConfig, "max_concurrency"),
+    "tau": (EpisodeConfig, "tau"),
+    "ontology": (Settings, "ontology_path"),
 }
-
-_TRUTHY = {"1", "true", "yes", "on"}
-_FALSY = {"0", "false", "no", "off"}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in _TRUTHY:
-        return True
-    if low in _FALSY:
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
+def _field_type(cls: type, name: str) -> type:
+    # `str | None` parses as str: a key that is set always has a value
+    hint = typing.get_type_hints(cls)[name]
+    return next((a for a in typing.get_args(hint) if a is not type(None)), hint)
 
 
 def load_settings(path: str | Path | None = None) -> Settings:
     """Parse `key = value` lines; '#' starts a comment, blank lines ignored."""
-    settings = Settings()
-    if path is None:
-        return settings
-    for line_no, raw in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {line_no}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEY_MAP:
-            raise ConfigError(f"line {line_no}: unknown config key {key!r}")
-        attr, cast = _KEY_MAP[key]
-        try:
-            setattr(settings, attr, _parse_bool(value) if cast is None else cast(value))
-        except ValueError as e:
-            raise ConfigError(f"line {line_no}: bad value for {key}: {e}") from None
-    return settings
+    values: dict[type, dict] = {cls: {} for cls, _ in KEYS.values()}
+    if path is not None:
+        for line_no, raw in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"line {line_no}: expected 'key = value', got {raw!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in KEYS:
+                raise ConfigError(f"line {line_no}: unknown config key {key!r}")
+            cls, name = KEYS[key]
+            try:
+                values[cls][name] = _field_type(cls, name)(value)
+            except ValueError as e:
+                raise ConfigError(f"line {line_no}: bad value for {key}: {e}") from None
+    emission = EmissionParams(**values[EmissionParams])
+    return Settings(
+        episode=EpisodeConfig(emission=emission, **values[EpisodeConfig]),
+        backend=BackendConfig(**values[BackendConfig]),
+        **values[Settings],
+    )

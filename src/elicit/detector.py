@@ -72,10 +72,9 @@ class LlmDetector:
 
     kind = "llm"
 
-    def __init__(self, client, ontology: Ontology | None = None, model: str = ""):
+    def __init__(self, client, ontology: Ontology | None = None):
         self.client = client
         self.ontology = ontology or default_ontology()
-        self.model = model
         self._template = load_prompt("detect")
 
     def _request(self, question: str, response: str) -> GenerationRequest:
@@ -85,11 +84,7 @@ class LlmDetector:
         prompt = self._template.format(
             definitions=definitions, question=question, response=response
         )
-        return GenerationRequest(
-            messages=(Message("user", prompt),),
-            temperature=0.0,
-            model=self.model,
-        )
+        return GenerationRequest(messages=(Message("user", prompt),), temperature=0.0)
 
     def detect(self, question: str, response: str) -> DetectionResult:
         if not response.strip():
@@ -106,7 +101,3 @@ class LlmDetector:
                 continue
             return DetectionResult(labels=labels, evidence={})
         raise DetectorParseError(f"unparseable detector output: {last_error}")
-
-
-def detect(backend, question: str, response: str) -> DetectionResult:
-    return backend.detect(question, response)

@@ -15,9 +15,6 @@ class HistoryTurn:
     detections: Mapping[TraitId, bool] | None = None
 
 
-DialogueHistory = list[HistoryTurn]
-
-
 def render_history(history: list[HistoryTurn], limit: int | None = None) -> str:
     """Readable transcript block for prompt assembly."""
     turns = history if limit is None else history[-limit:]

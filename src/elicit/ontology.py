@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import lru_cache
 from importlib import resources
@@ -107,7 +107,6 @@ class Ontology:
     strategies: dict[Strategy, StrategyProfile]
     scenarios: tuple[Scenario, ...]
     score_levels: tuple[A4ScoreLevel, ...]
-    _marker_owner: dict[str, TraitId] = field(repr=False, default_factory=dict)
 
     def trait_by_id(self, trait_id: str | TraitId) -> TraitDefinition:
         """Look up a trait definition by id; total over F1..F10, error otherwise."""
@@ -124,10 +123,6 @@ class Ontology:
 
     def strategy_display_name(self, strategy: Strategy) -> str:
         return self.strategies[strategy].display_name
-
-    def all_markers(self) -> dict[str, TraitId]:
-        """Marker phrase -> owning trait (lowercased phrases)."""
-        return dict(self._marker_owner)
 
 
 def _word_boundary_contains(haystack: str, needle: str) -> bool:
@@ -212,16 +207,12 @@ def load_ontology(path: str | Path | None = None) -> Ontology:
         A4ScoreLevel(score=e["score"], description=e["description"]) for e in doc["score_levels"]
     )
 
-    marker_owner = {
-        phrase.lower(): tid for tid, t in traits.items() for phrase in t.marker_lexicon
-    }
     ont = Ontology(
         version=doc["version"],
         traits=traits,
         strategies=strategies,
         scenarios=scenarios,
         score_levels=levels,
-        _marker_owner=marker_owner,
     )
     _validate(ont)
     return ont

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .backends import GenerationRequest, Message
-from .bank import PatientProfile, Snippet
+from .bank import THETA_EPS, PatientProfile, Snippet
 from .dialogue import HistoryTurn, render_history
 from .ontology import ALL_TRAITS, Ontology, TraitId, default_ontology
 from .prompting import load_prompt
@@ -38,10 +38,8 @@ class EmptyAnchorError(ValueError):
 class EmissionParams:
     M: float = DEFAULT_SUPPRESSION
     max_traits_per_turn: int = 2
-    epsilon: float = 1e-3
     strategy_gain: float = 0.0  # logit boost for traits in the asked strategy's affinity (off by default)
-    affinity_enabled: bool = False  # question/definition semantic-affinity hook (off by default)
-    affinity_weight: float = 0.0
+    affinity_weight: float = 0.0  # weight of the question/definition semantic-affinity hook (0 is off)
 
     def __post_init__(self):
         if self.M <= 0:
@@ -66,8 +64,8 @@ def _sigmoid(x: float) -> float:
 def emission_probability(
     theta: float, confirmed: bool, params: EmissionParams, offset: float = 0.0
 ) -> float:
-    if not params.epsilon <= theta <= 1.0 - params.epsilon:
-        raise ValueError(f"theta must be clamped to [{params.epsilon}, {1 - params.epsilon}]")
+    if not THETA_EPS <= theta <= 1.0 - THETA_EPS:
+        raise ValueError(f"theta must be clamped to [{THETA_EPS}, {1 - THETA_EPS}]")
     if not confirmed and offset == 0.0:
         return theta  # sigma(logit(x)) == x
     logit = math.log(theta / (1.0 - theta))
@@ -162,13 +160,11 @@ class LlmRealiser:
         self,
         client,
         ontology: Ontology | None = None,
-        model: str = "",
         temperature: float = 0.7,
         prompt_dir=None,
     ):
         self.client = client
         self.ontology = ontology or default_ontology()
-        self.model = model
         self.temperature = temperature
         self._template = load_prompt("realise", prompt_dir)
 
@@ -198,16 +194,8 @@ class LlmRealiser:
             anchor=anchor.patient_reply,
             emitted=emitted_text,
         )
-        request = GenerationRequest(
-            messages=(Message("user", prompt),),
-            temperature=self.temperature,
-            model=self.model,
-        )
+        request = GenerationRequest(messages=(Message("user", prompt),), temperature=self.temperature)
         reply = self.client.complete(request).strip()
         if not reply:
             reply = _FALLBACK_SKELETON
         return reply
-
-
-def realise(backend, question, history, anchor, emitted, seed) -> str:
-    return backend.realise(question, history, anchor, emitted, seed)

@@ -18,7 +18,6 @@ import numpy as np
 from .bank import Snippet, SnippetBank
 
 FALLBACK_DIM = 256
-REMOTE_DIM = 384
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -79,9 +78,8 @@ class RemoteEncoder:
 
     kind = "remote"
 
-    def __init__(self, client, dim: int = REMOTE_DIM):
+    def __init__(self, client):
         self.client = client
-        self.dim = dim
 
     def encode(self, text: str) -> Embedding:
         stripped = text.strip()
@@ -92,10 +90,6 @@ class RemoteEncoder:
         if norm > 0:
             vec = vec / norm
         return Embedding(values=vec, dim=len(vec))
-
-
-def encode(backend, text: str) -> Embedding:
-    return backend.encode(text)
 
 
 def cosine(u: Embedding, v: Embedding) -> float:

@@ -262,7 +262,7 @@ def _emission_offsets(
     if params.strategy_gain and strategy is not None:
         for t in components.ontology.strategy_affinity(strategy):
             offsets[t] = offsets.get(t, 0.0) + params.strategy_gain
-    if params.affinity_enabled and params.affinity_weight:
+    if params.affinity_weight:
         q_emb = components.encoder.encode(question)
         for t in components.ontology.traits:
             sim = cosine(q_emb, components.definition_embedding(t))

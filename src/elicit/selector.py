@@ -162,15 +162,8 @@ class LlmSelector:
 
     kind = "llm"
 
-    def __init__(
-        self,
-        client,
-        model: str = "",
-        ask_temperature: float = 0.7,
-        prompt_dir=None,
-    ):
+    def __init__(self, client, ask_temperature: float = 0.7, prompt_dir=None):
         self.client = client
-        self.model = model
         self.ask_temperature = ask_temperature
         self._think_tpl = load_prompt("think", prompt_dir)
         self._plan_tpl = load_prompt("plan", prompt_dir)
@@ -196,9 +189,7 @@ class LlmSelector:
             )
             or "(all traits confirmed)",
         )
-        request = GenerationRequest(
-            messages=(Message("user", prompt),), temperature=0.0, model=self.model
-        )
+        request = GenerationRequest(messages=(Message("user", prompt),), temperature=0.0)
         last: Exception | None = None
         for _ in range(2):
             text = self.client.complete(request)
@@ -221,9 +212,7 @@ class LlmSelector:
             thought=thought.strategy_rationale + "\n" + thought.elicitation_conditions,
             strategies=self._strategies_text(ctx.ontology),
         )
-        request = GenerationRequest(
-            messages=(Message("user", prompt),), temperature=0.0, model=self.model
-        )
+        request = GenerationRequest(messages=(Message("user", prompt),), temperature=0.0)
         last: Exception | None = None
         for _ in range(2):
             text = self.client.complete(request)
@@ -241,11 +230,7 @@ class LlmSelector:
             thought=thought.elicitation_conditions,
             strategy_description=ctx.ontology.strategies[strategy].description,
         )
-        request = GenerationRequest(
-            messages=(Message("user", prompt),),
-            temperature=self.ask_temperature,
-            model=self.model,
-        )
+        request = GenerationRequest(messages=(Message("user", prompt),), temperature=self.ask_temperature)
         last_question = ""
         for _ in range(2):
             text = self.client.complete(request)
@@ -260,15 +245,3 @@ class LlmSelector:
         raise QuestionConstraintError(
             f"question violated constraints after retry: {last_question!r}"
         )
-
-
-def think(backend, ctx: SessionContext) -> Thought:
-    return backend.think(ctx)
-
-
-def plan(backend, ctx: SessionContext, thought: Thought) -> Strategy:
-    return backend.plan(ctx, thought)
-
-
-def ask(backend, ctx: SessionContext, thought: Thought, strategy: Strategy) -> str:
-    return backend.ask(ctx, thought, strategy)

@@ -173,6 +173,47 @@ def test_record_then_replay_identical(tmp_path):
     assert {e["fingerprint"] for e in entries} == {req("one").fingerprint(), req("two").fingerprint()}
 
 
+def _embedding_transport(path, body):
+    assert path == "/v1/embeddings"
+    return {
+        "data": [
+            {"index": i, "embedding": [float(len(t)), 1.0 / 3.0, float(i)]}
+            for i, t in enumerate(body["input"])
+        ]
+    }
+
+
+def test_record_then_replay_embeddings_identical(tmp_path):
+    log = tmp_path / "replay.jsonl"
+    recorder = RecordingBackend(
+        inner=HttpBackend(BackendConfig(), transport=_embedding_transport, api_key="k"), log_path=log
+    )
+    live = [recorder.embed(["one"]), recorder.embed(["two", "three"])]
+
+    replay = ReplayBackend(log)
+    assert [replay.embed(["one"]), replay.embed(["two", "three"])] == live
+    with pytest.raises(ScriptExhaustedError):
+        replay.embed(["three", "two"])
+
+
+def test_replay_of_completions_and_embeddings_from_one_log(tmp_path):
+    def transport(path, body):
+        if path == "/v1/embeddings":
+            return _embedding_transport(path, body)
+        return completion_payload("reply")
+
+    log = tmp_path / "replay.jsonl"
+    recorder = RecordingBackend(
+        inner=HttpBackend(BackendConfig(), transport=transport, api_key="k"), log_path=log
+    )
+    vectors, text = recorder.embed(["one"]), recorder.complete(req("one"))
+    replay = ReplayBackend(log)
+    assert replay.embed(["one"]) == vectors
+    assert replay.complete(req("one")) == text
+    with pytest.raises(ScriptExhaustedError):
+        replay.embed(["two"])
+
+
 def _urlopen_failing_with(code, calls):
     def fake_urlopen(req, timeout=None):
         calls.append(req.full_url)

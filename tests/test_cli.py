@@ -166,12 +166,12 @@ def test_config_file_overrides(tmp_path):
         "emitter.M = 6.5\n"
         "emitter.strategy_gain = 2.0\n"
         "detector.kind = rule\n"
-        "emitter.affinity_enabled = true\n"
+        "emitter.affinity_weight = 0.5\n"
     )
     settings = load_settings(cfg)
-    assert settings.emitter_M == 6.5
-    assert settings.emitter_strategy_gain == 2.0
-    assert settings.emitter_affinity_enabled is True
+    assert settings.episode.emission.M == 6.5
+    assert settings.episode.emission.strategy_gain == 2.0
+    assert settings.episode.emission.affinity_weight == 0.5
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -181,6 +181,114 @@ def test_config_rejects_unknown_key(tmp_path):
     cfg.write_text("nonsense.key = 1\n")
     with pytest.raises(ConfigError):
         load_settings(cfg)
+    # a removed key fails the same way: a weight of 0 is how the affinity hook is turned off
+    cfg.write_text("emitter.affinity_enabled = true\n")
+    with pytest.raises(ConfigError, match="unknown config key"):
+        load_settings(cfg)
+
+
+# every config key: a non-default value as written in the file, the value it parses to,
+# and where the run reads it (the episode config, the backend client or the ontology)
+SETTINGS_TABLE = [
+    ("selector.kind", "llm", "llm", lambda seen: seen["cfg"].selector_kind),
+    ("selector.temperature", "0.25", 0.25, lambda seen: seen["cfg"].selector_temperature),
+    ("selector.prompt_dir", "prompts/custom", "prompts/custom", lambda seen: seen["cfg"].prompt_dir),
+    ("realiser.kind", "llm", "llm", lambda seen: seen["cfg"].realiser_kind),
+    ("realiser.temperature", "0.35", 0.35, lambda seen: seen["cfg"].realiser_temperature),
+    ("detector.kind", "llm", "llm", lambda seen: seen["cfg"].detector_kind),
+    ("encoder.kind", "remote", "remote", lambda seen: seen["cfg"].encoder_kind),
+    ("emitter.M", "5.5", 5.5, lambda seen: seen["cfg"].emission.M),
+    ("emitter.max_traits", "3", 3, lambda seen: seen["cfg"].emission.max_traits_per_turn),
+    ("emitter.strategy_gain", "1.5", 1.5, lambda seen: seen["cfg"].emission.strategy_gain),
+    ("emitter.affinity_weight", "0.75", 0.75, lambda seen: seen["cfg"].emission.affinity_weight),
+    ("backend.endpoint", "http://localhost:9", "http://localhost:9", lambda seen: seen["client"].config.endpoint),
+    ("backend.model", "gen-model", "gen-model", lambda seen: seen["client"].config.model),
+    ("backend.embed_model", "embed-model", "embed-model", lambda seen: seen["client"].config.embed_model),
+    ("backend.timeout_s", "12.5", 12.5, lambda seen: seen["client"].config.timeout_s),
+    ("backend.max_concurrency", "7", 7, lambda seen: seen["client"].config.max_concurrency),
+    ("tau", "0.85", 0.85, lambda seen: seen["cfg"].tau),
+    ("ontology", "custom_ontology.json", "custom_ontology.json", lambda seen: seen["ontology"].version),
+]
+# the custom ontology's version is its file name, so the ontology row can read the loaded one back
+CUSTOM_ONTOLOGY_VERSION = "custom_ontology.json"
+
+
+def _run_capturing(monkeypatch, work_dir, config_text, *flags):
+    """`elicit run` up to the episodes: returns what the components and batch receive, and the manifest."""
+    from importlib import resources
+
+    import elicit.cli as cli
+    from elicit.runner import BatchResult
+
+    monkeypatch.chdir(work_dir)
+    ontology = json.loads(resources.files("elicit").joinpath("data/ontology.json").read_text("utf-8"))
+    ontology["version"] = CUSTOM_ONTOLOGY_VERSION
+    (work_dir / "custom_ontology.json").write_text(json.dumps(ontology))
+    (work_dir / "run.cfg").write_text(config_text)
+    seen = {}
+
+    def capture_components(cfg, bank, ontology, client=None):
+        seen.update(ontology=ontology, client=client)
+
+    def capture_batch(cfg, bank, mode, n_episodes, parallel=1, components=None):
+        seen["cfg"] = cfg
+        return BatchResult(logs=(), skipped=())
+
+    monkeypatch.setattr(cli, "build_components", capture_components)
+    monkeypatch.setattr(cli, "run_batch", capture_batch)
+    assert run_cli("synth", "--patients", "2", "--snippets", "4", "--seed", "1", "--out", "bank.jsonl") == 0
+    assert run_cli("run", "--bank", "bank.jsonl", "--episodes", "1", "--config", "run.cfg",
+                   "--out", "logs", *flags) == 0
+    return seen, json.loads((work_dir / "logs" / "manifest.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def every_key_set(tmp_path_factory):
+    config_text = "".join(f"{key} = {raw}\n" for key, raw, _, _ in SETTINGS_TABLE)
+    with pytest.MonkeyPatch.context() as mp:
+        return _run_capturing(mp, tmp_path_factory.mktemp("every-key"), config_text)
+
+
+def test_settings_table_covers_every_config_key():
+    from elicit.config import KEYS
+
+    assert len(SETTINGS_TABLE) == 18
+    assert [key for key, *_ in SETTINGS_TABLE] == list(KEYS)
+
+
+@pytest.mark.parametrize("key,raw,value,read", SETTINGS_TABLE, ids=[row[0] for row in SETTINGS_TABLE])
+def test_each_config_key_reaches_the_run_and_the_manifest(every_key_set, key, raw, value, read):
+    seen, manifest = every_key_set
+    assert read(seen) == value
+    assert manifest["settings"][key] == value
+    assert set(manifest["settings"]) == {k for k, *_ in SETTINGS_TABLE}
+
+
+def test_cli_flags_win_over_the_config_file(tmp_path, monkeypatch):
+    config_text = "selector.kind = llm\nrealiser.kind = llm\ndetector.kind = llm\n"
+    seen, manifest = _run_capturing(
+        monkeypatch, tmp_path, config_text,
+        "--selector", "heuristic", "--realiser", "template", "--detector", "rule",
+        "--turns", "7", "--seed", "3", "--ontology", "custom_ontology.json",
+    )
+    cfg = seen["cfg"]
+    assert (cfg.selector_kind, cfg.realiser_kind, cfg.detector_kind) == ("heuristic", "template", "rule")
+    assert (cfg.max_turns, cfg.seed) == (7, 3)
+    assert seen["client"] is None
+    assert seen["ontology"].version == CUSTOM_ONTOLOGY_VERSION
+    assert manifest["settings"]["selector.kind"] == "heuristic"
+    assert manifest["settings"]["ontology"] == "custom_ontology.json"
+
+
+def test_readme_configuration_block_lists_exactly_the_config_keys():
+    import re
+
+    from elicit.config import KEYS
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    block = section.split("```", 2)[1]
+    assert sorted(re.findall(r"([\w.]+) = ", block)) == sorted(KEYS)
 
 
 def test_deterministic_pipeline_runs_with_networking_disabled(tmp_path, monkeypatch):
@@ -214,3 +322,50 @@ def test_run_with_remote_encoder_and_no_llm_kinds_fails_with_a_message(tmp_path,
                    "--config", str(cfg), "--out", str(tmp_path / "logs"))
     assert code in (1, 2)
     assert "ELICIT_API_KEY" in capsys.readouterr().err
+
+
+def _write_transcript(path, responses):
+    path.write_text("\n".join(json.dumps({"question": "And then?", "response": r}) for r in responses))
+
+
+def test_replay_honours_config_tau(tmp_path):
+    # a first-turn F6 positive gives a posterior mean of 2/3, which latches at tau 0.6 but not 0.9
+    transcript = tmp_path / "t.jsonl"
+    _write_transcript(transcript, ["It went fine, you know what I mean.", "We left.", "Then home."])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tau = 0.9\n")
+    out = tmp_path / "logs"
+    assert run_cli("replay", "--in", str(transcript), "--ground-truth", "F6",
+                   "--config", str(cfg), "--out", str(out)) == 0
+    log = json.loads(next(out.glob("*.json")).read_text())
+    assert log["tau"] == 0.9
+    assert log["final_confirmed"] == []
+    assert log["turns"][-1]["coverage_after"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["replay", "detect"])
+def test_replay_and_detect_take_the_detector_kind_from_config(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.delenv("ELICIT_API_KEY", raising=False)
+    transcript = tmp_path / "t.jsonl"
+    _write_transcript(transcript, ["It went fine, as they say."])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("detector.kind = llm\n")
+    argv = [command, "--in", str(transcript), "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "replay":
+        argv += ["--ground-truth", "F10"]
+    assert run_cli(*argv) == 2
+    assert "backend error" in capsys.readouterr().err
+
+
+def test_run_with_remote_encoder_and_an_empty_replay_log_is_a_backend_error(tmp_path, capsys):
+    bank = tmp_path / "bank.jsonl"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("encoder.kind = remote\n")
+    replay_log = tmp_path / "empty.jsonl"
+    replay_log.write_text("")
+    assert run_cli("synth", "--patients", "3", "--snippets", "4", "--seed", "9",
+                   "--out", str(bank)) == 0
+    code = run_cli("run", "--bank", str(bank), "--episodes", "1", "--seed", "9", "--config", str(cfg),
+                   "--replay-log", str(replay_log), "--out", str(tmp_path / "logs"))
+    assert code == 2
+    assert "backend error" in capsys.readouterr().err

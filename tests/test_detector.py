@@ -8,7 +8,6 @@ from elicit.detector import (
     EmptyResponseError,
     LlmDetector,
     RuleDetector,
-    detect,
 )
 from elicit.ontology import ALL_TRAITS, TraitId
 
@@ -17,46 +16,46 @@ Q = "And how did that go?"
 
 
 def test_f6_marker():
-    result = detect(DET, Q, "We got there late, you know what I mean, and left early.")
+    result = DET.detect(Q, "We got there late, you know what I mean, and left early.")
     assert result.positive() == {TraitId.F6}
 
 
 def test_plain_response_all_false():
-    result = detect(DET, Q, "The weather is fine.")
+    result = DET.detect(Q, "The weather is fine.")
     assert result.positive() == frozenset()
     assert set(result.labels) == set(ALL_TRAITS)
     assert not result.evidence
 
 
 def test_two_traits():
-    result = detect(DET, Q, "It is the circle of life and we move on, as they say.")
+    result = DET.detect(Q, "It is the circle of life and we move on, as they say.")
     assert result.positive() == {TraitId.F10, TraitId.F6}
 
 
 def test_case_insensitive():
     text = "It is the CIRCLE OF LIFE after all."
-    upper = detect(DET, Q, text.upper())
-    lower = detect(DET, Q, text.lower())
+    upper = DET.detect(Q, text.upper())
+    lower = DET.detect(Q, text.lower())
     assert upper.labels == lower.labels
     assert upper.positive() == {TraitId.F10}
 
 
 def test_word_boundary_no_partial_match():
     # "mideast" must not fire inside a larger word
-    result = detect(DET, Q, "The mideastern region was on the news.")
+    result = DET.detect(Q, "The mideastern region was on the news.")
     assert TraitId.F2 not in result.positive()
-    result = detect(DET, Q, "He said mideast when he meant something else.")
+    result = DET.detect(Q, "He said mideast when he meant something else.")
     assert TraitId.F2 in result.positive()
 
 
 def test_evidence_is_first_span():
-    result = detect(DET, Q, "Ready to roll, circle of life, that is me.")
+    result = DET.detect(Q, "Ready to roll, circle of life, that is me.")
     assert result.evidence[TraitId.F10].lower() == "ready to roll"
     assert set(result.evidence) == {TraitId.F10}
 
 
 def test_evidence_only_where_true():
-    result = detect(DET, Q, "Nothing special happened today.")
+    result = DET.detect(Q, "Nothing special happened today.")
     assert result.evidence == {}
 
 
@@ -64,17 +63,17 @@ def test_every_marker_fires_exactly_its_owner(ontology):
     # lexicon disjointness means a phrase can never light up two traits
     for owner, definition in ontology.traits.items():
         for phrase in definition.marker_lexicon:
-            result = detect(DET, Q, f"Leading words then {phrase} and trailing words.")
+            result = DET.detect(Q, f"Leading words then {phrase} and trailing words.")
             assert result.positive() == {owner}, phrase
 
 
 def test_empty_response_error():
     with pytest.raises(EmptyResponseError):
-        detect(DET, Q, "   ")
+        DET.detect(Q, "   ")
 
 
 def test_detection_result_serialises():
-    doc = detect(DET, Q, "as they say").to_dict()
+    doc = DET.detect(Q, "as they say").to_dict()
     assert doc["labels"]["F6"] is True
     assert doc["labels"]["F1"] is False
     assert doc["evidence"] == {"F6": "as they say"}

@@ -18,7 +18,6 @@ from elicit.retrieval import (
     FallbackEncoder,
     RemoteEncoder,
     cosine,
-    encode,
     retrieve_anchor,
 )
 
@@ -33,38 +32,38 @@ def _snip(pid, sid, doctor, i=0):
 
 
 def test_fallback_deterministic():
-    a = encode(ENC, "hello world")
-    b = encode(ENC, "hello world")
+    a = ENC.encode("hello world")
+    b = ENC.encode("hello world")
     assert np.array_equal(a.values, b.values)
 
 
 def test_fallback_unit_norm():
-    v = encode(ENC, "the quick brown fox")
+    v = ENC.encode("the quick brown fox")
     assert abs(np.linalg.norm(v.values) - 1.0) < 1e-6
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.text(min_size=1).filter(lambda s: s.strip()))
 def test_fallback_unit_norm_property(text):
-    v = encode(ENC, text)
+    v = ENC.encode(text)
     assert abs(np.linalg.norm(v.values) - 1.0) < 1e-6
     assert v.dim == 256
 
 
 def test_fallback_empty_text():
     with pytest.raises(EmptyTextError):
-        encode(ENC, "")
+        ENC.encode("")
     with pytest.raises(EmptyTextError):
-        encode(ENC, "   \n ")
+        ENC.encode("   \n ")
 
 
 def test_cosine_identity():
-    x = encode(ENC, "some words here")
+    x = ENC.encode("some words here")
     assert cosine(x, x) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_cosine_antipodal():
-    x = encode(ENC, "some words here")
+    x = ENC.encode("some words here")
     neg = Embedding(values=-x.values, dim=x.dim)
     assert cosine(x, neg) == pytest.approx(-1.0, abs=1e-9)
 
@@ -228,7 +227,7 @@ def test_remote_encoder_normalises():
         def embed(self, texts):
             return [[3.0, 4.0] for _ in texts]
 
-    enc = RemoteEncoder(FakeClient(), dim=2)
+    enc = RemoteEncoder(FakeClient())
     v = enc.encode("anything")
     assert np.allclose(v.values, [0.6, 0.8])
     with pytest.raises(EmptyTextError):

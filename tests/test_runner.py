@@ -278,6 +278,20 @@ def test_emitter_reads_only_base_rates():
     assert decision.probabilities[TraitId.F2] == pytest.approx(0.5)
 
 
+def test_affinity_weight_turns_the_affinity_hook_on(stack):
+    from elicit.patient import EmissionParams
+    from elicit.retrieval import cosine
+    from elicit.runner import _emission_offsets
+
+    _, _, comps = stack
+    question = "Tell me about the people you talk to and what you say to them."
+    assert _emission_offsets(comps, EmissionParams(), None, question) is None
+    offsets = _emission_offsets(comps, EmissionParams(affinity_weight=0.5), None, question)
+    q = comps.encoder.encode(question)
+    assert offsets == {t: 0.5 * cosine(q, comps.definition_embedding(t)) for t in ALL_TRAITS}
+    assert any(offsets.values())
+
+
 # --- batches -------------------------------------------------------------------
 
 
