@@ -42,6 +42,9 @@ class EmissionParams:
     affinity_weight: float = 0.0  # weight of the question/definition semantic-affinity hook (0 is off)
 
     def __post_init__(self):
+        for name in ("M", "strategy_gain", "affinity_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.M <= 0:
             raise ValueError("suppression penalty M must be > 0")
         if self.max_traits_per_turn < 1:

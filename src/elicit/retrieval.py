@@ -111,11 +111,15 @@ def _tie_key(s: Snippet) -> tuple:
 class AnchorRetriever:
     """Indexes one bank's doctor utterances and retrieves anchors.
 
-    The index is one (N, dim) matrix of the encoded utterances plus their
-    inverse norms. A query is scored against every row with one mat-vec;
-    the rows within SHORTLIST_MARGIN of the best are then re-scored with the
-    scalar `cosine`, so the winner and its score are exactly those of a
-    brute-force scan. Ties go to the lowest `_tie_key`.
+    Scripted prompts repeat across patients, so the index holds each distinct
+    `doctor_curr` text once: a (distinct texts, dim) matrix of encodings, their
+    inverse norms, and each bank row's text index. A query is scored against
+    the texts with one mat-vec and the scores are gathered out to the rows, so
+    excluding a patient drops its rows but not a text other patients share.
+    The shortlisted texts, those within SHORTLIST_MARGIN of the best, are
+    re-scored once each with the scalar `cosine`, so the winner and its score
+    are exactly those of a brute-force scan. Ties still go to the lowest
+    `_tie_key`, then the lowest row.
 
     Retrieval audit: every retrieved snippet's patient id is appended to
     `audit_log`, which validation harnesses may inspect for leakage.
@@ -129,14 +133,20 @@ class AnchorRetriever:
             raise EmptyCandidateSetError("bank is empty")
         self.bank = bank
         self.backend = backend
-        encoded = (backend.encode(s.doctor_curr) for s in bank.snippets)
+        text_index: dict[str, int] = {}
+        self._row_text = np.fromiter(
+            (text_index.setdefault(s.doctor_curr, len(text_index)) for s in bank.snippets),
+            dtype=np.intp,
+            count=len(bank),
+        )
+        encoded = (backend.encode(text) for text in text_index)
         first = next(encoded)
-        self._matrix = np.empty((len(bank), first.dim), dtype=np.float64)
+        self._matrix = np.empty((len(text_index), first.dim), dtype=np.float64)
         self._matrix[0] = first.values
         for i, e in enumerate(encoded, start=1):
             self._check_dim(e)
             self._matrix[i] = e.values
-        # row norms without an (N, dim) temporary; zero rows score 0 like `cosine`
+        # norms without a (texts, dim) temporary; zero rows score 0 like `cosine`
         norms = np.sqrt(np.einsum("ij,ij->i", self._matrix, self._matrix))
         self._inv_norms = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
         self.audit_log: list[str] = []
@@ -151,9 +161,10 @@ class AnchorRetriever:
         q_norm = np.linalg.norm(q.values)
         # einsum runs on this thread: BLAS splits a large mat-vec across its own threads,
         # which stalled for milliseconds at a time on a 2-vCPU host
-        scores = np.einsum("ij,j->i", self._matrix, q.values)
-        scores *= self._inv_norms
-        scores *= 1.0 / q_norm if q_norm > 0 else 0.0
+        text_scores = np.einsum("ij,j->i", self._matrix, q.values)
+        text_scores *= self._inv_norms
+        text_scores *= 1.0 / q_norm if q_norm > 0 else 0.0
+        scores = text_scores[self._row_text]
         scores[np.asarray(self.bank.by_patient.get(exclude_patient, ()), dtype=np.intp)] = -np.inf
         top = scores.max()
         if top == -np.inf:
@@ -162,10 +173,10 @@ class AnchorRetriever:
             )
         dim = self._matrix.shape[1]
         snippets = self.bank.snippets
-        shortlist = [
-            (cosine(q, Embedding(self._matrix[i], dim)), _tie_key(snippets[i]), i)
-            for i in np.flatnonzero(scores >= top - self.SHORTLIST_MARGIN)
-        ]
+        rows = np.flatnonzero(scores >= top - self.SHORTLIST_MARGIN)
+        texts = self._row_text[rows].tolist()
+        exact = {t: cosine(q, Embedding(self._matrix[t], dim)) for t in set(texts)}
+        shortlist = [(exact[t], _tie_key(snippets[i]), i) for i, t in zip(rows.tolist(), texts)]
         score, _, best = min(shortlist, key=lambda c: (-c[0], c[1], c[2]))
         snippet = snippets[best]
         self.audit_log.append(snippet.patient_id)

@@ -60,6 +60,8 @@ class EpisodeConfig:
     def __post_init__(self):
         if self.max_turns < 1:
             raise ValueError("max_turns must be >= 1")
+        if not 0.0 <= self.tau < 1.0:  # also false for nan
+            raise ValueError(f"tau must be in [0, 1), got {self.tau}")
 
 
 @dataclass
@@ -492,7 +494,7 @@ def run_batch(
             pid = patients[i % len(patients)]
             jobs.append((f"{mode}-{i:04d}-{pid}", pid))
 
-    profiles = {pid: base_rates(bank, pid) for pid in patients}
+    profiles = {pid: base_rates(bank, pid) for pid in {pid for _, pid in jobs}}
 
     def one(job: tuple[str, str]) -> EpisodeLog | None:
         episode_id, pid = job

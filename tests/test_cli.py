@@ -343,6 +343,26 @@ def test_replay_honours_config_tau(tmp_path):
     assert log["turns"][-1]["coverage_after"] == 0.0
 
 
+@pytest.mark.parametrize("line", ["tau = nan", "tau = inf", "tau = 1.5", "tau = -0.1",
+                                  "emitter.M = nan", "emitter.strategy_gain = nan",
+                                  "emitter.affinity_weight = nan"])
+@pytest.mark.parametrize("command", ["run", "replay", "detect"])
+def test_an_out_of_range_setting_exits_1_with_an_error(tmp_path, capsys, command, line):
+    transcript = tmp_path / "t.jsonl"
+    _write_transcript(transcript, ["It went fine, as they say."])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    argv = {
+        "run": ["run", "--bank", str(GOLDEN), "--episodes", "1"],
+        "replay": ["replay", "--in", str(transcript), "--ground-truth", "F10"],
+        "detect": ["detect", "--in", str(transcript)],
+    }[command]
+    assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["replay", "detect"])
 def test_replay_and_detect_take_the_detector_kind_from_config(tmp_path, monkeypatch, capsys, command):
     monkeypatch.delenv("ELICIT_API_KEY", raising=False)

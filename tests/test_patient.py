@@ -70,6 +70,13 @@ def test_emission_decreasing_in_M():
     assert p_large < p_small
 
 
+@pytest.mark.parametrize("name", ["M", "strategy_gain", "affinity_weight"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_emission_params_reject_non_finite_floats(name, value):
+    with pytest.raises(ValueError, match=name):
+        EmissionParams(**{name: value})
+
+
 def test_emit_all_floor_rarely_emits():
     profile = make_profile()
     rng = random.Random(0)

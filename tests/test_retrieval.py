@@ -272,6 +272,49 @@ def test_shared_index_matches_scalar_oracle_bit_for_bit(rng, n, n_texts):
         assert score == want_score
 
 
+class _CountingEncoder(FallbackEncoder):
+    def __init__(self):
+        super().__init__()
+        self.texts = []
+
+    def encode(self, text):
+        self.texts.append(text)
+        return super().encode(text)
+
+
+def test_index_encodes_each_distinct_doctor_text_once():
+    rng = random.Random(3)
+    pool = ["how was school", "tell me about work", "how was school?", "what do you do at the lake"]
+    bank = SnippetBank(snippets=tuple(
+        _snip(f"P{rng.randint(1, 5)}", "s", rng.choice(pool), i) for i in range(60)
+    ))
+    distinct = {s.doctor_curr for s in bank.snippets}
+    enc = _CountingEncoder()
+    retriever = AnchorRetriever(bank, enc)
+    assert sorted(enc.texts) == sorted(distinct)
+    assert retriever._matrix.shape == (len(distinct), enc.dim)
+
+
+def test_a_text_shared_across_patients_goes_to_the_lowest_tie_key_outside_the_excluded_one():
+    # every row shares one of two texts with other patients, in an order where row order and
+    # tie-key order disagree, so the excluded patient's rows drop out but its texts stay
+    rng = random.Random(8)
+    rows = [(pid, sid, text) for pid in ("P1", "P2", "P3", "P4") for sid in ("s1", "s2")
+            for text in ("how was school today", "tell me about your weekend")]
+    rng.shuffle(rows)
+    bank = SnippetBank(snippets=tuple(_snip(pid, sid, text, i) for i, (pid, sid, text) in enumerate(rows)))
+    embeddings = [ENC.encode(s.doctor_curr) for s in bank.snippets]
+    retriever = AnchorRetriever(bank, ENC)
+    assert retriever._matrix.shape[0] == 2
+    for query in ("how was school today", "your weekend at school", "lake"):
+        for exclude in ("P1", "P2", "P3", "P4", "P9"):
+            got, score = retriever.retrieve(query, exclude)
+            want, want_score = _brute_force(bank, query, exclude, embeddings)
+            assert got == want
+            assert score == want_score
+            assert got.patient_id == ("P2" if exclude == "P1" else "P1")
+
+
 class _TableClient:
     """Embeddings client serving fixed vectors by text, zero vectors included."""
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -31,6 +32,17 @@ def profile_with(rates, patient_id="PX"):
         total_turns=10,
         ground_truth=frozenset(t for t, v in base.items() if v > THETA_EPS),
     )
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, 1.0, 1.5, -0.1])
+def test_episode_config_rejects_tau_outside_zero_to_one(tau):
+    with pytest.raises(ValueError, match="tau"):
+        EpisodeConfig(tau=tau)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.6, 0.99])
+def test_episode_config_accepts_tau_in_zero_to_one(tau):
+    assert EpisodeConfig(tau=tau).tau == tau
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +331,30 @@ def test_batch_replay_mode(synth_bank_module):
     result = run_batch(cfg, synth_bank_module, "replay", 0)
     assert len(result.logs) == len(synth_bank_module.patient_ids())
     assert all(l.mode == "replay" for l in result.logs)
+
+
+@pytest.mark.parametrize("mode", ["tpa", "random", "replay"])
+def test_batch_builds_profiles_only_for_the_patients_it_runs(monkeypatch, mode):
+    from elicit import runner
+    from elicit.bank import SynthSpec, synthesize_bank
+
+    bank = synthesize_bank(SynthSpec(n_patients=6, snippets_per_patient=5), seed=11)
+    cfg = EpisodeConfig(seed=4, max_turns=4)
+    comps = build_components(cfg, bank)
+    built = []
+
+    def counting_base_rates(b, patient_id):
+        built.append(patient_id)
+        return base_rates(b, patient_id)
+
+    monkeypatch.setattr(runner, "base_rates", counting_base_rates)
+    two = run_batch(cfg, bank, mode, 2, components=comps)
+    assert sorted(built) == ["P001", "P002"]
+    built.clear()
+    # every patient's profile built: episode ids and seeds are the same, so the first two logs are too
+    six = run_batch(cfg, bank, mode, 6, components=comps)
+    assert sorted(built) == bank.patient_ids()
+    assert [l.to_json() for l in two.logs] == [l.to_json() for l in six.logs[:2]]
 
 
 def test_batch_unknown_mode(synth_bank_module):
