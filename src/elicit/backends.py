@@ -248,20 +248,32 @@ class RecordingBackend:
 
 
 class ReplayBackend:
-    """Serves completions and embeddings recorded by RecordingBackend, keyed by fingerprint."""
+    """Serves completions and embeddings recorded by RecordingBackend.
+
+    A request that was recorded n times is answered with its n recorded
+    responses in recorded order, one per call; call n + 1 is an error.
+    """
 
     def __init__(self, log_path: str | Path):
-        self._map: dict[str, object] = {}
+        self._responses: dict[str, list] = {}
         with open(log_path, encoding="utf-8") as fh:
             for line in fh:
                 if line.strip():
                     entry = json.loads(line)
-                    self._map[entry["fingerprint"]] = entry["response"]
+                    self._responses.setdefault(entry["fingerprint"], []).append(entry["response"])
+        self._served: dict[str, int] = {}
+        self._lock = threading.Lock()
 
     def _lookup(self, fp: str):
-        if fp not in self._map:
-            raise ScriptExhaustedError(f"replay log has no entry for fingerprint {fp[:12]}")
-        return self._map[fp]
+        with self._lock:
+            occurrence = self._served.get(fp, 0)
+            recorded = self._responses.get(fp, ())
+            if occurrence >= len(recorded):
+                raise ScriptExhaustedError(
+                    f"replay log has no entry for fingerprint {fp[:12]}, occurrence {occurrence + 1}"
+                )
+            self._served[fp] = occurrence + 1
+        return recorded[occurrence]
 
     def complete(self, request: GenerationRequest) -> str:
         return self._lookup(request.fingerprint())

@@ -23,7 +23,7 @@ from .config import ConfigError, Settings, load_settings
 from .fidelity import FidelityConfig, InsufficientPatientsError, loo_validate
 from .metrics import CorpusReport, NoValidLogsError, aggregate
 from .ontology import TraitId, default_ontology, load_ontology
-from .runner import build_components, read_logs, run_batch, run_replay, write_logs
+from .runner import BatchResult, build_components, read_logs, run_batch, run_replay, write_logs
 
 
 class UsageError(Exception):
@@ -247,8 +247,7 @@ def _cmd_replay(args) -> int:
     components = _components(settings, None, ont)
     log = run_replay(transcript, gt, settings.episode, components, episode_id="replay-0000-manual")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{log.episode_id}.json").write_text(log.to_json() + "\n", encoding="utf-8")
+    write_logs(BatchResult(logs=(log,), skipped=()), out_dir)
     print(f"wrote replay log to {out_dir}")
     return 0
 

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import belief as belief_mod
+from . import logjson
 from .backends import BackendError
 from .bank import PatientProfile, SnippetBank, base_rates
 from .belief import BeliefState
@@ -40,6 +41,10 @@ logger = logging.getLogger(__name__)
 REPLAY_STRATEGY = "replay"
 
 _ABORTABLE = (BackendError, SelectorError, DetectorParseError, EmptyCandidateSetError, EmptyResponseError)
+
+
+class LogFormatError(ValueError):
+    """An episode log file that does not parse into an EpisodeLog."""
 
 
 @dataclass(frozen=True)
@@ -215,7 +220,7 @@ class EpisodeLog:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False, indent=1)
+        return logjson.dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeLog":
@@ -536,5 +541,8 @@ def read_logs(log_dir: str | Path) -> list[EpisodeLog]:
     for p in sorted(Path(log_dir).glob("*.json")):
         if p.name == "manifest.json":
             continue
-        out.append(EpisodeLog.from_json(p.read_text("utf-8")))
+        try:
+            out.append(EpisodeLog.from_json(p.read_text("utf-8")))
+        except (KeyError, TypeError, ValueError) as e:
+            raise LogFormatError(f"{p}: {type(e).__name__}: {e}") from e
     return out

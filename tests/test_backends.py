@@ -173,6 +173,31 @@ def test_record_then_replay_identical(tmp_path):
     assert {e["fingerprint"] for e in entries} == {req("one").fingerprint(), req("two").fingerprint()}
 
 
+
+def test_replay_serves_a_recurring_request_once_per_recorded_occurrence(tmp_path):
+    # at temperature > 0 the live backend may answer the same request differently each time
+    replies = iter(["first", "second", "other", "third"])
+    log = tmp_path / "replay.jsonl"
+    recorder = RecordingBackend(
+        inner=HttpBackend(
+            BackendConfig(), transport=lambda p, b: completion_payload(next(replies)), api_key="k"
+        ),
+        log_path=log,
+    )
+    hot, cold = req("one", temperature=0.7), req("two", temperature=0.7)
+    live = [recorder.complete(hot), recorder.complete(hot), recorder.complete(cold), recorder.complete(hot)]
+    assert live == ["first", "second", "other", "third"]
+
+    replay = ReplayBackend(log)
+    assert [replay.complete(hot), replay.complete(cold), replay.complete(hot), replay.complete(hot)] == [
+        "first", "other", "second", "third",
+    ]
+    with pytest.raises(ScriptExhaustedError, match="occurrence 4"):
+        replay.complete(hot)
+    with pytest.raises(ScriptExhaustedError):
+        replay.complete(cold)
+
+
 def _embedding_transport(path, body):
     assert path == "/v1/embeddings"
     return {

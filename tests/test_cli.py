@@ -389,3 +389,55 @@ def test_run_with_remote_encoder_and_an_empty_replay_log_is_a_backend_error(tmp_
                    "--replay-log", str(replay_log), "--out", str(tmp_path / "logs"))
     assert code == 2
     assert "backend error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+@pytest.mark.parametrize("corrupt", ["extra", "missing"])
+def test_a_malformed_episode_log_exits_1_naming_the_file(tmp_path, capsys, command, corrupt):
+    bank, logs = tmp_path / "bank.jsonl", tmp_path / "logs"
+    run_cli("synth", "--patients", "3", "--snippets", "4", "--seed", "1", "--out", str(bank))
+    run_cli("run", "--bank", str(bank), "--episodes", "2", "--turns", "3", "--out", str(logs))
+    bad = logs / "tpa-0000-P001.json"
+    doc = json.loads(bad.read_text("utf-8"))
+    if corrupt == "extra":
+        doc["turns"][0]["extra"] = 1
+    else:
+        del doc["turns"][0]["response"]
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    out = ["--out", str(tmp_path / "report.json")] if command == "evaluate" else ["--out-dir", str(tmp_path / "csv")]
+    assert run_cli(command, "--logs", str(logs), *out) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+def test_replay_log_serves_a_recurring_request_in_recorded_order(tmp_path, monkeypatch, capsys):
+    # the llm detector sends one request for two identical exchanges; the live
+    # backend answers them differently, and a replay must serve both answers in order
+    from elicit.backends import HttpBackend
+    from elicit.ontology import ALL_TRAITS
+
+    exchange = {"patient_id": "P001", "session_id": "S1", "scenario_id": 3,
+                "doctor_curr": "How was your day?", "patient_reply": "Fine, the circle of life.",
+                "traits": ["F10"]}
+    bank = tmp_path / "bank.jsonl"
+    bank.write_text((json.dumps(exchange) + "\n") * 2)
+    answers = iter([json.dumps({t.name: t.name == "F10" for t in ALL_TRAITS}),
+                    json.dumps({t.name: False for t in ALL_TRAITS})])
+
+    def live_backend(config):
+        payload = lambda path, body: {"choices": [{"message": {"content": next(answers)}}]}
+        return HttpBackend(config, transport=payload, api_key="k")
+
+    monkeypatch.setattr("elicit.cli.HttpBackend", live_backend)
+    record = tmp_path / "record.jsonl"
+    run = ("run", "--bank", str(bank), "--mode", "replay", "--detector", "llm", "--out")
+    assert run_cli(*run, str(tmp_path / "live"), "--record", str(record)) == 0
+    assert run_cli(*run, str(tmp_path / "again"), "--replay-log", str(record)) == 0
+    live = (tmp_path / "live" / "replay-0000-P001.json").read_bytes()
+    assert (tmp_path / "again" / "replay-0000-P001.json").read_bytes() == live
+    assert [t["detections"]["labels"]["F10"] for t in json.loads(live)["turns"]] == [True, False]
+
+    record.write_text(record.read_text("utf-8").splitlines()[0] + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(*run, str(tmp_path / "short"), "--replay-log", str(record)) == 2
+    assert "backend error" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 import random
+import re
 
 import pytest
 
@@ -8,6 +10,7 @@ from elicit.bank import PatientProfile, THETA_EPS, base_rates
 from elicit.ontology import ALL_TRAITS, STRATEGY_ORDER, TraitId
 from elicit.runner import (
     EpisodeConfig,
+    LogFormatError,
     build_components,
     derive_seed,
     plan_topics,
@@ -368,6 +371,45 @@ def test_write_and_read_logs_round_trip(synth_bank_module, tmp_path):
     write_logs(result, tmp_path)
     again = read_logs(tmp_path)
     assert [l.episode_id for l in again] == sorted(l.episode_id for l in result.logs)
+
+
+def _break_turn(d):
+    d["turns"][0]["extra"] = 1
+
+
+def _drop_turn_key(d):
+    del d["turns"][0]["question"]
+
+
+def _drop_episode_key(d):
+    del d["episode_id"]
+
+
+def _unknown_trait(d):
+    d["ground_truth"] = ["F99"]
+
+
+def _turns_not_a_list(d):
+    d["turns"] = 3
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_break_turn, _drop_turn_key, _drop_episode_key, _unknown_trait, _turns_not_a_list,
+     "not json", "[1, 2]"],
+)
+def test_read_logs_names_the_malformed_file(synth_bank_module, tmp_path, corrupt):
+    paths = write_logs(run_batch(EpisodeConfig(seed=3), synth_bank_module, "random", 2), tmp_path)
+    bad = paths[1]
+    if callable(corrupt):
+        doc = json.loads(bad.read_text("utf-8"))
+        corrupt(doc)
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+    else:
+        bad.write_text(corrupt, encoding="utf-8")
+    with pytest.raises(LogFormatError, match=re.escape(str(bad))) as info:
+        read_logs(tmp_path)
+    assert isinstance(info.value, ValueError)
 
 
 def test_batch_skips_patients_without_ground_truth():
