@@ -2,7 +2,9 @@
 
 Leave-one-out protocol: for each held-out patient, replies are simulated with
 anchors retrieved only from the other patients' records, then compared to the
-held-out patient's real data. Frequency alignment is scored with KL divergence
+held-out patient's real data. Each simulated reply is one `runner.patient_turn`
+on the default component stack and emitter, with no doctor loop: no history and
+no confirmed traits. Frequency alignment is scored with KL divergence
 over the smoothed, normalised trait distribution, mean absolute per-trait
 frequency error, and a pairwise AUC asking whether the emission model scores
 the patient's genuinely active traits above the inactive ones. Semantic
@@ -19,15 +21,15 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .bank import SnippetBank, base_rates
-from .ontology import ALL_TRAITS, STRATEGY_ORDER, Ontology, TraitId, default_ontology
-from .patient import EmissionParams, TemplateRealiser, emission_probability, emit_traits
-from .detector import RuleDetector
-from .retrieval import AnchorRetriever, FallbackEncoder, cosine
-from .runner import derive_seed, plan_topics
+from .ontology import ALL_TRAITS, STRATEGY_ORDER, Ontology, TraitId
+from .patient import emission_probability
+from .patient import emit_traits  # unused here; perfbench traces `fidelity.emit_traits` by name
+from .retrieval import cosine
+from .runner import Components, EpisodeConfig, build_components, derive_seed, patient_turn, plan_topics
 from .selector import heuristic_question
 
 KL_SMOOTHING = 1e-6
@@ -118,7 +120,6 @@ class FidelityConfig:
     episodes_per_patient: int = 2
     turns: int = 20
     seed: int = 0
-    emission: EmissionParams = field(default_factory=EmissionParams)
     min_patients_per_trait: int = 4  # traits with fewer positive patients are left out of the overall AUC
 
 
@@ -131,8 +132,8 @@ class FidelityReport:
     auc_overall: float | None
     per_trait_auc: dict[str, dict]
     thresholds_met: dict[str, bool]
-    # strategy-conditioned detection frequencies, pooled over all folds; flat
-    # unless a strategy-sensitive emission hook is enabled
+    # strategy-conditioned detection frequencies, pooled over all folds; the
+    # default emitter has no strategy hook, so they differ only by sampling noise
     strategy_breakdown: dict[str, dict[str, float]]
 
     def to_dict(self) -> dict:
@@ -160,30 +161,24 @@ def _simulate_patient(
     bank: SnippetBank,
     patient_id: str,
     cfg: FidelityConfig,
-    retriever: AnchorRetriever,
-    realiser: TemplateRealiser,
-    detector: RuleDetector,
-    ontology: Ontology,
+    components: Components,
     strategy_counts: dict,
 ) -> tuple[FrequencyProfile, list[tuple[str, str]]]:
     """Simulate replies for one held-out patient; anchors never come from them."""
     profile = base_rates(bank, patient_id)
+    params = EpisodeConfig().emission
     counts = {t: 0 for t in ALL_TRAITS}
     sim_pairs: list[tuple[str, str]] = []
-    audit_start = len(retriever.audit_log)
+    audit_log = components.retriever.audit_log
+    audit_start = len(audit_log)
     total = 0
     for k in range(cfg.episodes_per_patient):
         ep_seed = derive_seed(cfg.seed, f"fidelity-{patient_id}-{k}")
         rng = random.Random(ep_seed)
-        topics = plan_topics(ontology.dialogic_scenarios(), ep_seed, cfg.turns)
-        for topic in topics:
+        for topic in plan_topics(components.ontology.dialogic_scenarios(), ep_seed, cfg.turns):
             strategy = STRATEGY_ORDER[rng.randrange(len(STRATEGY_ORDER))]
             question = heuristic_question(topic, strategy, head=None)
-            anchor, _ = retriever.retrieve(question, exclude_patient=patient_id)
-            # patient-agent validation only: no doctor loop, no confirmation suppression
-            decision = emit_traits(profile, (), cfg.emission, rng)
-            reply = realiser.realise(question, [], anchor, decision.emitted, rng.randrange(2**31))
-            result = detector.detect(question, reply)
+            _, _, reply, result = patient_turn(components, params, profile, (), [], rng, strategy, question)
             turns, per_trait = strategy_counts.setdefault(
                 strategy.value, [0, {t: 0 for t in ALL_TRAITS}]
             )
@@ -194,7 +189,7 @@ def _simulate_patient(
                     per_trait[t] += 1
             sim_pairs.append((question, reply))
             total += 1
-    leaked = [p for p in retriever.audit_log[audit_start:] if p == patient_id]
+    leaked = [p for p in audit_log[audit_start:] if p == patient_id]
     if leaked:
         raise AssertionError(f"retrieval leaked {len(leaked)} anchors from held-out {patient_id}")
     freqs = {t: counts[t] / total for t in ALL_TRAITS}
@@ -223,15 +218,11 @@ def loo_validate(
 ) -> FidelityReport:
     """Leave-one-out validation of the patient agent against its source bank."""
     cfg = cfg or FidelityConfig()
-    ont = ontology or default_ontology()
     patients = bank.patient_ids()
     if len(patients) < 2:
         raise InsufficientPatientsError("leave-one-out needs at least 2 patients")
-
-    encoder = FallbackEncoder()
-    retriever = AnchorRetriever(bank, encoder)
-    realiser = TemplateRealiser(ont)
-    detector = RuleDetector(ont)
+    episode = EpisodeConfig()
+    components = build_components(episode, bank, ontology)
 
     kls: list[float] = []
     ferrs: list[float] = []
@@ -242,17 +233,15 @@ def loo_validate(
 
     for pid in patients:
         real_profile = real_frequency_profile(bank, pid)
-        sim_profile, sim_pairs = _simulate_patient(
-            bank, pid, cfg, retriever, realiser, detector, ont, strategy_counts
-        )
+        sim_profile, sim_pairs = _simulate_patient(bank, pid, cfg, components, strategy_counts)
         kls.append(kl_divergence(real_profile, sim_profile))
         ferrs.append(frequency_error(real_profile, sim_profile))
-        sims.append(_semantic_similarity(bank, pid, sim_pairs, encoder))
+        sims.append(_semantic_similarity(bank, pid, sim_pairs, components.encoder))
 
         patient = base_rates(bank, pid)
         for t in ALL_TRAITS:
             scores_by_trait[t][pid] = emission_probability(
-                patient.base_rates[t], False, cfg.emission
+                patient.base_rates[t], False, episode.emission
             )
             labels_by_trait[t][pid] = t in patient.ground_truth
 

@@ -1,14 +1,19 @@
 """Episode orchestration: the per-turn doctor/patient/detector/belief loop.
 
-Three conditions share the harness: the planned questioning loop, a uniform
-random-strategy baseline, and replay of an existing transcript through the
-detector and belief tracker. Ground-truth trait labels are copied out of the
-profile once at episode entry and used only for coverage bookkeeping; no
-doctor-side component ever receives an object carrying them.
+Three conditions share the harness. `run_episode` is the one entry point for
+the questioning loop in both of its modes: planned questioning ("tpa") and a
+uniform random-strategy baseline ("random"). `run_replay` feeds an existing
+transcript through the detector and belief tracker only. The patient's side of
+a turn (anchor retrieval, trait emission, realisation, detection) is
+`patient_turn`, which leave-one-out fidelity runs too. Ground-truth trait
+labels are copied out of the profile once at episode entry and used only for
+coverage bookkeeping; no doctor-side component ever receives an object
+carrying them.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -16,25 +21,19 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
 from . import belief as belief_mod
 from . import logjson
 from .backends import BackendError
-from .bank import PatientProfile, SnippetBank, base_rates
+from .bank import PatientProfile, Snippet, SnippetBank, base_rates
 from .belief import BeliefState
-from .detector import DetectorParseError, EmptyResponseError, RuleDetector
+from .detector import DetectionResult, DetectorParseError, EmptyResponseError, RuleDetector
 from .dialogue import HistoryTurn
 from .ontology import Ontology, Scenario, Strategy, STRATEGY_ORDER, TraitId, default_ontology
 from .patient import EmissionParams, TemplateRealiser, emit_traits
 from .retrieval import AnchorRetriever, EmptyCandidateSetError, FallbackEncoder, cosine
-from .selector import (
-    HeuristicSelector,
-    SelectorError,
-    SessionContext,
-    Thought,
-    heuristic_question,
-)
+from .selector import HeuristicSelector, SelectorError, SessionContext, Thought
 
 logger = logging.getLogger(__name__)
 
@@ -154,6 +153,28 @@ def build_components(
     )
 
 
+@functools.cache
+def _json_types(cls: type) -> dict[str, tuple[type, ...]]:
+    """Each field's JSON types, from its annotation: a frozenset or tuple is a list, a float may be an int."""
+    types = {}
+    for name, hint in get_type_hints(cls).items():
+        allowed = (list,) if get_origin(hint) in (frozenset, tuple) else get_args(hint) or (hint,)
+        types[name] = allowed + (int,) if float in allowed else allowed
+    return types
+
+
+def _typed(cls: type, d) -> dict:
+    """Return `d` once every field of `cls` that it holds has a value of that field's JSON type."""
+    if not isinstance(d, dict):
+        raise LogFormatError(f"expected a JSON object, got {type(d).__name__}")
+    types = _json_types(cls)
+    for key, value in d.items():
+        # exact types, as json.loads makes them: true is a bool, never an int
+        if key in types and type(value) not in types[key]:
+            raise LogFormatError(f"{key} must be {' or '.join(t.__name__ for t in types[key])}, got {value!r}")
+    return d
+
+
 @dataclass(frozen=True)
 class TurnRecord:
     turn: int
@@ -170,24 +191,11 @@ class TurnRecord:
     anchor_score: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "turn": self.turn,
-            "strategy": self.strategy,
-            "question": self.question,
-            "response": self.response,
-            "detections": self.detections,
-            "coverage_after": self.coverage_after,
-            "belief_snapshot": self.belief_snapshot,
-            "thought": self.thought,
-            "topic_id": self.topic_id,
-            "anchor_patient_id": self.anchor_patient_id,
-            "anchor_session_id": self.anchor_session_id,
-            "anchor_score": self.anchor_score,
-        }
+        return dict(vars(self))  # one key per field, as from_dict reads them
 
     @classmethod
     def from_dict(cls, d: dict) -> "TurnRecord":
-        return cls(**d)
+        return cls(**_typed(cls, d))
 
 
 @dataclass(frozen=True)
@@ -224,6 +232,7 @@ class EpisodeLog:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeLog":
+        _typed(cls, d)
         return cls(
             episode_id=d["episode_id"],
             patient_id=d["patient_id"],
@@ -277,8 +286,80 @@ def _emission_offsets(
     return offsets or None
 
 
-def _coverage(confirmed: frozenset[TraitId], gt: frozenset[TraitId]) -> float:
-    return len(confirmed & gt) / len(gt)
+def patient_turn(
+    components: Components,
+    params: EmissionParams,
+    profile: PatientProfile,
+    confirmed: Iterable[TraitId],
+    history: Sequence[HistoryTurn],
+    rng: random.Random,
+    strategy: Strategy,
+    question: str,
+) -> tuple[Snippet, float, str, DetectionResult]:
+    """The patient's side of one turn: anchor retrieval, trait emission, realisation, detection.
+
+    The anchor never comes from the profile's own patient. `rng` is drawn by
+    emission first, then once for the realiser's seed.
+    """
+    anchor, score = components.retriever.retrieve(question, profile.patient_id)
+    offsets = _emission_offsets(components, params, strategy, question)
+    decision = emit_traits(profile, confirmed, params, rng, offsets)
+    response = components.realiser.realise(
+        question, history, anchor, decision.emitted, seed=rng.randrange(2**31)
+    )
+    return anchor, score, response, components.detector.detect(question, response)
+
+
+def _record(
+    turns: list[TurnRecord],
+    state: BeliefState,
+    gt: frozenset[TraitId],
+    strategy: str,
+    question: str,
+    response: str,
+    detections: DetectionResult,
+    **context,
+) -> BeliefState:
+    """Fold one turn's detections into the belief and append its record; returns the new belief."""
+    state = belief_mod.update(state, detections.labels)
+    turns.append(
+        TurnRecord(
+            turn=len(turns) + 1,
+            strategy=strategy,
+            question=question,
+            response=response,
+            detections=detections.to_dict(),
+            coverage_after=len(state.confirmed & gt) / len(gt),
+            belief_snapshot=state.to_dict(),
+            **context,
+        )
+    )
+    return state
+
+
+def _episode_log(
+    cfg: EpisodeConfig,
+    episode_id: str,
+    patient_id: str,
+    mode: str,
+    gt: frozenset[TraitId],
+    turns: list[TurnRecord],
+    state: BeliefState,
+    abort_reason: str | None = None,
+) -> EpisodeLog:
+    return EpisodeLog(
+        episode_id=episode_id,
+        patient_id=patient_id,
+        mode=mode,
+        seed=cfg.seed,
+        max_turns=cfg.max_turns,
+        tau=cfg.tau,
+        ground_truth=gt,
+        turns=tuple(turns),
+        final_confirmed=state.confirmed,
+        aborted=abort_reason is not None,
+        abort_reason=abort_reason,
+    )
 
 
 _NEUTRAL_THOUGHT = Thought(
@@ -289,98 +370,6 @@ _NEUTRAL_THOUGHT = Thought(
 )
 
 
-def _run_loop(
-    cfg: EpisodeConfig,
-    profile: PatientProfile,
-    components: Components,
-    episode_id: str,
-    mode: str,
-    gt: frozenset[TraitId],
-) -> EpisodeLog:
-    if components.retriever is None:
-        raise EmptyCandidateSetError("no bank snippets available for anchor retrieval")
-    rng = random.Random(cfg.seed)
-    topics = plan_topics(components.ontology.dialogic_scenarios(), cfg.seed, cfg.max_turns)
-    state = BeliefState.fresh(tau=cfg.tau)
-    history: list[HistoryTurn] = []
-    turns: list[TurnRecord] = []
-    aborted = False
-    abort_reason = None
-
-    for turn_no in range(1, cfg.max_turns + 1):
-        topic = topics[turn_no - 1]
-        ctx = SessionContext(
-            clinical_background=cfg.clinical_background,
-            history=history,
-            belief=state,
-            topic=topic,
-            ontology=components.ontology,
-        )
-        try:
-            if mode == "random":
-                thought = None
-                strategy = STRATEGY_ORDER[rng.randrange(len(STRATEGY_ORDER))]
-                if isinstance(components.selector, HeuristicSelector):
-                    question = heuristic_question(topic, strategy, head=None)
-                else:
-                    question = components.selector.ask(ctx, _NEUTRAL_THOUGHT, strategy)
-            else:
-                thought = components.selector.think(ctx)
-                strategy = components.selector.plan(ctx, thought)
-                question = components.selector.ask(ctx, thought, strategy)
-
-            anchor, score = components.retriever.retrieve(question, profile.patient_id)
-            offsets = _emission_offsets(components, cfg.emission, strategy, question)
-            decision = emit_traits(profile, state.confirmed, cfg.emission, rng, offsets)
-            response = components.realiser.realise(
-                question, history, anchor, decision.emitted, seed=rng.randrange(2**31)
-            )
-            detections = components.detector.detect(question, response)
-        except _ABORTABLE as e:
-            aborted = True
-            abort_reason = f"{type(e).__name__}: {e}"
-            logger.warning("episode %s aborted at turn %d: %s", episode_id, turn_no, abort_reason)
-            break
-
-        state = belief_mod.update(state, detections.labels)
-        history.append(HistoryTurn(question, response, dict(detections.labels)))
-        turns.append(
-            TurnRecord(
-                turn=turn_no,
-                strategy=strategy.value,
-                question=question,
-                response=response,
-                detections=detections.to_dict(),
-                coverage_after=_coverage(state.confirmed, gt),
-                belief_snapshot=state.to_dict(),
-                thought=thought.to_dict() if thought is not None else None,
-                topic_id=topic.id,
-                anchor_patient_id=anchor.patient_id,
-                anchor_session_id=anchor.session_id,
-                anchor_score=score,
-            )
-        )
-
-    return EpisodeLog(
-        episode_id=episode_id,
-        patient_id=profile.patient_id,
-        mode=mode,
-        seed=cfg.seed,
-        max_turns=cfg.max_turns,
-        tau=cfg.tau,
-        ground_truth=gt,
-        turns=tuple(turns),
-        final_confirmed=state.confirmed,
-        aborted=aborted,
-        abort_reason=abort_reason,
-    )
-
-
-def _entry_ground_truth(profile: PatientProfile, override) -> frozenset[TraitId]:
-    # the single place episode code touches ground truth: one copy at entry
-    return frozenset(override) if override is not None else frozenset(profile.ground_truth)
-
-
 def run_episode(
     cfg: EpisodeConfig,
     bank: SnippetBank,
@@ -388,31 +377,71 @@ def run_episode(
     components: Components | None = None,
     episode_id: str = "episode-0",
     ground_truth: frozenset[TraitId] | None = None,
+    mode: str = "tpa",
 ) -> EpisodeLog | None:
-    """Run one planned-questioning episode; returns None for empty ground truth."""
-    gt = _entry_ground_truth(profile, ground_truth)
+    """Run one episode of the questioning loop; returns None for empty ground truth.
+
+    Mode "tpa" plans every question from the belief (think, plan, ask). Mode
+    "random" is the uniform-strategy baseline: it draws each strategy at random
+    and asks with a neutral thought, so its turns log no thought. Ground-truth
+    labels are copied out of the profile here, once, for coverage bookkeeping.
+    """
+    if mode not in ("tpa", "random"):
+        raise ValueError(f"unknown loop mode {mode!r}")
+    gt = frozenset(ground_truth) if ground_truth is not None else frozenset(profile.ground_truth)
     if not gt:
         logger.warning("skipping %s: patient %s has empty ground truth", episode_id, profile.patient_id)
         return None
     comps = components or build_components(cfg, bank)
-    return _run_loop(cfg, profile, comps, episode_id, "tpa", gt)
+    if comps.retriever is None:
+        raise EmptyCandidateSetError("no bank snippets available for anchor retrieval")
+    rng = random.Random(cfg.seed)
+    topics = plan_topics(comps.ontology.dialogic_scenarios(), cfg.seed, cfg.max_turns)
+    state = BeliefState.fresh(tau=cfg.tau)
+    history: list[HistoryTurn] = []
+    turns: list[TurnRecord] = []
+    abort_reason = None
+
+    for topic in topics:
+        ctx = SessionContext(
+            clinical_background=cfg.clinical_background,
+            history=history,
+            belief=state,
+            topic=topic,
+            ontology=comps.ontology,
+        )
+        try:
+            if mode == "random":
+                thought = None
+                strategy = STRATEGY_ORDER[rng.randrange(len(STRATEGY_ORDER))]
+                question = comps.selector.ask(ctx, _NEUTRAL_THOUGHT, strategy)
+            else:
+                thought = comps.selector.think(ctx)
+                strategy = comps.selector.plan(ctx, thought)
+                question = comps.selector.ask(ctx, thought, strategy)
+            anchor, score, response, detections = patient_turn(
+                comps, cfg.emission, profile, state.confirmed, history, rng, strategy, question
+            )
+        except _ABORTABLE as e:
+            abort_reason = f"{type(e).__name__}: {e}"
+            logger.warning("episode %s aborted at turn %d: %s", episode_id, len(turns) + 1, abort_reason)
+            break
+
+        state = _record(
+            turns, state, gt, strategy.value, question, response, detections,
+            thought=thought.to_dict() if thought is not None else None,
+            topic_id=topic.id,
+            anchor_patient_id=anchor.patient_id,
+            anchor_session_id=anchor.session_id,
+            anchor_score=score,
+        )
+        history.append(HistoryTurn(question, response, dict(detections.labels)))
+
+    return _episode_log(cfg, episode_id, profile.patient_id, mode, gt, turns, state, abort_reason)
 
 
-def run_random(
-    cfg: EpisodeConfig,
-    bank: SnippetBank,
-    profile: PatientProfile,
-    components: Components | None = None,
-    episode_id: str = "episode-0",
-    ground_truth: frozenset[TraitId] | None = None,
-) -> EpisodeLog | None:
-    """Uniform-strategy baseline: same loop, no belief-informed planning, no thought."""
-    gt = _entry_ground_truth(profile, ground_truth)
-    if not gt:
-        logger.warning("skipping %s: patient %s has empty ground truth", episode_id, profile.patient_id)
-        return None
-    comps = components or build_components(cfg, bank)
-    return _run_loop(cfg, profile, comps, episode_id, "random", gt)
+# perfbench traces `run_random` by name, so the old entry point stays as an alias
+run_random = functools.partial(run_episode, mode="random")
 
 
 def run_replay(
@@ -430,31 +459,10 @@ def run_replay(
     gt = frozenset(ground_truth)
     state = BeliefState.fresh(tau=cfg.tau)
     turns: list[TurnRecord] = []
-    for turn_no, (question, response) in enumerate(transcript[: cfg.max_turns], start=1):
+    for question, response in transcript[: cfg.max_turns]:
         detections = comps.detector.detect(question, response)
-        state = belief_mod.update(state, detections.labels)
-        turns.append(
-            TurnRecord(
-                turn=turn_no,
-                strategy=REPLAY_STRATEGY,
-                question=question,
-                response=response,
-                detections=detections.to_dict(),
-                coverage_after=_coverage(state.confirmed, gt),
-                belief_snapshot=state.to_dict(),
-            )
-        )
-    return EpisodeLog(
-        episode_id=episode_id,
-        patient_id=patient_id,
-        mode="replay",
-        seed=cfg.seed,
-        max_turns=cfg.max_turns,
-        tau=cfg.tau,
-        ground_truth=gt,
-        turns=tuple(turns),
-        final_confirmed=state.confirmed,
-    )
+        state = _record(turns, state, gt, REPLAY_STRATEGY, question, response, detections)
+    return _episode_log(cfg, episode_id, patient_id, "replay", gt, turns, state)
 
 
 def replay_transcript_for_patient(bank: SnippetBank, patient_id: str) -> list[tuple[str, str]]:
@@ -488,26 +496,19 @@ def run_batch(
     if not patients:
         raise ValueError("bank has no patients")
 
+    # replay runs each patient's one transcript at most once; 0 means every patient
+    count = min(n_episodes or len(patients), len(patients)) if mode == "replay" else n_episodes
     jobs: list[tuple[str, str]] = []  # (episode_id, patient_id)
-    if mode == "replay":
-        count = min(n_episodes, len(patients)) if n_episodes else len(patients)
-        for i in range(count):
-            pid = patients[i % len(patients)]
-            jobs.append((f"{mode}-{i:04d}-{pid}", pid))
-    else:
-        for i in range(n_episodes):
-            pid = patients[i % len(patients)]
-            jobs.append((f"{mode}-{i:04d}-{pid}", pid))
-
+    for i in range(count):
+        pid = patients[i % len(patients)]
+        jobs.append((f"{mode}-{i:04d}-{pid}", pid))
     profiles = {pid: base_rates(bank, pid) for pid in {pid for _, pid in jobs}}
 
     def one(job: tuple[str, str]) -> EpisodeLog | None:
         episode_id, pid = job
         ecfg = replace(cfg, seed=derive_seed(cfg.seed, episode_id))
-        if mode == "tpa":
-            return run_episode(ecfg, bank, profiles[pid], comps, episode_id)
-        if mode == "random":
-            return run_random(ecfg, bank, profiles[pid], comps, episode_id)
+        if mode != "replay":
+            return run_episode(ecfg, bank, profiles[pid], comps, episode_id, mode=mode)
         transcript = replay_transcript_for_patient(bank, pid)
         gt = frozenset(profiles[pid].ground_truth)
         if not transcript or not gt:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import socket
 from pathlib import Path
@@ -119,6 +120,19 @@ def test_validate_subcommand(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["n_patients"] == 4
     assert "thresholds_met" in doc
+
+
+# sha256 of `elicit validate --bank tests/data/golden_bank.jsonl
+# --episodes-per-patient 2 --seed 1`, recorded before leave-one-out fidelity
+# ran the runner's patient turn
+VALIDATE_GOLDEN_SHA256 = "a11288a037e63970b123b3778a0ab38d7f1a4db6b64c3d92794cdeeeeb6d655b"
+
+
+def test_validate_report_on_the_golden_bank_keeps_its_bytes(tmp_path):
+    out = tmp_path / "validate.json"
+    assert run_cli("validate", "--bank", str(GOLDEN), "--episodes-per-patient", "2", "--seed", "1",
+                   "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VALIDATE_GOLDEN_SHA256
 
 
 def test_report_subcommand(tmp_path):
@@ -391,18 +405,26 @@ def test_run_with_remote_encoder_and_an_empty_replay_log_is_a_backend_error(tmp_
     assert "backend error" in capsys.readouterr().err
 
 
+# a wrong key, a missing key, or a value of the wrong JSON type
+_CORRUPTIONS = {
+    "extra": lambda doc: doc["turns"][0].update(extra=1),
+    "missing": lambda doc: doc["turns"][0].pop("response"),
+    "coverage_after": lambda doc: doc["turns"][0].update(coverage_after="high"),
+    "belief_snapshot": lambda doc: doc["turns"][0].update(belief_snapshot=[]),
+    "turn": lambda doc: doc["turns"][0].update(turn="1"),
+    "aborted": lambda doc: doc.update(aborted="no"),
+}
+
+
 @pytest.mark.parametrize("command", ["evaluate", "report"])
-@pytest.mark.parametrize("corrupt", ["extra", "missing"])
+@pytest.mark.parametrize("corrupt", list(_CORRUPTIONS))
 def test_a_malformed_episode_log_exits_1_naming_the_file(tmp_path, capsys, command, corrupt):
     bank, logs = tmp_path / "bank.jsonl", tmp_path / "logs"
     run_cli("synth", "--patients", "3", "--snippets", "4", "--seed", "1", "--out", str(bank))
     run_cli("run", "--bank", str(bank), "--episodes", "2", "--turns", "3", "--out", str(logs))
     bad = logs / "tpa-0000-P001.json"
     doc = json.loads(bad.read_text("utf-8"))
-    if corrupt == "extra":
-        doc["turns"][0]["extra"] = 1
-    else:
-        del doc["turns"][0]["response"]
+    _CORRUPTIONS[corrupt](doc)
     bad.write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     out = ["--out", str(tmp_path / "report.json")] if command == "evaluate" else ["--out-dir", str(tmp_path / "csv")]

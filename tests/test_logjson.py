@@ -11,25 +11,53 @@ from hypothesis import strategies as st
 
 from elicit import logjson
 from elicit.bank import SynthSpec, ingest, synthesize_bank
+from elicit.patient import EmissionParams
 from elicit.runner import EpisodeConfig, read_logs, run_batch, write_logs
 
 GOLDEN = Path(__file__).parent / "data" / "golden_bank.jsonl"
 
-# sha256 of the log files one episode of each mode writes on the golden bank
-# with the CLI's defaults (seed 0, 20 turns), recorded with the stdlib
-# json.dumps writer before the episode-log writer replaced it
+# sha256 of each log file run_batch writes on the golden bank with the CLI's
+# defaults (seed 0, 20 turns), keyed by mode and any emitter settings. The
+# default-emitter rows were recorded with the stdlib json.dumps writer before
+# the episode-log writer replaced it; the rows with emitter hooks, which run
+# one episode per golden patient, before the runner and leave-one-out fidelity
+# shared one patient turn
 GOLDEN_LOG_SHA256 = {
-    "tpa-0000-P001.json": "07d1f2973251c58c6f3f521592c309b33cb331008cb7462e3a808426a0ecf7b2",
-    "random-0000-P001.json": "7b72efed159355fa9d2ce852beb9a2639556856edb953d69806fb4241ad8515d",
-    "replay-0000-P001.json": "e3389fbfc1fe1fc71f42ff957633da3b8471034d67cca043c3d3c48886c1b836",
+    "tpa": {"tpa-0000-P001.json": "07d1f2973251c58c6f3f521592c309b33cb331008cb7462e3a808426a0ecf7b2"},
+    "random": {"random-0000-P001.json": "7b72efed159355fa9d2ce852beb9a2639556856edb953d69806fb4241ad8515d"},
+    "replay": {"replay-0000-P001.json": "e3389fbfc1fe1fc71f42ff957633da3b8471034d67cca043c3d3c48886c1b836"},
+    "tpa strategy_gain=1.5": {
+        "tpa-0000-P001.json": "cf5bf47bdb297c092bf04f622b003215405049ccb38e058942007c9beb72c785",
+        "tpa-0001-P002.json": "e98b3f6a92051dbae5752e3d0f987550c278b4344c6e3c67c5b7ad1b0183b909",
+    },
+    "random strategy_gain=1.5": {
+        "random-0000-P001.json": "7b72efed159355fa9d2ce852beb9a2639556856edb953d69806fb4241ad8515d",
+        "random-0001-P002.json": "987edc8006e63cf8951e7087dbbe842a5cd72bddb6d0faa901150a3c88a68946",
+    },
+    "tpa affinity_weight=0.7": {
+        "tpa-0000-P001.json": "0f751b9aa1c430533f418ae7224c882e49d80d7446015fc73afacabdfb8d64c6",
+        "tpa-0001-P002.json": "ff4fb4fcb2a565b30545bf16736b40175261aa3d2b15bfe309f7f96ce571a6f3",
+    },
+    # on this bank the affinity hook at 0.7 moves no random-mode draw: these are the default bytes
+    "random affinity_weight=0.7": {
+        "random-0000-P001.json": "7b72efed159355fa9d2ce852beb9a2639556856edb953d69806fb4241ad8515d",
+        "random-0001-P002.json": "1bdf82ceebd80004302b0626856cfbe5fc526d47456beeec9104af4218b269a7",
+    },
+    "tpa strategy_gain=1.5 affinity_weight=0.7": {
+        "tpa-0000-P001.json": "cf5bf47bdb297c092bf04f622b003215405049ccb38e058942007c9beb72c785",
+        "tpa-0001-P002.json": "b31905b9561423d166c491f1225782a9dac0135574008be328f5bb91f6d89f16",
+    },
 }
 
 
-@pytest.mark.parametrize("mode", ["tpa", "random", "replay"])
-def test_golden_bank_logs_keep_their_bytes(mode, tmp_path):
-    result = run_batch(EpisodeConfig(), ingest(GOLDEN), mode, 1)
-    (path,) = write_logs(result, tmp_path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_LOG_SHA256[path.name]
+@pytest.mark.parametrize("case", list(GOLDEN_LOG_SHA256))
+def test_golden_bank_logs_keep_their_bytes(case, tmp_path):
+    mode, *settings = case.split()
+    emission = EmissionParams(**{k: float(v) for k, v in (s.split("=") for s in settings)})
+    expected = GOLDEN_LOG_SHA256[case]
+    result = run_batch(EpisodeConfig(emission=emission), ingest(GOLDEN), mode, len(expected))
+    paths = write_logs(result, tmp_path)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths} == expected
 
 
 def oracle(obj) -> str:

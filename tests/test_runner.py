@@ -7,7 +7,7 @@ import re
 import pytest
 
 from elicit.bank import PatientProfile, THETA_EPS, base_rates
-from elicit.ontology import ALL_TRAITS, STRATEGY_ORDER, TraitId
+from elicit.ontology import ALL_TRAITS, STRATEGY_ORDER, TraitId, default_ontology
 from elicit.runner import (
     EpisodeConfig,
     LogFormatError,
@@ -17,7 +17,6 @@ from elicit.runner import (
     read_logs,
     run_batch,
     run_episode,
-    run_random,
     run_replay,
     replay_transcript_for_patient,
     write_logs,
@@ -160,8 +159,8 @@ def test_questions_never_leak_diagnostic_vocabulary(stack):
 def test_random_reproducible(stack):
     cfg, bank, comps = stack
     profile = base_rates(bank, "P001")
-    a = run_random(cfg, bank, profile, comps, "r1")
-    b = run_random(cfg, bank, profile, comps, "r1")
+    a = run_episode(cfg, bank, profile, comps, "r1", mode="random")
+    b = run_episode(cfg, bank, profile, comps, "r1", mode="random")
     assert a.to_json() == b.to_json()
     assert all(t.thought is None for t in a.turns)
 
@@ -172,13 +171,34 @@ def test_random_strategy_frequencies(stack):
     counts = {s.value: 0 for s in STRATEGY_ORDER}
     total = 0
     for i in range(300):
-        log = run_random(dataclasses.replace(cfg, seed=i), bank, profile, comps, f"r{i}")
+        log = run_episode(dataclasses.replace(cfg, seed=i), bank, profile, comps, f"r{i}", mode="random")
         for t in log.turns:
             counts[t.strategy] += 1
             total += 1
     assert total == 6000
     for s, n in counts.items():
         assert n / total == pytest.approx(1 / 6, abs=0.02), s
+
+
+def test_run_episode_rejects_a_mode_outside_its_loop(stack):
+    cfg, bank, comps = stack
+    with pytest.raises(ValueError, match="unknown loop mode"):
+        run_episode(cfg, bank, base_rates(bank, "P001"), comps, "r1", mode="replay")
+
+
+@pytest.mark.parametrize("mode", ["tpa", "random"])
+def test_a_topic_naming_every_strategy_aborts_the_episode_in_either_mode(synth_bank_module, mode):
+    # each mode asks through the selector, which refuses a question naming its strategy
+    ont = default_ontology()
+    names = " ".join(ont.strategy_display_name(s) for s in STRATEGY_ORDER)
+    ont = dataclasses.replace(ont, scenarios=tuple(
+        dataclasses.replace(s, name=f"{names} talk") if s.dialogic else s for s in ont.scenarios
+    ))
+    cfg = EpisodeConfig(seed=5)
+    comps = build_components(cfg, synth_bank_module, ont)
+    log = run_episode(cfg, synth_bank_module, base_rates(synth_bank_module, "P001"), comps, "leaky", mode=mode)
+    assert log.aborted and log.turns == ()
+    assert log.abort_reason.startswith("QuestionConstraintError")
 
 
 # --- replay -------------------------------------------------------------------
