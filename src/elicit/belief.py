@@ -88,10 +88,6 @@ def update(state: BeliefState, detections: Mapping[TraitId, bool]) -> BeliefStat
     return BeliefState(beliefs=beliefs, tau=state.tau, confirmed=frozenset(confirmed))
 
 
-def posterior_mean(state: BeliefState, trait: TraitId) -> float:
-    return state.beliefs[trait].mean
-
-
 def entropy(state: BeliefState, trait: TraitId) -> float:
     b = state.beliefs[trait]
     return beta_entropy(b.alpha, b.beta)

@@ -24,6 +24,7 @@ from .fidelity import FidelityConfig, InsufficientPatientsError, loo_validate
 from .metrics import CorpusReport, NoValidLogsError, aggregate
 from .ontology import TraitId, default_ontology, load_ontology
 from .runner import BatchResult, build_components, read_logs, run_batch, run_replay, write_logs
+from .selector import QuestionConstraintError
 
 
 class UsageError(Exception):
@@ -252,37 +253,32 @@ def _cmd_replay(args) -> int:
     return 0
 
 
-def _write_episode_csv(report: CorpusReport, path: Path) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """One CSV file; floats are written with six decimals."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["episode_id", "patient_id", "coverage", "precision", "recall", "f1", "aucc"])
-        for e in report.episodes:
-            writer.writerow(
-                [e.episode_id, e.patient_id, f"{e.coverage:.6f}", f"{e.precision:.6f}",
-                 f"{e.recall:.6f}", f"{e.f1:.6f}", f"{e.aucc:.6f}"]
-            )
-        writer.writerow([])
-        writer.writerow(["corpus", "", f"{report.mean_coverage:.6f}", f"{report.mean_precision:.6f}",
-                         f"{report.mean_recall:.6f}", f"{report.mean_f1:.6f}", f"{report.mean_aucc:.6f}"])
+        writer.writerow(header)
+        writer.writerows([f"{v:.6f}" if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def _write_episode_csv(report: CorpusReport, path: Path) -> None:
+    rows = [[e.episode_id, e.patient_id, e.coverage, e.precision, e.recall, e.f1, e.aucc]
+            for e in report.episodes]
+    rows += [[], ["corpus", "", report.mean_coverage, report.mean_precision, report.mean_recall,
+                  report.mean_f1, report.mean_aucc]]
+    _write_csv(path, ["episode_id", "patient_id", "coverage", "precision", "recall", "f1", "aucc"], rows)
 
 
 def _write_curves_csv(report: CorpusReport, path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["turn", "mean_cov", "ci95_low", "ci95_high"])
-        for i, (m, ci) in enumerate(zip(report.per_turn_mean_coverage, report.per_turn_ci95), start=1):
-            writer.writerow([i, f"{m:.6f}", f"{max(m - ci, 0.0):.6f}", f"{min(m + ci, 1.0):.6f}"])
+    curve = zip(report.per_turn_mean_coverage, report.per_turn_ci95)
+    rows = [[i, m, max(m - ci, 0.0), min(m + ci, 1.0)] for i, (m, ci) in enumerate(curve, start=1)]
+    _write_csv(path, ["turn", "mean_cov", "ci95_low", "ci95_high"], rows)
 
 
 def _write_strategy_csv(report: CorpusReport, path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phase", "strategy", "proportion"])
-        for label, prop in report.strategy_distribution.items():
-            writer.writerow(["overall", label, f"{prop:.6f}"])
-        for phase, dist in report.phase_distribution.items():
-            for label, prop in dist.items():
-                writer.writerow([phase, label, f"{prop:.6f}"])
+    phases = {"overall": report.strategy_distribution, **report.phase_distribution}
+    rows = [[phase, label, prop] for phase, dist in phases.items() for label, prop in dist.items()]
+    _write_csv(path, ["phase", "strategy", "proportion"], rows)
 
 
 def _cmd_evaluate(args) -> int:
@@ -372,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"backend error: {e}", file=sys.stderr)
         return 2
     except (BankSchemaError, ConfigError, NoValidLogsError, InsufficientPatientsError,
-            FileNotFoundError, ValueError, KeyError) as e:
+            QuestionConstraintError, FileNotFoundError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

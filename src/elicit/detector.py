@@ -72,10 +72,10 @@ class LlmDetector:
 
     kind = "llm"
 
-    def __init__(self, client, ontology: Ontology | None = None):
+    def __init__(self, client, ontology: Ontology | None = None, prompt_dir=None):
         self.client = client
         self.ontology = ontology or default_ontology()
-        self._template = load_prompt("detect")
+        self._template = load_prompt("detect", prompt_dir)
 
     def _request(self, question: str, response: str) -> GenerationRequest:
         definitions = "\n".join(

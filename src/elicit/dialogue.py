@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .ontology import TraitId
 
@@ -15,11 +15,10 @@ class HistoryTurn:
     detections: Mapping[TraitId, bool] | None = None
 
 
-def render_history(history: list[HistoryTurn], limit: int | None = None) -> str:
+def render_history(history: Sequence[HistoryTurn]) -> str:
     """Readable transcript block for prompt assembly."""
-    turns = history if limit is None else history[-limit:]
     lines = []
-    for t in turns:
+    for t in history:
         lines.append(f"Doctor: {t.question}")
         lines.append(f"Patient: {t.response}")
     return "\n".join(lines) if lines else "(no dialogue yet)"

@@ -25,12 +25,21 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .bank import SnippetBank, base_rates
-from .ontology import ALL_TRAITS, STRATEGY_ORDER, Ontology, TraitId
+from .belief import BeliefState
+from .ontology import ALL_TRAITS, Ontology, TraitId
 from .patient import emission_probability
 from .patient import emit_traits  # unused here; perfbench traces `fidelity.emit_traits` by name
 from .retrieval import cosine
-from .runner import Components, EpisodeConfig, build_components, derive_seed, patient_turn, plan_topics
-from .selector import heuristic_question
+from .runner import (
+    Components,
+    EpisodeConfig,
+    build_components,
+    derive_seed,
+    patient_turn,
+    plan_topics,
+    random_question,
+)
+from .selector import SessionContext
 
 KL_SMOOTHING = 1e-6
 
@@ -164,9 +173,14 @@ def _simulate_patient(
     components: Components,
     strategy_counts: dict,
 ) -> tuple[FrequencyProfile, list[tuple[str, str]]]:
-    """Simulate replies for one held-out patient; anchors never come from them."""
+    """Simulate replies for one held-out patient; anchors never come from them.
+
+    Questions are the random baseline's: a uniform strategy, asked by the
+    selector with a neutral thought, so they pass its vocabulary check.
+    """
     profile = base_rates(bank, patient_id)
     params = EpisodeConfig().emission
+    belief = BeliefState.fresh()
     counts = {t: 0 for t in ALL_TRAITS}
     sim_pairs: list[tuple[str, str]] = []
     audit_log = components.retriever.audit_log
@@ -176,8 +190,10 @@ def _simulate_patient(
         ep_seed = derive_seed(cfg.seed, f"fidelity-{patient_id}-{k}")
         rng = random.Random(ep_seed)
         for topic in plan_topics(components.ontology.dialogic_scenarios(), ep_seed, cfg.turns):
-            strategy = STRATEGY_ORDER[rng.randrange(len(STRATEGY_ORDER))]
-            question = heuristic_question(topic, strategy, head=None)
+            ctx = SessionContext(
+                clinical_background="", history=[], belief=belief, topic=topic, ontology=components.ontology
+            )
+            strategy, question = random_question(components, ctx, rng)
             _, _, reply, result = patient_turn(components, params, profile, (), [], rng, strategy, question)
             turns, per_trait = strategy_counts.setdefault(
                 strategy.value, [0, {t: 0 for t in ALL_TRAITS}]

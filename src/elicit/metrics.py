@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
-from .ontology import STRATEGY_ORDER, TraitId
+from .ontology import STRATEGY_ORDER
 from .runner import EpisodeLog
 
 PHASES: tuple[tuple[str, int, int], ...] = (("early", 1, 5), ("mid", 6, 12), ("late", 13, 20))
@@ -51,25 +53,20 @@ class EpisodeMetrics:
         }
 
 
-def confirmed_sets(log: EpisodeLog) -> list[frozenset[TraitId]]:
-    """Cumulative confirmed set after each recorded turn, from belief snapshots."""
-    out = []
-    for turn in log.turns:
-        out.append(
-            frozenset(
-                TraitId.parse(name)
-                for name, entry in turn.belief_snapshot.items()
-                if entry["confirmed"]
-            )
-        )
-    return out
-
-
-def episode_metrics(log: EpisodeLog) -> EpisodeMetrics:
+def _coverage(log: EpisodeLog) -> list[float]:
+    """Ground-truth coverage after each recorded turn, read from its belief snapshot."""
     gt = log.ground_truth
     if not gt:
         raise EmptyGroundTruthError(f"{log.episode_id}: empty ground truth")
-    per_turn = [len(c & gt) / len(gt) for c in confirmed_sets(log)]
+    names = {t.name for t in gt}
+    return [
+        sum(entry["confirmed"] for name, entry in turn.belief_snapshot.items() if name in names) / len(gt)
+        for turn in log.turns
+    ]
+
+
+def _metrics(log: EpisodeLog, per_turn: list[float]) -> EpisodeMetrics:
+    gt = log.ground_truth
     final_cov = per_turn[-1] if per_turn else 0.0
     # short episodes carry their final coverage forward to the turn budget
     padded = per_turn + [final_cov] * (log.max_turns - len(per_turn))
@@ -95,28 +92,8 @@ def episode_metrics(log: EpisodeLog) -> EpisodeMetrics:
     )
 
 
-def gain_rate(logs: list[EpisodeLog], strategy) -> float | None:
-    """Fraction of a strategy's turns that raised cumulative coverage.
-
-    Pooled across all episodes and turns jointly; None when the strategy was
-    never used (the rate is undefined, not zero).
-    """
-    label = strategy.value if hasattr(strategy, "value") else str(strategy)
-    used = 0
-    effective = 0
-    for log in logs:
-        gt = log.ground_truth
-        prev = 0.0
-        for confirmed, turn in zip(confirmed_sets(log), log.turns):
-            cov = len(confirmed & gt) / len(gt)
-            if turn.strategy == label:
-                used += 1
-                if cov > prev:
-                    effective += 1
-            prev = cov
-    if used == 0:
-        return None
-    return effective / used
+def episode_metrics(log: EpisodeLog) -> EpisodeMetrics:
+    return _metrics(log, _coverage(log))
 
 
 def _phase_of(turn_no: int) -> str:
@@ -173,12 +150,31 @@ def ci95_halfwidth(values: list[float]) -> float:
     return 1.96 * statistics.stdev(values) / math.sqrt(len(values))
 
 
-def aggregate(logs: list[EpisodeLog], include_aborted: bool = False) -> CorpusReport:
-    usable = [l for l in logs if include_aborted or not l.aborted]
-    if not usable:
-        raise NoValidLogsError("no non-aborted episode logs to aggregate")
+def aggregate(logs: Iterable[EpisodeLog], include_aborted: bool = False) -> CorpusReport:
+    """The corpus report, folding each log once; aborted logs count only with `include_aborted`.
 
-    episodes = tuple(episode_metrics(l) for l in usable)
+    A strategy's gain rate is the fraction of its turns that raised coverage,
+    pooled over every recorded turn of every episode; None when no turn used
+    it (the rate is undefined, not zero).
+    """
+    episodes = []
+    used: Counter[str] = Counter()
+    effective: Counter[str] = Counter()
+    phase_counts = {name: Counter() for name, _, _ in PHASES}
+    for log in logs:
+        if log.aborted and not include_aborted:
+            continue
+        per_turn = _coverage(log)
+        episodes.append(_metrics(log, per_turn))
+        prev = 0.0
+        for turn, cov in zip(log.turns, per_turn):
+            used[turn.strategy] += 1
+            if cov > prev:
+                effective[turn.strategy] += 1
+            phase_counts[_phase_of(turn.turn)][turn.strategy] += 1
+            prev = cov
+    if not episodes:
+        raise NoValidLogsError("no non-aborted episode logs to aggregate")
 
     def mean(attr: str) -> float:
         return sum(getattr(e, attr) for e in episodes) / len(episodes)
@@ -199,18 +195,8 @@ def aggregate(logs: list[EpisodeLog], include_aborted: bool = False) -> CorpusRe
         ),
     }
 
-    labels = {s.value for s in STRATEGY_ORDER}
-    seen_labels = {t.strategy for l in usable for t in l.turns}
-    labels |= seen_labels
-    rates = {label: gain_rate(usable, label) for label in sorted(labels)}
-
-    overall_counts: dict[str, int] = {}
-    phase_counts: dict[str, dict[str, int]] = {name: {} for name, _, _ in PHASES}
-    for l in usable:
-        for t in l.turns:
-            overall_counts[t.strategy] = overall_counts.get(t.strategy, 0) + 1
-            pc = phase_counts[_phase_of(t.turn)]
-            pc[t.strategy] = pc.get(t.strategy, 0) + 1
+    labels = sorted({s.value for s in STRATEGY_ORDER} | set(used))
+    rates = {label: effective[label] / used[label] if used[label] else None for label in labels}
 
     horizon = max(len(e.per_turn_coverage) for e in episodes)
     per_turn_mean = []
@@ -232,9 +218,9 @@ def aggregate(logs: list[EpisodeLog], include_aborted: bool = False) -> CorpusRe
         mean_aucc=mean("aucc"),
         by_patient=by_patient,
         gain_rates=rates,
-        strategy_distribution=_distribution(overall_counts),
+        strategy_distribution=_distribution(used),
         phase_distribution={name: _distribution(c) for name, c in phase_counts.items()},
         per_turn_mean_coverage=tuple(per_turn_mean),
         per_turn_ci95=tuple(per_turn_ci),
-        episodes=episodes,
+        episodes=tuple(episodes),
     )

@@ -192,7 +192,7 @@ class LlmRealiser:
         else:
             emitted_text = "(none)"
         prompt = self._template.format(
-            history=render_history(list(history)),
+            history=render_history(history),
             question=question,
             anchor=anchor.patient_reply,
             emitted=emitted_text,

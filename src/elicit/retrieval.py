@@ -182,9 +182,3 @@ class AnchorRetriever:
         self.audit_log.append(snippet.patient_id)
         return snippet, score
 
-
-def retrieve_anchor(
-    bank: SnippetBank, query: str, exclude_patient: str, backend
-) -> tuple[Snippet, float]:
-    """One-shot retrieval: builds an index over `bank` for a single query."""
-    return AnchorRetriever(bank, backend).retrieve(query, exclude_patient)

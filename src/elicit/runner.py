@@ -138,7 +138,7 @@ def build_components(
     elif cfg.detector_kind == "llm":
         from .detector import LlmDetector
 
-        detector = LlmDetector(client, ont)
+        detector = LlmDetector(client, ont, prompt_dir=cfg.prompt_dir)
     else:
         raise ValueError(f"unknown detector kind {cfg.detector_kind!r}")
 
@@ -195,7 +195,11 @@ class TurnRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TurnRecord":
-        return cls(**_typed(cls, d))
+        record = cls(**_typed(cls, d))
+        for name, entry in record.belief_snapshot.items():
+            if name not in TraitId.__members__ or type(entry) is not dict or type(entry.get("confirmed")) is not bool:
+                raise LogFormatError(f"belief_snapshot needs trait ids with a bool confirmed, got {name!r}: {entry!r}")
+        return record
 
 
 @dataclass(frozen=True)
@@ -233,7 +237,7 @@ class EpisodeLog:
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeLog":
         _typed(cls, d)
-        return cls(
+        log = cls(
             episode_id=d["episode_id"],
             patient_id=d["patient_id"],
             mode=d["mode"],
@@ -246,6 +250,11 @@ class EpisodeLog:
             aborted=d.get("aborted", False),
             abort_reason=d.get("abort_reason"),
         )
+        if log.max_turns < 1:
+            raise LogFormatError(f"max_turns must be >= 1, got {log.max_turns}")
+        if not log.ground_truth:
+            raise LogFormatError("ground_truth must be non-empty")
+        return log
 
     @classmethod
     def from_json(cls, text: str) -> "EpisodeLog":
@@ -370,6 +379,12 @@ _NEUTRAL_THOUGHT = Thought(
 )
 
 
+def random_question(components: Components, ctx: SessionContext, rng: random.Random) -> tuple[Strategy, str]:
+    """A uniformly drawn strategy and the selector's question for it, asked with a neutral thought."""
+    strategy = STRATEGY_ORDER[rng.randrange(len(STRATEGY_ORDER))]
+    return strategy, components.selector.ask(ctx, _NEUTRAL_THOUGHT, strategy)
+
+
 def run_episode(
     cfg: EpisodeConfig,
     bank: SnippetBank,
@@ -413,8 +428,7 @@ def run_episode(
         try:
             if mode == "random":
                 thought = None
-                strategy = STRATEGY_ORDER[rng.randrange(len(STRATEGY_ORDER))]
-                question = comps.selector.ask(ctx, _NEUTRAL_THOUGHT, strategy)
+                strategy, question = random_question(comps, ctx, rng)
             else:
                 thought = comps.selector.think(ctx)
                 strategy = comps.selector.plan(ctx, thought)

@@ -17,7 +17,7 @@ from elicit.detector import RuleDetector
 from elicit.metrics import aggregate, episode_metrics
 from elicit.ontology import ALL_TRAITS, TraitId
 from elicit.patient import EmissionParams, TemplateRealiser, emit_traits
-from elicit.retrieval import EmptyCandidateSetError, FallbackEncoder, cosine, retrieve_anchor
+from elicit.retrieval import AnchorRetriever, EmptyCandidateSetError, FallbackEncoder, cosine
 from elicit.runner import EpisodeConfig, build_components, run_batch, run_episode, run_replay
 
 from conftest import make_snippet
@@ -203,9 +203,9 @@ def test_criterion_7_retrieval_correctness():
         candidates = [s for s in snippets if s.patient_id != exclude]
         if not candidates:
             with pytest.raises(EmptyCandidateSetError):
-                retrieve_anchor(bank, query, exclude, enc)
+                AnchorRetriever(bank, enc).retrieve(query, exclude)
             continue
-        got, score = retrieve_anchor(bank, query, exclude, enc)
+        got, score = AnchorRetriever(bank, enc).retrieve(query, exclude)
         if got.patient_id == exclude:
             violations += 1
         q = enc.encode(query)
@@ -225,7 +225,7 @@ def test_criterion_7_retrieval_correctness():
         make_snippet(patient_id="A", doctor_curr="tell me about the lake"),
         make_snippet(patient_id="B", doctor_curr="tell me about school"),
     ))
-    got, score = retrieve_anchor(bank, "tell me about school", "A", enc)
+    got, score = AnchorRetriever(bank, enc).retrieve("tell me about school", "A")
     assert got.patient_id == "B"
     assert score == pytest.approx(1.0, abs=1e-6)
     _report("7 retrieval correctness", t0, 30.0)

@@ -11,7 +11,6 @@ from elicit.belief import (
     TraitBelief,
     beta_entropy,
     entropy,
-    posterior_mean,
     priority_traits,
     update,
 )
@@ -39,7 +38,7 @@ def test_single_positive_confirms():
     state = update(BeliefState.fresh(), detections(["F2"]))
     b = state.beliefs[TraitId.F2]
     assert (b.alpha, b.beta) == (2.0, 1.0)
-    assert posterior_mean(state, TraitId.F2) == pytest.approx(2 / 3)
+    assert state.beliefs[TraitId.F2].mean == pytest.approx(2 / 3)
     assert TraitId.F2 in state.confirmed
 
 
@@ -47,7 +46,7 @@ def test_single_negative_does_not_confirm():
     state = update(BeliefState.fresh(), detections())
     b = state.beliefs[TraitId.F2]
     assert (b.alpha, b.beta) == (1.0, 2.0)
-    assert posterior_mean(state, TraitId.F2) == pytest.approx(1 / 3)
+    assert state.beliefs[TraitId.F2].mean == pytest.approx(1 / 3)
     assert TraitId.F2 not in state.confirmed
 
 
@@ -59,7 +58,7 @@ def test_twenty_negative_turns():
     for t in ALL_TRAITS:
         b = state.beliefs[t]
         assert (b.alpha, b.beta) == (1.0, 21.0)
-        assert posterior_mean(state, t) == pytest.approx(1 / 22)
+        assert state.beliefs[t].mean == pytest.approx(1 / 22)
     assert not state.confirmed
 
 
@@ -171,7 +170,7 @@ def test_confirmation_latch_is_monotone():
     for _ in range(30):
         state = update(state, detections())
     # mean is well below tau now, but confirmation latched
-    assert posterior_mean(state, TraitId.F4) < state.tau
+    assert state.beliefs[TraitId.F4].mean < state.tau
     assert TraitId.F4 in state.confirmed
 
 

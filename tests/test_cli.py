@@ -122,6 +122,21 @@ def test_validate_subcommand(tmp_path):
     assert "thresholds_met" in doc
 
 
+def test_validate_exits_1_when_every_question_names_its_strategy(tmp_path, capsys):
+    # each topic name holds every strategy's display name, so no question passes the selector's check
+    from importlib import resources
+
+    doc = json.loads(resources.files("elicit").joinpath("data/ontology.json").read_text("utf-8"))
+    every_name = " and ".join(s["display_name"] for s in doc["strategies"])
+    for scenario in doc["scenarios"]:
+        scenario["name"] += f" ({every_name})"
+    ontology = tmp_path / "ontology.json"
+    ontology.write_text(json.dumps(doc))
+    assert run_cli("validate", "--bank", str(GOLDEN), "--ontology", str(ontology),
+                   "--episodes-per-patient", "1", "--turns", "2") == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # sha256 of `elicit validate --bank tests/data/golden_bank.jsonl
 # --episodes-per-patient 2 --seed 1`, recorded before leave-one-out fidelity
 # ran the runner's patient turn
@@ -405,7 +420,11 @@ def test_run_with_remote_encoder_and_an_empty_replay_log_is_a_backend_error(tmp_
     assert "backend error" in capsys.readouterr().err
 
 
-# a wrong key, a missing key, or a value of the wrong JSON type
+def _snapshot(doc):
+    return doc["turns"][0]["belief_snapshot"]
+
+
+# a wrong key, a missing key, a value of the wrong JSON type, or one out of range
 _CORRUPTIONS = {
     "extra": lambda doc: doc["turns"][0].update(extra=1),
     "missing": lambda doc: doc["turns"][0].pop("response"),
@@ -413,6 +432,13 @@ _CORRUPTIONS = {
     "belief_snapshot": lambda doc: doc["turns"][0].update(belief_snapshot=[]),
     "turn": lambda doc: doc["turns"][0].update(turn="1"),
     "aborted": lambda doc: doc.update(aborted="no"),
+    "confirmed_not_bool": lambda doc: _snapshot(doc)["F1"].update(confirmed="yes"),
+    "confirmed_missing": lambda doc: _snapshot(doc)["F1"].pop("confirmed"),
+    "snapshot_trait_id": lambda doc: _snapshot(doc).update(F11=_snapshot(doc).pop("F10")),
+    "snapshot_entry_not_object": lambda doc: _snapshot(doc).update(F1=1),
+    "max_turns_zero": lambda doc: doc.update(max_turns=0),
+    "max_turns_negative": lambda doc: doc.update(max_turns=-5),
+    "ground_truth_empty": lambda doc: doc.update(ground_truth=[]),
 }
 
 
@@ -463,3 +489,68 @@ def test_replay_log_serves_a_recurring_request_in_recorded_order(tmp_path, monke
     capsys.readouterr()
     assert run_cli(*run, str(tmp_path / "short"), "--replay-log", str(record)) == 2
     assert "backend error" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def golden_logs(tmp_path_factory):
+    """The golden bank's tpa, random and replay logs in one directory."""
+    logs = tmp_path_factory.mktemp("golden") / "logs"
+    for mode, episodes in (("tpa", "3"), ("random", "3"), ("replay", "0")):
+        assert run_cli("run", "--bank", str(GOLDEN), "--mode", mode, "--episodes", episodes,
+                       "--seed", "1", "--out", str(logs)) == 0
+    return logs
+
+
+def _with_one_aborted(logs: Path, out: Path) -> Path:
+    """A copy of `logs` in which one tpa episode aborted after its third turn, before its coverage rose."""
+    out.mkdir()
+    for p in logs.glob("*.json"):
+        (out / p.name).write_bytes(p.read_bytes())
+    bad = out / "tpa-0002-P001.json"
+    doc = json.loads(bad.read_text("utf-8"))
+    doc["turns"] = doc["turns"][:3]
+    doc["final_confirmed"] = [n for n, e in doc["turns"][-1]["belief_snapshot"].items() if e["confirmed"]]
+    doc.update(aborted=True, abort_reason="BackendError: connection reset")
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    return out
+
+
+# sha256 of each file `evaluate` and `report` write over the golden bank's logs,
+# recorded before `aggregate` read each log in one pass
+_CURVES = "47070ced09d6b0a4ab063153b0e6d08ffcebbae88ba41c6cf50aaab14a997c2c"
+_EPISODES = "46defcb662a636434e35aeb0ea6e5a0cecaf7d163ddaa57bd2678c09f73f579a"
+REPORT_GOLDEN_SHA256 = {
+    "evaluate": {
+        "curves.csv": _CURVES,
+        "report.csv": _EPISODES,
+        "report.json": "1f56763cdff573099b0f5211083aa50b3a4444f200357a1b561affefbce75251",
+    },
+    "report": {
+        "curves.csv": _CURVES,
+        "report.csv": _EPISODES,
+        "strategy_dist.csv": "f37ef056f341cab1c36db8f74e632a915b5c4f1b3c1953772ca35e4541686f62",
+    },
+    "evaluate --include-aborted": {
+        "curves.csv": "4ff1ae5970895bc730e96e388746c4cbb362aa1fd3c02e5e51f0953572869b7f",
+        "report.csv": "976aed73f7e09f41057118b6923586748b4fe68a5668b8881d49d92ed575fd15",
+        "report.json": "9b73262f9dd35b488abebb2e426079824ae52ed83ca282c9bdf275d381491acd",
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(REPORT_GOLDEN_SHA256))
+def test_evaluate_and_report_outputs_keep_their_bytes(golden_logs, tmp_path, command):
+    out = tmp_path / "out"
+    if command == "report":
+        assert run_cli("report", "--logs", str(golden_logs), "--out-dir", str(out)) == 0
+    else:
+        logs = golden_logs
+        flags = []
+        if command.endswith("--include-aborted"):
+            logs = _with_one_aborted(golden_logs, tmp_path / "logs")
+            flags = ["--include-aborted"]
+        out.mkdir()
+        assert run_cli("evaluate", "--logs", str(logs), "--out", str(out / "report.json"),
+                       "--csv", str(out / "report.csv"), *flags) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    assert digests == REPORT_GOLDEN_SHA256[command]

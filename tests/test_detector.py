@@ -94,6 +94,16 @@ def test_llm_detector_parses_labels():
     assert client.requests[0].temperature == 0.0
 
 
+def test_llm_detector_reads_detect_prompt_from_the_configured_prompt_dir(tmp_path):
+    from elicit.runner import EpisodeConfig, build_components
+
+    (tmp_path / "detect.txt").write_text("Custom detector prompt. Reply: {response}", encoding="utf-8")
+    client = ScriptedBackend(script=[_labels_payload({"F1"})])
+    cfg = EpisodeConfig(detector_kind="llm", prompt_dir=str(tmp_path))
+    build_components(cfg, None, client=client).detector.detect(Q, "some reply")
+    assert client.requests[0].messages[0].content == "Custom detector prompt. Reply: some reply"
+
+
 def test_llm_detector_retries_once():
     client = ScriptedBackend(script=["no json here", _labels_payload({"F1"})])
     det = LlmDetector(client)

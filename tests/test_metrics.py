@@ -8,7 +8,6 @@ from elicit.metrics import (
     aggregate,
     ci95_halfwidth,
     episode_metrics,
-    gain_rate,
 )
 from elicit.ontology import ALL_TRAITS, Strategy, TraitId
 from elicit.runner import EpisodeLog, TurnRecord
@@ -168,29 +167,54 @@ def test_empty_ground_truth_error():
 # --- gain rate ---------------------------------------------------------------
 
 
+def _gain_rate(logs, strategy):
+    return aggregate(logs).gain_rates[strategy.value]
+
+
 def test_gain_rate_hand_count():
     # strategy used 5 times, coverage rose on 2 of them
     seq = [set(), {"F1"}, {"F1"}, {"F1", "F2"}, {"F1", "F2"}]
     strategies = [Strategy.HYPOTHETICAL.value] * 5
     log = make_log({"F1", "F2", "F3"}, seq, strategies=strategies, max_turns=5)
-    assert gain_rate([log], Strategy.HYPOTHETICAL) == pytest.approx(0.4)
+    assert _gain_rate([log], Strategy.HYPOTHETICAL) == pytest.approx(0.4)
 
 
 def test_gain_rate_never_effective():
     log = make_log({"F1"}, [set()] * 4, strategies=[Strategy.MULTI_STEP.value] * 4, max_turns=4)
-    assert gain_rate([log], Strategy.MULTI_STEP) == 0.0
+    assert _gain_rate([log], Strategy.MULTI_STEP) == 0.0
 
 
 def test_gain_rate_unused_is_undefined():
     log = make_log({"F1"}, [set()] * 4, max_turns=4)
-    assert gain_rate([log], Strategy.CORRECTION_INDUCING) is None
+    assert _gain_rate([log], Strategy.CORRECTION_INDUCING) is None
 
 
 def test_gain_rate_pools_across_episodes():
     a = make_log({"F1"}, [{"F1"}], strategies=[Strategy.HYPOTHETICAL.value], max_turns=1)
     b = make_log({"F1"}, [set()], strategies=[Strategy.HYPOTHETICAL.value], max_turns=1,
                  episode_id="e1")
-    assert gain_rate([a, b], Strategy.HYPOTHETICAL) == pytest.approx(0.5)
+    assert _gain_rate([a, b], Strategy.HYPOTHETICAL) == pytest.approx(0.5)
+
+
+def test_gain_rates_and_distributions_count_turns_past_max_turns():
+    # six recorded turns under a three-turn budget: the curve stops at turn 3,
+    # the strategy counts do not; values as the per-strategy re-walk gave them
+    seq = [set(), {"F1"}, {"F1"}, {"F1"}, {"F1", "F2"}, {"F1", "F2", "F3"}]
+    hyp, opn, multi = Strategy.HYPOTHETICAL.value, Strategy.OPEN_ENDED.value, Strategy.MULTI_STEP.value
+    log = make_log({"F1", "F2", "F3"}, seq, strategies=[hyp, opn, hyp, multi, hyp, opn], max_turns=3)
+    report = aggregate([log])
+    assert report.gain_rates == {
+        "correction_inducing": None, "emotion_oriented": None, "hypothetical": 1 / 3,
+        "multi_step": 0.0, "open_ended": 1.0, "perspective_taking": None,
+    }
+    assert report.strategy_distribution == {"hypothetical": 0.5, "multi_step": 1 / 6, "open_ended": 1 / 3}
+    assert report.phase_distribution == {
+        "early": {"hypothetical": 0.6, "multi_step": 0.2, "open_ended": 0.2},
+        "mid": {"open_ended": 1.0},
+        "late": {},
+    }
+    assert report.episodes[0].per_turn_coverage == (0.0, 1 / 3, 1 / 3)
+    assert report.episodes[0].coverage == 1.0
 
 
 # --- corpus aggregation --------------------------------------------------------

@@ -18,7 +18,6 @@ from elicit.retrieval import (
     FallbackEncoder,
     RemoteEncoder,
     cosine,
-    retrieve_anchor,
 )
 
 ENC = FallbackEncoder()
@@ -82,7 +81,7 @@ def test_cosine_dim_mismatch():
 
 
 def test_exact_match_scores_one(tiny_bank):
-    snippet, score = retrieve_anchor(tiny_bank, "Tell me about your job.", "P001", ENC)
+    snippet, score = AnchorRetriever(tiny_bank, ENC).retrieve("Tell me about your job.", "P001")
     assert snippet.patient_id == "P002"
     assert snippet.doctor_curr == "Tell me about your job."
     assert score == pytest.approx(1.0, abs=1e-6)
@@ -91,12 +90,12 @@ def test_exact_match_scores_one(tiny_bank):
 def test_exclusion_exhausts_bank():
     bank = SnippetBank(snippets=(_snip("P001", "s", "q1"), _snip("P001", "s", "q2", 1)))
     with pytest.raises(EmptyCandidateSetError):
-        retrieve_anchor(bank, "anything", "P001", ENC)
+        AnchorRetriever(bank, ENC).retrieve("anything", "P001")
 
 
 def test_never_returns_excluded(tiny_bank):
     for q in ["Tell me about school.", "weekends", "job hunting"]:
-        snippet, _ = retrieve_anchor(tiny_bank, q, "P001", ENC)
+        snippet, _ = AnchorRetriever(tiny_bank, ENC).retrieve(q, "P001")
         assert snippet.patient_id != "P001"
 
 
@@ -160,7 +159,7 @@ def test_three_snippet_brute_force():
         _snip("B", "s1", "tell me about your weekend"),
         _snip("C", "s1", "how was school this week"),
     ))
-    got, score = retrieve_anchor(bank, "how was school today", "B", ENC)
+    got, score = AnchorRetriever(bank, ENC).retrieve("how was school today", "B")
     want, want_score = _brute_force(bank, "how was school today", "B")
     assert got == want
     assert score == want_score
@@ -188,9 +187,9 @@ def test_fuzzed_oracle_equivalence_and_exclusion():
         query = " ".join(rng.choice(WORDS) for _ in range(rng.randint(1, 5)))
         if all(s.patient_id == exclude for s in bank.snippets):
             with pytest.raises(EmptyCandidateSetError):
-                retrieve_anchor(bank, query, exclude, ENC)
+                AnchorRetriever(bank, ENC).retrieve(query, exclude)
             continue
-        got, score = retrieve_anchor(bank, query, exclude, ENC)
+        got, score = AnchorRetriever(bank, ENC).retrieve(query, exclude)
         want, want_score = _brute_force(bank, query, exclude)
         assert got == want
         assert score == want_score
@@ -205,11 +204,11 @@ def test_permutation_invariance():
         bank = _random_bank(rng)
         query = " ".join(rng.choice(WORDS) for _ in range(3))
         exclude = "P9"  # nobody: all candidates stay
-        base, base_score = retrieve_anchor(bank, query, exclude, ENC)
+        base, base_score = AnchorRetriever(bank, ENC).retrieve(query, exclude)
         order = list(bank.snippets)
         rng.shuffle(order)
         permuted = SnippetBank(snippets=tuple(order))
-        got, got_score = retrieve_anchor(permuted, query, exclude, ENC)
+        got, got_score = AnchorRetriever(permuted, ENC).retrieve(query, exclude)
         assert got == base
         assert got_score == base_score
 
