@@ -2,8 +2,8 @@
 
 A bank is a flat sequence of (doctor question, patient reply) snippets with
 trait annotations. File format is JSON-lines with fields
-``patient_id, session_id, scenario_id, doctor_curr, patient_reply, traits``
-plus an optional ``excluded_from_eval`` boolean.
+``patient_id, session_id, scenario_id, doctor_curr, patient_reply, traits``;
+other keys are ignored.
 """
 
 from __future__ import annotations
@@ -40,10 +40,9 @@ class Snippet:
     doctor_curr: str
     patient_reply: str
     traits: frozenset[TraitId]
-    excluded_from_eval: bool = False
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "patient_id": self.patient_id,
             "session_id": self.session_id,
             "scenario_id": self.scenario_id,
@@ -51,9 +50,6 @@ class Snippet:
             "patient_reply": self.patient_reply,
             "traits": [t.name for t in sorted(self.traits)],
         }
-        if self.excluded_from_eval:
-            d["excluded_from_eval"] = True
-        return d
 
 
 @dataclass
@@ -117,7 +113,6 @@ def _parse_line(line_no: int, raw: str) -> Snippet:
         doctor_curr=obj["doctor_curr"],
         patient_reply=obj["patient_reply"],
         traits=traits,
-        excluded_from_eval=bool(obj.get("excluded_from_eval", False)),
     )
 
 

@@ -10,10 +10,9 @@ confirmed set even if later negative evidence drags the mean back down
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Mapping
-
-from scipy.special import betaln, digamma
 
 from .ontology import ALL_TRAITS, TraitId
 
@@ -34,16 +33,36 @@ class TraitBelief:
         return self.alpha / (self.alpha + self.beta)
 
 
+def _digamma(x: float) -> float:
+    """psi(x) for x > 0: shift up with psi(x) = psi(x+1) - 1/x until x >= 6,
+    then the asymptotic series through x^-10 (A&S 6.3.18); |error| < 1e-11."""
+    shift = 0.0
+    while x < 6.0:
+        shift -= 1.0 / x
+        x += 1.0
+    r = 1.0 / (x * x)
+    tail = r * (1 / 12 - r * (1 / 120 - r * (1 / 252 - r * (1 / 240 - r / 132))))
+    return shift + math.log(x) - 0.5 / x - tail
+
+
 def beta_entropy(alpha: float, beta: float) -> float:
     """Differential entropy of Beta(alpha, beta).
 
     H = ln B(a,b) - (a-1) psi(a) - (b-1) psi(b) + (a+b-2) psi(a+b)
+
+    Evaluated on (min, max) of the arguments, so H(a, b) == H(b, a) bit for
+    bit: ``priority_traits`` breaks entropy ties by index, and a mirror pair
+    such as (2, 4) / (4, 2) must tie exactly rather than by rounding.
     """
-    return float(
-        betaln(alpha, beta)
-        - (alpha - 1.0) * digamma(alpha)
-        - (beta - 1.0) * digamma(beta)
-        + (alpha + beta - 2.0) * digamma(alpha + beta)
+    a, b = (alpha, beta) if alpha <= beta else (beta, alpha)
+    if not 0.0 < a <= b:  # also false when either is NaN
+        raise ValueError(f"Beta parameters must be positive; got ({alpha}, {beta})")
+    s = a + b
+    return (
+        math.lgamma(a) + math.lgamma(b) - math.lgamma(s)
+        - (a - 1.0) * _digamma(a)
+        - (b - 1.0) * _digamma(b)
+        + (s - 2.0) * _digamma(s)
     )
 
 
@@ -79,18 +98,13 @@ def update(state: BeliefState, detections: Mapping[TraitId, bool]) -> BeliefStat
     for t in ALL_TRAITS:
         b = state.beliefs[t]
         if detections[t]:
-            b = replace(b, alpha=b.alpha + 1.0)
+            b = TraitBelief(b.alpha + 1.0, b.beta)
         else:
-            b = replace(b, beta=b.beta + 1.0)
+            b = TraitBelief(b.alpha, b.beta + 1.0)
         beliefs[t] = b
         if b.mean > state.tau and b.alpha > 1.0:
             confirmed.add(t)
     return BeliefState(beliefs=beliefs, tau=state.tau, confirmed=frozenset(confirmed))
-
-
-def entropy(state: BeliefState, trait: TraitId) -> float:
-    b = state.beliefs[trait]
-    return beta_entropy(b.alpha, b.beta)
 
 
 def priority_traits(state: BeliefState, k: int = 4) -> list[TraitId]:
@@ -98,5 +112,6 @@ def priority_traits(state: BeliefState, k: int = 4) -> list[TraitId]:
     if k < 1:
         raise ValueError("k must be >= 1")
     candidates = [t for t in ALL_TRAITS if t not in state.confirmed]
-    candidates.sort(key=lambda t: (-entropy(state, t), int(t)))
+    beliefs = state.beliefs
+    candidates.sort(key=lambda t: (-beta_entropy(beliefs[t].alpha, beliefs[t].beta), int(t)))
     return candidates[:k]

@@ -26,6 +26,7 @@ from typing import Mapping
 
 from .bank import SnippetBank, base_rates
 from .belief import BeliefState
+from .metrics import ci95_halfwidth
 from .ontology import ALL_TRAITS, Ontology, TraitId
 from .patient import emission_probability
 from .patient import emit_traits  # unused here; perfbench traces `fidelity.emit_traits` by name
@@ -116,7 +117,7 @@ class SummaryStat:
             mean=statistics.mean(values),
             sd=sd,
             median=statistics.median(values),
-            ci95=1.96 * sd / math.sqrt(n) if n else 0.0,
+            ci95=ci95_halfwidth(values),
             n=n,
         )
 

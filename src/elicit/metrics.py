@@ -18,7 +18,7 @@ from typing import Iterable
 from .ontology import STRATEGY_ORDER
 from .runner import EpisodeLog
 
-PHASES: tuple[tuple[str, int, int], ...] = (("early", 1, 5), ("mid", 6, 12), ("late", 13, 20))
+PHASES: tuple[tuple[str, int, float], ...] = (("early", 1, 5), ("mid", 6, 12), ("late", 13, math.inf))
 
 
 class EmptyGroundTruthError(ValueError):
@@ -100,7 +100,6 @@ def _phase_of(turn_no: int) -> str:
     for name, lo, hi in PHASES:
         if lo <= turn_no <= hi:
             return name
-    return PHASES[-1][0]
 
 
 def _distribution(counts: dict[str, int]) -> dict[str, float]:

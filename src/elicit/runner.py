@@ -28,12 +28,12 @@ from . import logjson
 from .backends import BackendError
 from .bank import PatientProfile, Snippet, SnippetBank, base_rates
 from .belief import BeliefState
-from .detector import DetectionResult, DetectorParseError, EmptyResponseError, RuleDetector
+from .detector import DetectionResult, DetectorParseError, EmptyResponseError, LlmDetector, RuleDetector
 from .dialogue import HistoryTurn
 from .ontology import Ontology, Scenario, Strategy, STRATEGY_ORDER, TraitId, default_ontology
-from .patient import EmissionParams, TemplateRealiser, emit_traits
-from .retrieval import AnchorRetriever, EmptyCandidateSetError, FallbackEncoder, cosine
-from .selector import HeuristicSelector, SelectorError, SessionContext, Thought
+from .patient import EmissionParams, LlmRealiser, TemplateRealiser, emit_traits
+from .retrieval import AnchorRetriever, EmptyCandidateSetError, FallbackEncoder, RemoteEncoder, cosine
+from .selector import HeuristicSelector, LlmSelector, SelectorError, SessionContext, Thought
 
 logger = logging.getLogger(__name__)
 
@@ -103,8 +103,6 @@ def build_components(
     if cfg.encoder_kind == "fallback":
         encoder = FallbackEncoder()
     elif cfg.encoder_kind == "remote":
-        from .retrieval import RemoteEncoder
-
         if client is None:
             raise ValueError("encoder kind 'remote' needs a backend client")
         encoder = RemoteEncoder(client)
@@ -114,8 +112,6 @@ def build_components(
     if cfg.selector_kind == "heuristic":
         selector = HeuristicSelector()
     elif cfg.selector_kind == "llm":
-        from .selector import LlmSelector
-
         selector = LlmSelector(
             client, ask_temperature=cfg.selector_temperature, prompt_dir=cfg.prompt_dir
         )
@@ -125,8 +121,6 @@ def build_components(
     if cfg.realiser_kind == "template":
         realiser = TemplateRealiser(ont)
     elif cfg.realiser_kind == "llm":
-        from .patient import LlmRealiser
-
         realiser = LlmRealiser(
             client, ont, temperature=cfg.realiser_temperature, prompt_dir=cfg.prompt_dir
         )
@@ -136,8 +130,6 @@ def build_components(
     if cfg.detector_kind == "rule":
         detector = RuleDetector(ont)
     elif cfg.detector_kind == "llm":
-        from .detector import LlmDetector
-
         detector = LlmDetector(client, ont, prompt_dir=cfg.prompt_dir)
     else:
         raise ValueError(f"unknown detector kind {cfg.detector_kind!r}")
@@ -196,6 +188,8 @@ class TurnRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "TurnRecord":
         record = cls(**_typed(cls, d))
+        if record.turn < 1:
+            raise LogFormatError(f"turn must be >= 1, got {record.turn}")
         for name, entry in record.belief_snapshot.items():
             if name not in TraitId.__members__ or type(entry) is not dict or type(entry.get("confirmed")) is not bool:
                 raise LogFormatError(f"belief_snapshot needs trait ids with a bool confirmed, got {name!r}: {entry!r}")

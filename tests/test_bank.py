@@ -34,9 +34,10 @@ def test_ingest_count_preserved(tmp_path):
          "doctor_curr": f"q{i}", "patient_reply": f"r{i}", "traits": []}
         for i in range(3)
     ]
+    lines.append(dict(lines[0], excluded_from_eval=True))  # a key outside REQUIRED_FIELDS is ignored
     p = tmp_path / "bank.jsonl"
     p.write_text("\n".join(json.dumps(l) for l in lines) + "\n")
-    assert len(ingest(p)) == 3
+    assert len(ingest(p)) == 4
 
 
 def test_ingest_unknown_trait_names_line(tmp_path):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import betaln, digamma
 
 from elicit.belief import (
     BeliefState,
     TraitBelief,
     beta_entropy,
-    entropy,
     priority_traits,
     update,
 )
@@ -32,6 +32,16 @@ def quad_entropy(alpha, beta):
 
     val, _ = quad(neg_plogp, 0.0, 1.0, limit=200)
     return val
+
+
+def scipy_entropy(alpha, beta):
+    """Reference: the closed form on scipy's betaln and digamma."""
+    return float(
+        betaln(alpha, beta)
+        - (alpha - 1.0) * digamma(alpha)
+        - (beta - 1.0) * digamma(beta)
+        + (alpha + beta - 2.0) * digamma(alpha + beta)
+    )
 
 
 def test_single_positive_confirms():
@@ -99,7 +109,25 @@ def test_entropy_concentrates_with_evidence():
     b=st.floats(min_value=1.0, max_value=50.0),
 )
 def test_entropy_symmetry(a, b):
-    assert beta_entropy(a, b) == pytest.approx(beta_entropy(b, a), abs=1e-9)
+    assert beta_entropy(a, b) == beta_entropy(b, a)
+
+
+def test_entropy_matches_scipy_closed_form():
+    for a in range(1, 121):
+        for b in range(1, 121):
+            assert beta_entropy(float(a), float(b)) == pytest.approx(scipy_entropy(a, b), abs=1e-9), (a, b)
+    rng = random.Random(2718)
+    for _ in range(2000):
+        a, b = rng.uniform(1.0, 50.0), rng.uniform(1.0, 50.0)
+        assert beta_entropy(a, b) == pytest.approx(scipy_entropy(a, b), abs=1e-9), (a, b)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, -1e300, float("nan")])
+def test_entropy_rejects_non_positive_parameters(bad):
+    with pytest.raises(ValueError):
+        beta_entropy(bad, 2.0)
+    with pytest.raises(ValueError):
+        beta_entropy(2.0, bad)
 
 
 def test_entropy_decreases_along_diagonal():
@@ -122,6 +150,21 @@ def test_priority_fewer_than_k():
     confirmed = frozenset(ALL_TRAITS[:8])
     state = BeliefState(beliefs=state.beliefs, tau=state.tau, confirmed=confirmed)
     assert priority_traits(state, k=4) == [TraitId.F9, TraitId.F10]
+
+
+# Integer pairs with a + b <= 22 where scipy's rounding gave H(a, b) != H(b, a).
+MIRROR_PAIRS = [
+    (2, 4), (3, 4), (2, 6), (3, 5), (2, 8), (4, 7), (6, 7), (2, 12), (4, 10), (6, 8), (5, 11),
+    (2, 15), (6, 11), (2, 16), (5, 13), (4, 16), (6, 15), (8, 13), (5, 17), (7, 15), (8, 14),
+]
+
+
+@pytest.mark.parametrize("a, b", MIRROR_PAIRS)
+def test_priority_mirror_pairs_tie_by_ascending_index(a, b):
+    mirrored = {TraitId.F1: (a, b), TraitId.F2: (b, a), TraitId.F3: (b, a), TraitId.F4: (a, b)}
+    beliefs = {t: TraitBelief(*map(float, mirrored.get(t, (1, 1)))) for t in ALL_TRAITS}
+    state = BeliefState(beliefs=beliefs, confirmed=frozenset(ALL_TRAITS) - set(mirrored))
+    assert priority_traits(state) == [TraitId.F1, TraitId.F2, TraitId.F3, TraitId.F4]
 
 
 def _brute_force_priority(state, k):

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
 import socket
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import elicit
 from elicit.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden_bank.jsonl"
@@ -554,3 +558,14 @@ def test_evaluate_and_report_outputs_keep_their_bytes(golden_logs, tmp_path, com
                        "--csv", str(out / "report.csv"), *flags) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
     assert digests == REPORT_GOLDEN_SHA256[command]
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter: this test process has scipy loaded by other tests
+    src = str(Path(elicit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, elicit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "[]"

@@ -217,6 +217,17 @@ def test_gain_rates_and_distributions_count_turns_past_max_turns():
     assert report.episodes[0].coverage == 1.0
 
 
+def test_late_phase_counts_every_turn_from_13():
+    # a 25-turn log: turns 1-5 early, 6-12 mid, 13-25 (past the default 20) late
+    hyp, opn, multi = Strategy.HYPOTHETICAL.value, Strategy.OPEN_ENDED.value, Strategy.MULTI_STEP.value
+    log = make_log({"F1"}, [set()] * 25, strategies=[hyp] * 5 + [opn] * 7 + [multi] * 13, max_turns=25)
+    assert aggregate([log]).phase_distribution == {
+        "early": {"hypothetical": 1.0},
+        "mid": {"open_ended": 1.0},
+        "late": {"multi_step": 1.0},
+    }
+
+
 # --- corpus aggregation --------------------------------------------------------
 
 

@@ -413,9 +413,13 @@ def _turns_not_a_list(d):
     d["turns"] = 3
 
 
+def _turn_zero(d):
+    d["turns"][0]["turn"] = 0
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_break_turn, _drop_turn_key, _drop_episode_key, _unknown_trait, _turns_not_a_list,
+    [_break_turn, _drop_turn_key, _drop_episode_key, _unknown_trait, _turns_not_a_list, _turn_zero,
      "not json", "[1, 2]"],
 )
 def test_read_logs_names_the_malformed_file(synth_bank_module, tmp_path, corrupt):
