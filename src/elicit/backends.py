@@ -68,14 +68,17 @@ class GenerationRequest:
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
 
-    def fingerprint(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        """The request's one wire form: the HTTP body, the recorded request and the fingerprinted text."""
+        return {
+            "model": self.model,
             "messages": [{"role": m.role, "content": m.content} for m in self.messages],
             "temperature": self.temperature,
             "max_tokens": self.max_tokens,
-            "model": self.model,
         }
-        blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
+
+    def fingerprint(self) -> str:
+        blob = json.dumps(self.payload(), sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -147,17 +150,15 @@ class HttpBackend:
                 delay *= 2
 
     def complete(self, request: GenerationRequest) -> str:
-        body = {
-            "model": request.model or self.config.model,
-            "messages": [{"role": m.role, "content": m.content} for m in request.messages],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-        }
+        body = {**request.payload(), "model": request.model or self.config.model}
         doc = self._with_retries("/v1/chat/completions", body)
         try:
-            return doc["choices"][0]["message"]["content"]
+            text = doc["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as e:
             raise MalformedResponseError(f"unexpected completion payload: {e}") from e
+        if not isinstance(text, str):
+            raise MalformedResponseError(f"completion content is not a string: {text!r}")
+        return text
 
     def embed(self, texts: list[str]) -> list[list[float]]:
         if not texts:
@@ -223,17 +224,7 @@ class RecordingBackend:
 
     def complete(self, request: GenerationRequest) -> str:
         text = self.inner.complete(request)
-        entry = {
-            "fingerprint": request.fingerprint(),
-            "request": {
-                "messages": [{"role": m.role, "content": m.content} for m in request.messages],
-                "temperature": request.temperature,
-                "max_tokens": request.max_tokens,
-                "model": request.model,
-            },
-            "response": text,
-        }
-        self._append(entry)
+        self._append({"fingerprint": request.fingerprint(), "request": request.payload(), "response": text})
         return text
 
     def embed(self, texts: list[str]) -> list[list[float]]:

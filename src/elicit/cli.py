@@ -20,6 +20,7 @@ from . import __version__
 from .backends import BackendConfig, BackendError, HttpBackend, RecordingBackend, ReplayBackend
 from .bank import BankSchemaError, SynthSpec, ingest, synthesize_bank, write_bank
 from .config import ConfigError, Settings, load_settings
+from .detector import DetectorParseError
 from .fidelity import FidelityConfig, InsufficientPatientsError, loo_validate
 from .metrics import CorpusReport, NoValidLogsError, aggregate
 from .ontology import TraitId, default_ontology, load_ontology
@@ -132,12 +133,9 @@ def _make_client(config: BackendConfig, record: str | None, replay_log: str | No
 
 
 def _components(settings: Settings, bank, ont, record: str | None = None, replay_log: str | None = None):
-    cfg = settings.episode
-    needs_client = (
-        "llm" in (cfg.selector_kind, cfg.realiser_kind, cfg.detector_kind) or cfg.encoder_kind == "remote"
-    )
-    client = _make_client(settings.backend, record, replay_log) if needs_client else None
-    return build_components(cfg, bank, ont, client=client)
+    # building a client opens no connection; only the kinds that need one use it
+    client = _make_client(settings.backend, record, replay_log)
+    return build_components(settings.episode, bank, ont, client=client)
 
 
 def _write_manifest(out_dir: Path, args_ns, settings: Settings, episode_ids, skipped, ontology_version: str) -> None:
@@ -184,6 +182,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    floor = 0 if args.mode == "replay" else 1  # 0 in replay mode means one per patient
+    if args.episodes < floor:
+        print(f"error: --episodes must be >= {floor} in {args.mode} mode", file=sys.stderr)
+        return 1
     settings = _settings(
         args,
         max_turns=args.turns,
@@ -200,12 +202,8 @@ def _cmd_run(args) -> int:
 
     components = _components(settings, bank, ont, args.record, args.replay_log)
 
-    n_episodes = args.episodes
-    if args.mode != "replay" and n_episodes < 1:
-        print("error: --episodes must be >= 1 for this mode", file=sys.stderr)
-        return 1
     result = run_batch(
-        settings.episode, bank, args.mode, n_episodes, parallel=args.parallel, components=components
+        settings.episode, bank, args.mode, args.episodes, parallel=args.parallel, components=components
     )
     out_dir = Path(args.out)
     write_logs(result, out_dir)
@@ -364,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except BackendError as e:
+    except (BackendError, DetectorParseError) as e:  # replay and detect do not abort an episode on it
         print(f"backend error: {e}", file=sys.stderr)
         return 2
     except (BankSchemaError, ConfigError, NoValidLogsError, InsufficientPatientsError,

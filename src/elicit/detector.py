@@ -9,14 +9,13 @@ response against the full trait definitions.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Mapping
 
 from .backends import GenerationRequest, Message
 from .ontology import ALL_TRAITS, Ontology, TraitId, default_ontology
-from .prompting import extract_json_object, load_prompt
+from .prompting import complete_json, load_prompt
 
 
 class EmptyResponseError(ValueError):
@@ -25,6 +24,9 @@ class EmptyResponseError(ValueError):
 
 class DetectorParseError(RuntimeError):
     """The generation backend returned unusable labels twice in a row."""
+
+
+_LABEL_KEYS = dict.fromkeys((t.name for t in ALL_TRAITS), bool)
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,6 @@ class DetectionResult:
 
 class RuleDetector:
     """Lexical detector: trait is present iff any of its marker phrases occurs."""
-
-    kind = "rule"
 
     def __init__(self, ontology: Ontology | None = None):
         self.ontology = ontology or default_ontology()
@@ -70,8 +70,6 @@ class RuleDetector:
 class LlmDetector:
     """Zero-shot detector: dialogue context plus trait definitions, JSON labels out."""
 
-    kind = "llm"
-
     def __init__(self, client, ontology: Ontology | None = None, prompt_dir=None):
         self.client = client
         self.ontology = ontology or default_ontology()
@@ -89,15 +87,10 @@ class LlmDetector:
     def detect(self, question: str, response: str) -> DetectionResult:
         if not response.strip():
             raise EmptyResponseError("response must be non-empty")
-        request = self._request(question, response)
-        last_error: Exception | None = None
-        for _ in range(2):  # one retry on parse failure
-            text = self.client.complete(request)
-            try:
-                doc = extract_json_object(text)
-                labels = {t: bool(doc[t.name]) for t in ALL_TRAITS}
-            except (KeyError, ValueError) as e:
-                last_error = e
-                continue
-            return DetectionResult(labels=labels, evidence={})
-        raise DetectorParseError(f"unparseable detector output: {last_error}")
+        return complete_json(
+            self.client,
+            self._request(question, response),
+            _LABEL_KEYS,
+            lambda doc: DetectionResult(labels={t: doc[t.name] for t in ALL_TRAITS}, evidence={}),
+            DetectorParseError,
+        )

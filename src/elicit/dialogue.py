@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-from .ontology import TraitId
+from typing import Sequence
 
 
 @dataclass(frozen=True)
 class HistoryTurn:
     question: str
     response: str
-    detections: Mapping[TraitId, bool] | None = None
 
 
 def render_history(history: Sequence[HistoryTurn]) -> str:

@@ -132,6 +132,12 @@ class FidelityConfig:
     seed: int = 0
     min_patients_per_trait: int = 4  # traits with fewer positive patients are left out of the overall AUC
 
+    def __post_init__(self):
+        if self.episodes_per_patient < 1:
+            raise ValueError("episodes_per_patient must be >= 1")
+        if self.turns < 1:
+            raise ValueError("turns must be >= 1")
+
 
 @dataclass(frozen=True)
 class FidelityReport:

@@ -108,8 +108,6 @@ _DANGLING_PUNCT_RE = re.compile(r"\s+([,.;!?])")
 class TemplateRealiser:
     """Deterministic realiser; the exact-inverse partner of the rule detector."""
 
-    kind = "template"
-
     def __init__(self, ontology: Ontology | None = None):
         self.ontology = ontology or default_ontology()
         alts = "|".join(
@@ -156,8 +154,6 @@ class TemplateRealiser:
 
 class LlmRealiser:
     """Generation-backed realiser sharing the template twin's interface."""
-
-    kind = "llm"
 
     def __init__(
         self,

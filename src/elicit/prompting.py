@@ -1,7 +1,8 @@
 """Prompt template loading and structured-output parsing helpers.
 
 Prompt texts live in versioned template files under ``prompts/``, not in
-code; a custom directory can be supplied for experimentation.
+code; a custom directory can be supplied for experimentation. The
+selector's and the detector's JSON replies are read by `complete_json`.
 """
 
 from __future__ import annotations
@@ -9,6 +10,9 @@ from __future__ import annotations
 import json
 from importlib import resources
 from pathlib import Path
+from typing import Callable, Mapping, TypeVar
+
+T = TypeVar("T")
 
 
 def load_prompt(name: str, prompt_dir: str | Path | None = None) -> str:
@@ -27,3 +31,24 @@ def extract_json_object(text: str) -> dict:
     if not isinstance(doc, dict):
         raise ValueError("completion JSON is not an object")
     return doc
+
+
+def complete_json(client, request, keys: Mapping[str, type], parse: Callable[[dict], T], error: type[Exception]) -> T:
+    """Send `request` and build a value from the first JSON object of the reply.
+
+    Each key in `keys` must hold a value of exactly that JSON type, as
+    `json.loads` makes them: "false" and 1 are not bools, null is not a str.
+    `parse` then builds the value and may reject the object with ValueError.
+    A reply that fails is asked for once more; a second failure raises `error`.
+    """
+    for attempt in range(2):
+        text = client.complete(request)  # a backend failure is not retried here
+        try:
+            doc = extract_json_object(text)
+            for key, kind in keys.items():
+                if type(doc.get(key)) is not kind:
+                    raise ValueError(f"{key} must be a {kind.__name__}, got {doc.get(key)!r}")
+            return parse(doc)
+        except ValueError as e:
+            if attempt:
+                raise error(f"unusable reply after one retry: {e}") from e

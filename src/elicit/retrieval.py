@@ -54,8 +54,6 @@ def _norm(x: np.ndarray) -> float:
 class FallbackEncoder:
     """Deterministic dependency-free encoder: hashed token counts, L2-normalised."""
 
-    kind = "fallback"
-
     def __init__(self, dim: int = FALLBACK_DIM):
         self.dim = dim
 
@@ -75,8 +73,6 @@ class FallbackEncoder:
 
 class RemoteEncoder:
     """Encoder backed by the embeddings endpoint; vectors are re-normalised here."""
-
-    kind = "remote"
 
     def __init__(self, client):
         self.client = client

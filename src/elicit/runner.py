@@ -100,11 +100,13 @@ def build_components(
     encoder require one.
     """
     ont = ontology or default_ontology()
+    for role in ("encoder", "selector", "realiser", "detector"):
+        kind = getattr(cfg, f"{role}_kind")
+        if client is None and kind in ("remote", "llm"):
+            raise ValueError(f"{role} kind {kind!r} needs a backend client")
     if cfg.encoder_kind == "fallback":
         encoder = FallbackEncoder()
     elif cfg.encoder_kind == "remote":
-        if client is None:
-            raise ValueError("encoder kind 'remote' needs a backend client")
         encoder = RemoteEncoder(client)
     else:
         raise ValueError(f"unknown encoder kind {cfg.encoder_kind!r}")
@@ -443,7 +445,7 @@ def run_episode(
             anchor_session_id=anchor.session_id,
             anchor_score=score,
         )
-        history.append(HistoryTurn(question, response, dict(detections.labels)))
+        history.append(HistoryTurn(question, response))
 
     return _episode_log(cfg, episode_id, profile.patient_id, mode, gt, turns, state, abort_reason)
 

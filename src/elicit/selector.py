@@ -24,9 +24,10 @@ from .ontology import (
     TraitId,
     default_ontology,
 )
-from .prompting import extract_json_object, load_prompt
+from .prompting import complete_json, load_prompt
 
 TRAIT_TOKEN_RE = re.compile(r"\bF(?:10|[1-9])\b")
+_THOUGHT_KEYS = dict.fromkeys(("confirmed_analysis", "elicitation_conditions", "strategy_rationale"), str)
 
 
 class SelectorError(RuntimeError):
@@ -125,8 +126,6 @@ def heuristic_question(topic: Scenario, strategy: Strategy, head: TraitId | None
 class HeuristicSelector:
     """Deterministic twin: affinity-table planning, template questions."""
 
-    kind = "heuristic"
-
     def think(self, ctx: SessionContext) -> Thought:
         priority = tuple(belief_mod.priority_traits(ctx.belief, k=4))
         confirmed = sorted(ctx.belief.confirmed)
@@ -160,8 +159,6 @@ class HeuristicSelector:
 class LlmSelector:
     """Generation-backed selector with structured JSON outputs and one retry per step."""
 
-    kind = "llm"
-
     def __init__(self, client, ask_temperature: float = 0.7, prompt_dir=None):
         self.client = client
         self.ask_temperature = ask_temperature
@@ -190,20 +187,18 @@ class LlmSelector:
             or "(all traits confirmed)",
         )
         request = GenerationRequest(messages=(Message("user", prompt),), temperature=0.0)
-        last: Exception | None = None
-        for _ in range(2):
-            text = self.client.complete(request)
-            try:
-                doc = extract_json_object(text)
-                return Thought(
-                    confirmed_analysis=str(doc["confirmed_analysis"]),
-                    priority_traits=priority,  # engine-computed, model output ignored
-                    elicitation_conditions=str(doc["elicitation_conditions"]),
-                    strategy_rationale=str(doc["strategy_rationale"]),
-                )
-            except (KeyError, ValueError) as e:
-                last = e
-        raise SelectorError(f"unparseable reasoning output: {last}")
+        return complete_json(
+            self.client,
+            request,
+            _THOUGHT_KEYS,
+            lambda doc: Thought(
+                confirmed_analysis=doc["confirmed_analysis"],
+                priority_traits=priority,  # engine-computed, model output ignored
+                elicitation_conditions=doc["elicitation_conditions"],
+                strategy_rationale=doc["strategy_rationale"],
+            ),
+            SelectorError,
+        )
 
     def plan(self, ctx: SessionContext, thought: Thought) -> Strategy:
         prompt = self._plan_tpl.format(
@@ -213,15 +208,10 @@ class LlmSelector:
             strategies=self._strategies_text(ctx.ontology),
         )
         request = GenerationRequest(messages=(Message("user", prompt),), temperature=0.0)
-        last: Exception | None = None
-        for _ in range(2):
-            text = self.client.complete(request)
-            try:
-                doc = extract_json_object(text)
-                return Strategy(str(doc["strategy"]).strip())
-            except (KeyError, ValueError) as e:
-                last = e
-        raise SelectorError(f"strategy outside the six-element set: {last}")
+        # Strategy() rejects an id outside the six with ValueError
+        return complete_json(
+            self.client, request, {"strategy": str}, lambda doc: Strategy(doc["strategy"].strip()), SelectorError
+        )
 
     def ask(self, ctx: SessionContext, thought: Thought, strategy: Strategy) -> str:
         prompt = self._ask_tpl.format(
@@ -231,17 +221,11 @@ class LlmSelector:
             strategy_description=ctx.ontology.strategies[strategy].description,
         )
         request = GenerationRequest(messages=(Message("user", prompt),), temperature=self.ask_temperature)
-        last_question = ""
-        for _ in range(2):
-            text = self.client.complete(request)
-            try:
-                doc = extract_json_object(text)
-                question = str(doc["question"]).strip()
-            except (KeyError, ValueError):
-                continue
-            if question and not question_violates(question, strategy, ctx.ontology):
-                return question
-            last_question = question
-        raise QuestionConstraintError(
-            f"question violated constraints after retry: {last_question!r}"
-        )
+
+        def checked(doc: dict) -> str:
+            question = doc["question"].strip()
+            if not question or question_violates(question, strategy, ctx.ontology):
+                raise ValueError(f"question is empty or names a trait id or the strategy: {question!r}")
+            return question
+
+        return complete_json(self.client, request, {"question": str}, checked, QuestionConstraintError)

@@ -124,6 +124,13 @@ def test_malformed_completion():
         backend.complete(req())
 
 
+@pytest.mark.parametrize("content", [None, 5, ["text"]])
+def test_completion_content_that_is_not_a_string_is_malformed(content):
+    backend = HttpBackend(BackendConfig(), transport=lambda p, b: completion_payload(content), api_key="k")
+    with pytest.raises(MalformedResponseError, match="not a string"):
+        backend.complete(req())
+
+
 def test_embed_order_preserved_and_normalised():
     def transport(path, body):
         assert path == "/v1/embeddings"
@@ -171,6 +178,42 @@ def test_record_then_replay_identical(tmp_path):
 
     entries = [json.loads(l) for l in log.read_text().splitlines()]
     assert {e["fingerprint"] for e in entries} == {req("one").fingerprint(), req("two").fingerprint()}
+
+
+# the wire body and the replay-log line for two fixed requests, recorded before
+# the request's payload was built in one place
+WIRE_BODIES = [
+    '{"model": "cfg-model", "messages": [{"role": "system", "content": "Be brief."}, '
+    '{"role": "user", "content": "Caf\\u00e9?"}], "temperature": 0.25, "max_tokens": 64}',
+    '{"model": "own-model", "messages": [{"role": "user", "content": "hi"}], "temperature": 0.7, "max_tokens": 512}',
+]
+RECORDED_LINES = (
+    '{"fingerprint": "5a372d14bf94a7a304279785d1599d39d03fc916e8e2b8749d0c1f7f0b37e2df", "request": '
+    '{"max_tokens": 64, "messages": [{"content": "Be brief.", "role": "system"}, {"content": "Café?", "role": "user"}], '
+    '"model": "", "temperature": 0.25}, "response": "ok"}\n'
+    '{"fingerprint": "8f584f6f5a25fd8791ced9d2fe9266e442659abc551a6ecbfb265b9e55e30ae4", "request": '
+    '{"max_tokens": 512, "messages": [{"content": "hi", "role": "user"}], "model": "own-model", "temperature": 0.7}, '
+    '"response": "ok"}\n'
+)
+
+
+def test_wire_body_and_recorded_line_keep_their_bytes(tmp_path):
+    bodies = []
+
+    def transport(path, body):
+        bodies.append(json.dumps(body))  # the text the default transport posts
+        return completion_payload("ok")
+
+    log = tmp_path / "replay.jsonl"
+    recorder = RecordingBackend(
+        inner=HttpBackend(BackendConfig(model="cfg-model"), transport=transport, api_key="k"), log_path=log
+    )
+    recorder.complete(GenerationRequest(
+        messages=(Message("system", "Be brief."), Message("user", "Café?")), temperature=0.25, max_tokens=64
+    ))
+    recorder.complete(GenerationRequest(messages=(Message("user", "hi"),), model="own-model"))
+    assert bodies == WIRE_BODIES
+    assert log.read_text("utf-8") == RECORDED_LINES
 
 
 

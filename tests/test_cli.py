@@ -141,6 +141,21 @@ def test_validate_exits_1_when_every_question_names_its_strategy(tmp_path, capsy
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag", ["--turns", "--episodes-per-patient"])
+def test_validate_with_a_zero_count_exits_1_with_an_error(tmp_path, capsys, flag):
+    out = tmp_path / "f.json"
+    assert run_cli("validate", "--bank", str(GOLDEN), flag, "0", "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_replay_mode_with_a_negative_episode_count_exits_1_with_an_error(tmp_path, capsys):
+    out = tmp_path / "logs"
+    assert run_cli("run", "--bank", str(GOLDEN), "--mode", "replay", "--episodes", "-3", "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: --episodes must be >= 0")
+    assert not out.exists()
+
+
 # sha256 of `elicit validate --bank tests/data/golden_bank.jsonl
 # --episodes-per-patient 2 --seed 1`, recorded before leave-one-out fidelity
 # ran the runner's patient turn
@@ -261,7 +276,7 @@ def _run_capturing(monkeypatch, work_dir, config_text, *flags):
     seen = {}
 
     def capture_components(cfg, bank, ontology, client=None):
-        seen.update(ontology=ontology, client=client)
+        seen.update(built=cfg, ontology=ontology, client=client)
 
     def capture_batch(cfg, bank, mode, n_episodes, parallel=1, components=None):
         seen["cfg"] = cfg
@@ -307,7 +322,7 @@ def test_cli_flags_win_over_the_config_file(tmp_path, monkeypatch):
     cfg = seen["cfg"]
     assert (cfg.selector_kind, cfg.realiser_kind, cfg.detector_kind) == ("heuristic", "template", "rule")
     assert (cfg.max_turns, cfg.seed) == (7, 3)
-    assert seen["client"] is None
+    assert seen["built"] == cfg  # the components are built from the flags' kinds, too
     assert seen["ontology"].version == CUSTOM_ONTOLOGY_VERSION
     assert manifest["settings"]["selector.kind"] == "heuristic"
     assert manifest["settings"]["ontology"] == "custom_ontology.json"
@@ -408,6 +423,23 @@ def test_replay_and_detect_take_the_detector_kind_from_config(tmp_path, monkeypa
         argv += ["--ground-truth", "F10"]
     assert run_cli(*argv) == 2
     assert "backend error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["replay", "detect"])
+def test_replay_and_detect_exit_2_when_the_detector_reply_breaks_the_contract(tmp_path, monkeypatch, capsys, command):
+    from elicit.backends import HttpBackend
+
+    def live_backend(config):
+        payload = lambda path, body: {"choices": [{"message": {"content": '{"F1": "yes"}'}}]}
+        return HttpBackend(config, transport=payload, api_key="k")
+
+    monkeypatch.setattr("elicit.cli.HttpBackend", live_backend)
+    transcript = tmp_path / "t.jsonl"
+    _write_transcript(transcript, ["It went fine, as they say."])
+    argv = [command, "--in", str(transcript), "--out", str(tmp_path / "out")]
+    argv += ["--detector", "llm", "--ground-truth", "F10"] if command == "replay" else ["--backend", "llm"]
+    assert run_cli(*argv) == 2
+    assert "backend error: unusable reply after one retry: F1 must be a bool" in capsys.readouterr().err
 
 
 def test_run_with_remote_encoder_and_an_empty_replay_log_is_a_backend_error(tmp_path, capsys):

@@ -115,3 +115,13 @@ def test_llm_detector_fails_after_two_bad():
     det = LlmDetector(client)
     with pytest.raises(DetectorParseError):
         det.detect(Q, "reply")
+
+
+@pytest.mark.parametrize("value", ["false", 1, 0, None])
+def test_llm_detector_rejects_labels_that_are_not_bools_after_one_retry(value):
+    # a label must be a JSON true or false: "false", 1, 0 and null are not coerced
+    payload = json.dumps({t.name: value for t in ALL_TRAITS})
+    client = ScriptedBackend(script=[payload, payload])
+    with pytest.raises(DetectorParseError, match="F1 must be a bool"):
+        LlmDetector(client).detect(Q, "reply")
+    assert len(client.requests) == 2

@@ -60,6 +60,44 @@ def test_golden_bank_logs_keep_their_bytes(case, tmp_path):
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths} == expected
 
 
+# sha256 of the log an all-llm episode writes on the golden bank when a scripted
+# backend serves every reply, and of the fingerprints of the requests it sent, one
+# a line; recorded before the selector and detector shared one reply parser
+LLM_LOG_SHA256 = "844bc9670e3a841b9eb1a1ed5869b7678f29de5da29205a49e23c205ec548fc7"
+LLM_FINGERPRINTS_SHA256 = "6031557561b1a9e204d591c0c9de0e9e742af657b7a0ab3c74fb07dde22c72f6"
+
+
+def test_all_llm_episode_keeps_its_log_bytes_and_requests():
+    from elicit.backends import ScriptedBackend
+    from elicit.bank import base_rates
+    from elicit.ontology import ALL_TRAITS, STRATEGY_ORDER
+    from elicit.runner import build_components, run_episode
+
+    turns = 6
+    script = []
+    for i in range(turns):
+        script += [
+            json.dumps({
+                "confirmed_analysis": f"turn {i}: nothing settled",
+                "elicitation_conditions": f"a calm topic, angle {i}",
+                "strategy_rationale": "vary the angle",
+            }),
+            f'Sure. {{"strategy": "{STRATEGY_ORDER[i % len(STRATEGY_ORDER)].value}"}}',
+            json.dumps({"question": f"What happened next, part {i}?"}),
+            f"Reply {i}: it went all right, as they say.",
+            json.dumps({t.name: t.name == "F2" or (int(t) + i) % 3 == 0 for t in ALL_TRAITS}),
+        ]
+    client = ScriptedBackend(script=script)
+    cfg = EpisodeConfig(max_turns=turns, seed=3, selector_kind="llm", realiser_kind="llm", detector_kind="llm")
+    bank = ingest(GOLDEN)
+    comps = build_components(cfg, bank, client=client)
+    log = run_episode(cfg, bank, base_rates(bank, "P001"), comps, "llm-0000-P001")
+    assert not log.aborted and [t.coverage_after for t in log.turns] == [0.5] * turns
+    fingerprints = "\n".join(r.fingerprint() for r in client.requests)
+    assert hashlib.sha256(log.to_json().encode("utf-8")).hexdigest() == LLM_LOG_SHA256
+    assert hashlib.sha256(fingerprints.encode("utf-8")).hexdigest() == LLM_FINGERPRINTS_SHA256
+
+
 def oracle(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1)
 

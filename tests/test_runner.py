@@ -487,8 +487,24 @@ def test_full_llm_stack_with_scripted_backend(synth_bank_module):
     assert log.turns[0].thought["confirmed_analysis"] == "none yet"
 
 
+def test_a_wrong_typed_detector_label_aborts_the_episode_with_a_typed_reason(synth_bank_module):
+    from elicit.backends import ScriptedBackend
+
+    labels = json.dumps({t.name: "false" for t in ALL_TRAITS})
+    client = ScriptedBackend(script=["It was a quiet week.", labels, labels])
+    cfg = EpisodeConfig(max_turns=3, seed=2, realiser_kind="llm", detector_kind="llm")
+    comps = build_components(cfg, synth_bank_module, client=client)
+    log = run_episode(cfg, synth_bank_module, profile_with({"F6": 0.5}), comps, "llm-ep")
+    assert log.aborted and log.turns == ()
+    assert log.abort_reason.startswith("DetectorParseError: unusable reply after one retry: F1 must be a bool")
+    assert len(client.requests) == 3
+
+
 def test_encoder_kind_is_checked_when_components_are_built(synth_bank_module):
     with pytest.raises(ValueError, match="needs a backend client"):
         build_components(EpisodeConfig(encoder_kind="remote"), synth_bank_module)
+    for role in ("selector", "realiser", "detector"):
+        with pytest.raises(ValueError, match=f"{role} kind 'llm' needs a backend client"):
+            build_components(EpisodeConfig(**{f"{role}_kind": "llm"}), synth_bank_module)
     with pytest.raises(ValueError, match="unknown encoder kind"):
         build_components(EpisodeConfig(encoder_kind="bert"), synth_bank_module)

@@ -202,6 +202,34 @@ def test_llm_ask_errors_after_two_violations(ontology):
         sel.ask(ctx, thought, Strategy.OPEN_ENDED)
 
 
+# a reply of the wrong JSON type is retried once, then fails with the step's typed error
+_THOUGHT = {"confirmed_analysis": "a", "elicitation_conditions": "b", "strategy_rationale": "c"}
+
+
+@pytest.mark.parametrize("field", list(_THOUGHT))
+def test_llm_think_rejects_a_null_field_after_one_retry(ontology, field):
+    client = ScriptedBackend(script=[json.dumps({**_THOUGHT, field: None})] * 2)
+    with pytest.raises(SelectorError, match=field):
+        LlmSelector(client).think(ctx_for(ontology))
+    assert len(client.requests) == 2
+
+
+def test_llm_plan_rejects_a_number_for_the_strategy_after_one_retry(ontology):
+    client = ScriptedBackend(script=[json.dumps({"strategy": 3})] * 2)
+    ctx = ctx_for(ontology)
+    with pytest.raises(SelectorError, match="strategy must be a str"):
+        LlmSelector(client).plan(ctx, HeuristicSelector().think(ctx))
+    assert len(client.requests) == 2
+
+
+def test_llm_ask_rejects_a_null_question_after_one_retry(ontology):
+    client = ScriptedBackend(script=[json.dumps({"question": None})] * 2)
+    ctx = ctx_for(ontology)
+    with pytest.raises(QuestionConstraintError, match="question must be a str"):
+        LlmSelector(client).ask(ctx, HeuristicSelector().think(ctx), Strategy.OPEN_ENDED)
+    assert len(client.requests) == 2
+
+
 def test_scripted_queue_exhaustion(ontology):
     sel = scripted_selector([json.dumps({"strategy": "open_ended"})])
     ctx = ctx_for(ontology)
