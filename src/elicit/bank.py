@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from .ontology import ALL_TRAITS, Ontology, TraitId, UnknownTraitError, default_ontology
 
@@ -85,23 +87,35 @@ class PatientProfile:
     ground_truth: frozenset[TraitId]  # traits with raw rate > 0
 
 
-def _parse_line(line_no: int, raw: str) -> Snippet:
+def read_object(line_no: int, raw: str) -> dict:
+    """One JSON-lines line, which must hold a JSON object."""
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as e:
         raise BankSchemaError(line_no, f"invalid JSON ({e.msg})") from None
     if not isinstance(obj, dict):
         raise BankSchemaError(line_no, "expected a JSON object")
+    return obj
+
+
+def require_text(line_no: int, obj: dict, key: str) -> str:
+    """The line's value under `key`, which must be a string that is not blank."""
+    value = obj.get(key)
+    if not isinstance(value, str) or not value.strip():
+        raise BankSchemaError(line_no, f"{key} must be non-empty text")
+    return value
+
+
+def _parse_line(line_no: int, raw: str) -> Snippet:
+    obj = read_object(line_no, raw)
     for f in REQUIRED_FIELDS:
         if f not in obj:
             raise BankSchemaError(line_no, f"missing field {f!r}")
     scenario_id = obj["scenario_id"]
     if not isinstance(scenario_id, int) or not 1 <= scenario_id <= 15:
         raise BankSchemaError(line_no, f"scenario_id out of range 1..15: {scenario_id!r}")
-    if not isinstance(obj["doctor_curr"], str) or not obj["doctor_curr"].strip():
-        raise BankSchemaError(line_no, "doctor_curr must be non-empty text")
-    if not isinstance(obj["patient_reply"], str) or not obj["patient_reply"].strip():
-        raise BankSchemaError(line_no, "patient_reply must be non-empty text")
+    doctor_curr = require_text(line_no, obj, "doctor_curr")
+    patient_reply = require_text(line_no, obj, "patient_reply")
     try:
         traits = frozenset(TraitId.parse(t) for t in obj["traits"])
     except UnknownTraitError as e:
@@ -110,8 +124,8 @@ def _parse_line(line_no: int, raw: str) -> Snippet:
         patient_id=str(obj["patient_id"]),
         session_id=str(obj["session_id"]),
         scenario_id=scenario_id,
-        doctor_curr=obj["doctor_curr"],
-        patient_reply=obj["patient_reply"],
+        doctor_curr=doctor_curr,
+        patient_reply=patient_reply,
         traits=traits,
     )
 
@@ -138,6 +152,13 @@ def write_bank(bank: SnippetBank, path: str | Path) -> None:
             fh.write(json.dumps(s.to_dict(), sort_keys=True) + "\n")
 
 
+def trait_frequencies(trait_sets: Iterable[frozenset[TraitId]]) -> dict[TraitId, float]:
+    """Each trait's share of the given trait sets that hold it."""
+    sets = list(trait_sets)
+    counts = Counter(t for traits in sets for t in traits)
+    return {t: counts[t] / len(sets) for t in ALL_TRAITS}
+
+
 def base_rates(bank: SnippetBank, patient_id: str) -> PatientProfile:
     """Per-trait empirical emission rates for one patient.
 
@@ -146,20 +167,12 @@ def base_rates(bank: SnippetBank, patient_id: str) -> PatientProfile:
     traits with raw rate > 0.
     """
     snippets = bank.patient_snippets(patient_id)
-    total = len(snippets)
-    rates: dict[TraitId, float] = {}
-    ground_truth = set()
-    for trait in ALL_TRAITS:
-        count = sum(1 for s in snippets if trait in s.traits)
-        raw = count / total
-        if raw > 0:
-            ground_truth.add(trait)
-        rates[trait] = min(max(raw, THETA_EPS), 1.0 - THETA_EPS)
+    raw = trait_frequencies(s.traits for s in snippets)
     return PatientProfile(
         patient_id=patient_id,
-        base_rates=rates,
-        total_turns=total,
-        ground_truth=frozenset(ground_truth),
+        base_rates={t: min(max(r, THETA_EPS), 1.0 - THETA_EPS) for t, r in raw.items()},
+        total_turns=len(snippets),
+        ground_truth=frozenset(t for t, r in raw.items() if r > 0),
     )
 
 

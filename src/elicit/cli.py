@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .backends import BackendConfig, BackendError, HttpBackend, RecordingBackend, ReplayBackend
-from .bank import BankSchemaError, SynthSpec, ingest, synthesize_bank, write_bank
+from .bank import BankSchemaError, SynthSpec, ingest, read_object, require_text, synthesize_bank, write_bank
 from .config import ConfigError, Settings, load_settings
 from .detector import DetectorParseError
 from .fidelity import FidelityConfig, InsufficientPatientsError, loo_validate
@@ -181,6 +181,15 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _all_aborted(logs) -> bool:
+    """Whether every episode aborted; if so, the first one's reason goes to stderr like detect's backend errors."""
+    if not logs or not all(log.aborted for log in logs):
+        return False
+    reason = logs[0].abort_reason.partition(": ")[2]  # "<error type>: <message>"
+    print(f"error: every episode aborted; backend error: {reason}", file=sys.stderr)
+    return True
+
+
 def _cmd_run(args) -> int:
     floor = 0 if args.mode == "replay" else 1  # 0 in replay mode means one per patient
     if args.episodes < floor:
@@ -210,10 +219,7 @@ def _cmd_run(args) -> int:
     _write_manifest(out_dir, args, settings, [l.episode_id for l in result.logs], result.skipped, ont.version)
     aborted = sum(1 for l in result.logs if l.aborted)
     print(f"wrote {len(result.logs)} episode logs to {out_dir} ({aborted} aborted, {len(result.skipped)} skipped)")
-    if result.logs and aborted == len(result.logs):
-        print("error: every episode aborted on backend failure", file=sys.stderr)
-        return 2
-    return 0
+    return 2 if _all_aborted(result.logs) else 0
 
 
 def _parse_ground_truth(text: str) -> frozenset[TraitId]:
@@ -225,10 +231,8 @@ def _read_transcript(path: str) -> list[tuple[str, str]]:
     for line_no, raw in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
         if not raw.strip():
             continue
-        obj = json.loads(raw)
-        if "question" not in obj or "response" not in obj:
-            raise BankSchemaError(line_no, "transcript lines need question and response")
-        pairs.append((obj["question"], obj["response"]))
+        obj = read_object(line_no, raw)
+        pairs.append((require_text(line_no, obj, "question"), require_text(line_no, obj, "response")))
     return pairs
 
 
@@ -248,7 +252,7 @@ def _cmd_replay(args) -> int:
     out_dir = Path(args.out)
     write_logs(BatchResult(logs=(log,), skipped=()), out_dir)
     print(f"wrote replay log to {out_dir}")
-    return 0
+    return 2 if _all_aborted([log]) else 0
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -330,9 +334,10 @@ def _cmd_report(args) -> int:
 def _cmd_detect(args) -> int:
     settings = _settings(args, detector_kind=args.backend)
     detector = _components(settings, None, _load_ontology(settings.ontology_path)).detector
+    transcript = _read_transcript(args.path)  # every line is checked before any output is written
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for question, response in _read_transcript(args.path):
+        for question, response in transcript:
             result = detector.detect(question, response)
             out_fh.write(json.dumps(result.to_dict(), sort_keys=True) + "\n")
     finally:
@@ -362,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (BackendError, DetectorParseError) as e:  # replay and detect do not abort an episode on it
+    except (BackendError, DetectorParseError) as e:  # detect has no episode to abort
         print(f"backend error: {e}", file=sys.stderr)
         return 2
     except (BankSchemaError, ConfigError, NoValidLogsError, InsufficientPatientsError,

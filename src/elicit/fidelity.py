@@ -7,9 +7,10 @@ on the default component stack and emitter, with no doctor loop: no history and
 no confirmed traits. Frequency alignment is scored with KL divergence
 over the smoothed, normalised trait distribution, mean absolute per-trait
 frequency error, and a pairwise AUC asking whether the emission model scores
-the patient's genuinely active traits above the inactive ones. Semantic
-similarity pairs each simulated reply with the real reply whose doctor
-question is nearest under the configured encoder.
+the patient's genuinely active traits above the inactive ones; that score is
+the clamped base rate, the emission probability of an unconfirmed trait with
+no offset. Semantic similarity pairs each simulated reply with the real reply
+whose doctor question is nearest under the configured encoder.
 
 Conventions the source material leaves open, fixed here: KL smoothing adds
 1e-6 to every trait mass before normalising; frequency error is the mean
@@ -24,12 +25,11 @@ import statistics
 from dataclasses import dataclass
 from typing import Mapping
 
-from .bank import SnippetBank, base_rates
+from .bank import PatientProfile, SnippetBank, base_rates, trait_frequencies
 from .belief import BeliefState
 from .metrics import ci95_halfwidth
-from .ontology import ALL_TRAITS, Ontology, TraitId
-from .patient import emission_probability
-from .patient import emit_traits  # unused here; perfbench traces `fidelity.emit_traits` by name
+from .ontology import ALL_TRAITS, Ontology, Strategy, TraitId
+from .patient import EmissionParams, emit_traits  # emit_traits is unused here; perfbench traces it by name
 from .retrieval import cosine
 from .runner import (
     Components,
@@ -56,29 +56,20 @@ class InsufficientPatientsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FrequencyProfile:
-    patient_id: str
-    source: str  # "real" | "simulated"
-    frequencies: Mapping[TraitId, float]
-
-
-def kl_divergence(p_real: FrequencyProfile, p_sim: FrequencyProfile) -> float:
+def kl_divergence(real: Mapping[TraitId, float], sim: Mapping[TraitId, float]) -> float:
     """KL(real || sim) over smoothed, renormalised trait distributions."""
-    keys = sorted(set(p_real.frequencies) | set(p_sim.frequencies))
-    p = [p_real.frequencies.get(k, 0.0) + KL_SMOOTHING for k in keys]
-    q = [p_sim.frequencies.get(k, 0.0) + KL_SMOOTHING for k in keys]
+    keys = sorted(set(real) | set(sim))
+    p = [real.get(k, 0.0) + KL_SMOOTHING for k in keys]
+    q = [sim.get(k, 0.0) + KL_SMOOTHING for k in keys]
     ps = sum(p)
     qs = sum(q)
     return sum((pi / ps) * math.log((pi / ps) / (qi / qs)) for pi, qi in zip(p, q))
 
 
-def frequency_error(p_real: FrequencyProfile, p_sim: FrequencyProfile) -> float:
+def frequency_error(real: Mapping[TraitId, float], sim: Mapping[TraitId, float]) -> float:
     """Mean absolute per-trait difference of unnormalised frequencies."""
-    keys = sorted(set(p_real.frequencies) | set(p_sim.frequencies))
-    return sum(
-        abs(p_real.frequencies.get(k, 0.0) - p_sim.frequencies.get(k, 0.0)) for k in keys
-    ) / len(keys)
+    keys = sorted(set(real) | set(sim))
+    return sum(abs(real.get(k, 0.0) - sim.get(k, 0.0)) for k in keys) / len(keys)
 
 
 def trait_auc(scores: Mapping[str, float], labels: Mapping[str, bool]) -> float | None:
@@ -165,34 +156,23 @@ class FidelityReport:
         }
 
 
-def real_frequency_profile(bank: SnippetBank, patient_id: str) -> FrequencyProfile:
-    snippets = bank.patient_snippets(patient_id)
-    freqs = {
-        t: sum(1 for s in snippets if t in s.traits) / len(snippets) for t in ALL_TRAITS
-    }
-    return FrequencyProfile(patient_id=patient_id, source="real", frequencies=freqs)
-
-
 def _simulate_patient(
-    bank: SnippetBank,
+    bank: SnippetBank,  # unused; perfbench's tracer reads patient_id as the second argument
     patient_id: str,
     cfg: FidelityConfig,
     components: Components,
-    strategy_counts: dict,
-) -> tuple[FrequencyProfile, list[tuple[str, str]]]:
+    profile: PatientProfile,
+) -> list[tuple[Strategy, str, str, frozenset[TraitId]]]:
     """Simulate replies for one held-out patient; anchors never come from them.
 
-    Questions are the random baseline's: a uniform strategy, asked by the
-    selector with a neutral thought, so they pass its vocabulary check.
+    Returns (strategy, question, reply, detected traits) for each simulated
+    turn. Questions are the random baseline's: a uniform strategy, asked by
+    the selector with a neutral thought, so they pass its vocabulary check.
+    An anchor from the held-out patient raises AssertionError.
     """
-    profile = base_rates(bank, patient_id)
-    params = EpisodeConfig().emission
+    params = EmissionParams()
     belief = BeliefState.fresh()
-    counts = {t: 0 for t in ALL_TRAITS}
-    sim_pairs: list[tuple[str, str]] = []
-    audit_log = components.retriever.audit_log
-    audit_start = len(audit_log)
-    total = 0
+    turns = []
     for k in range(cfg.episodes_per_patient):
         ep_seed = derive_seed(cfg.seed, f"fidelity-{patient_id}-{k}")
         rng = random.Random(ep_seed)
@@ -201,22 +181,11 @@ def _simulate_patient(
                 clinical_background="", history=[], belief=belief, topic=topic, ontology=components.ontology
             )
             strategy, question = random_question(components, ctx, rng)
-            _, _, reply, result = patient_turn(components, params, profile, (), [], rng, strategy, question)
-            turns, per_trait = strategy_counts.setdefault(
-                strategy.value, [0, {t: 0 for t in ALL_TRAITS}]
-            )
-            strategy_counts[strategy.value][0] = turns + 1
-            for t, present in result.labels.items():
-                if present:
-                    counts[t] += 1
-                    per_trait[t] += 1
-            sim_pairs.append((question, reply))
-            total += 1
-    leaked = [p for p in audit_log[audit_start:] if p == patient_id]
-    if leaked:
-        raise AssertionError(f"retrieval leaked {len(leaked)} anchors from held-out {patient_id}")
-    freqs = {t: counts[t] / total for t in ALL_TRAITS}
-    return FrequencyProfile(patient_id, "simulated", freqs), sim_pairs
+            anchor, _, reply, result = patient_turn(components, params, profile, (), [], rng, strategy, question)
+            if anchor.patient_id == patient_id:
+                raise AssertionError(f"retrieval leaked an anchor from held-out {patient_id}")
+            turns.append((strategy, question, reply, result.positive()))
+    return turns
 
 
 def _semantic_similarity(
@@ -244,35 +213,29 @@ def loo_validate(
     patients = bank.patient_ids()
     if len(patients) < 2:
         raise InsufficientPatientsError("leave-one-out needs at least 2 patients")
-    episode = EpisodeConfig()
-    components = build_components(episode, bank, ontology)
+    components = build_components(EpisodeConfig(), bank, ontology)
+    profiles = {pid: base_rates(bank, pid) for pid in patients}
 
     kls: list[float] = []
     ferrs: list[float] = []
     sims: list[float] = []
-    scores_by_trait: dict[TraitId, dict[str, float]] = {t: {} for t in ALL_TRAITS}
-    labels_by_trait: dict[TraitId, dict[str, bool]] = {t: {} for t in ALL_TRAITS}
-    strategy_counts: dict[str, list] = {}
-
-    for pid in patients:
-        real_profile = real_frequency_profile(bank, pid)
-        sim_profile, sim_pairs = _simulate_patient(bank, pid, cfg, components, strategy_counts)
-        kls.append(kl_divergence(real_profile, sim_profile))
-        ferrs.append(frequency_error(real_profile, sim_profile))
-        sims.append(_semantic_similarity(bank, pid, sim_pairs, components.encoder))
-
-        patient = base_rates(bank, pid)
-        for t in ALL_TRAITS:
-            scores_by_trait[t][pid] = emission_probability(
-                patient.base_rates[t], False, episode.emission
-            )
-            labels_by_trait[t][pid] = t in patient.ground_truth
+    detected_by_strategy: dict[str, list[frozenset[TraitId]]] = {}
+    for pid, profile in profiles.items():
+        turns = _simulate_patient(bank, pid, cfg, components, profile)
+        real = trait_frequencies(s.traits for s in bank.patient_snippets(pid))
+        simulated = trait_frequencies(detected for _, _, _, detected in turns)
+        kls.append(kl_divergence(real, simulated))
+        ferrs.append(frequency_error(real, simulated))
+        sims.append(_semantic_similarity(bank, pid, [(q, r) for _, q, r, _ in turns], components.encoder))
+        for strategy, _, _, detected in turns:
+            detected_by_strategy.setdefault(strategy.value, []).append(detected)
 
     per_trait: dict[str, dict] = {}
     included: list[float] = []
     for t in ALL_TRAITS:
-        auc = trait_auc(scores_by_trait[t], labels_by_trait[t])
-        n_pos = sum(labels_by_trait[t].values())
+        labels = {pid: t in p.ground_truth for pid, p in profiles.items()}
+        auc = trait_auc({pid: p.base_rates[t] for pid, p in profiles.items()}, labels)
+        n_pos = sum(labels.values())
         per_trait[t.name] = {"auc": auc, "n_patients": n_pos}
         if auc is not None and n_pos >= cfg.min_patients_per_trait:
             included.append(auc)
@@ -288,9 +251,8 @@ def loo_validate(
         "semantic_similarity": sim_stat.mean >= THRESHOLDS["semantic_min"],
     }
     breakdown = {
-        label: {t.name: per_trait_counts[t] / turns for t in ALL_TRAITS}
-        for label, (turns, per_trait_counts) in sorted(strategy_counts.items())
-        if turns
+        label: {t.name: f for t, f in trait_frequencies(detected).items()}
+        for label, detected in sorted(detected_by_strategy.items())
     }
     return FidelityReport(
         n_patients=len(patients),

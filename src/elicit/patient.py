@@ -25,13 +25,17 @@ from .backends import GenerationRequest, Message
 from .bank import THETA_EPS, PatientProfile, Snippet
 from .dialogue import HistoryTurn, render_history
 from .ontology import ALL_TRAITS, Ontology, TraitId, default_ontology
-from .prompting import load_prompt
+from .prompting import complete_parsed, load_prompt
 
 DEFAULT_SUPPRESSION = 4.0  # sigma(-4) ~ 1.8%: rare re-emission of confirmed traits
 
 
 class EmptyAnchorError(ValueError):
     pass
+
+
+class RealiserError(RuntimeError):
+    """The generation backend returned an empty reply twice in a row."""
 
 
 @dataclass(frozen=True)
@@ -152,8 +156,15 @@ class TemplateRealiser:
         return reply if reply.strip() else _FALLBACK_SKELETON
 
 
+def _non_empty(reply: str) -> str:
+    reply = reply.strip()
+    if not reply:
+        raise ValueError("reply is empty")
+    return reply
+
+
 class LlmRealiser:
-    """Generation-backed realiser sharing the template twin's interface."""
+    """Generation-backed realiser sharing the template twin's interface; a blank reply is asked for once more."""
 
     def __init__(
         self,
@@ -194,7 +205,4 @@ class LlmRealiser:
             emitted=emitted_text,
         )
         request = GenerationRequest(messages=(Message("user", prompt),), temperature=self.temperature)
-        reply = self.client.complete(request).strip()
-        if not reply:
-            reply = _FALLBACK_SKELETON
-        return reply
+        return complete_parsed(self.client, request, _non_empty, RealiserError)

@@ -1,8 +1,8 @@
 """Prompt template loading and structured-output parsing helpers.
 
 Prompt texts live in versioned template files under ``prompts/``, not in
-code; a custom directory can be supplied for experimentation. The
-selector's and the detector's JSON replies are read by `complete_json`.
+code; a custom directory can be supplied for experimentation. Every reply is
+read by `complete_parsed`; the selector's and detector's JSON through `complete_json`.
 """
 
 from __future__ import annotations
@@ -21,8 +21,12 @@ def load_prompt(name: str, prompt_dir: str | Path | None = None) -> str:
     return resources.files("elicit").joinpath(f"prompts/{name}.txt").read_text("utf-8")
 
 
-def extract_json_object(text: str) -> dict:
-    """Pull the first JSON object out of a completion (models wrap in prose/fences)."""
+def extract_json_object(text: str, keys: Mapping[str, type]) -> dict:
+    """Pull the first JSON object out of a completion (models wrap in prose/fences).
+
+    Each key in `keys` must hold a value of exactly that JSON type, as
+    `json.loads` makes them: "false" and 1 are not bools, null is not a str.
+    """
     start = text.find("{")
     end = text.rfind("}")
     if start < 0 or end <= start:
@@ -30,25 +34,27 @@ def extract_json_object(text: str) -> dict:
     doc = json.loads(text[start : end + 1])
     if not isinstance(doc, dict):
         raise ValueError("completion JSON is not an object")
+    for key, kind in keys.items():
+        if type(doc.get(key)) is not kind:
+            raise ValueError(f"{key} must be a {kind.__name__}, got {doc.get(key)!r}")
     return doc
 
 
-def complete_json(client, request, keys: Mapping[str, type], parse: Callable[[dict], T], error: type[Exception]) -> T:
-    """Send `request` and build a value from the first JSON object of the reply.
+def complete_parsed(client, request, parse: Callable[[str], T], error: type[Exception]) -> T:
+    """Send `request` and build a value from the reply text with `parse`.
 
-    Each key in `keys` must hold a value of exactly that JSON type, as
-    `json.loads` makes them: "false" and 1 are not bools, null is not a str.
-    `parse` then builds the value and may reject the object with ValueError.
-    A reply that fails is asked for once more; a second failure raises `error`.
+    `parse` may reject the reply with ValueError. A rejected reply is asked
+    for once more; a second rejection raises `error`.
     """
     for attempt in range(2):
         text = client.complete(request)  # a backend failure is not retried here
         try:
-            doc = extract_json_object(text)
-            for key, kind in keys.items():
-                if type(doc.get(key)) is not kind:
-                    raise ValueError(f"{key} must be a {kind.__name__}, got {doc.get(key)!r}")
-            return parse(doc)
+            return parse(text)
         except ValueError as e:
             if attempt:
                 raise error(f"unusable reply after one retry: {e}") from e
+
+
+def complete_json(client, request, keys: Mapping[str, type], parse: Callable[[dict], T], error: type[Exception]) -> T:
+    """`complete_parsed` of `parse` on the reply's first JSON object, whose `keys` are typed as given."""
+    return complete_parsed(client, request, lambda text: parse(extract_json_object(text, keys)), error)

@@ -31,7 +31,7 @@ from .belief import BeliefState
 from .detector import DetectionResult, DetectorParseError, EmptyResponseError, LlmDetector, RuleDetector
 from .dialogue import HistoryTurn
 from .ontology import Ontology, Scenario, Strategy, STRATEGY_ORDER, TraitId, default_ontology
-from .patient import EmissionParams, LlmRealiser, TemplateRealiser, emit_traits
+from .patient import EmissionParams, LlmRealiser, RealiserError, TemplateRealiser, emit_traits
 from .retrieval import AnchorRetriever, EmptyCandidateSetError, FallbackEncoder, RemoteEncoder, cosine
 from .selector import HeuristicSelector, LlmSelector, SelectorError, SessionContext, Thought
 
@@ -39,7 +39,7 @@ logger = logging.getLogger(__name__)
 
 REPLAY_STRATEGY = "replay"
 
-_ABORTABLE = (BackendError, SelectorError, DetectorParseError, EmptyCandidateSetError, EmptyResponseError)
+_ABORTABLE = (BackendError, SelectorError, RealiserError, DetectorParseError, EmptyCandidateSetError, EmptyResponseError)
 
 
 class LogFormatError(ValueError):
@@ -232,20 +232,12 @@ class EpisodeLog:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeLog":
-        _typed(cls, d)
-        log = cls(
-            episode_id=d["episode_id"],
-            patient_id=d["patient_id"],
-            mode=d["mode"],
-            seed=d["seed"],
-            max_turns=d["max_turns"],
-            tau=d["tau"],
-            ground_truth=frozenset(TraitId.parse(t) for t in d["ground_truth"]),
-            turns=tuple(TurnRecord.from_dict(t) for t in d["turns"]),
-            final_confirmed=frozenset(TraitId.parse(t) for t in d["final_confirmed"]),
-            aborted=d.get("aborted", False),
-            abort_reason=d.get("abort_reason"),
-        )
+        log = cls(**{
+            **_typed(cls, d),  # one key per field, as to_dict writes them
+            "ground_truth": frozenset(map(TraitId.parse, d["ground_truth"])),
+            "turns": tuple(map(TurnRecord.from_dict, d["turns"])),
+            "final_confirmed": frozenset(map(TraitId.parse, d["final_confirmed"])),
+        })
         if log.max_turns < 1:
             raise LogFormatError(f"max_turns must be >= 1, got {log.max_turns}")
         if not log.ground_truth:
@@ -342,6 +334,12 @@ def _record(
     return state
 
 
+def _abort_reason(episode_id: str, turn: int, e: Exception) -> str:
+    reason = f"{type(e).__name__}: {e}"
+    logger.warning("episode %s aborted at turn %d: %s", episode_id, turn, reason)
+    return reason
+
+
 def _episode_log(
     cfg: EpisodeConfig,
     episode_id: str,
@@ -387,7 +385,6 @@ def run_episode(
     profile: PatientProfile,
     components: Components | None = None,
     episode_id: str = "episode-0",
-    ground_truth: frozenset[TraitId] | None = None,
     mode: str = "tpa",
 ) -> EpisodeLog | None:
     """Run one episode of the questioning loop; returns None for empty ground truth.
@@ -399,7 +396,7 @@ def run_episode(
     """
     if mode not in ("tpa", "random"):
         raise ValueError(f"unknown loop mode {mode!r}")
-    gt = frozenset(ground_truth) if ground_truth is not None else frozenset(profile.ground_truth)
+    gt = frozenset(profile.ground_truth)
     if not gt:
         logger.warning("skipping %s: patient %s has empty ground truth", episode_id, profile.patient_id)
         return None
@@ -433,8 +430,7 @@ def run_episode(
                 comps, cfg.emission, profile, state.confirmed, history, rng, strategy, question
             )
         except _ABORTABLE as e:
-            abort_reason = f"{type(e).__name__}: {e}"
-            logger.warning("episode %s aborted at turn %d: %s", episode_id, len(turns) + 1, abort_reason)
+            abort_reason = _abort_reason(episode_id, len(turns) + 1, e)
             break
 
         state = _record(
@@ -462,17 +458,22 @@ def run_replay(
     episode_id: str = "replay-0",
     patient_id: str = "replayed",
 ) -> EpisodeLog:
-    """Feed an existing transcript through the detector and belief tracker only."""
+    """Feed an existing transcript through the detector and belief tracker only; it aborts as `run_episode` does."""
     if not transcript:
         raise ValueError("transcript must be non-empty")
     comps = components or build_components(cfg, bank=None)
     gt = frozenset(ground_truth)
     state = BeliefState.fresh(tau=cfg.tau)
     turns: list[TurnRecord] = []
+    abort_reason = None
     for question, response in transcript[: cfg.max_turns]:
-        detections = comps.detector.detect(question, response)
+        try:
+            detections = comps.detector.detect(question, response)
+        except _ABORTABLE as e:
+            abort_reason = _abort_reason(episode_id, len(turns) + 1, e)
+            break
         state = _record(turns, state, gt, REPLAY_STRATEGY, question, response, detections)
-    return _episode_log(cfg, episode_id, patient_id, "replay", gt, turns, state)
+    return _episode_log(cfg, episode_id, patient_id, "replay", gt, turns, state, abort_reason)
 
 
 def replay_transcript_for_patient(bank: SnippetBank, patient_id: str) -> list[tuple[str, str]]:

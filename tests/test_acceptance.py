@@ -233,13 +233,13 @@ def test_criterion_7_retrieval_correctness():
 
 def test_criterion_8_fidelity_metric_oracles():
     t0 = time.monotonic()
-    from elicit.fidelity import FrequencyProfile, SummaryStat, kl_divergence, trait_auc
+    from elicit.fidelity import SummaryStat, kl_divergence, trait_auc
     from test_fidelity import _rank_auc
 
     def prof(freqs):
         base = {t: 0.0 for t in ALL_TRAITS}
         base.update(freqs)
-        return FrequencyProfile("p", "real", base)
+        return base
 
     identical = prof({TraitId.F1: 0.4, TraitId.F2: 0.2})
     assert kl_divergence(identical, identical) == pytest.approx(0.0, abs=1e-9)

@@ -440,6 +440,51 @@ def test_replay_and_detect_exit_2_when_the_detector_reply_breaks_the_contract(tm
     argv += ["--detector", "llm", "--ground-truth", "F10"] if command == "replay" else ["--backend", "llm"]
     assert run_cli(*argv) == 2
     assert "backend error: unusable reply after one retry: F1 must be a bool" in capsys.readouterr().err
+    if command == "replay":
+        log = json.loads((tmp_path / "out" / "replay-0000-manual.json").read_text("utf-8"))
+        assert log["aborted"] and log["turns"] == []
+
+
+def test_run_in_replay_mode_writes_every_log_when_one_episode_aborts(tmp_path, monkeypatch, capsys):
+    from elicit.backends import HttpBackend
+    from elicit.ontology import ALL_TRAITS
+
+    # the golden bank's four exchanges: the last one is answered with unusable labels twice
+    answers = iter([json.dumps({t.name: False for t in ALL_TRAITS})] * 3 + ['{"F1": "yes"}'] * 2)
+
+    def live_backend(config):
+        payload = lambda path, body: {"choices": [{"message": {"content": next(answers)}}]}
+        return HttpBackend(config, transport=payload, api_key="k")
+
+    monkeypatch.setattr("elicit.cli.HttpBackend", live_backend)
+    out = tmp_path / "logs"
+    assert run_cli("run", "--bank", str(GOLDEN), "--mode", "replay", "--detector", "llm", "--out", str(out)) == 0
+    logs = {p.name: json.loads(p.read_text("utf-8")) for p in out.glob("replay-*.json")}
+    assert {name: log["aborted"] for name, log in logs.items()} == {
+        "replay-0000-P001.json": False, "replay-0001-P002.json": True,
+    }
+    assert "(1 aborted, 0 skipped)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", [
+    '{"question": "How was school?", "response": null}',
+    '{"question": "How was school?", "response": "  "}',
+    '{"question": 7, "response": "Fine."}',
+    '{"response": "Fine."}',
+    "5",
+    '["How was school?", "Fine."]',
+    "{not json",
+])
+@pytest.mark.parametrize("command", ["replay", "detect"])
+def test_a_malformed_transcript_line_exits_1_naming_the_line(tmp_path, capsys, command, line):
+    transcript = tmp_path / "t.jsonl"
+    transcript.write_text(json.dumps({"question": "And then?", "response": "We left."}) + "\n\n" + line + "\n")
+    argv = [command, "--in", str(transcript), "--out", str(tmp_path / "out")]
+    if command == "replay":
+        argv += ["--ground-truth", "F10"]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith("error: line 3: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_with_remote_encoder_and_an_empty_replay_log_is_a_backend_error(tmp_path, capsys):
@@ -463,6 +508,7 @@ def _snapshot(doc):
 # a wrong key, a missing key, a value of the wrong JSON type, or one out of range
 _CORRUPTIONS = {
     "extra": lambda doc: doc["turns"][0].update(extra=1),
+    "extra_top_level": lambda doc: doc.update(bogus=1),
     "missing": lambda doc: doc["turns"][0].pop("response"),
     "coverage_after": lambda doc: doc["turns"][0].update(coverage_after="high"),
     "belief_snapshot": lambda doc: doc["turns"][0].update(belief_snapshot=[]),

@@ -6,26 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elicit.bank import SynthSpec, synthesize_bank
+from elicit.bank import SynthSpec, synthesize_bank, trait_frequencies
 from elicit.fidelity import (
     FidelityConfig,
-    FrequencyProfile,
     InsufficientPatientsError,
     SummaryStat,
     frequency_error,
     kl_divergence,
     loo_validate,
-    real_frequency_profile,
     trait_auc,
 )
 from elicit.ontology import ALL_TRAITS, TraitId
 
 
-def profile(freqs, source="real", patient_id="P"):
+def profile(freqs):
     base = {t: 0.0 for t in ALL_TRAITS}
     for k, v in freqs.items():
         base[TraitId.parse(k) if isinstance(k, str) else k] = v
-    return FrequencyProfile(patient_id=patient_id, source=source, frequencies=base)
+    return base
 
 
 def test_kl_identity_zero():
@@ -191,6 +189,17 @@ def test_loo_self_consistency_ceiling(loo_bank):
     assert report.thresholds_met["auc"]
 
 
+def test_loo_raises_when_an_anchor_comes_from_the_held_out_patient(loo_bank, monkeypatch):
+    from elicit.retrieval import AnchorRetriever
+
+    # the fake leaves the audit log alone: the check reads the anchor itself
+    own = lambda self, query, exclude_patient: (self.bank.patient_snippets(exclude_patient)[0], 1.0)
+    monkeypatch.setattr(AnchorRetriever, "retrieve", own)
+    first = loo_bank.patient_ids()[0]
+    with pytest.raises(AssertionError, match=f"retrieval leaked an anchor from held-out {first}"):
+        loo_validate(loo_bank, FidelityConfig(episodes_per_patient=1, turns=2))
+
+
 def test_loo_deterministic(loo_bank):
     cfg = FidelityConfig(episodes_per_patient=1, turns=10, seed=8)
     a = loo_validate(loo_bank, cfg)
@@ -220,10 +229,10 @@ def test_loo_strategy_breakdown_structure(loo_bank):
     assert "strategy_breakdown" in doc
 
 
-def test_real_frequency_profile_counts(loo_bank):
+def test_trait_frequencies_count_a_patients_snippets(loo_bank):
     pid = loo_bank.patient_ids()[0]
-    prof = real_frequency_profile(loo_bank, pid)
     snippets = loo_bank.patient_snippets(pid)
+    freqs = trait_frequencies(s.traits for s in snippets)
     for t in ALL_TRAITS:
         expected = sum(1 for s in snippets if t in s.traits) / len(snippets)
-        assert prof.frequencies[t] == pytest.approx(expected)
+        assert freqs[t] == pytest.approx(expected)

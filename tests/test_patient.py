@@ -225,3 +225,23 @@ def test_llm_realiser_uses_anchor_and_prompt():
     assert "How was school?" in prompt
     assert "Superfluous Phrase Attachment" in prompt
     assert client.requests[0].temperature == pytest.approx(0.7)
+
+
+@pytest.mark.parametrize("blank", ["", "  \n\t "])
+def test_llm_realiser_asks_once_more_for_a_blank_reply(blank):
+    from elicit.backends import ScriptedBackend
+
+    client = ScriptedBackend(script=[blank, "  A plain spoken answer. "])
+    reply = LlmRealiser(client).realise("How was school?", [], ANCHOR, {TraitId.F6}, seed=0)
+    assert reply == "A plain spoken answer."
+    assert len(client.requests) == 2 and client.requests[0] == client.requests[1]
+
+
+def test_llm_realiser_raises_a_typed_error_on_a_second_blank_reply():
+    from elicit.backends import ScriptedBackend
+    from elicit.patient import RealiserError
+
+    client = ScriptedBackend(script=["   ", "", "never asked for"])
+    with pytest.raises(RealiserError, match="unusable reply after one retry: reply is empty"):
+        LlmRealiser(client).realise("How was school?", [], ANCHOR, {TraitId.F6}, seed=0)
+    assert len(client.requests) == 2

@@ -500,6 +500,38 @@ def test_a_wrong_typed_detector_label_aborts_the_episode_with_a_typed_reason(syn
     assert len(client.requests) == 3
 
 
+def test_a_blank_realiser_reply_aborts_the_episode_with_a_typed_reason(synth_bank_module):
+    from elicit.backends import ScriptedBackend
+
+    client = ScriptedBackend(script=["It was a quiet week, you know what I mean.", " ", "\n"])
+    cfg = EpisodeConfig(max_turns=3, seed=2, realiser_kind="llm")
+    comps = build_components(cfg, synth_bank_module, client=client)
+    log = run_episode(cfg, synth_bank_module, profile_with({"F6": 0.5}), comps, "llm-ep")
+    assert log.aborted and [t.response for t in log.turns] == ["It was a quiet week, you know what I mean."]
+    assert log.abort_reason == "RealiserError: unusable reply after one retry: reply is empty"
+    assert len(client.requests) == 3
+
+
+def test_replay_mode_aborts_an_episode_on_an_unusable_detector_reply_and_keeps_the_others():
+    from pathlib import Path
+
+    from elicit.backends import ScriptedBackend
+    from elicit.bank import ingest
+
+    bank = ingest(Path(__file__).parent / "data" / "golden_bank.jsonl")
+    labels = json.dumps({t.name: t.name == "F6" for t in ALL_TRAITS})
+    bad = json.dumps({t.name: "no" for t in ALL_TRAITS})
+    # two exchanges for P001, then two for P002, whose second reply is unusable twice
+    client = ScriptedBackend(script=[labels, labels, labels, bad, bad])
+    cfg = EpisodeConfig(detector_kind="llm")
+    result = run_batch(cfg, bank, "replay", 0, components=build_components(cfg, bank, client=client))
+    first, second = result.logs
+    assert (first.patient_id, first.aborted, len(first.turns)) == ("P001", False, 2)
+    assert (second.patient_id, second.aborted, len(second.turns)) == ("P002", True, 1)
+    assert second.abort_reason == "DetectorParseError: unusable reply after one retry: F1 must be a bool, got 'no'"
+    assert second.turns[0].coverage_after == 1.0
+
+
 def test_encoder_kind_is_checked_when_components_are_built(synth_bank_module):
     with pytest.raises(ValueError, match="needs a backend client"):
         build_components(EpisodeConfig(encoder_kind="remote"), synth_bank_module)
