@@ -56,9 +56,9 @@ def main(argv=None) -> int:
     for name, ok in report.thresholds_met.items():
         print(f"threshold {name:<20} {'pass' if ok else 'FAIL'}")
 
-    if args.out:
+    if args.out:  # the same text as `elicit validate --out`
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, sort_keys=True, indent=1)
+            fh.write(json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
         print(f"wrote {args.out}")
     return 0
 

@@ -58,7 +58,7 @@ class Message:
 @dataclass(frozen=True)
 class GenerationRequest:
     messages: tuple[Message, ...]
-    temperature: float = 0.7
+    temperature: float
     max_tokens: int = 512
     model: str = ""
 
@@ -180,29 +180,18 @@ class HttpBackend:
 
 
 class ScriptedBackend:
-    """Deterministic generation twin: serves canned completions.
+    """Deterministic generation twin: serves canned completions from an ordered
+    queue, consumed once; exhaustion is an error, never a silent recycle."""
 
-    Either an ordered queue (consumed once; exhaustion is an error, never a
-    silent recycle) or a map from request fingerprint to completion.
-    """
-
-    def __init__(self, script: list[str] | None = None, by_fingerprint: dict[str, str] | None = None):
-        if (script is None) == (by_fingerprint is None):
-            raise ValueError("provide exactly one of script, by_fingerprint")
-        self._queue = list(script) if script is not None else None
-        self._map = dict(by_fingerprint) if by_fingerprint is not None else None
+    def __init__(self, script: list[str]):
+        self._queue = list(script)
         self.requests: list[GenerationRequest] = []
 
     def complete(self, request: GenerationRequest) -> str:
         self.requests.append(request)
-        if self._queue is not None:
-            if not self._queue:
-                raise ScriptExhaustedError("scripted completions exhausted")
-            return self._queue.pop(0)
-        fp = request.fingerprint()
-        if fp not in self._map:
-            raise ScriptExhaustedError(f"no scripted completion for fingerprint {fp[:12]}")
-        return self._map[fp]
+        if not self._queue:
+            raise ScriptExhaustedError("scripted completions exhausted")
+        return self._queue.pop(0)
 
 
 def _embedding_fingerprint(texts: list[str]) -> str:

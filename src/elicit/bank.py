@@ -11,15 +11,13 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable
 
 from .ontology import ALL_TRAITS, Ontology, TraitId, UnknownTraitError, default_ontology
 
 THETA_EPS = 1e-3  # clamp keeps logit(theta) finite
-
-REQUIRED_FIELDS = ("patient_id", "session_id", "scenario_id", "doctor_curr", "patient_reply", "traits")
 
 
 class BankSchemaError(ValueError):
@@ -44,14 +42,10 @@ class Snippet:
     traits: frozenset[TraitId]
 
     def to_dict(self) -> dict:
-        return {
-            "patient_id": self.patient_id,
-            "session_id": self.session_id,
-            "scenario_id": self.scenario_id,
-            "doctor_curr": self.doctor_curr,
-            "patient_reply": self.patient_reply,
-            "traits": [t.name for t in sorted(self.traits)],
-        }
+        return {**vars(self), "traits": [t.name for t in sorted(self.traits)]}
+
+
+REQUIRED_FIELDS = tuple(f.name for f in fields(Snippet))
 
 
 @dataclass

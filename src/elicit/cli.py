@@ -58,8 +58,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--bank", required=True)
     p.add_argument("--mode", choices=["tpa", "random", "replay"], default="tpa")
     p.add_argument("--episodes", type=int, default=0, help="0 in replay mode means one per patient")
-    p.add_argument("--turns", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--turns", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--selector", choices=["heuristic", "llm"], default=None)
@@ -73,7 +73,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("replay", help="replay an explicit transcript through detection")
     p.add_argument("--in", dest="path", required=True, help="JSON-lines of {question, response}")
     p.add_argument("--ground-truth", required=True, help="comma-separated trait ids, e.g. F2,F6")
-    p.add_argument("--turns", type=int, default=20)
+    p.add_argument("--turns", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--detector", choices=["rule", "llm"], default=None)
     p.add_argument("--config", default=None)
@@ -87,9 +87,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="leave-one-out patient-agent fidelity check")
     p.add_argument("--bank", required=True)
-    p.add_argument("--episodes-per-patient", type=int, default=2)
-    p.add_argument("--turns", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--episodes-per-patient", type=int)
+    p.add_argument("--turns", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default=None)
     p.add_argument("--ontology", default=None)
 
@@ -112,13 +112,17 @@ def _load_ontology(path: str | None):
     return load_ontology(path) if path else default_ontology()
 
 
+def _given(**flags) -> dict:
+    """The flags that were given; a flag left at None keeps the config's or the dataclass's value."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _settings(args, **episode_flags) -> Settings:
-    """The --config file's settings under the given flags; a flag left at None keeps the file's value."""
+    """The --config file's settings under the given flags."""
     settings = load_settings(args.config)
-    flags = {name: value for name, value in episode_flags.items() if value is not None}
     return dataclasses.replace(
         settings,
-        episode=dataclasses.replace(settings.episode, **flags),
+        episode=dataclasses.replace(settings.episode, **_given(**episode_flags)),
         ontology_path=args.ontology or settings.ontology_path,
     )
 
@@ -138,25 +142,30 @@ def _components(settings: Settings, bank, ont, record: str | None = None, replay
     return build_components(settings.episode, bank, ont, client=client)
 
 
-def _write_manifest(out_dir: Path, args_ns, settings: Settings, episode_ids, skipped, ontology_version: str) -> None:
-    blob = json.dumps(
-        {"seed": args_ns.seed, "mode": args_ns.mode, "settings": settings.to_dict()},
-        sort_keys=True,
-    )
+def _write_json(doc: dict, out: str | Path | None) -> None:
+    """`doc` as sorted, one-space-indented JSON and a newline, to `out` or else stdout."""
+    text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
+def _write_manifest(out_dir: Path, mode: str, settings: Settings, episode_ids, skipped, ontology_version: str) -> None:
+    seed = settings.episode.seed
+    blob = json.dumps({"seed": seed, "mode": mode, "settings": settings.to_dict()}, sort_keys=True)
     manifest = {
         "run_id": hashlib.sha256(blob.encode()).hexdigest()[:12],
-        "mode": args_ns.mode,
-        "seed": args_ns.seed,
-        "turns": args_ns.turns,
+        "mode": mode,
+        "seed": seed,
+        "turns": settings.episode.max_turns,
         "episodes": sorted(episode_ids),
         "skipped": sorted(skipped),
         "settings": settings.to_dict(),
         "versions": {"artifact": __version__, "ontology": ontology_version},
         "created_unix": time.time(),
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    _write_json(manifest, out_dir / "manifest.json")
 
 
 def _cmd_ingest(args) -> int:
@@ -195,6 +204,9 @@ def _cmd_run(args) -> int:
     if args.episodes < floor:
         print(f"error: --episodes must be >= {floor} in {args.mode} mode", file=sys.stderr)
         return 1
+    if args.parallel < 1:
+        print("error: --parallel must be >= 1", file=sys.stderr)
+        return 1
     settings = _settings(
         args,
         max_turns=args.turns,
@@ -216,7 +228,7 @@ def _cmd_run(args) -> int:
     )
     out_dir = Path(args.out)
     write_logs(result, out_dir)
-    _write_manifest(out_dir, args, settings, [l.episode_id for l in result.logs], result.skipped, ont.version)
+    _write_manifest(out_dir, args.mode, settings, [l.episode_id for l in result.logs], result.skipped, ont.version)
     aborted = sum(1 for l in result.logs if l.aborted)
     print(f"wrote {len(result.logs)} episode logs to {out_dir} ({aborted} aborted, {len(result.skipped)} skipped)")
     return 2 if _all_aborted(result.logs) else 0
@@ -286,11 +298,7 @@ def _write_strategy_csv(report: CorpusReport, path: Path) -> None:
 def _cmd_evaluate(args) -> int:
     logs = read_logs(args.logs)
     report = aggregate(logs, include_aborted=args.include_aborted)
-    doc = json.dumps(report.to_dict(), sort_keys=True, indent=1)
-    if args.out:
-        Path(args.out).write_text(doc + "\n", encoding="utf-8")
-    else:
-        print(doc)
+    _write_json(report.to_dict(), args.out)
     if args.csv:
         _write_episode_csv(report, Path(args.csv))
         _write_curves_csv(report, Path(args.csv).with_name("curves.csv"))
@@ -306,14 +314,10 @@ def _cmd_validate(args) -> int:
     ont = _load_ontology(args.ontology)
     bank = ingest(args.bank)
     cfg = FidelityConfig(
-        episodes_per_patient=args.episodes_per_patient, turns=args.turns, seed=args.seed
+        **_given(episodes_per_patient=args.episodes_per_patient, turns=args.turns, seed=args.seed)
     )
     report = loo_validate(bank, cfg, ont)
-    doc = json.dumps(report.to_dict(), sort_keys=True, indent=1)
-    if args.out:
-        Path(args.out).write_text(doc + "\n", encoding="utf-8")
-    else:
-        print(doc)
+    _write_json(report.to_dict(), args.out)
     flags = " ".join(f"{k}={'pass' if v else 'FAIL'}" for k, v in report.thresholds_met.items())
     print(f"patients={report.n_patients} {flags}", file=sys.stderr)
     return 0

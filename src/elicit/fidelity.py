@@ -43,6 +43,7 @@ from .runner import (
 from .selector import SessionContext
 
 KL_SMOOTHING = 1e-6
+MIN_PATIENTS_PER_TRAIT = 4  # traits with fewer positive patients are left out of the overall AUC
 
 THRESHOLDS = {
     "kl_max": 1.0,
@@ -112,16 +113,12 @@ class SummaryStat:
             n=n,
         )
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "sd": self.sd, "median": self.median, "ci95": self.ci95, "n": self.n}
-
 
 @dataclass(frozen=True)
 class FidelityConfig:
     episodes_per_patient: int = 2
-    turns: int = 20
-    seed: int = 0
-    min_patients_per_trait: int = 4  # traits with fewer positive patients are left out of the overall AUC
+    turns: int = EpisodeConfig.max_turns
+    seed: int = EpisodeConfig.seed
 
     def __post_init__(self):
         if self.episodes_per_patient < 1:
@@ -145,14 +142,10 @@ class FidelityReport:
 
     def to_dict(self) -> dict:
         return {
-            "n_patients": self.n_patients,
-            "kl": self.kl.to_dict(),
-            "freq_error": self.freq_error.to_dict(),
-            "semantic_similarity": self.semantic_similarity.to_dict(),
-            "auc_overall": self.auc_overall,
-            "per_trait_auc": self.per_trait_auc,
-            "thresholds_met": self.thresholds_met,
-            "strategy_breakdown": self.strategy_breakdown,
+            **vars(self),
+            "kl": vars(self.kl),
+            "freq_error": vars(self.freq_error),
+            "semantic_similarity": vars(self.semantic_similarity),
         }
 
 
@@ -237,7 +230,7 @@ def loo_validate(
         auc = trait_auc({pid: p.base_rates[t] for pid, p in profiles.items()}, labels)
         n_pos = sum(labels.values())
         per_trait[t.name] = {"auc": auc, "n_patients": n_pos}
-        if auc is not None and n_pos >= cfg.min_patients_per_trait:
+        if auc is not None and n_pos >= MIN_PATIENTS_PER_TRAIT:
             included.append(auc)
     auc_overall = statistics.mean(included) if included else None
 

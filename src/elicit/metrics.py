@@ -40,18 +40,6 @@ class EpisodeMetrics:
     aucc: float
     per_turn_coverage: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "episode_id": self.episode_id,
-            "patient_id": self.patient_id,
-            "coverage": self.coverage,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "aucc": self.aucc,
-            "per_turn_coverage": list(self.per_turn_coverage),
-        }
-
 
 def _coverage(log: EpisodeLog) -> list[float]:
     """Ground-truth coverage after each recorded turn, read from its belief snapshot."""
@@ -126,21 +114,8 @@ class CorpusReport:
     episodes: tuple[EpisodeMetrics, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "n_episodes": self.n_episodes,
-            "mean_coverage": self.mean_coverage,
-            "mean_precision": self.mean_precision,
-            "mean_recall": self.mean_recall,
-            "mean_f1": self.mean_f1,
-            "mean_aucc": self.mean_aucc,
-            "by_patient": self.by_patient,
-            "gain_rates": self.gain_rates,
-            "strategy_distribution": self.strategy_distribution,
-            "phase_distribution": self.phase_distribution,
-            "per_turn_mean_coverage": list(self.per_turn_mean_coverage),
-            "per_turn_ci95": list(self.per_turn_ci95),
-            "episodes": [e.to_dict() for e in self.episodes],
-        }
+        # shallow on purpose: dataclasses.asdict deep-copies every value and is ~100x slower here
+        return {**vars(self), "episodes": [vars(e) for e in self.episodes]}
 
 
 def ci95_halfwidth(values: list[float]) -> float:

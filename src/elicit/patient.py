@@ -170,7 +170,8 @@ class LlmRealiser:
         self,
         client,
         ontology: Ontology | None = None,
-        temperature: float = 0.7,
+        *,
+        temperature: float,
         prompt_dir=None,
     ):
         self.client = client

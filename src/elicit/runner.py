@@ -214,17 +214,10 @@ class EpisodeLog:
 
     def to_dict(self) -> dict:
         return {
-            "episode_id": self.episode_id,
-            "patient_id": self.patient_id,
-            "mode": self.mode,
-            "seed": self.seed,
-            "max_turns": self.max_turns,
-            "tau": self.tau,
+            **vars(self),  # one key per field, as from_dict reads them
             "ground_truth": [t.name for t in sorted(self.ground_truth)],
             "turns": [t.to_dict() for t in self.turns],
             "final_confirmed": [t.name for t in sorted(self.final_confirmed)],
-            "aborted": self.aborted,
-            "abort_reason": self.abort_reason,
         }
 
     def to_json(self) -> str:
@@ -502,6 +495,8 @@ def run_batch(
     """
     if mode not in ("tpa", "random", "replay"):
         raise ValueError(f"unknown mode {mode!r}")
+    if parallel < 1:
+        raise ValueError(f"parallel must be >= 1, got {parallel}")
     comps = components or build_components(cfg, bank)
     patients = bank.patient_ids()
     if not patients:

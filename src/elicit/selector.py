@@ -55,12 +55,7 @@ class Thought:
     strategy_rationale: str
 
     def to_dict(self) -> dict:
-        return {
-            "confirmed_analysis": self.confirmed_analysis,
-            "priority_traits": [t.name for t in self.priority_traits],
-            "elicitation_conditions": self.elicitation_conditions,
-            "strategy_rationale": self.strategy_rationale,
-        }
+        return {**vars(self), "priority_traits": [t.name for t in self.priority_traits]}
 
 
 def question_violates(question: str, strategy: Strategy, ontology: Ontology) -> bool:
@@ -159,7 +154,7 @@ class HeuristicSelector:
 class LlmSelector:
     """Generation-backed selector with structured JSON outputs and one retry per step."""
 
-    def __init__(self, client, ask_temperature: float = 0.7, prompt_dir=None):
+    def __init__(self, client, ask_temperature: float, prompt_dir=None):
         self.client = client
         self.ask_temperature = ask_temperature
         self._think_tpl = load_prompt("think", prompt_dir)

@@ -33,7 +33,7 @@ def completion_payload(text):
 
 def test_request_requires_messages():
     with pytest.raises(ValueError):
-        GenerationRequest(messages=())
+        GenerationRequest(messages=(), temperature=0.0)
 
 
 def test_request_rejects_negative_temperature():
@@ -53,21 +53,6 @@ def test_scripted_queue_contract():
     assert backend.complete(req()) == "B"
     with pytest.raises(ScriptExhaustedError):
         backend.complete(req())
-
-
-def test_scripted_fingerprint_map():
-    r = req("hello")
-    backend = ScriptedBackend(by_fingerprint={r.fingerprint(): "mapped"})
-    assert backend.complete(r) == "mapped"
-    with pytest.raises(ScriptExhaustedError):
-        backend.complete(req("other"))
-
-
-def test_scripted_requires_exactly_one_source():
-    with pytest.raises(ValueError):
-        ScriptedBackend()
-    with pytest.raises(ValueError):
-        ScriptedBackend(script=[], by_fingerprint={})
 
 
 def test_transient_failures_then_success(monkeypatch):
@@ -211,7 +196,7 @@ def test_wire_body_and_recorded_line_keep_their_bytes(tmp_path):
     recorder.complete(GenerationRequest(
         messages=(Message("system", "Be brief."), Message("user", "Café?")), temperature=0.25, max_tokens=64
     ))
-    recorder.complete(GenerationRequest(messages=(Message("user", "hi"),), model="own-model"))
+    recorder.complete(GenerationRequest(messages=(Message("user", "hi"),), temperature=0.7, model="own-model"))
     assert bodies == WIRE_BODIES
     assert log.read_text("utf-8") == RECORDED_LINES
 

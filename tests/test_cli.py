@@ -156,6 +156,43 @@ def test_replay_mode_with_a_negative_episode_count_exits_1_with_an_error(tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("parallel", ["0", "-3"])
+def test_run_with_a_parallel_count_below_one_exits_1_with_an_error(tmp_path, capsys, parallel):
+    out = tmp_path / "logs"
+    assert run_cli("run", "--bank", str(GOLDEN), "--episodes", "1", "--parallel", parallel, "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: --parallel must be >= 1\n"
+    assert not out.exists()
+
+
+def _written(out: Path):
+    """The bytes `validate` wrote to `out`, or those `run` wrote under it with the manifest's timestamp left out."""
+    if out.is_file():
+        return out.read_bytes()
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    manifest = json.loads(files.pop("manifest.json"))
+    del manifest["created_unix"]
+    return files, manifest
+
+
+def test_count_and_seed_flags_default_to_the_config_dataclasses(tmp_path):
+    from elicit.fidelity import FidelityConfig
+    from elicit.runner import EpisodeConfig
+
+    episode, fidelity = EpisodeConfig(), FidelityConfig()
+    commands = {
+        "run": (["run", "--bank", str(GOLDEN), "--episodes", "2"],
+                ["--turns", str(episode.max_turns), "--seed", str(episode.seed)]),
+        "validate": (["validate", "--bank", str(GOLDEN)],
+                     ["--episodes-per-patient", str(fidelity.episodes_per_patient),
+                      "--turns", str(fidelity.turns), "--seed", str(fidelity.seed)]),
+    }
+    for name, (command, defaults) in commands.items():
+        bare, spelled = tmp_path / f"{name}-bare", tmp_path / f"{name}-spelled"
+        assert run_cli(*command, "--out", str(bare)) == 0
+        assert run_cli(*command, *defaults, "--out", str(spelled)) == 0
+        assert _written(bare) == _written(spelled)
+
+
 # sha256 of `elicit validate --bank tests/data/golden_bank.jsonl
 # --episodes-per-patient 2 --seed 1`, recorded before leave-one-out fidelity
 # ran the runner's patient turn

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from elicit.bank import SynthSpec, synthesize_bank, trait_frequencies
 from elicit.fidelity import (
+    MIN_PATIENTS_PER_TRAIT,
     FidelityConfig,
     InsufficientPatientsError,
     SummaryStat,
@@ -213,7 +214,7 @@ def test_loo_excludes_rare_traits_from_overall(loo_bank):
     assert set(report.per_trait_auc) == {t.name for t in ALL_TRAITS}
     included = [
         e["auc"] for e in report.per_trait_auc.values()
-        if e["auc"] is not None and e["n_patients"] >= cfg.min_patients_per_trait
+        if e["auc"] is not None and e["n_patients"] >= MIN_PATIENTS_PER_TRAIT
     ]
     # overall pools exactly the traits passing the rarity bar
     assert report.auc_overall == pytest.approx(statistics.mean(included))

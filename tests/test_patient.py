@@ -217,7 +217,7 @@ def test_llm_realiser_uses_anchor_and_prompt():
             return "A plain spoken answer."
 
     client = Client()
-    realiser = LlmRealiser(client)
+    realiser = LlmRealiser(client, temperature=0.7)
     reply = realiser.realise("How was school?", [], ANCHOR, {TraitId.F6}, seed=0)
     assert reply == "A plain spoken answer."
     prompt = client.requests[0].messages[0].content
@@ -232,7 +232,7 @@ def test_llm_realiser_asks_once_more_for_a_blank_reply(blank):
     from elicit.backends import ScriptedBackend
 
     client = ScriptedBackend(script=[blank, "  A plain spoken answer. "])
-    reply = LlmRealiser(client).realise("How was school?", [], ANCHOR, {TraitId.F6}, seed=0)
+    reply = LlmRealiser(client, temperature=0.7).realise("How was school?", [], ANCHOR, {TraitId.F6}, seed=0)
     assert reply == "A plain spoken answer."
     assert len(client.requests) == 2 and client.requests[0] == client.requests[1]
 
@@ -243,5 +243,5 @@ def test_llm_realiser_raises_a_typed_error_on_a_second_blank_reply():
 
     client = ScriptedBackend(script=["   ", "", "never asked for"])
     with pytest.raises(RealiserError, match="unusable reply after one retry: reply is empty"):
-        LlmRealiser(client).realise("How was school?", [], ANCHOR, {TraitId.F6}, seed=0)
+        LlmRealiser(client, temperature=0.7).realise("How was school?", [], ANCHOR, {TraitId.F6}, seed=0)
     assert len(client.requests) == 2

@@ -48,16 +48,9 @@ def test_episode_config_accepts_tau_in_zero_to_one(tau):
 
 
 @pytest.fixture(scope="module")
-def stack(synth_bank_module):
+def stack(synth_bank):
     cfg = EpisodeConfig(seed=5)
-    return cfg, synth_bank_module, build_components(cfg, synth_bank_module)
-
-
-@pytest.fixture(scope="module")
-def synth_bank_module():
-    from elicit.bank import SynthSpec, synthesize_bank
-
-    return synthesize_bank(SynthSpec(n_patients=4, snippets_per_patient=8), seed=42)
+    return cfg, synth_bank, build_components(cfg, synth_bank)
 
 
 # --- topic planning ----------------------------------------------------------
@@ -136,6 +129,32 @@ def test_episode_log_round_trips(stack):
     assert again == log
 
 
+def test_each_serialised_record_has_one_key_per_field(stack):
+    from elicit.bank import Snippet
+    from elicit.fidelity import FidelityConfig, SummaryStat, loo_validate
+    from elicit.metrics import aggregate
+    from elicit.selector import Thought
+
+    def fields_of(record):
+        return {f.name for f in dataclasses.fields(record)}
+
+    cfg, bank, comps = stack
+    log = run_episode(cfg, bank, base_rates(bank, "P001"), comps, "keys")
+    doc = log.to_dict()
+    assert set(doc) == fields_of(log)
+    assert set(doc["turns"][0]) == fields_of(log.turns[0])
+    assert set(doc["turns"][0]["thought"]) == fields_of(Thought)
+    assert set(bank.snippets[0].to_dict()) == fields_of(Snippet)
+    report = aggregate([log])
+    doc = report.to_dict()
+    assert set(doc) == fields_of(report)
+    assert set(doc["episodes"][0]) == fields_of(report.episodes[0])
+    fidelity = loo_validate(bank, FidelityConfig(episodes_per_patient=1, turns=2))
+    doc = fidelity.to_dict()
+    assert set(doc) == fields_of(fidelity)
+    assert all(set(doc[name]) == fields_of(SummaryStat) for name in ("kl", "freq_error", "semantic_similarity"))
+
+
 def test_final_confirmed_matches_last_snapshot(stack):
     cfg, bank, comps = stack
     log = run_episode(cfg, bank, base_rates(bank, "P001"), comps, "fc")
@@ -187,7 +206,7 @@ def test_run_episode_rejects_a_mode_outside_its_loop(stack):
 
 
 @pytest.mark.parametrize("mode", ["tpa", "random"])
-def test_a_topic_naming_every_strategy_aborts_the_episode_in_either_mode(synth_bank_module, mode):
+def test_a_topic_naming_every_strategy_aborts_the_episode_in_either_mode(synth_bank, mode):
     # each mode asks through the selector, which refuses a question naming its strategy
     ont = default_ontology()
     names = " ".join(ont.strategy_display_name(s) for s in STRATEGY_ORDER)
@@ -195,8 +214,8 @@ def test_a_topic_naming_every_strategy_aborts_the_episode_in_either_mode(synth_b
         dataclasses.replace(s, name=f"{names} talk") if s.dialogic else s for s in ont.scenarios
     ))
     cfg = EpisodeConfig(seed=5)
-    comps = build_components(cfg, synth_bank_module, ont)
-    log = run_episode(cfg, synth_bank_module, base_rates(synth_bank_module, "P001"), comps, "leaky", mode=mode)
+    comps = build_components(cfg, synth_bank, ont)
+    log = run_episode(cfg, synth_bank, base_rates(synth_bank, "P001"), comps, "leaky", mode=mode)
     assert log.aborted and log.turns == ()
     assert log.abort_reason.startswith("QuestionConstraintError")
 
@@ -245,8 +264,8 @@ def test_replay_rejects_empty_transcript():
         run_replay([], frozenset({TraitId.F2}), EpisodeConfig())
 
 
-def test_replay_transcript_for_patient(synth_bank_module):
-    pairs = replay_transcript_for_patient(synth_bank_module, "P001")
+def test_replay_transcript_for_patient(synth_bank):
+    pairs = replay_transcript_for_patient(synth_bank, "P001")
     assert pairs
     assert all(q and r for q, r in pairs)
 
@@ -336,11 +355,11 @@ def test_derive_seed_stable():
     assert derive_seed(1, "a") != derive_seed(1, "b")
 
 
-def test_batch_parallel_equals_serial(synth_bank_module, tmp_path):
+def test_batch_parallel_equals_serial(synth_bank, tmp_path):
     cfg = EpisodeConfig(seed=9)
-    comps = build_components(cfg, synth_bank_module)
-    serial = run_batch(cfg, synth_bank_module, "tpa", 8, parallel=1, components=comps)
-    parallel = run_batch(cfg, synth_bank_module, "tpa", 8, parallel=4, components=comps)
+    comps = build_components(cfg, synth_bank)
+    serial = run_batch(cfg, synth_bank, "tpa", 8, parallel=1, components=comps)
+    parallel = run_batch(cfg, synth_bank, "tpa", 8, parallel=4, components=comps)
     assert [l.to_json() for l in serial.logs] == [l.to_json() for l in parallel.logs]
 
     write_logs(serial, tmp_path / "a")
@@ -349,10 +368,10 @@ def test_batch_parallel_equals_serial(synth_bank_module, tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
 
 
-def test_batch_replay_mode(synth_bank_module):
+def test_batch_replay_mode(synth_bank):
     cfg = EpisodeConfig(seed=9)
-    result = run_batch(cfg, synth_bank_module, "replay", 0)
-    assert len(result.logs) == len(synth_bank_module.patient_ids())
+    result = run_batch(cfg, synth_bank, "replay", 0)
+    assert len(result.logs) == len(synth_bank.patient_ids())
     assert all(l.mode == "replay" for l in result.logs)
 
 
@@ -380,14 +399,20 @@ def test_batch_builds_profiles_only_for_the_patients_it_runs(monkeypatch, mode):
     assert [l.to_json() for l in two.logs] == [l.to_json() for l in six.logs[:2]]
 
 
-def test_batch_unknown_mode(synth_bank_module):
+def test_batch_unknown_mode(synth_bank):
     with pytest.raises(ValueError):
-        run_batch(EpisodeConfig(), synth_bank_module, "mcts", 4)
+        run_batch(EpisodeConfig(), synth_bank, "mcts", 4)
 
 
-def test_write_and_read_logs_round_trip(synth_bank_module, tmp_path):
+@pytest.mark.parametrize("parallel", [0, -3])
+def test_batch_rejects_a_parallel_count_below_one(synth_bank, parallel):
+    with pytest.raises(ValueError, match="parallel must be >= 1"):
+        run_batch(EpisodeConfig(), synth_bank, "tpa", 1, parallel=parallel)
+
+
+def test_write_and_read_logs_round_trip(synth_bank, tmp_path):
     cfg = EpisodeConfig(seed=3)
-    result = run_batch(cfg, synth_bank_module, "random", 4)
+    result = run_batch(cfg, synth_bank, "random", 4)
     write_logs(result, tmp_path)
     again = read_logs(tmp_path)
     assert [l.episode_id for l in again] == sorted(l.episode_id for l in result.logs)
@@ -422,8 +447,8 @@ def _turn_zero(d):
     [_break_turn, _drop_turn_key, _drop_episode_key, _unknown_trait, _turns_not_a_list, _turn_zero,
      "not json", "[1, 2]"],
 )
-def test_read_logs_names_the_malformed_file(synth_bank_module, tmp_path, corrupt):
-    paths = write_logs(run_batch(EpisodeConfig(seed=3), synth_bank_module, "random", 2), tmp_path)
+def test_read_logs_names_the_malformed_file(synth_bank, tmp_path, corrupt):
+    paths = write_logs(run_batch(EpisodeConfig(seed=3), synth_bank, "random", 2), tmp_path)
     bad = paths[1]
     if callable(corrupt):
         doc = json.loads(bad.read_text("utf-8"))
@@ -451,7 +476,7 @@ def test_batch_skips_patients_without_ground_truth():
     assert "P001" in result.skipped[0]
 
 
-def test_full_llm_stack_with_scripted_backend(synth_bank_module):
+def test_full_llm_stack_with_scripted_backend(synth_bank):
     # the whole loop wired through generation backends, served by a script
     import json as jsonlib
 
@@ -474,9 +499,9 @@ def test_full_llm_stack_with_scripted_backend(synth_bank_module):
     cfg = EpisodeConfig(
         max_turns=turns, seed=2, selector_kind="llm", realiser_kind="llm", detector_kind="llm"
     )
-    comps = build_components(cfg, synth_bank_module, client=client)
+    comps = build_components(cfg, synth_bank, client=client)
     profile = profile_with({"F6": 0.5}, patient_id="PX")
-    log = run_episode(cfg, synth_bank_module, profile, comps, "llm-ep")
+    log = run_episode(cfg, synth_bank, profile, comps, "llm-ep")
     assert not log.aborted
     assert len(log.turns) == turns
     assert log.turns[0].strategy == "open_ended"
@@ -487,26 +512,26 @@ def test_full_llm_stack_with_scripted_backend(synth_bank_module):
     assert log.turns[0].thought["confirmed_analysis"] == "none yet"
 
 
-def test_a_wrong_typed_detector_label_aborts_the_episode_with_a_typed_reason(synth_bank_module):
+def test_a_wrong_typed_detector_label_aborts_the_episode_with_a_typed_reason(synth_bank):
     from elicit.backends import ScriptedBackend
 
     labels = json.dumps({t.name: "false" for t in ALL_TRAITS})
     client = ScriptedBackend(script=["It was a quiet week.", labels, labels])
     cfg = EpisodeConfig(max_turns=3, seed=2, realiser_kind="llm", detector_kind="llm")
-    comps = build_components(cfg, synth_bank_module, client=client)
-    log = run_episode(cfg, synth_bank_module, profile_with({"F6": 0.5}), comps, "llm-ep")
+    comps = build_components(cfg, synth_bank, client=client)
+    log = run_episode(cfg, synth_bank, profile_with({"F6": 0.5}), comps, "llm-ep")
     assert log.aborted and log.turns == ()
     assert log.abort_reason.startswith("DetectorParseError: unusable reply after one retry: F1 must be a bool")
     assert len(client.requests) == 3
 
 
-def test_a_blank_realiser_reply_aborts_the_episode_with_a_typed_reason(synth_bank_module):
+def test_a_blank_realiser_reply_aborts_the_episode_with_a_typed_reason(synth_bank):
     from elicit.backends import ScriptedBackend
 
     client = ScriptedBackend(script=["It was a quiet week, you know what I mean.", " ", "\n"])
     cfg = EpisodeConfig(max_turns=3, seed=2, realiser_kind="llm")
-    comps = build_components(cfg, synth_bank_module, client=client)
-    log = run_episode(cfg, synth_bank_module, profile_with({"F6": 0.5}), comps, "llm-ep")
+    comps = build_components(cfg, synth_bank, client=client)
+    log = run_episode(cfg, synth_bank, profile_with({"F6": 0.5}), comps, "llm-ep")
     assert log.aborted and [t.response for t in log.turns] == ["It was a quiet week, you know what I mean."]
     assert log.abort_reason == "RealiserError: unusable reply after one retry: reply is empty"
     assert len(client.requests) == 3
@@ -532,11 +557,11 @@ def test_replay_mode_aborts_an_episode_on_an_unusable_detector_reply_and_keeps_t
     assert second.turns[0].coverage_after == 1.0
 
 
-def test_encoder_kind_is_checked_when_components_are_built(synth_bank_module):
+def test_encoder_kind_is_checked_when_components_are_built(synth_bank):
     with pytest.raises(ValueError, match="needs a backend client"):
-        build_components(EpisodeConfig(encoder_kind="remote"), synth_bank_module)
+        build_components(EpisodeConfig(encoder_kind="remote"), synth_bank)
     for role in ("selector", "realiser", "detector"):
         with pytest.raises(ValueError, match=f"{role} kind 'llm' needs a backend client"):
-            build_components(EpisodeConfig(**{f"{role}_kind": "llm"}), synth_bank_module)
+            build_components(EpisodeConfig(**{f"{role}_kind": "llm"}), synth_bank)
     with pytest.raises(ValueError, match="unknown encoder kind"):
-        build_components(EpisodeConfig(encoder_kind="bert"), synth_bank_module)
+        build_components(EpisodeConfig(encoder_kind="bert"), synth_bank)

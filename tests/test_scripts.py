@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+GOLDEN = Path(__file__).parent / "data" / "golden_bank.jsonl"
 
 
 def _load(name: str):
@@ -44,3 +45,11 @@ def test_fidelity_check_writes_the_report(tmp_path, capsys):
     assert doc["n_patients"] == 4
     assert "threshold kl_divergence" in capsys.readouterr().out
 
+
+def test_fidelity_check_writes_the_bytes_elicit_validate_writes(tmp_path):
+    from elicit.cli import main
+
+    flags = ["--bank", str(GOLDEN), "--episodes-per-patient", "1", "--turns", "5", "--seed", "3"]
+    assert _load("fidelity_check").main([*flags, "--out", str(tmp_path / "script.json")]) == 0
+    assert main(["validate", *flags, "--out", str(tmp_path / "cli.json")]) == 0
+    assert (tmp_path / "script.json").read_bytes() == (tmp_path / "cli.json").read_bytes()

@@ -133,7 +133,7 @@ def test_question_violates_screen(ontology):
 
 
 def scripted_selector(completions):
-    return LlmSelector(ScriptedBackend(script=completions))
+    return LlmSelector(ScriptedBackend(script=completions), ask_temperature=0.7)
 
 
 def test_llm_think_fields_from_payload_priority_from_engine(ontology):
@@ -210,7 +210,7 @@ _THOUGHT = {"confirmed_analysis": "a", "elicitation_conditions": "b", "strategy_
 def test_llm_think_rejects_a_null_field_after_one_retry(ontology, field):
     client = ScriptedBackend(script=[json.dumps({**_THOUGHT, field: None})] * 2)
     with pytest.raises(SelectorError, match=field):
-        LlmSelector(client).think(ctx_for(ontology))
+        LlmSelector(client, ask_temperature=0.7).think(ctx_for(ontology))
     assert len(client.requests) == 2
 
 
@@ -218,7 +218,7 @@ def test_llm_plan_rejects_a_number_for_the_strategy_after_one_retry(ontology):
     client = ScriptedBackend(script=[json.dumps({"strategy": 3})] * 2)
     ctx = ctx_for(ontology)
     with pytest.raises(SelectorError, match="strategy must be a str"):
-        LlmSelector(client).plan(ctx, HeuristicSelector().think(ctx))
+        LlmSelector(client, ask_temperature=0.7).plan(ctx, HeuristicSelector().think(ctx))
     assert len(client.requests) == 2
 
 
@@ -226,7 +226,7 @@ def test_llm_ask_rejects_a_null_question_after_one_retry(ontology):
     client = ScriptedBackend(script=[json.dumps({"question": None})] * 2)
     ctx = ctx_for(ontology)
     with pytest.raises(QuestionConstraintError, match="question must be a str"):
-        LlmSelector(client).ask(ctx, HeuristicSelector().think(ctx), Strategy.OPEN_ENDED)
+        LlmSelector(client, ask_temperature=0.7).ask(ctx, HeuristicSelector().think(ctx), Strategy.OPEN_ENDED)
     assert len(client.requests) == 2
 
 
