@@ -16,6 +16,7 @@ import json
 import sys
 
 from elicit.bank import SynthSpec, ingest, synthesize_bank
+from elicit.cli import _given
 from elicit.fidelity import FidelityConfig, loo_validate
 
 
@@ -25,9 +26,10 @@ def main(argv=None) -> int:
     parser.add_argument("--patients", type=int, default=8)
     parser.add_argument("--snippets", type=int, default=12)
     parser.add_argument("--bank-seed", type=int, default=99)
-    parser.add_argument("--episodes-per-patient", type=int, default=2)
-    parser.add_argument("--turns", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=5)
+    # left at None, these keep FidelityConfig's defaults, as `elicit validate` does
+    parser.add_argument("--episodes-per-patient", type=int, default=None)
+    parser.add_argument("--turns", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
 
@@ -41,8 +43,8 @@ def main(argv=None) -> int:
         print(f"synthetic bank: {len(bank)} snippets, {args.patients} patients")
 
     report = loo_validate(
-        bank, FidelityConfig(episodes_per_patient=args.episodes_per_patient,
-                             turns=args.turns, seed=args.seed)
+        bank,
+        FidelityConfig(**_given(episodes_per_patient=args.episodes_per_patient, turns=args.turns, seed=args.seed)),
     )
     print(f"patients: {report.n_patients}")
     print(f"kl divergence      mean={report.kl.mean:.4f} sd={report.kl.sd:.4f} "

@@ -9,8 +9,11 @@ over the smoothed, normalised trait distribution, mean absolute per-trait
 frequency error, and a pairwise AUC asking whether the emission model scores
 the patient's genuinely active traits above the inactive ones; that score is
 the clamped base rate, the emission probability of an unconfirmed trait with
-no offset. Semantic similarity pairs each simulated reply with the real reply
-whose doctor question is nearest under the configured encoder.
+no offset. Semantic similarity pairs each simulated turn with the held-out
+patient's real snippet whose doctor question is nearest to the simulated
+question by exact cosine under the configured encoder; a tie goes to the
+patient's first such snippet. The turn scores the cosine of the simulated and
+the real reply. The real questions' vectors are the retriever's index rows.
 
 Conventions the source material leaves open, fixed here: KL smoothing adds
 1e-6 to every trait mass before normalising; frequency error is the mean
@@ -30,7 +33,7 @@ from .belief import BeliefState
 from .metrics import ci95_halfwidth
 from .ontology import ALL_TRAITS, Ontology, Strategy, TraitId
 from .patient import EmissionParams, emit_traits  # emit_traits is unused here; perfbench traces it by name
-from .retrieval import cosine
+from .retrieval import AnchorRetriever, Embedding, cosine
 from .runner import (
     Components,
     EpisodeConfig,
@@ -182,17 +185,25 @@ def _simulate_patient(
 
 
 def _semantic_similarity(
-    bank: SnippetBank, patient_id: str, sim_pairs: list[tuple[str, str]], encoder
+    retriever: AnchorRetriever, patient_id: str, sim_pairs: list[tuple[str, str]]
 ) -> float:
-    """Mean cosine between each simulated reply and the real reply whose question is nearest."""
-    real = bank.patient_snippets(patient_id)
-    q_embs = [encoder.encode(s.doctor_curr) for s in real]
-    r_embs = [encoder.encode(s.patient_reply) for s in real]
+    """Mean cosine between each simulated reply and the real reply whose question is nearest.
+
+    The real questions' vectors are the retriever's index rows; each distinct
+    simulated question is encoded once, and a real reply only once it is picked.
+    """
+    encoder = retriever.backend
+    real = retriever.bank.patient_snippets(patient_id)
+    questions = list(dict.fromkeys(q for q, _ in sim_pairs))
+    picks = retriever.nearest(retriever.bank.by_patient[patient_id], [encoder.encode(q) for q in questions])
+    nearest = dict(zip(questions, picks))
+    replies: dict[int, Embedding] = {}
     scores = []
     for q_sim, r_sim in sim_pairs:
-        qe = encoder.encode(q_sim)
-        best = max(range(len(real)), key=lambda i: (cosine(qe, q_embs[i]), -i))
-        scores.append(cosine(encoder.encode(r_sim), r_embs[best]))
+        i = nearest[q_sim]
+        if i not in replies:
+            replies[i] = encoder.encode(real[i].patient_reply)
+        scores.append(cosine(encoder.encode(r_sim), replies[i]))
     return statistics.mean(scores)
 
 
@@ -219,7 +230,7 @@ def loo_validate(
         simulated = trait_frequencies(detected for _, _, _, detected in turns)
         kls.append(kl_divergence(real, simulated))
         ferrs.append(frequency_error(real, simulated))
-        sims.append(_semantic_similarity(bank, pid, [(q, r) for _, q, r, _ in turns], components.encoder))
+        sims.append(_semantic_similarity(components.retriever, pid, [(q, r) for _, q, r, _ in turns]))
         for strategy, _, _, detected in turns:
             detected_by_strategy.setdefault(strategy.value, []).append(detected)
 

@@ -12,6 +12,7 @@ import math
 import re
 import zlib
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -61,12 +62,9 @@ class FallbackEncoder:
         stripped = text.strip()
         if not stripped:
             raise EmptyTextError("cannot encode empty text")
-        vec = np.zeros(self.dim, dtype=np.float64)
-        tokens = _TOKEN_RE.findall(stripped.lower())
-        if not tokens:
-            vec[0] = 1.0  # punctuation-only input still gets a unit vector
-        for tok in tokens:
-            vec[zlib.crc32(tok.encode("utf-8")) % self.dim] += 1.0
+        # punctuation-only input still gets a unit vector, in bucket 0
+        buckets = [zlib.crc32(tok.encode("utf-8")) % self.dim for tok in _TOKEN_RE.findall(stripped.lower())]
+        vec = np.bincount(buckets or [0], minlength=self.dim).astype(np.float64)
         vec /= _norm(vec)
         return Embedding(values=vec, dim=self.dim)
 
@@ -115,7 +113,8 @@ class AnchorRetriever:
     The shortlisted texts, those within SHORTLIST_MARGIN of the best, are
     re-scored once each with the scalar `cosine`, so the winner and its score
     are exactly those of a brute-force scan. Ties still go to the lowest
-    `_tie_key`, then the lowest row.
+    `_tie_key`, then the lowest row. `nearest` scores a batch of query vectors
+    against given rows with the same product, margin and re-scoring.
 
     Retrieval audit: every retrieved snippet's patient id is appended to
     `audit_log`, which validation harnesses may inspect for leakage.
@@ -151,30 +150,62 @@ class AnchorRetriever:
         if e.dim != self._matrix.shape[1]:
             raise DimensionMismatchError(f"dim mismatch: {e.dim} vs index {self._matrix.shape[1]}")
 
+    def _scores(self, queries: Sequence[Embedding], texts: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """Each query's cosine to each of `texts` (default every text), to within a few ulps.
+
+        One (queries, texts) product; einsum runs on this thread: BLAS splits a
+        large product across its own threads, which stalled for milliseconds at
+        a time on a 2-vCPU host.
+        """
+        values = np.empty((len(queries), self._matrix.shape[1]))
+        inv_q = np.empty((len(queries), 1))
+        for k, q in enumerate(queries):
+            self._check_dim(q)
+            values[k] = q.values
+            q_norm = _norm(q.values)
+            inv_q[k] = 1.0 / q_norm if q_norm > 0 else 0.0
+        scores = np.einsum("kj,ij->ki", values, self._matrix[texts])
+        scores *= self._inv_norms[texts]
+        scores *= inv_q
+        return scores
+
+    def _exact(self, q: Embedding, texts: list[int]) -> dict[int, float]:
+        """The scalar `cosine` of `q` to each distinct text of a shortlist."""
+        dim = self._matrix.shape[1]
+        return {t: cosine(q, Embedding(self._matrix[t], dim)) for t in set(texts)}
+
     def retrieve(self, query: str, exclude_patient: str) -> tuple[Snippet, float]:
         q = self.backend.encode(query)
-        self._check_dim(q)
-        q_norm = np.linalg.norm(q.values)
-        # einsum runs on this thread: BLAS splits a large mat-vec across its own threads,
-        # which stalled for milliseconds at a time on a 2-vCPU host
-        text_scores = np.einsum("ij,j->i", self._matrix, q.values)
-        text_scores *= self._inv_norms
-        text_scores *= 1.0 / q_norm if q_norm > 0 else 0.0
-        scores = text_scores[self._row_text]
+        scores = self._scores([q])[0][self._row_text]
         scores[np.asarray(self.bank.by_patient.get(exclude_patient, ()), dtype=np.intp)] = -np.inf
         top = scores.max()
         if top == -np.inf:
             raise EmptyCandidateSetError(
                 f"every snippet belongs to excluded patient {exclude_patient!r}"
             )
-        dim = self._matrix.shape[1]
         snippets = self.bank.snippets
         rows = np.flatnonzero(scores >= top - self.SHORTLIST_MARGIN)
         texts = self._row_text[rows].tolist()
-        exact = {t: cosine(q, Embedding(self._matrix[t], dim)) for t in set(texts)}
+        exact = self._exact(q, texts)
         shortlist = [(exact[t], _tie_key(snippets[i]), i) for i, t in zip(rows.tolist(), texts)]
         score, _, best = min(shortlist, key=lambda c: (-c[0], c[1], c[2]))
         snippet = snippets[best]
         self.audit_log.append(snippet.patient_id)
         return snippet, score
 
+    def nearest(self, rows: Sequence[int], queries: Sequence[Embedding]) -> list[int]:
+        """For each query, the position in `rows` of the bank row whose doctor text is nearest.
+
+        Nearest is by exact `cosine`, as in `retrieve`: one product scores every
+        query against the rows' texts, and a query whose shortlist holds more
+        than one row is re-scored with `cosine`. Ties go to the earliest position.
+        """
+        texts = self._row_text[np.asarray(rows, dtype=np.intp)]
+        scores = self._scores(queries, texts)
+        shortlisted = scores >= scores.max(axis=1, keepdims=True) - self.SHORTLIST_MARGIN
+        picks = shortlisted.argmax(axis=1).tolist()  # the first shortlisted row
+        for k in np.flatnonzero(shortlisted.sum(axis=1) > 1).tolist():
+            positions = np.flatnonzero(shortlisted[k]).tolist()
+            exact = self._exact(queries[k], texts[positions].tolist())
+            picks[k] = max(positions, key=lambda i: (exact[texts[i]], -i))
+        return picks

@@ -38,6 +38,7 @@ from .selector import HeuristicSelector, LlmSelector, SelectorError, SessionCont
 logger = logging.getLogger(__name__)
 
 REPLAY_STRATEGY = "replay"
+_TRAIT_NAMES = frozenset(TraitId.__members__)  # __members__ builds a new mapping on each access
 
 _ABORTABLE = (BackendError, SelectorError, RealiserError, DetectorParseError, EmptyCandidateSetError, EmptyResponseError)
 
@@ -193,7 +194,7 @@ class TurnRecord:
         if record.turn < 1:
             raise LogFormatError(f"turn must be >= 1, got {record.turn}")
         for name, entry in record.belief_snapshot.items():
-            if name not in TraitId.__members__ or type(entry) is not dict or type(entry.get("confirmed")) is not bool:
+            if name not in _TRAIT_NAMES or type(entry) is not dict or type(entry.get("confirmed")) is not bool:
                 raise LogFormatError(f"belief_snapshot needs trait ids with a bool confirmed, got {name!r}: {entry!r}")
         return record
 

@@ -2,6 +2,7 @@ import pytest
 
 from elicit.bank import SnippetBank, Snippet, SynthSpec, synthesize_bank
 from elicit.ontology import TraitId, default_ontology
+from elicit.retrieval import FallbackEncoder
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +44,15 @@ def tiny_bank():
             make_snippet("P003", doctor_curr="Tell me about school."),
         )
     )
+
+
+class CountingEncoder(FallbackEncoder):
+    """The fallback encoder, recording every text it is asked to encode."""
+
+    def __init__(self):
+        super().__init__()
+        self.texts = []
+
+    def encode(self, text):
+        self.texts.append(text)
+        return super().encode(text)

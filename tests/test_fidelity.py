@@ -6,18 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elicit.bank import SynthSpec, synthesize_bank, trait_frequencies
+from elicit.bank import SnippetBank, SynthSpec, synthesize_bank, trait_frequencies
 from elicit.fidelity import (
     MIN_PATIENTS_PER_TRAIT,
     FidelityConfig,
     InsufficientPatientsError,
     SummaryStat,
+    _semantic_similarity,
     frequency_error,
     kl_divergence,
     loo_validate,
     trait_auc,
 )
 from elicit.ontology import ALL_TRAITS, TraitId
+from elicit.retrieval import AnchorRetriever, FallbackEncoder, cosine
+
+from conftest import CountingEncoder, make_snippet
+
+ENC = FallbackEncoder()
 
 
 def profile(freqs):
@@ -237,3 +243,119 @@ def test_trait_frequencies_count_a_patients_snippets(loo_bank):
     for t in ALL_TRAITS:
         expected = sum(1 for s in snippets if t in s.traits) / len(snippets)
         assert freqs[t] == pytest.approx(expected)
+
+
+# --- semantic similarity ----------------------------------------------------------
+
+
+def _scalar_semantic_similarity(bank, patient_id, sim_pairs, encoder):
+    """The oracle: every real text encoded, and one scalar `cosine` per real snippet."""
+    real = bank.patient_snippets(patient_id)
+    q_embs = [encoder.encode(s.doctor_curr) for s in real]
+    r_embs = [encoder.encode(s.patient_reply) for s in real]
+    scores = []
+    for q_sim, r_sim in sim_pairs:
+        qe = encoder.encode(q_sim)
+        best = max(range(len(real)), key=lambda i: (cosine(qe, q_embs[i]), -i))
+        scores.append(cosine(encoder.encode(r_sim), r_embs[best]))
+    return statistics.mean(scores)
+
+
+def _bank(rows):
+    return SnippetBank(snippets=tuple(
+        make_snippet(patient_id=pid, doctor_curr=doctor, patient_reply=reply) for pid, doctor, reply in rows
+    ))
+
+
+def _assert_matches_the_oracle(bank, sim_pairs):
+    retriever = AnchorRetriever(bank, ENC)
+    for pid in bank.patient_ids():
+        assert _semantic_similarity(retriever, pid, sim_pairs) == _scalar_semantic_similarity(
+            bank, pid, sim_pairs, ENC
+        )
+
+
+def test_semantic_similarity_ties_go_to_the_patients_first_repeat_of_a_doctor_text():
+    bank = _bank([
+        ("A", "how was school today", "the teacher was strict"),
+        ("B", "how was school today", "we went to the lake"),
+        ("A", "tell me about your weekend", "we went to the lake"),
+        ("A", "how was school today", "i drew a cartoon"),
+        ("A", "how was school today", "my friends were lonely"),
+    ])
+    retriever = AnchorRetriever(bank, ENC)
+    # the first of A's three equal questions holds the reply, so only it scores 1.0
+    assert _semantic_similarity(retriever, "A", [("how was school today", "the teacher was strict")]) == 1.0
+    _assert_matches_the_oracle(bank, [
+        ("how was school today", "the teacher was strict"),
+        ("school", "i drew a cartoon"),
+        ("your weekend at school", "we went to the lake"),
+        ("picture", "story time"),  # no shared token: every row scores 0.0
+    ])
+
+
+def test_semantic_similarity_when_every_question_of_a_patient_is_one_text():
+    bank = _bank([
+        ("A", "tell me about your weekend", f"reply {word}") for word in ("lake", "school", "work", "story")
+    ] + [("B", "how was school today", "reply school")])
+    retriever = AnchorRetriever(bank, ENC)
+    for question in ("tell me about your weekend", "how was school today", "lonely"):
+        assert _semantic_similarity(retriever, "A", [(question, "reply lake")]) == 1.0
+    _assert_matches_the_oracle(bank, [("weekend", "reply work"), ("lonely", "reply story"), ("weekend", "no")])
+
+
+def test_semantic_similarity_rescores_ulp_near_ties_exactly():
+    # one token bag at two multiplicities points one way, so its cosines to a query differ by an ulp:
+    # the product scores the two rows equal, and only the exact re-score picks the second
+    single, tripled = "school work", "school work school work school work"
+    q = ENC.encode("lake school")
+    assert 0 < cosine(q, ENC.encode(tripled)) - cosine(q, ENC.encode(single)) < 1e-12
+    bank = _bank([("A", single, "a lake"), ("A", tripled, "a story"), ("B", "lake", "a picture")])
+    retriever = AnchorRetriever(bank, ENC)
+    assert _semantic_similarity(retriever, "A", [("lake school", "a story")]) == 1.0
+    _assert_matches_the_oracle(bank, [("lake school", "a story"), ("school", "a lake")])
+
+
+WORDS = ["school", "work", "lake", "picture", "friends", "lonely", "story", "cartoon"]
+
+
+def _text(rng, pool):
+    words = rng.choice(pool)
+    kind = rng.randrange(4)
+    if kind == 1:  # reordered: the same vector under another string
+        words = rng.sample(words, len(words))
+    elif kind == 2:  # the same bag repeated: the same direction, to within ulps
+        words = words * rng.randint(2, 7)
+    elif kind == 3:  # one token away
+        words = words + [rng.choice(WORDS)]
+    return " ".join(words)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(2, 40), n_texts=st.integers(1, 8))
+def test_semantic_similarity_matches_the_scalar_oracle_on_drawn_banks(rng, n, n_texts):
+    pool = [[rng.choice(WORDS) for _ in range(rng.randint(1, 4))] for _ in range(n_texts)]
+    patients = [f"P{k}" for k in range(1, rng.randint(1, 4) + 1)]
+    bank = _bank([(rng.choice(patients), _text(rng, pool), _text(rng, pool)) for _ in range(n)])
+    sim_pairs = [
+        (_text(rng, pool) if rng.random() < 0.8 else rng.choice(WORDS), _text(rng, pool))
+        for _ in range(rng.randint(1, 12))
+    ]
+    _assert_matches_the_oracle(bank, sim_pairs)
+
+
+def test_semantic_similarity_reads_the_real_questions_from_the_index_and_encodes_each_question_once():
+    bank = synthesize_bank(SynthSpec(n_patients=4, snippets_per_patient=8), seed=7)
+    pid = bank.patient_ids()[0]
+    doctor_texts = {s.doctor_curr for s in bank.patient_snippets(pid)}
+    questions = ["how was school today", "tell me about the lake", "how was school today", "what is your story"]
+    assert not doctor_texts & set(questions)
+    sim_pairs = [(q, f"simulated reply {i}") for i, q in enumerate(questions)]
+    enc = CountingEncoder()
+    retriever = AnchorRetriever(bank, enc)
+    enc.texts.clear()
+    assert _semantic_similarity(retriever, pid, sim_pairs) == _scalar_semantic_similarity(bank, pid, sim_pairs, ENC)
+    assert not doctor_texts & set(enc.texts)
+    assert sorted(t for t in enc.texts if t in questions) == sorted(set(questions))
+    # besides: each simulated reply, and the real reply of at most one snippet per distinct question
+    assert len(enc.texts) <= 2 * len(set(questions)) + len(sim_pairs)

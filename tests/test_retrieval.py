@@ -20,6 +20,8 @@ from elicit.retrieval import (
     cosine,
 )
 
+from conftest import CountingEncoder
+
 ENC = FallbackEncoder()
 
 
@@ -271,16 +273,6 @@ def test_shared_index_matches_scalar_oracle_bit_for_bit(rng, n, n_texts):
         assert score == want_score
 
 
-class _CountingEncoder(FallbackEncoder):
-    def __init__(self):
-        super().__init__()
-        self.texts = []
-
-    def encode(self, text):
-        self.texts.append(text)
-        return super().encode(text)
-
-
 def test_index_encodes_each_distinct_doctor_text_once():
     rng = random.Random(3)
     pool = ["how was school", "tell me about work", "how was school?", "what do you do at the lake"]
@@ -288,7 +280,7 @@ def test_index_encodes_each_distinct_doctor_text_once():
         _snip(f"P{rng.randint(1, 5)}", "s", rng.choice(pool), i) for i in range(60)
     ))
     distinct = {s.doctor_curr for s in bank.snippets}
-    enc = _CountingEncoder()
+    enc = CountingEncoder()
     retriever = AnchorRetriever(bank, enc)
     assert sorted(enc.texts) == sorted(distinct)
     assert retriever._matrix.shape == (len(distinct), enc.dim)
@@ -351,6 +343,20 @@ def test_zero_norm_rows_and_queries_score_exactly_zero():
     # a zero query scores every row 0.0, so the tie key decides
     snippet, score = retriever.retrieve("blank", "C")
     assert (snippet.patient_id, score) == ("A", 0.0)
+
+
+def test_nearest_checks_dims_and_scores_zero_vectors_as_cosine_does():
+    enc = RemoteEncoder(_TableClient({
+        "away": [-1.0, 0.0, 0.0], "zero": [0.0, 0.0, 0.0], "q": [1.0, 0.0, 0.0], "blank": [0.0, 0.0, 0.0],
+        "short": [1.0, 0.0],
+    }))
+    bank = SnippetBank(snippets=(_snip("A", "s", "away"), _snip("B", "s", "zero", 1), _snip("A", "s", "zero", 2)))
+    retriever = AnchorRetriever(bank, enc)
+    rows = bank.by_patient["A"]
+    # a zero query scores every row 0.0, so the earliest row wins
+    assert retriever.nearest(rows, [enc.encode("q"), enc.encode("blank")]) == [1, 0]
+    with pytest.raises(DimensionMismatchError):
+        retriever.nearest(rows, [enc.encode("short")])
 
 
 def test_index_build_allocates_no_full_size_temporary():

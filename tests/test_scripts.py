@@ -49,7 +49,9 @@ def test_fidelity_check_writes_the_report(tmp_path, capsys):
 def test_fidelity_check_writes_the_bytes_elicit_validate_writes(tmp_path):
     from elicit.cli import main
 
-    flags = ["--bank", str(GOLDEN), "--episodes-per-patient", "1", "--turns", "5", "--seed", "3"]
-    assert _load("fidelity_check").main([*flags, "--out", str(tmp_path / "script.json")]) == 0
-    assert main(["validate", *flags, "--out", str(tmp_path / "cli.json")]) == 0
-    assert (tmp_path / "script.json").read_bytes() == (tmp_path / "cli.json").read_bytes()
+    # with no seed, turns or episodes flag, both keep FidelityConfig's defaults
+    for flags in (["--episodes-per-patient", "1", "--turns", "5", "--seed", "3"], []):
+        flags = ["--bank", str(GOLDEN), *flags]
+        assert _load("fidelity_check").main([*flags, "--out", str(tmp_path / "script.json")]) == 0
+        assert main(["validate", *flags, "--out", str(tmp_path / "cli.json")]) == 0
+        assert (tmp_path / "script.json").read_bytes() == (tmp_path / "cli.json").read_bytes()
