@@ -169,6 +169,11 @@ class HttpBackend:
         doc = self._with_retries("/v1/embeddings", body)
         try:
             rows = sorted(doc["data"], key=lambda r: r["index"])
+            indexes = [r["index"] for r in rows]
+            if indexes != list(range(len(texts))):
+                raise MalformedResponseError(
+                    f"expected one embedding per input, indexes 0..{len(texts) - 1}; got indexes {indexes}"
+                )
             out = []
             for row in rows:
                 vec = [float(x) for x in row["embedding"]]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable
 
-from .ontology import ALL_TRAITS, Ontology, TraitId, UnknownTraitError, default_ontology
+from .ontology import ALL_TRAITS, TRAIT_BY_NAME, Ontology, TraitId, default_ontology
 
 THETA_EPS = 1e-3  # clamp keeps logit(theta) finite
 
@@ -51,15 +51,14 @@ REQUIRED_FIELDS = tuple(f.name for f in fields(Snippet))
 @dataclass
 class SnippetBank:
     snippets: tuple[Snippet, ...]
-    by_patient: dict[str, tuple[int, ...]] = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
+    by_patient: dict[str, tuple[int, ...]] = field(init=False)  # each patient's snippet indexes, in bank order
 
     def __post_init__(self):
-        if not self.by_patient:
-            index: dict[str, list[int]] = {}
-            for i, s in enumerate(self.snippets):
-                index.setdefault(s.patient_id, []).append(i)
-            self.by_patient = {p: tuple(v) for p, v in index.items()}
+        index: dict[str, list[int]] = {}
+        for i, s in enumerate(self.snippets):
+            index.setdefault(s.patient_id, []).append(i)
+        self.by_patient = {p: tuple(v) for p, v in index.items()}
 
     def patient_ids(self) -> list[str]:
         return sorted(self.by_patient)
@@ -77,7 +76,6 @@ class SnippetBank:
 class PatientProfile:
     patient_id: str
     base_rates: dict[TraitId, float]  # clamped to [eps, 1-eps]
-    total_turns: int
     ground_truth: frozenset[TraitId]  # traits with raw rate > 0
 
 
@@ -100,27 +98,41 @@ def require_text(line_no: int, obj: dict, key: str) -> str:
     return value
 
 
+def _id_text(line_no: int, obj: dict, key: str) -> str:
+    """The line's id under `key`: a string, or an integer turned into one."""
+    value = obj[key]
+    if type(value) not in (str, int):  # exact types: a boolean is no id
+        raise BankSchemaError(line_no, f"{key} must be a string or an integer, got {value!r}")
+    return str(value)
+
+
+def _trait_set(line_no: int, names) -> frozenset[TraitId]:
+    """The line's `traits`, which must be a list of trait ids."""
+    if type(names) is list:
+        try:
+            return frozenset([TRAIT_BY_NAME[name] for name in names])
+        except (KeyError, TypeError):  # a name that is no trait id, or one that is a list or an object
+            pass
+    raise BankSchemaError(line_no, f"traits must be a list of trait ids F1..F10, got {names!r}")
+
+
 def _parse_line(line_no: int, raw: str) -> Snippet:
     obj = read_object(line_no, raw)
     for f in REQUIRED_FIELDS:
         if f not in obj:
             raise BankSchemaError(line_no, f"missing field {f!r}")
     scenario_id = obj["scenario_id"]
-    if not isinstance(scenario_id, int) or not 1 <= scenario_id <= 15:
+    if type(scenario_id) is not int or not 1 <= scenario_id <= 15:
         raise BankSchemaError(line_no, f"scenario_id out of range 1..15: {scenario_id!r}")
     doctor_curr = require_text(line_no, obj, "doctor_curr")
     patient_reply = require_text(line_no, obj, "patient_reply")
-    try:
-        traits = frozenset(TraitId.parse(t) for t in obj["traits"])
-    except UnknownTraitError as e:
-        raise BankSchemaError(line_no, str(e)) from None
     return Snippet(
-        patient_id=str(obj["patient_id"]),
-        session_id=str(obj["session_id"]),
+        patient_id=_id_text(line_no, obj, "patient_id"),
+        session_id=_id_text(line_no, obj, "session_id"),
         scenario_id=scenario_id,
         doctor_curr=doctor_curr,
         patient_reply=patient_reply,
-        traits=traits,
+        traits=_trait_set(line_no, obj["traits"]),
     )
 
 
@@ -160,12 +172,10 @@ def base_rates(bank: SnippetBank, patient_id: str) -> PatientProfile:
     trait; rates are clamped to [1e-3, 1-1e-3], ground truth is the set of
     traits with raw rate > 0.
     """
-    snippets = bank.patient_snippets(patient_id)
-    raw = trait_frequencies(s.traits for s in snippets)
+    raw = trait_frequencies(s.traits for s in bank.patient_snippets(patient_id))
     return PatientProfile(
         patient_id=patient_id,
         base_rates={t: min(max(r, THETA_EPS), 1.0 - THETA_EPS) for t, r in raw.items()},
-        total_turns=len(snippets),
         ground_truth=frozenset(t for t, r in raw.items() if r > 0),
     )
 
@@ -174,7 +184,6 @@ def base_rates(bank: SnippetBank, patient_id: str) -> PatientProfile:
 class SynthSpec:
     n_patients: int
     snippets_per_patient: int
-    trait_profile_seed: int | None = None  # defaults to the main seed
 
     def validate(self) -> None:
         if self.n_patients < 1 or self.snippets_per_patient < 1:
@@ -223,7 +232,7 @@ def synthesize_bank(spec: SynthSpec, seed: int, ontology: Ontology | None = None
     """
     spec.validate()
     ont = ontology or default_ontology()
-    profile_rng = random.Random(spec.trait_profile_seed if spec.trait_profile_seed is not None else seed)
+    profile_rng = random.Random(seed)
     rng = random.Random(seed)
 
     snippets: list[Snippet] = []

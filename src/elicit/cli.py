@@ -50,7 +50,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--patients", type=int, required=True)
     p.add_argument("--snippets", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--profile-seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--ontology", default=None)
 
@@ -179,11 +178,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_synth(args) -> int:
     ont = _load_ontology(args.ontology)
-    spec = SynthSpec(
-        n_patients=args.patients,
-        snippets_per_patient=args.snippets,
-        trait_profile_seed=args.profile_seed,
-    )
+    spec = SynthSpec(n_patients=args.patients, snippets_per_patient=args.snippets)
     bank = synthesize_bank(spec, seed=args.seed, ontology=ont)
     write_bank(bank, args.out)
     print(f"wrote {len(bank)} snippets for {args.patients} patients to {args.out}")

@@ -156,18 +156,11 @@ def aggregate(logs: Iterable[EpisodeLog], include_aborted: bool = False) -> Corp
     per_patient: dict[str, list[EpisodeMetrics]] = {}
     for e in episodes:
         per_patient.setdefault(e.patient_id, []).append(e)
-    by_patient = {
-        "n_patients": len(per_patient),
-        "mean_coverage": statistics.mean(
-            statistics.mean(x.coverage for x in group) for group in per_patient.values()
-        ),
-        "mean_f1": statistics.mean(
-            statistics.mean(x.f1 for x in group) for group in per_patient.values()
-        ),
-        "mean_aucc": statistics.mean(
-            statistics.mean(x.aucc for x in group) for group in per_patient.values()
-        ),
-    }
+    by_patient: dict = {"n_patients": len(per_patient)}
+    for attr in ("coverage", "f1", "aucc"):  # the mean over patients of each patient's mean
+        by_patient[f"mean_{attr}"] = statistics.mean(
+            statistics.mean(getattr(x, attr) for x in group) for group in per_patient.values()
+        )
 
     labels = sorted({s.value for s in STRATEGY_ORDER} | set(used))
     rates = {label: effective[label] / used[label] if used[label] else None for label in labels}

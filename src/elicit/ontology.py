@@ -1,4 +1,4 @@
-"""Fixed clinical vocabulary: traits, questioning strategies, scenario catalogue, score scale.
+"""Fixed clinical vocabulary: traits, questioning strategies, scenario catalogue.
 
 Everything here is immutable reference data loaded from a versioned JSON file.
 It is safe to share one Ontology instance across any number of concurrent
@@ -50,6 +50,7 @@ class TraitId(IntEnum):
 
 
 ALL_TRAITS: tuple[TraitId, ...] = tuple(TraitId)
+TRAIT_BY_NAME: dict[str, TraitId] = dict(TraitId.__members__)  # __members__ builds a new mapping on each access
 
 
 class Strategy(Enum):
@@ -89,12 +90,6 @@ class Scenario:
     dialogic: bool
 
 
-@dataclass(frozen=True)
-class A4ScoreLevel:
-    score: int
-    description: str
-
-
 NON_DIALOGIC_IDS = frozenset({1, 2, 8, 10})
 
 
@@ -106,23 +101,10 @@ class Ontology:
     traits: dict[TraitId, TraitDefinition]
     strategies: dict[Strategy, StrategyProfile]
     scenarios: tuple[Scenario, ...]
-    score_levels: tuple[A4ScoreLevel, ...]
-
-    def trait_by_id(self, trait_id: str | TraitId) -> TraitDefinition:
-        """Look up a trait definition by id; total over F1..F10, error otherwise."""
-        if isinstance(trait_id, TraitId):
-            return self.traits[trait_id]
-        return self.traits[TraitId.parse(trait_id)]
 
     def dialogic_scenarios(self) -> tuple[Scenario, ...]:
         """The eleven dialogue-based scenarios, ordered by id."""
         return tuple(s for s in self.scenarios if s.dialogic)
-
-    def strategy_affinity(self, strategy: Strategy) -> frozenset[TraitId]:
-        return self.strategies[strategy].affinity
-
-    def strategy_display_name(self, strategy: Strategy) -> str:
-        return self.strategies[strategy].display_name
 
 
 def _word_boundary_contains(haystack: str, needle: str) -> bool:
@@ -136,8 +118,6 @@ def _validate(ont: Ontology) -> None:
         raise OntologyError(f"expected 6 strategies, got {len(ont.strategies)}")
     if len(ont.scenarios) != 15:
         raise OntologyError(f"expected 15 scenarios, got {len(ont.scenarios)}")
-    if len(ont.score_levels) != 4:
-        raise OntologyError(f"expected 4 score levels, got {len(ont.score_levels)}")
 
     dialogic = ont.dialogic_scenarios()
     if len(dialogic) != 11:
@@ -172,8 +152,38 @@ def _validate(ont: Ontology) -> None:
             raise OntologyError(f"{p.strategy}: affinity set must be non-empty")
 
 
+def _get(entry, where: str, key: str, kind: type):
+    """entry[key], which must be of exactly JSON type `kind`: "3" is no integer and "false" no boolean."""
+    if not isinstance(entry, dict):
+        raise OntologyError(f"{where}: expected a JSON object")
+    if key not in entry:
+        raise OntologyError(f"{where}: missing key {key!r}")
+    value = entry[key]
+    if type(value) is not kind:
+        raise OntologyError(f"{where}: {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _strings(entry, where: str, key: str) -> list[str]:
+    values = _get(entry, where, key, list)
+    if not all(type(v) is str for v in values):
+        raise OntologyError(f"{where}: {key!r} must be a list of strings, got {values!r}")
+    return values
+
+
+def _trait_id(where: str, text: str) -> TraitId:
+    try:
+        return TraitId.parse(text)
+    except UnknownTraitError:
+        raise OntologyError(f"{where}: unknown trait id {text!r}") from None
+
+
 def load_ontology(path: str | Path | None = None) -> Ontology:
-    """Load and validate the ontology from `path`, or the embedded data file."""
+    """Load and validate the ontology from `path`, or the embedded data file.
+
+    Raises OntologyError naming the entry and the key of the first value that
+    is missing or of the wrong JSON type.
+    """
     if path is None:
         raw = resources.files("elicit").joinpath("data/ontology.json").read_text("utf-8")
     else:
@@ -181,38 +191,45 @@ def load_ontology(path: str | Path | None = None) -> Ontology:
     doc = json.loads(raw)
 
     traits: dict[TraitId, TraitDefinition] = {}
-    for entry in doc["traits"]:
-        tid = TraitId.parse(entry["id"])
+    for i, entry in enumerate(_get(doc, "ontology", "traits", list)):
+        where = f"traits[{i}]"
+        tid = _trait_id(where, _get(entry, where, "id", str))
         traits[tid] = TraitDefinition(
             id=tid,
-            name=entry["name"],
-            definition=entry["definition"],
-            marker_lexicon=tuple(entry["markers"]),
+            name=_get(entry, where, "name", str),
+            definition=_get(entry, where, "definition", str),
+            marker_lexicon=tuple(_strings(entry, where, "markers")),
         )
 
     strategies: dict[Strategy, StrategyProfile] = {}
-    for entry in doc["strategies"]:
-        strat = Strategy(entry["id"])
+    for i, entry in enumerate(_get(doc, "ontology", "strategies", list)):
+        where = f"strategies[{i}]"
+        sid = _get(entry, where, "id", str)
+        try:
+            strat = Strategy(sid)
+        except ValueError:
+            raise OntologyError(f"{where}: unknown strategy id {sid!r}") from None
         strategies[strat] = StrategyProfile(
             strategy=strat,
-            display_name=entry["display_name"],
-            description=entry["description"],
-            affinity=frozenset(TraitId.parse(t) for t in entry["affinity"]),
+            display_name=_get(entry, where, "display_name", str),
+            description=_get(entry, where, "description", str),
+            affinity=frozenset(_trait_id(where, t) for t in _strings(entry, where, "affinity")),
         )
 
-    scenarios = tuple(
-        Scenario(id=e["id"], name=e["name"], dialogic=e["dialogic"]) for e in doc["scenarios"]
-    )
-    levels = tuple(
-        A4ScoreLevel(score=e["score"], description=e["description"]) for e in doc["score_levels"]
-    )
+    scenarios: list[Scenario] = []
+    for i, entry in enumerate(_get(doc, "ontology", "scenarios", list)):
+        where = f"scenarios[{i}]"
+        scenarios.append(Scenario(
+            id=_get(entry, where, "id", int),
+            name=_get(entry, where, "name", str),
+            dialogic=_get(entry, where, "dialogic", bool),
+        ))
 
     ont = Ontology(
-        version=doc["version"],
+        version=_get(doc, "ontology", "version", str),
         traits=traits,
         strategies=strategies,
-        scenarios=scenarios,
-        score_levels=levels,
+        scenarios=tuple(scenarios),
     )
     _validate(ont)
     return ont

@@ -30,7 +30,7 @@ from .bank import PatientProfile, Snippet, SnippetBank, base_rates
 from .belief import BeliefState
 from .detector import DetectionResult, DetectorParseError, EmptyResponseError, LlmDetector, RuleDetector
 from .dialogue import HistoryTurn
-from .ontology import Ontology, Scenario, Strategy, STRATEGY_ORDER, TraitId, default_ontology
+from .ontology import TRAIT_BY_NAME, Ontology, Scenario, Strategy, STRATEGY_ORDER, TraitId, default_ontology
 from .patient import EmissionParams, LlmRealiser, RealiserError, TemplateRealiser, emit_traits
 from .retrieval import AnchorRetriever, EmptyCandidateSetError, FallbackEncoder, RemoteEncoder, cosine
 from .selector import HeuristicSelector, LlmSelector, SelectorError, SessionContext, Thought
@@ -38,7 +38,6 @@ from .selector import HeuristicSelector, LlmSelector, SelectorError, SessionCont
 logger = logging.getLogger(__name__)
 
 REPLAY_STRATEGY = "replay"
-_TRAIT_NAMES = frozenset(TraitId.__members__)  # __members__ builds a new mapping on each access
 
 _ABORTABLE = (BackendError, SelectorError, RealiserError, DetectorParseError, EmptyCandidateSetError, EmptyResponseError)
 
@@ -194,7 +193,7 @@ class TurnRecord:
         if record.turn < 1:
             raise LogFormatError(f"turn must be >= 1, got {record.turn}")
         for name, entry in record.belief_snapshot.items():
-            if name not in _TRAIT_NAMES or type(entry) is not dict or type(entry.get("confirmed")) is not bool:
+            if name not in TRAIT_BY_NAME or type(entry) is not dict or type(entry.get("confirmed")) is not bool:
                 raise LogFormatError(f"belief_snapshot needs trait ids with a bool confirmed, got {name!r}: {entry!r}")
         return record
 
@@ -267,7 +266,7 @@ def _emission_offsets(
 ) -> dict[TraitId, float] | None:
     offsets: dict[TraitId, float] = {}
     if params.strategy_gain and strategy is not None:
-        for t in components.ontology.strategy_affinity(strategy):
+        for t in components.ontology.strategies[strategy].affinity:
             offsets[t] = offsets.get(t, 0.0) + params.strategy_gain
     if params.affinity_weight:
         q_emb = components.encoder.encode(question)

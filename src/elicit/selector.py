@@ -62,14 +62,14 @@ def question_violates(question: str, strategy: Strategy, ontology: Ontology) -> 
     """True when the question names a trait id or the selected strategy."""
     if TRAIT_TOKEN_RE.search(question):
         return True
-    display = ontology.strategy_display_name(strategy)
+    display = ontology.strategies[strategy].display_name
     return display.lower() in question.lower()
 
 
 def _plan_from_priority(priority: tuple[TraitId, ...], ontology: Ontology) -> Strategy:
     for trait in priority:
         for strategy in STRATEGY_ORDER:
-            if trait in ontology.strategy_affinity(strategy):
+            if trait in ontology.strategies[strategy].affinity:
                 return strategy
     return Strategy.OPEN_ENDED
 

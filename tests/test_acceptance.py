@@ -42,7 +42,7 @@ def test_criterion_2_emission_statistics():
     t0 = time.monotonic()
     base = {t: THETA_EPS for t in ALL_TRAITS}
     base[TraitId.F5] = 0.5
-    profile = PatientProfile("px", base, 10, frozenset({TraitId.F5}))
+    profile = PatientProfile("px", base, frozenset({TraitId.F5}))
     params = EmissionParams(M=4.0)
 
     rng = random.Random(1001)
@@ -315,7 +315,7 @@ def test_criterion_10_anti_leak_guard():
     base[TraitId.F2] = 0.6
     base[TraitId.F6] = 0.4
     poison = PoisonSet({TraitId.F2, TraitId.F6})
-    profile = PatientProfile("P001", base, 10, poison)
+    profile = PatientProfile("P001", base, poison)
 
     log = run_episode(cfg, bank, profile, comps, "poison-acceptance")
     assert log is not None and len(log.turns) == cfg.max_turns

@@ -21,6 +21,7 @@ from elicit.backends import (
     ScriptExhaustedError,
     TransportError,
 )
+from elicit.retrieval import RemoteEncoder
 
 
 def req(text="hi", temperature=0.0):
@@ -131,6 +132,22 @@ def test_embed_order_preserved_and_normalised():
     assert len(vectors) == 3
     for v in vectors:
         assert sum(x * x for x in v) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("texts,indexes", [
+    (["a"], []),  # no row for the one text
+    (["a"], [0, 1]),  # two rows for one text
+    (["a", "b"], [0, 0]),  # a repeated index
+    (["a", "b"], [1, 2]),  # indexes not from 0
+])
+def test_embed_needs_one_row_per_input(texts, indexes):
+    data = [{"index": i, "embedding": [1.0, 0.0]} for i in indexes]
+    backend = HttpBackend(BackendConfig(), transport=lambda p, b: {"data": data}, api_key="k")
+    with pytest.raises(MalformedResponseError, match="one embedding per input"):
+        backend.embed(texts)
+    if len(texts) == 1:  # the remote encoder sends one text and reads the one row back
+        with pytest.raises(MalformedResponseError):
+            RemoteEncoder(backend).encode(texts[0])
 
 
 def test_embed_empty_batch():

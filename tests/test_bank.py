@@ -69,6 +69,28 @@ def test_ingest_missing_field(tmp_path):
         ingest(p)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("traits", None), ("traits", 5), ("traits", "F2"), ("traits", [2]),
+    ("patient_id", None), ("patient_id", True), ("session_id", ["S1"]),
+    ("scenario_id", True), ("scenario_id", "3"),
+])
+def test_ingest_wrong_typed_field_names_line(tmp_path, key, value):
+    first = json.loads(GOLDEN.read_text("utf-8").splitlines()[0])
+    p = tmp_path / "bank.jsonl"
+    p.write_text(json.dumps(first) + "\n" + json.dumps(dict(first, **{key: value})) + "\n")
+    with pytest.raises(BankSchemaError, match=key) as exc:
+        ingest(p)
+    assert exc.value.line_no == 2
+
+
+def test_ingest_reads_an_integer_id_as_text(tmp_path):
+    first = json.loads(GOLDEN.read_text("utf-8").splitlines()[0])
+    p = tmp_path / "bank.jsonl"
+    p.write_text(json.dumps(dict(first, patient_id=7, session_id=2)) + "\n")
+    snippet = ingest(p).snippets[0]
+    assert (snippet.patient_id, snippet.session_id) == ("7", "2")
+
+
 def test_ingest_empty_file_warns(tmp_path):
     p = tmp_path / "bank.jsonl"
     p.write_text("")
@@ -98,7 +120,6 @@ def test_base_rates_hand_count(tmp_path):
     p.write_text("\n".join(json.dumps(l) for l in lines))
     profile = base_rates(ingest(p), "A")
     assert profile.base_rates[TraitId.F2] == pytest.approx(0.5)
-    assert profile.total_turns == 10
     assert profile.ground_truth == {TraitId.F2}
     # absent trait clamps to the floor
     assert profile.base_rates[TraitId.F7] == pytest.approx(THETA_EPS)

@@ -40,6 +40,29 @@ def test_ingest_bad_file(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("traits", None), ("patient_id", None), ("scenario_id", True)])
+def test_ingest_a_wrong_typed_field_exits_1_naming_the_line(tmp_path, capsys, key, value):
+    first = json.loads(GOLDEN.read_text("utf-8").splitlines()[0])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(dict(first, **{key: value})) + "\n")
+    assert run_cli("ingest", "--in", str(bad)) == 1
+    assert capsys.readouterr().err.startswith(f"error: line 1: {key} ")
+
+
+def test_synth_with_a_wrong_typed_ontology_value_exits_1_naming_it(tmp_path, capsys):
+    from importlib import resources
+
+    doc = json.loads(resources.files("elicit").joinpath("data/ontology.json").read_text("utf-8"))
+    doc["scenarios"][2]["id"] = "3"
+    ont = tmp_path / "ont.json"
+    ont.write_text(json.dumps(doc), encoding="utf-8")
+    bank = tmp_path / "bank.jsonl"
+    code = run_cli("synth", "--patients", "2", "--snippets", "3", "--ontology", str(ont), "--out", str(bank))
+    assert code == 1
+    assert capsys.readouterr().err == "error: scenarios[2]: 'id' must be int, got '3'\n"
+    assert not bank.exists()
+
+
 def test_synth_then_run_then_evaluate(tmp_path, capsys):
     bank = tmp_path / "bank.jsonl"
     logs = tmp_path / "logs"
@@ -374,6 +397,29 @@ def test_readme_configuration_block_lists_exactly_the_config_keys():
     section = readme.split("## Configuration", 1)[1]
     block = section.split("```", 2)[1]
     assert sorted(re.findall(r"([\w.]+) = ", block)) == sorted(KEYS)
+
+
+def test_readme_commands_parse_and_name_scripts_that_exist():
+    import re
+    import shlex
+
+    from elicit.cli import UsageError, _build_parser
+
+    root = Path(__file__).parent.parent
+    readme = (root / "README.md").read_text("utf-8")
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", readme, re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            commands += [c.strip() for c in line.split("#", 1)[0].split("&&") if c.strip()]
+    elicit = [shlex.split(c)[1:] for c in commands if c.startswith("elicit ")]
+    scripts = [shlex.split(c)[1] for c in commands if c.startswith("python scripts/")]
+    assert elicit and scripts
+    for argv in elicit:
+        try:
+            _build_parser().parse_args(argv)
+        except UsageError as e:
+            pytest.fail(f"README command `elicit {shlex.join(argv)}` does not parse: {e}")
+    assert [s for s in scripts if not (root / s).is_file()] == []
 
 
 def test_deterministic_pipeline_runs_with_networking_disabled(tmp_path, monkeypatch):

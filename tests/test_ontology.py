@@ -1,9 +1,12 @@
+import json
 import re
+from importlib import resources
 
 import pytest
 
 from elicit.ontology import (
     ALL_TRAITS,
+    OntologyError,
     STRATEGY_ORDER,
     Strategy,
     TraitId,
@@ -25,25 +28,25 @@ def test_strategy_set_cardinality(ontology):
 
 
 def test_trait_by_id_f1_definition(ontology):
-    assert "mimics verbatim" in ontology.trait_by_id("F1").definition
+    assert "mimics verbatim" in ontology.traits[TraitId.parse("F1")].definition
 
 
 def test_trait_by_id_f10_definition(ontology):
-    assert "circle of life" in ontology.trait_by_id("F10").definition
+    assert "circle of life" in ontology.traits[TraitId.parse("F10")].definition
 
 
-def test_trait_by_id_unknown(ontology):
+def test_trait_by_id_unknown():
     with pytest.raises(UnknownTraitError):
-        ontology.trait_by_id("F11")
+        TraitId.parse("F11")
     with pytest.raises(UnknownTraitError):
-        ontology.trait_by_id("F0")
+        TraitId.parse("F0")
     with pytest.raises(UnknownTraitError):
-        ontology.trait_by_id("nonsense")
+        TraitId.parse("nonsense")
 
 
 def test_every_trait_resolves(ontology):
     for t in ALL_TRAITS:
-        d = ontology.trait_by_id(t.name)
+        d = ontology.traits[TraitId.parse(t.name)]
         assert d.id == t
         assert d.name and d.definition
         assert d.marker_lexicon
@@ -61,15 +64,15 @@ def test_dialogic_scenarios_count_and_order(ontology):
 
 
 def test_strategy_affinities(ontology):
-    assert ontology.strategy_affinity(Strategy.CORRECTION_INDUCING) == {TraitId.F1}
-    assert ontology.strategy_affinity(Strategy.HYPOTHETICAL) == {TraitId.F3, TraitId.F4}
-    assert ontology.strategy_affinity(Strategy.MULTI_STEP) == {TraitId.F5, TraitId.F6}
-    assert ontology.strategy_affinity(Strategy.EMOTION_ORIENTED) == {TraitId.F6, TraitId.F8}
+    assert ontology.strategies[Strategy.CORRECTION_INDUCING].affinity == {TraitId.F1}
+    assert ontology.strategies[Strategy.HYPOTHETICAL].affinity == {TraitId.F3, TraitId.F4}
+    assert ontology.strategies[Strategy.MULTI_STEP].affinity == {TraitId.F5, TraitId.F6}
+    assert ontology.strategies[Strategy.EMOTION_ORIENTED].affinity == {TraitId.F6, TraitId.F8}
     # defaults for traits the strategy table leaves unmapped
-    assert ontology.strategy_affinity(Strategy.OPEN_ENDED) == {
+    assert ontology.strategies[Strategy.OPEN_ENDED].affinity == {
         TraitId.F2, TraitId.F7, TraitId.F9, TraitId.F10,
     }
-    assert ontology.strategy_affinity(Strategy.PERSPECTIVE_TAKING) == {TraitId.F7, TraitId.F8}
+    assert ontology.strategies[Strategy.PERSPECTIVE_TAKING].affinity == {TraitId.F7, TraitId.F8}
 
 
 def test_marker_lexicons_partition(ontology):
@@ -93,22 +96,46 @@ def test_markers_never_cross_contained(ontology):
                     assert not pat.search(pb)
 
 
-def test_score_levels(ontology):
-    assert [l.score for l in ontology.score_levels] == [0, 1, 2, 3]
-    assert "Predominantly stereotyped" in ontology.score_levels[3].description
-    assert "Rarely or never" in ontology.score_levels[0].description
-
-
 def test_load_ontology_from_path(tmp_path, ontology):
     # the embedded file round-trips through the --ontology override path
-    from importlib import resources
-
     raw = resources.files("elicit").joinpath("data/ontology.json").read_text("utf-8")
     p = tmp_path / "ont.json"
     p.write_text(raw, encoding="utf-8")
     ont2 = load_ontology(p)
     assert ont2.version == ontology.version
     assert set(ont2.traits) == set(ontology.traits)
+
+
+def _embedded_doc() -> dict:
+    return json.loads(resources.files("elicit").joinpath("data/ontology.json").read_text("utf-8"))
+
+
+def _drop(entry: dict, key: str) -> None:
+    del entry[key]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc["scenarios"][2].update(id="3"), "scenarios[2]: 'id' must be int, got '3'"),
+    (lambda doc: doc["scenarios"][2].update(id=True), "scenarios[2]: 'id' must be int"),
+    (lambda doc: doc["scenarios"][0].update(dialogic="false"), "scenarios[0]: 'dialogic' must be bool"),
+    (lambda doc: _drop(doc["traits"][0], "name"), "traits[0]: missing key 'name'"),
+    (lambda doc: doc["traits"][1].update(markers="mideast"), "traits[1]: 'markers' must be list"),
+    (lambda doc: doc["traits"][1].update(markers=["mideast", 5]), "traits[1]: 'markers' must be a list of strings"),
+    (lambda doc: doc["strategies"][5].update(affinity=["F11"]), "strategies[5]: unknown trait id 'F11'"),
+    (lambda doc: doc["strategies"][0].update(id="leading"), "strategies[0]: unknown strategy id 'leading'"),
+    (lambda doc: doc["scenarios"].__setitem__(4, [5, "Current Work and School", True]),
+     "scenarios[4]: expected a JSON object"),
+    (lambda doc: doc.update(version=1), "ontology: 'version' must be str"),
+    (lambda doc: _drop(doc, "traits"), "ontology: missing key 'traits'"),
+])
+def test_load_ontology_names_the_entry_and_key_of_a_wrong_value(tmp_path, edit, message):
+    doc = _embedded_doc()
+    edit(doc)
+    p = tmp_path / "ont.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(OntologyError) as exc:
+        load_ontology(p)
+    assert message in str(exc.value)
 
 
 def test_default_ontology_cached():

@@ -27,7 +27,7 @@ def make_profile(rates=None, default=THETA_EPS):
     for key, val in (rates or {}).items():
         base[TraitId.parse(key) if isinstance(key, str) else key] = val
     return PatientProfile(
-        patient_id="PX", base_rates=base, total_turns=10,
+        patient_id="PX", base_rates=base,
         ground_truth=frozenset(t for t, v in base.items() if v > THETA_EPS),
     )
 

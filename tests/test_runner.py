@@ -31,7 +31,6 @@ def profile_with(rates, patient_id="PX"):
     return PatientProfile(
         patient_id=patient_id,
         base_rates=base,
-        total_turns=10,
         ground_truth=frozenset(t for t, v in base.items() if v > THETA_EPS),
     )
 
@@ -209,7 +208,7 @@ def test_run_episode_rejects_a_mode_outside_its_loop(stack):
 def test_a_topic_naming_every_strategy_aborts_the_episode_in_either_mode(synth_bank, mode):
     # each mode asks through the selector, which refuses a question naming its strategy
     ont = default_ontology()
-    names = " ".join(ont.strategy_display_name(s) for s in STRATEGY_ORDER)
+    names = " ".join(ont.strategies[s].display_name for s in STRATEGY_ORDER)
     ont = dataclasses.replace(ont, scenarios=tuple(
         dataclasses.replace(s, name=f"{names} talk") if s.dialogic else s for s in ont.scenarios
     ))
@@ -325,7 +324,6 @@ def test_emitter_reads_only_base_rates():
         def __init__(self, profile):
             self.patient_id = profile.patient_id
             self.base_rates = profile.base_rates
-            self.total_turns = profile.total_turns
 
     profile = profile_with({"F2": 0.5})
     decision = emit_traits(NoGroundTruth(profile), (), EmissionParams(), random.Random(1))

@@ -118,7 +118,7 @@ def test_fuzzed_questions_never_leak(ontology):
         q = heuristic_question(topic, strategy, head)
         assert not TRAIT_TOKEN_RE.search(q)
         low = q.lower()
-        assert ontology.strategy_display_name(strategy).lower() not in low
+        assert ontology.strategies[strategy].display_name.lower() not in low
 
 
 def test_question_violates_screen(ontology):
