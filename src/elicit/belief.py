@@ -76,17 +76,6 @@ class BeliefState:
     def fresh(cls, tau: float = DEFAULT_TAU) -> "BeliefState":
         return cls(beliefs={t: TraitBelief(1.0, 1.0) for t in ALL_TRAITS}, tau=tau)
 
-    def to_dict(self) -> dict:
-        return {
-            t.name: {
-                "alpha": b.alpha,
-                "beta": b.beta,
-                "mean": b.mean,
-                "confirmed": t in self.confirmed,
-            }
-            for t, b in sorted(self.beliefs.items())
-        }
-
 
 def update(state: BeliefState, detections: Mapping[TraitId, bool]) -> BeliefState:
     """Fold one turn of detections into the state; returns a new value."""

@@ -44,7 +44,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("ingest", parents=[], help="validate a snippet bank file")
     p.add_argument("--in", dest="path", required=True)
-    p.add_argument("--validate", action="store_true", help="accepted for compatibility; ingest always validates")
 
     p = sub.add_parser("synth", help="generate a synthetic snippet bank")
     p.add_argument("--patients", type=int, required=True)

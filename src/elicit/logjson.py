@@ -6,10 +6,9 @@ indent, the standard library encodes in pure Python through a chain of
 generators; this writer builds each container with one `str.join` and
 memoises the two things a log repeats most: the text of a float (its
 `float.__repr__` is the costliest scalar) and the whole text of a dict whose
-keys and values are all scalars, such as a trait's belief entry or a
-detection's labels. Both memos are bounded, and their keys keep apart values
-that compare equal but are written differently (`0.0` and `-0.0`, or `1`,
-`1.0` and `True`).
+keys and values are all scalars, such as a detection's labels. Both memos
+are bounded, and their keys keep apart values that compare equal but are
+written differently (`0.0` and `-0.0`, or `1`, `1.0` and `True`).
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Episode- and corpus-level evaluation metrics.
 
-All quantities are recomputed from the logged per-turn belief snapshots, not
-from the runner's own coverage bookkeeping, so a report is an independent
-reading of the raw logs. Episode scores are pooled as the unweighted mean
-over episodes; a patient-level aggregation (mean within patient, then across
-patients) is always emitted alongside to make the pooling convention visible.
+All quantities are recomputed from the per-turn lists of confirmed traits
+that each log holds, not from the runner's own coverage bookkeeping, so a
+report is an independent reading of the raw logs. Episode scores are pooled
+as the unweighted mean over episodes; a patient-level aggregation (mean
+within patient, then across patients) is always emitted alongside to make
+the pooling convention visible.
 """
 
 from __future__ import annotations
@@ -42,15 +43,12 @@ class EpisodeMetrics:
 
 
 def _coverage(log: EpisodeLog) -> list[float]:
-    """Ground-truth coverage after each recorded turn, read from its belief snapshot."""
+    """Ground-truth coverage after each recorded turn, read from its list of confirmed traits."""
     gt = log.ground_truth
     if not gt:
         raise EmptyGroundTruthError(f"{log.episode_id}: empty ground truth")
     names = {t.name for t in gt}
-    return [
-        sum(entry["confirmed"] for name, entry in turn.belief_snapshot.items() if name in names) / len(gt)
-        for turn in log.turns
-    ]
+    return [len(names.intersection(turn.confirmed)) / len(gt) for turn in log.turns]
 
 
 def _metrics(log: EpisodeLog, per_turn: list[float]) -> EpisodeMetrics:

@@ -118,6 +118,12 @@ def _validate(ont: Ontology) -> None:
         raise OntologyError(f"expected 6 strategies, got {len(ont.strategies)}")
     if len(ont.scenarios) != 15:
         raise OntologyError(f"expected 15 scenarios, got {len(ont.scenarios)}")
+    seen: set[int] = set()  # fifteen distinct ids in 1..15: the ids a bank's scenario_id may take
+    for i, s in enumerate(ont.scenarios):
+        if not 1 <= s.id <= 15 or s.id in seen:
+            problem = "a duplicate" if s.id in seen else "not in 1..15"
+            raise OntologyError(f"scenarios[{i}]: scenario id {s.id} is {problem}")
+        seen.add(s.id)
 
     dialogic = ont.dialogic_scenarios()
     if len(dialogic) != 11:

@@ -177,7 +177,7 @@ class TurnRecord:
     response: str
     detections: dict
     coverage_after: float
-    belief_snapshot: dict
+    confirmed: list  # trait ids confirmed after this turn, in trait order
     thought: dict | None = None
     topic_id: int | None = None
     anchor_patient_id: str | None = None
@@ -192,9 +192,9 @@ class TurnRecord:
         record = cls(**_typed(cls, d))
         if record.turn < 1:
             raise LogFormatError(f"turn must be >= 1, got {record.turn}")
-        for name, entry in record.belief_snapshot.items():
-            if name not in TRAIT_BY_NAME or type(entry) is not dict or type(entry.get("confirmed")) is not bool:
-                raise LogFormatError(f"belief_snapshot needs trait ids with a bool confirmed, got {name!r}: {entry!r}")
+        names = record.confirmed
+        if not all(type(n) is str and n in TRAIT_BY_NAME for n in names) or len(set(names)) < len(names):
+            raise LogFormatError(f"confirmed must list distinct trait ids F1..F10, got {names!r}")
         return record
 
 
@@ -320,7 +320,7 @@ def _record(
             response=response,
             detections=detections.to_dict(),
             coverage_after=len(state.confirmed & gt) / len(gt),
-            belief_snapshot=state.to_dict(),
+            confirmed=[t.name for t in sorted(state.confirmed)],
             **context,
         )
     )

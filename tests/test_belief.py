@@ -15,6 +15,7 @@ from elicit.belief import (
     update,
 )
 from elicit.ontology import ALL_TRAITS, TraitId
+from elicit.runner import EpisodeConfig, run_replay
 
 
 def detections(positive=()):
@@ -228,8 +229,20 @@ def test_confirmed_monotone_over_any_history(history):
         previous = state.confirmed
 
 
-def test_serialisation_shape():
-    state = update(BeliefState.fresh(), detections(["F6"]))
-    doc = state.to_dict()
-    assert set(doc) == {t.name for t in ALL_TRAITS}
-    assert doc["F6"] == {"alpha": 2.0, "beta": 1.0, "mean": pytest.approx(2 / 3), "confirmed": True}
+def test_a_log_folds_back_to_its_beta_snapshots():
+    # a log keeps each turn's detection labels and confirmed traits, not the
+    # Beta counts: folding `update` over the labels from a fresh state at the
+    # log's tau gives back each turn's confirmed list and the counts
+    transcript = [
+        ("How was your week?", "Busy, you know what I mean."),  # F6
+        ("And then?", "He said mideast on the news."),  # F2, a turn late: mean 0.5, under tau
+        ("Anything else?", "Nothing much."),
+    ]
+    log = run_replay(transcript, frozenset({TraitId.F2, TraitId.F6}), EpisodeConfig())
+    state = BeliefState.fresh(tau=log.tau)
+    for turn in log.turns:
+        state = update(state, {TraitId.parse(n): v for n, v in turn.detections["labels"].items()})
+        assert turn.confirmed == [t.name for t in sorted(state.confirmed)] == ["F6"]
+    assert state.confirmed == log.final_confirmed
+    assert state.beliefs[TraitId.F6] == state.beliefs[TraitId.F2] == TraitBelief(2.0, 3.0)
+    assert all(state.beliefs[t] == TraitBelief(1.0, 4.0) for t in ALL_TRAITS if t not in (TraitId.F2, TraitId.F6))

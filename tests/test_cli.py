@@ -10,6 +10,7 @@ import pytest
 
 import elicit
 from elicit.cli import main
+from elicit.ontology import ALL_TRAITS
 
 GOLDEN = Path(__file__).parent / "data" / "golden_bank.jsonl"
 
@@ -28,7 +29,7 @@ def test_no_subcommand(capsys):
 
 
 def test_ingest_golden(capsys):
-    assert run_cli("ingest", "--in", str(GOLDEN), "--validate") == 0
+    assert run_cli("ingest", "--in", str(GOLDEN)) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["snippets"] == 4
 
@@ -49,17 +50,33 @@ def test_ingest_a_wrong_typed_field_exits_1_naming_the_line(tmp_path, capsys, ke
     assert capsys.readouterr().err.startswith(f"error: line 1: {key} ")
 
 
-def test_synth_with_a_wrong_typed_ontology_value_exits_1_naming_it(tmp_path, capsys):
+def _synth_with_scenario_id(tmp_path, index, scenario_id) -> tuple[int, Path]:
+    """`synth --ontology` on the embedded ontology with `scenarios[index].id` set to `scenario_id`."""
     from importlib import resources
 
     doc = json.loads(resources.files("elicit").joinpath("data/ontology.json").read_text("utf-8"))
-    doc["scenarios"][2]["id"] = "3"
+    doc["scenarios"][index]["id"] = scenario_id
     ont = tmp_path / "ont.json"
     ont.write_text(json.dumps(doc), encoding="utf-8")
     bank = tmp_path / "bank.jsonl"
-    code = run_cli("synth", "--patients", "2", "--snippets", "3", "--ontology", str(ont), "--out", str(bank))
+    return run_cli("synth", "--patients", "2", "--snippets", "3", "--ontology", str(ont), "--out", str(bank)), bank
+
+
+def test_synth_with_a_wrong_typed_ontology_value_exits_1_naming_it(tmp_path, capsys):
+    code, bank = _synth_with_scenario_id(tmp_path, 2, "3")
     assert code == 1
     assert capsys.readouterr().err == "error: scenarios[2]: 'id' must be int, got '3'\n"
+    assert not bank.exists()
+
+
+@pytest.mark.parametrize("index,scenario_id,problem", [(2, 99, "not in 1..15"), (3, 3, "a duplicate")])
+def test_synth_with_a_scenario_id_outside_1_to_15_or_repeated_exits_1_naming_it(
+    tmp_path, capsys, index, scenario_id, problem
+):
+    # the bank synth would write from it has a scenario_id that ingest rejects, or one scenario twice
+    code, bank = _synth_with_scenario_id(tmp_path, index, scenario_id)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: scenarios[{index}]: scenario id {scenario_id} is {problem}\n"
     assert not bank.exists()
 
 
@@ -530,7 +547,6 @@ def test_replay_and_detect_exit_2_when_the_detector_reply_breaks_the_contract(tm
 
 def test_run_in_replay_mode_writes_every_log_when_one_episode_aborts(tmp_path, monkeypatch, capsys):
     from elicit.backends import HttpBackend
-    from elicit.ontology import ALL_TRAITS
 
     # the golden bank's four exchanges: the last one is answered with unusable labels twice
     answers = iter([json.dumps({t.name: False for t in ALL_TRAITS})] * 3 + ['{"F1": "yes"}'] * 2)
@@ -584,8 +600,13 @@ def test_run_with_remote_encoder_and_an_empty_replay_log_is_a_backend_error(tmp_
     assert "backend error" in capsys.readouterr().err
 
 
-def _snapshot(doc):
-    return doc["turns"][0]["belief_snapshot"]
+def _pre_slim_shape(doc):
+    """The log with a Beta snapshot of every trait in each turn, as logs were once written."""
+    for turn in doc["turns"]:
+        confirmed = turn.pop("confirmed")
+        turn["belief_snapshot"] = {
+            t.name: {"alpha": 1.0, "beta": 1.0, "mean": 0.5, "confirmed": t.name in confirmed} for t in ALL_TRAITS
+        }
 
 
 # a wrong key, a missing key, a value of the wrong JSON type, or one out of range
@@ -594,13 +615,14 @@ _CORRUPTIONS = {
     "extra_top_level": lambda doc: doc.update(bogus=1),
     "missing": lambda doc: doc["turns"][0].pop("response"),
     "coverage_after": lambda doc: doc["turns"][0].update(coverage_after="high"),
-    "belief_snapshot": lambda doc: doc["turns"][0].update(belief_snapshot=[]),
+    "belief_snapshot": _pre_slim_shape,
     "turn": lambda doc: doc["turns"][0].update(turn="1"),
     "aborted": lambda doc: doc.update(aborted="no"),
-    "confirmed_not_bool": lambda doc: _snapshot(doc)["F1"].update(confirmed="yes"),
-    "confirmed_missing": lambda doc: _snapshot(doc)["F1"].pop("confirmed"),
-    "snapshot_trait_id": lambda doc: _snapshot(doc).update(F11=_snapshot(doc).pop("F10")),
-    "snapshot_entry_not_object": lambda doc: _snapshot(doc).update(F1=1),
+    "confirmed_not_list": lambda doc: doc["turns"][0].update(confirmed="F1"),
+    "confirmed_missing": lambda doc: doc["turns"][0].pop("confirmed"),
+    "confirmed_trait_id": lambda doc: doc["turns"][0].update(confirmed=["F11"]),
+    "confirmed_entry_not_string": lambda doc: doc["turns"][0].update(confirmed=[1]),
+    "confirmed_duplicate": lambda doc: doc["turns"][0].update(confirmed=["F3", "F3"]),
     "max_turns_zero": lambda doc: doc.update(max_turns=0),
     "max_turns_negative": lambda doc: doc.update(max_turns=-5),
     "ground_truth_empty": lambda doc: doc.update(ground_truth=[]),
@@ -627,7 +649,6 @@ def test_replay_log_serves_a_recurring_request_in_recorded_order(tmp_path, monke
     # the llm detector sends one request for two identical exchanges; the live
     # backend answers them differently, and a replay must serve both answers in order
     from elicit.backends import HttpBackend
-    from elicit.ontology import ALL_TRAITS
 
     exchange = {"patient_id": "P001", "session_id": "S1", "scenario_id": 3,
                 "doctor_curr": "How was your day?", "patient_reply": "Fine, the circle of life.",
@@ -674,7 +695,7 @@ def _with_one_aborted(logs: Path, out: Path) -> Path:
     bad = out / "tpa-0002-P001.json"
     doc = json.loads(bad.read_text("utf-8"))
     doc["turns"] = doc["turns"][:3]
-    doc["final_confirmed"] = [n for n, e in doc["turns"][-1]["belief_snapshot"].items() if e["confirmed"]]
+    doc["final_confirmed"] = doc["turns"][-1]["confirmed"]
     doc.update(aborted=True, abort_reason="BackendError: connection reset")
     bad.write_text(json.dumps(doc), encoding="utf-8")
     return out

@@ -9,20 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elicit import logjson
+from elicit import belief, logjson
 from elicit.bank import SynthSpec, ingest, synthesize_bank
+from elicit.ontology import TraitId
 from elicit.patient import EmissionParams
 from elicit.runner import EpisodeConfig, read_logs, run_batch, write_logs
 
 GOLDEN = Path(__file__).parent / "data" / "golden_bank.jsonl"
 
 # sha256 of each log file run_batch writes on the golden bank with the CLI's
-# defaults (seed 0, 20 turns), keyed by mode and any emitter settings. The
-# default-emitter rows were recorded with the stdlib json.dumps writer before
-# the episode-log writer replaced it; the rows with emitter hooks, which run
-# one episode per golden patient, before the runner and leave-one-out fidelity
-# shared one patient turn
-GOLDEN_LOG_SHA256 = {
+# defaults (seed 0, 20 turns), keyed by mode and any emitter settings, in the
+# shape written while every turn logged a full Beta snapshot of every trait
+# (`belief_snapshot`). The default-emitter rows were recorded with the stdlib
+# json.dumps writer before the episode-log writer replaced it; the rows with
+# emitter hooks, which run one episode per golden patient, before the runner
+# and leave-one-out fidelity shared one patient turn
+PRE_SLIM_LOG_SHA256 = {
     "tpa": {"tpa-0000-P001.json": "07d1f2973251c58c6f3f521592c309b33cb331008cb7462e3a808426a0ecf7b2"},
     "random": {"random-0000-P001.json": "7b72efed159355fa9d2ce852beb9a2639556856edb953d69806fb4241ad8515d"},
     "replay": {"replay-0000-P001.json": "e3389fbfc1fe1fc71f42ff957633da3b8471034d67cca043c3d3c48886c1b836"},
@@ -49,21 +51,83 @@ GOLDEN_LOG_SHA256 = {
     },
 }
 
+# sha256 of the same files now that each turn logs only its confirmed traits;
+# `test_golden_bank_logs_fold_back_to_their_pre_slim_bytes` ties them to the rows above
+GOLDEN_LOG_SHA256 = {
+    "tpa": {"tpa-0000-P001.json": "6b3db33e3ae7d0f75dd8a22a112218fe99c91b01a03ad21a82a8b7cfe3f474a0"},
+    "random": {"random-0000-P001.json": "4d32db64b7cd8d33b14cd35c85411c01ac3d61b7c7fdf47caf38e27c07a5ecde"},
+    "replay": {"replay-0000-P001.json": "7732af7324b84a027e62108a3a6a11b0fa14c3d1fc3a4bf0b6eaef69d0e08442"},
+    "tpa strategy_gain=1.5": {
+        "tpa-0000-P001.json": "2b110946c24fc1fbd36f943692a34f169582cdae6df3b1f437948186197f8567",
+        "tpa-0001-P002.json": "d29945a9f922f4945879bafaf4b810ac3a785c75cc627aeceafee30056ab118e",
+    },
+    "random strategy_gain=1.5": {
+        "random-0000-P001.json": "4d32db64b7cd8d33b14cd35c85411c01ac3d61b7c7fdf47caf38e27c07a5ecde",
+        "random-0001-P002.json": "c88966bd5b574499e92099fdaca6f2d4314f54291d1eea3191817d85c595e4c5",
+    },
+    "tpa affinity_weight=0.7": {
+        "tpa-0000-P001.json": "7ce3dfe648c93f78dde23188c75e6b4eaaa2d4dbc402adbf527d3e3bc03e15ac",
+        "tpa-0001-P002.json": "aa01a3aed8ca9999ca2001cc7f6fda780fe0d380bff9ec84e03bffc48cb3baf3",
+    },
+    "random affinity_weight=0.7": {
+        "random-0000-P001.json": "4d32db64b7cd8d33b14cd35c85411c01ac3d61b7c7fdf47caf38e27c07a5ecde",
+        "random-0001-P002.json": "6b4f23d8d35f1e9e9a1f169021eca2154da3ce759e52fafaf8c1be46d7867ade",
+    },
+    "tpa strategy_gain=1.5 affinity_weight=0.7": {
+        "tpa-0000-P001.json": "2b110946c24fc1fbd36f943692a34f169582cdae6df3b1f437948186197f8567",
+        "tpa-0001-P002.json": "f8fafe8c3afe7ea9942a2b042acd117b62d241fd6e291d2e1816935d23ed3b23",
+    },
+}
+
+
+def _golden_bank_logs(case: str, out: Path) -> list[Path]:
+    mode, *settings = case.split()
+    emission = EmissionParams(**{k: float(v) for k, v in (s.split("=") for s in settings)})
+    result = run_batch(EpisodeConfig(emission=emission), ingest(GOLDEN), mode, len(PRE_SLIM_LOG_SHA256[case]))
+    return write_logs(result, out)
+
+
+def pre_slim(doc: dict) -> dict:
+    """`doc`, a parsed episode log, in the shape that logged a Beta snapshot each turn.
+
+    Folds `belief.update` over each turn's detection labels from a fresh state
+    at the log's tau, checks the turn's confirmed list against the fold, and
+    writes the folded snapshot in its place.
+    """
+    state = belief.BeliefState.fresh(tau=doc["tau"])
+    for turn in doc["turns"]:
+        state = belief.update(state, {TraitId.parse(n): v for n, v in turn["detections"]["labels"].items()})
+        assert turn.pop("confirmed") == [t.name for t in sorted(state.confirmed)]
+        turn["belief_snapshot"] = {
+            t.name: {"alpha": b.alpha, "beta": b.beta, "mean": b.mean, "confirmed": t in state.confirmed}
+            for t, b in state.beliefs.items()
+        }
+    return doc
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
 
 @pytest.mark.parametrize("case", list(GOLDEN_LOG_SHA256))
 def test_golden_bank_logs_keep_their_bytes(case, tmp_path):
-    mode, *settings = case.split()
-    emission = EmissionParams(**{k: float(v) for k, v in (s.split("=") for s in settings)})
-    expected = GOLDEN_LOG_SHA256[case]
-    result = run_batch(EpisodeConfig(emission=emission), ingest(GOLDEN), mode, len(expected))
-    paths = write_logs(result, tmp_path)
-    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths} == expected
+    paths = _golden_bank_logs(case, tmp_path)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths} == GOLDEN_LOG_SHA256[case]
+
+
+@pytest.mark.parametrize("case", list(PRE_SLIM_LOG_SHA256))
+def test_golden_bank_logs_fold_back_to_their_pre_slim_bytes(case, tmp_path):
+    paths = _golden_bank_logs(case, tmp_path)
+    folded = {p.name: _sha256(logjson.dumps(pre_slim(json.loads(p.read_text("utf-8")))) + "\n") for p in paths}
+    assert folded == PRE_SLIM_LOG_SHA256[case]
 
 
 # sha256 of the log an all-llm episode writes on the golden bank when a scripted
-# backend serves every reply, and of the fingerprints of the requests it sent, one
-# a line; recorded before the selector and detector shared one reply parser
-LLM_LOG_SHA256 = "844bc9670e3a841b9eb1a1ed5869b7678f29de5da29205a49e23c205ec548fc7"
+# backend serves every reply, in its pre-slim shape and now, and of the
+# fingerprints of the requests it sent, one a line; the pre-slim digest was
+# recorded before the selector and detector shared one reply parser
+PRE_SLIM_LLM_LOG_SHA256 = "844bc9670e3a841b9eb1a1ed5869b7678f29de5da29205a49e23c205ec548fc7"
+LLM_LOG_SHA256 = "631f3f75244ea1f01f74c082ddb60617f4fea5c9d4375f867ad86f8c32f2d2e3"
 LLM_FINGERPRINTS_SHA256 = "6031557561b1a9e204d591c0c9de0e9e742af657b7a0ab3c74fb07dde22c72f6"
 
 
@@ -94,7 +158,8 @@ def test_all_llm_episode_keeps_its_log_bytes_and_requests():
     log = run_episode(cfg, bank, base_rates(bank, "P001"), comps, "llm-0000-P001")
     assert not log.aborted and [t.coverage_after for t in log.turns] == [0.5] * turns
     fingerprints = "\n".join(r.fingerprint() for r in client.requests)
-    assert hashlib.sha256(log.to_json().encode("utf-8")).hexdigest() == LLM_LOG_SHA256
+    assert _sha256(logjson.dumps(pre_slim(json.loads(log.to_json())))) == PRE_SLIM_LLM_LOG_SHA256
+    assert _sha256(log.to_json()) == LLM_LOG_SHA256
     assert hashlib.sha256(fingerprints.encode("utf-8")).hexdigest() == LLM_FINGERPRINTS_SHA256
 
 

@@ -13,13 +13,6 @@ from elicit.ontology import ALL_TRAITS, Strategy, TraitId
 from elicit.runner import EpisodeLog, TurnRecord
 
 
-def _snapshot(confirmed):
-    return {
-        t.name: {"alpha": 1.0, "beta": 1.0, "mean": 0.5, "confirmed": t in confirmed}
-        for t in ALL_TRAITS
-    }
-
-
 def make_log(
     gt,
     confirmed_seq,
@@ -43,7 +36,7 @@ def make_log(
             response=f"r{i}",
             detections={"labels": {}, "evidence": {}},
             coverage_after=len(seq[i] & gt) / len(gt) if gt else 0.0,
-            belief_snapshot=_snapshot(seq[i]),
+            confirmed=[t.name for t in sorted(seq[i])],
         )
         for i in range(len(seq))
     )
@@ -267,9 +260,7 @@ def test_aggregate_matches_brute_force_oracle():
     for log in logs:
         gt = log.ground_truth
         covs = [
-            len(frozenset(
-                TraitId.parse(n) for n, e in t.belief_snapshot.items() if e["confirmed"]
-            ) & gt) / len(gt)
+            len(frozenset(map(TraitId.parse, t.confirmed)) & gt) / len(gt)
             for t in log.turns
         ]
         aucc = sum(covs) / len(covs)

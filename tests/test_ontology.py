@@ -117,6 +117,9 @@ def _drop(entry: dict, key: str) -> None:
 @pytest.mark.parametrize("edit,message", [
     (lambda doc: doc["scenarios"][2].update(id="3"), "scenarios[2]: 'id' must be int, got '3'"),
     (lambda doc: doc["scenarios"][2].update(id=True), "scenarios[2]: 'id' must be int"),
+    (lambda doc: doc["scenarios"][2].update(id=99), "scenarios[2]: scenario id 99 is not in 1..15"),
+    (lambda doc: doc["scenarios"][2].update(id=0), "scenarios[2]: scenario id 0 is not in 1..15"),
+    (lambda doc: doc["scenarios"][3].update(id=3), "scenarios[3]: scenario id 3 is a duplicate"),
     (lambda doc: doc["scenarios"][0].update(dialogic="false"), "scenarios[0]: 'dialogic' must be bool"),
     (lambda doc: _drop(doc["traits"][0], "name"), "traits[0]: missing key 'name'"),
     (lambda doc: doc["traits"][1].update(markers="mideast"), "traits[1]: 'markers' must be list"),

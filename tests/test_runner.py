@@ -157,9 +157,7 @@ def test_each_serialised_record_has_one_key_per_field(stack):
 def test_final_confirmed_matches_last_snapshot(stack):
     cfg, bank, comps = stack
     log = run_episode(cfg, bank, base_rates(bank, "P001"), comps, "fc")
-    last = log.turns[-1].belief_snapshot
-    from_snapshot = {TraitId.parse(n) for n, e in last.items() if e["confirmed"]}
-    assert log.final_confirmed == from_snapshot
+    assert log.turns[-1].confirmed == [t.name for t in sorted(log.final_confirmed)]
 
 
 def test_questions_never_leak_diagnostic_vocabulary(stack):
