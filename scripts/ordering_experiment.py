@@ -21,7 +21,6 @@ import sys
 import time
 
 from elicit.bank import SynthSpec, synthesize_bank
-from elicit.cli import _given
 from elicit.metrics import aggregate
 from elicit.patient import EmissionParams
 from elicit.runner import EpisodeConfig, build_components, run_batch
@@ -35,7 +34,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[11, 22, 33, 44, 55])
     parser.add_argument("--bank-seed", type=int, default=1234)
     parser.add_argument("--gain", type=float, default=2.0, help="strategy-affinity logit boost")
-    parser.add_argument("--turns", type=int, default=None, help="EpisodeConfig's max_turns when omitted")
+    parser.add_argument("--turns", type=int, default=EpisodeConfig.max_turns)
     parser.add_argument("--out", default=None, help="optional CSV of per-seed results")
     args = parser.parse_args(argv)
 
@@ -51,7 +50,7 @@ def main(argv=None) -> int:
     rows = []
     t0 = time.time()
     for seed in args.seeds:
-        cfg = EpisodeConfig(seed=seed, emission=emission, **_given(max_turns=args.turns))
+        cfg = EpisodeConfig(seed=seed, emission=emission, max_turns=args.turns)
         comps = build_components(cfg, bank)
         planned = aggregate(list(run_batch(cfg, bank, "tpa", args.episodes, components=comps).logs))
         uniform = aggregate(list(run_batch(cfg, bank, "random", args.episodes, components=comps).logs))

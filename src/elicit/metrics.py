@@ -1,8 +1,8 @@
 """Episode- and corpus-level evaluation metrics.
 
-All quantities are recomputed from the per-turn lists of confirmed traits
-that each log holds, not from the runner's own coverage bookkeeping, so a
-report is an independent reading of the raw logs. Episode scores are pooled
+All quantities are computed from the per-turn lists of confirmed traits
+that each log holds and its ground truth, so a report is an independent
+reading of the raw logs. Episode scores are pooled
 as the unweighted mean over episodes; a patient-level aggregation (mean
 within patient, then across patients) is always emitted alongside to make
 the pooling convention visible.
@@ -52,16 +52,17 @@ def _coverage(log: EpisodeLog) -> list[float]:
 
 
 def _metrics(log: EpisodeLog, per_turn: list[float]) -> EpisodeMetrics:
-    gt = log.ground_truth
     final_cov = per_turn[-1] if per_turn else 0.0
     # short episodes carry their final coverage forward to the turn budget
     padded = per_turn + [final_cov] * (log.max_turns - len(per_turn))
     padded = padded[: log.max_turns]
 
-    detected = log.final_confirmed
-    tp = detected & gt
-    fp = detected - gt
-    fn = gt - detected
+    # the traits confirmed after the last turn, none for a log with no turns
+    detected = set(log.turns[-1].confirmed if log.turns else ())
+    names = {t.name for t in log.ground_truth}
+    tp = detected & names
+    fp = detected - names
+    fn = names - detected
     precision = len(tp) / (len(tp) + len(fp)) if (tp or fp) else 0.0
     recall = len(tp) / (len(tp) + len(fn))
     f1 = 2 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0

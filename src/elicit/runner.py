@@ -6,9 +6,9 @@ uniform random-strategy baseline ("random"). `run_replay` feeds an existing
 transcript through the detector and belief tracker only. The patient's side of
 a turn (anchor retrieval, trait emission, realisation, detection) is
 `patient_turn`, which leave-one-out fidelity runs too. Ground-truth trait
-labels are copied out of the profile once at episode entry and used only for
-coverage bookkeeping; no doctor-side component ever receives an object
-carrying them.
+labels are copied out of the profile once at episode entry and only written
+into the log, for `evaluate` to score; no doctor-side component ever receives
+an object carrying them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
 from . import belief as belief_mod
-from . import logjson
 from .backends import BackendError
 from .bank import PatientProfile, Snippet, SnippetBank, base_rates
 from .belief import BeliefState
@@ -176,7 +175,6 @@ class TurnRecord:
     question: str
     response: str
     detections: dict
-    coverage_after: float
     confirmed: list  # trait ids confirmed after this turn, in trait order
     thought: dict | None = None
     topic_id: int | None = None
@@ -190,8 +188,6 @@ class TurnRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "TurnRecord":
         record = cls(**_typed(cls, d))
-        if record.turn < 1:
-            raise LogFormatError(f"turn must be >= 1, got {record.turn}")
         names = record.confirmed
         if not all(type(n) is str and n in TRAIT_BY_NAME for n in names) or len(set(names)) < len(names):
             raise LogFormatError(f"confirmed must list distinct trait ids F1..F10, got {names!r}")
@@ -208,7 +204,6 @@ class EpisodeLog:
     tau: float
     ground_truth: frozenset[TraitId]
     turns: tuple[TurnRecord, ...]
-    final_confirmed: frozenset[TraitId]
     aborted: bool = False
     abort_reason: str | None = None
 
@@ -217,11 +212,10 @@ class EpisodeLog:
             **vars(self),  # one key per field, as from_dict reads them
             "ground_truth": [t.name for t in sorted(self.ground_truth)],
             "turns": [t.to_dict() for t in self.turns],
-            "final_confirmed": [t.name for t in sorted(self.final_confirmed)],
         }
 
     def to_json(self) -> str:
-        return logjson.dumps(self.to_dict())
+        return json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeLog":
@@ -229,12 +223,14 @@ class EpisodeLog:
             **_typed(cls, d),  # one key per field, as to_dict writes them
             "ground_truth": frozenset(map(TraitId.parse, d["ground_truth"])),
             "turns": tuple(map(TurnRecord.from_dict, d["turns"])),
-            "final_confirmed": frozenset(map(TraitId.parse, d["final_confirmed"])),
         })
         if log.max_turns < 1:
             raise LogFormatError(f"max_turns must be >= 1, got {log.max_turns}")
         if not log.ground_truth:
             raise LogFormatError("ground_truth must be non-empty")
+        numbers = [t.turn for t in log.turns]
+        if numbers != list(range(1, len(numbers) + 1)):
+            raise LogFormatError(f"turns must be numbered 1..{len(numbers)} in order, got {numbers}")
         return log
 
     @classmethod
@@ -303,7 +299,6 @@ def patient_turn(
 def _record(
     turns: list[TurnRecord],
     state: BeliefState,
-    gt: frozenset[TraitId],
     strategy: str,
     question: str,
     response: str,
@@ -319,7 +314,6 @@ def _record(
             question=question,
             response=response,
             detections=detections.to_dict(),
-            coverage_after=len(state.confirmed & gt) / len(gt),
             confirmed=[t.name for t in sorted(state.confirmed)],
             **context,
         )
@@ -340,7 +334,6 @@ def _episode_log(
     mode: str,
     gt: frozenset[TraitId],
     turns: list[TurnRecord],
-    state: BeliefState,
     abort_reason: str | None = None,
 ) -> EpisodeLog:
     return EpisodeLog(
@@ -352,7 +345,6 @@ def _episode_log(
         tau=cfg.tau,
         ground_truth=gt,
         turns=tuple(turns),
-        final_confirmed=state.confirmed,
         aborted=abort_reason is not None,
         abort_reason=abort_reason,
     )
@@ -385,7 +377,7 @@ def run_episode(
     Mode "tpa" plans every question from the belief (think, plan, ask). Mode
     "random" is the uniform-strategy baseline: it draws each strategy at random
     and asks with a neutral thought, so its turns log no thought. Ground-truth
-    labels are copied out of the profile here, once, for coverage bookkeeping.
+    labels are copied out of the profile here, once, for the log.
     """
     if mode not in ("tpa", "random"):
         raise ValueError(f"unknown loop mode {mode!r}")
@@ -427,7 +419,7 @@ def run_episode(
             break
 
         state = _record(
-            turns, state, gt, strategy.value, question, response, detections,
+            turns, state, strategy.value, question, response, detections,
             thought=thought.to_dict() if thought is not None else None,
             topic_id=topic.id,
             anchor_patient_id=anchor.patient_id,
@@ -436,7 +428,7 @@ def run_episode(
         )
         history.append(HistoryTurn(question, response))
 
-    return _episode_log(cfg, episode_id, profile.patient_id, mode, gt, turns, state, abort_reason)
+    return _episode_log(cfg, episode_id, profile.patient_id, mode, gt, turns, abort_reason)
 
 
 # perfbench traces `run_random` by name, so the old entry point stays as an alias
@@ -465,8 +457,8 @@ def run_replay(
         except _ABORTABLE as e:
             abort_reason = _abort_reason(episode_id, len(turns) + 1, e)
             break
-        state = _record(turns, state, gt, REPLAY_STRATEGY, question, response, detections)
-    return _episode_log(cfg, episode_id, patient_id, "replay", gt, turns, state, abort_reason)
+        state = _record(turns, state, REPLAY_STRATEGY, question, response, detections)
+    return _episode_log(cfg, episode_id, patient_id, "replay", gt, turns, abort_reason)
 
 
 def replay_transcript_for_patient(bank: SnippetBank, patient_id: str) -> list[tuple[str, str]]:
@@ -533,6 +525,7 @@ def run_batch(
 
 
 def write_logs(result: BatchResult, out_dir: str | Path) -> list[Path]:
+    """Write each log to `<episode_id>.json` as its one line of `to_json` text and a newline."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []

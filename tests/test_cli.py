@@ -144,7 +144,7 @@ def test_replay_subcommand(tmp_path):
                    "--out", str(out)) == 0
     log = json.loads(next(out.glob("*.json")).read_text())
     assert log["mode"] == "replay"
-    assert log["turns"][-1]["coverage_after"] == 1.0
+    assert set(log["ground_truth"]) <= set(log["turns"][-1]["confirmed"])
 
 
 def test_replay_bad_ground_truth(tmp_path, capsys):
@@ -487,8 +487,7 @@ def test_replay_honours_config_tau(tmp_path):
                    "--config", str(cfg), "--out", str(out)) == 0
     log = json.loads(next(out.glob("*.json")).read_text())
     assert log["tau"] == 0.9
-    assert log["final_confirmed"] == []
-    assert log["turns"][-1]["coverage_after"] == 0.0
+    assert log["turns"][-1]["confirmed"] == []
 
 
 @pytest.mark.parametrize("line", ["tau = nan", "tau = inf", "tau = 1.5", "tau = -0.1",
@@ -609,12 +608,14 @@ def _pre_slim_shape(doc):
         }
 
 
-# a wrong key, a missing key, a value of the wrong JSON type, or one out of range
+# a wrong key, a missing key, a value of the wrong JSON type, one out of range,
+# or turns numbered other than 1..n in order
 _CORRUPTIONS = {
     "extra": lambda doc: doc["turns"][0].update(extra=1),
     "extra_top_level": lambda doc: doc.update(bogus=1),
     "missing": lambda doc: doc["turns"][0].pop("response"),
-    "coverage_after": lambda doc: doc["turns"][0].update(coverage_after="high"),
+    "coverage_after": lambda doc: doc["turns"][0].update(coverage_after=0.5),
+    "final_confirmed": lambda doc: doc.update(final_confirmed=doc["turns"][-1]["confirmed"]),
     "belief_snapshot": _pre_slim_shape,
     "turn": lambda doc: doc["turns"][0].update(turn="1"),
     "aborted": lambda doc: doc.update(aborted="no"),
@@ -626,6 +627,9 @@ _CORRUPTIONS = {
     "max_turns_zero": lambda doc: doc.update(max_turns=0),
     "max_turns_negative": lambda doc: doc.update(max_turns=-5),
     "ground_truth_empty": lambda doc: doc.update(ground_truth=[]),
+    "turns_renumbered": lambda doc: [t.update(turn=t["turn"] + 29) for t in doc["turns"]],
+    "turns_reordered": lambda doc: doc["turns"].reverse(),
+    "turn_zero": lambda doc: [t.update(turn=t["turn"] - 1) for t in doc["turns"]],
 }
 
 
@@ -695,7 +699,6 @@ def _with_one_aborted(logs: Path, out: Path) -> Path:
     bad = out / "tpa-0002-P001.json"
     doc = json.loads(bad.read_text("utf-8"))
     doc["turns"] = doc["turns"][:3]
-    doc["final_confirmed"] = doc["turns"][-1]["confirmed"]
     doc.update(aborted=True, abort_reason="BackendError: connection reset")
     bad.write_text(json.dumps(doc), encoding="utf-8")
     return out

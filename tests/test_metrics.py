@@ -35,7 +35,6 @@ def make_log(
             question=f"q{i}",
             response=f"r{i}",
             detections={"labels": {}, "evidence": {}},
-            coverage_after=len(seq[i] & gt) / len(gt) if gt else 0.0,
             confirmed=[t.name for t in sorted(seq[i])],
         )
         for i in range(len(seq))
@@ -49,7 +48,6 @@ def make_log(
         tau=0.6,
         ground_truth=gt,
         turns=turns,
-        final_confirmed=seq[-1] if seq else frozenset(),
         aborted=aborted,
     )
 

@@ -23,6 +23,11 @@ from elicit.runner import (
 )
 
 
+def coverages(log):
+    """Ground-truth coverage after each turn of `log`, from its confirmed traits."""
+    gt = {t.name for t in log.ground_truth}
+    return [len(gt.intersection(t.confirmed)) / len(gt) for t in log.turns]
+
 
 def profile_with(rates, patient_id="PX"):
     base = {t: THETA_EPS for t in ALL_TRAITS}
@@ -98,7 +103,7 @@ def test_strong_single_trait_reaches_full_coverage(stack):
     hit = 0
     for seed in range(100):
         log = run_episode(dataclasses.replace(cfg, seed=seed), bank, profile, comps, f"e{seed}")
-        if log.turns[-1].coverage_after == 1.0:
+        if coverages(log)[-1] == 1.0:
             hit += 1
     assert hit >= 99
 
@@ -107,7 +112,7 @@ def test_coverage_is_monotone(stack):
     cfg, bank, comps = stack
     for pid in bank.patient_ids():
         log = run_episode(cfg, bank, base_rates(bank, pid), comps, f"mono-{pid}")
-        covs = [t.coverage_after for t in log.turns]
+        covs = coverages(log)
         assert covs == sorted(covs)
 
 
@@ -152,12 +157,6 @@ def test_each_serialised_record_has_one_key_per_field(stack):
     doc = fidelity.to_dict()
     assert set(doc) == fields_of(fidelity)
     assert all(set(doc[name]) == fields_of(SummaryStat) for name in ("kl", "freq_error", "semantic_similarity"))
-
-
-def test_final_confirmed_matches_last_snapshot(stack):
-    cfg, bank, comps = stack
-    log = run_episode(cfg, bank, base_rates(bank, "P001"), comps, "fc")
-    assert log.turns[-1].confirmed == [t.name for t in sorted(log.final_confirmed)]
 
 
 def test_questions_never_leak_diagnostic_vocabulary(stack):
@@ -229,7 +228,7 @@ def test_replay_full_coverage():
     ]
     cfg = EpisodeConfig(max_turns=20)
     log = run_replay(transcript, frozenset({TraitId.F2, TraitId.F6}), cfg)
-    assert log.turns[-1].coverage_after == 1.0
+    assert coverages(log)[-1] == 1.0
     assert all(t.strategy == "replay" for t in log.turns)
     assert all(t.thought is None for t in log.turns)
 
@@ -241,13 +240,13 @@ def test_replay_late_single_detection_stays_below_threshold():
         ("q2", "He said mideast on the news."),
     ]
     log = run_replay(transcript, frozenset({TraitId.F2}), EpisodeConfig())
-    assert log.turns[-1].coverage_after == 0.0
+    assert coverages(log)[-1] == 0.0
 
 
 def test_replay_no_markers_zero_coverage():
     transcript = [("q1", "Nothing special."), ("q2", "Just a normal day.")]
     log = run_replay(transcript, frozenset({TraitId.F2}), EpisodeConfig())
-    assert log.turns[-1].coverage_after == 0.0
+    assert coverages(log)[-1] == 0.0
 
 
 def test_replay_truncates_to_budget():
@@ -504,7 +503,7 @@ def test_full_llm_stack_with_scripted_backend(synth_bank):
     assert log.turns[0].question == "Tell me a bit about your week."
     assert log.turns[0].response == realise
     # F6 detected at turn 1 confirms immediately and fills coverage
-    assert log.turns[-1].coverage_after == 1.0
+    assert coverages(log)[-1] == 1.0
     assert log.turns[0].thought["confirmed_analysis"] == "none yet"
 
 
@@ -550,7 +549,7 @@ def test_replay_mode_aborts_an_episode_on_an_unusable_detector_reply_and_keeps_t
     assert (first.patient_id, first.aborted, len(first.turns)) == ("P001", False, 2)
     assert (second.patient_id, second.aborted, len(second.turns)) == ("P002", True, 1)
     assert second.abort_reason == "DetectorParseError: unusable reply after one retry: F1 must be a bool, got 'no'"
-    assert second.turns[0].coverage_after == 1.0
+    assert coverages(second)[0] == 1.0
 
 
 def test_encoder_kind_is_checked_when_components_are_built(synth_bank):
