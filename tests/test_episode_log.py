@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,15 @@ from elicit import belief
 from elicit.bank import SynthSpec, ingest, synthesize_bank
 from elicit.ontology import TraitId
 from elicit.patient import EmissionParams
-from elicit.runner import EpisodeConfig, read_logs, run_batch, write_logs
+from elicit.runner import (
+    BatchResult,
+    EpisodeConfig,
+    EpisodeLog,
+    LogFormatError,
+    read_logs,
+    run_batch,
+    write_logs,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_bank.jsonl"
 
@@ -180,3 +189,59 @@ def test_read_then_to_json_reproduces_each_written_file(batches, mode, tmp_path)
     assert [log.episode_id + ".json" for log in again] == [p.name for p in paths]
     for path, log in zip(paths, again):
         assert (log.to_json() + "\n").encode("utf-8") == path.read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["tpa", "random", "replay"])
+def test_to_json_is_one_line_of_sorted_json_that_parses_back_to_the_log(batches, mode):
+    for log in batches[mode].logs:
+        text = log.to_json()
+        assert "\n" not in text
+        assert text == json.dumps(json.loads(text), sort_keys=True, ensure_ascii=False)
+        assert EpisodeLog.from_json(text) == log
+
+
+def _renumbered(log: EpisodeLog, numbers: list[int]) -> dict:
+    doc = log.to_dict()
+    doc["turns"] = [dict(doc["turns"][i % len(doc["turns"])], turn=n) for i, n in enumerate(numbers)]
+    return doc
+
+
+@pytest.mark.parametrize("numbers", [[], [1], [1, 2, 3]], ids=str)
+def test_turns_numbered_one_to_n_in_order_parse(batches, numbers):
+    log = EpisodeLog.from_dict(_renumbered(batches["tpa"].logs[0], numbers))
+    assert [t.turn for t in log.turns] == numbers
+
+
+@pytest.mark.parametrize(
+    "numbers", [[0], [2], [2, 3, 4], [1, 3, 2], [3, 2, 1], [1, 1, 2], [1, 2, 4], [0, 1, 2]], ids=str
+)
+def test_turns_numbered_otherwise_raise_log_format_error(batches, numbers):
+    with pytest.raises(LogFormatError, match="turns must be numbered"):
+        EpisodeLog.from_dict(_renumbered(batches["tpa"].logs[0], numbers))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["café", "日本語の返事", "a smile 🙂", 'a "quote" and a \\ backslash', "tab\tand\nnewline",
+     "a line\u2028separator", "nul\x00and\x1fcontrols"],
+    ids=["latin", "cjk", "emoji", "quote", "whitespace", "u2028", "controls"],
+)
+def test_reply_text_reads_back_unchanged_from_its_written_file(batches, text, tmp_path):
+    log = batches["tpa"].logs[0]
+    turns = tuple(replace(t, response=text + str(t.turn)) for t in log.turns)
+    log = replace(log, turns=turns)
+    (path,) = write_logs(BatchResult(logs=(log,), skipped=()), tmp_path)
+    written = path.read_text("utf-8")
+    assert written.count("\n") == 1 and written.endswith("\n")
+    # ensure_ascii=False: printable non-ASCII text is written as itself, not as \u escapes
+    assert all(c in written for c in text if ord(c) > 127)
+    assert read_logs(tmp_path) == [log]
+
+
+@pytest.mark.parametrize("score", [0.0, -0.0, 0.1, 1 / 3, 5e-324, 1e308, -1.0], ids=repr)
+def test_a_float_reads_back_with_its_value_and_sign(batches, score):
+    log = batches["tpa"].logs[0]
+    log = replace(log, turns=tuple(replace(t, anchor_score=score) for t in log.turns))
+    again = EpisodeLog.from_json(log.to_json())
+    assert all(repr(t.anchor_score) == repr(score) for t in again.turns)
+    assert again.to_json() == log.to_json()

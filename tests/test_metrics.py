@@ -109,6 +109,19 @@ def test_recall_equals_final_coverage_always():
         assert m.recall == pytest.approx(m.coverage)
 
 
+def test_precision_and_recall_read_the_last_turns_confirmed_list():
+    # F5 is confirmed at turn 1 and gone by turn 2: only the last turn's list is scored
+    log = make_log({"F1", "F2"}, [{"F5"}, {"F1"}], max_turns=2)
+    m = episode_metrics(log)
+    assert (m.precision, m.recall, m.coverage) == (1.0, 0.5, 0.5)
+
+
+def test_a_log_with_no_turns_scores_the_empty_set():
+    m = episode_metrics(make_log({"F1"}, [], max_turns=3))
+    assert (m.coverage, m.precision, m.recall, m.f1, m.aucc) == (0.0, 0.0, 0.0, 0.0, 0.0)
+    assert m.per_turn_coverage == (0.0, 0.0, 0.0)
+
+
 def test_short_episode_pads_final_value():
     log = make_log({"F2"}, [set(), {"F2"}], max_turns=10)
     m = episode_metrics(log)
