@@ -90,6 +90,12 @@ class BackendConfig:
     timeout_s: float = DEFAULT_TIMEOUT_S
     max_concurrency: int = 4
 
+    def __post_init__(self):
+        if not 0.0 < self.timeout_s < float("inf"):  # also false for nan
+            raise ValueError(f"timeout_s must be finite and > 0, got {self.timeout_s}")
+        if self.max_concurrency < 1:
+            raise ValueError(f"max_concurrency must be >= 1, got {self.max_concurrency}")
+
 
 class HttpBackend:
     """Chat-completions client with bounded retries and a concurrency cap.
@@ -102,7 +108,7 @@ class HttpBackend:
         self.config = config
         self._transport = transport or self._http_post
         self._key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self._semaphore = threading.Semaphore(max(1, config.max_concurrency))
+        self._semaphore = threading.Semaphore(config.max_concurrency)
         self._lock = threading.Lock()
         self.retry_count = 0
 

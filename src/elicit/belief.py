@@ -1,11 +1,12 @@
 """Per-trait Beta belief state over detections.
 
-Each trait carries a Beta(alpha, beta) accumulator starting at Beta(1, 1);
-a positive detection increments alpha, a miss increments beta, every turn,
-for all ten traits. A trait whose posterior mean crosses the detection
-threshold tau is confirmed, and confirmation latches: it never leaves the
-confirmed set even if later negative evidence drags the mean back down
-(cumulative coverage must be monotone).
+Every turn updates all ten traits, so the state is a count of positive
+detections per trait plus one shared turn count: after n turns, a trait with
+p positives is Beta(1 + p, 1 + n - p) from the Beta(1, 1) prior. A trait
+whose posterior mean crosses the detection threshold tau is confirmed, and
+confirmation latches: it never leaves the confirmed set even if later
+negative evidence drags the mean back down (cumulative coverage must be
+monotone).
 """
 
 from __future__ import annotations
@@ -17,20 +18,6 @@ from typing import Mapping
 from .ontology import ALL_TRAITS, TraitId
 
 DEFAULT_TAU = 0.6  # one positive from the prior gives mean 2/3 > tau: immediate confirmation
-
-
-@dataclass(frozen=True)
-class TraitBelief:
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.alpha < 1.0 or self.beta < 1.0:
-            raise ValueError("alpha and beta start at 1 and only accumulate")
-
-    @property
-    def mean(self) -> float:
-        return self.alpha / (self.alpha + self.beta)
 
 
 def _digamma(x: float) -> float:
@@ -68,13 +55,12 @@ def beta_entropy(alpha: float, beta: float) -> float:
 
 @dataclass(frozen=True)
 class BeliefState:
-    beliefs: Mapping[TraitId, TraitBelief]
+    """Positive-detection counts in trait order and the turn count; the defaults are the Beta(1, 1) prior."""
+
+    positives: tuple[int, ...] = (0,) * len(ALL_TRAITS)
+    turns: int = 0
     tau: float = DEFAULT_TAU
     confirmed: frozenset[TraitId] = frozenset()
-
-    @classmethod
-    def fresh(cls, tau: float = DEFAULT_TAU) -> "BeliefState":
-        return cls(beliefs={t: TraitBelief(1.0, 1.0) for t in ALL_TRAITS}, tau=tau)
 
 
 def update(state: BeliefState, detections: Mapping[TraitId, bool]) -> BeliefState:
@@ -82,25 +68,18 @@ def update(state: BeliefState, detections: Mapping[TraitId, bool]) -> BeliefStat
     missing = [t for t in ALL_TRAITS if t not in detections]
     if missing:
         raise ValueError(f"detections must cover all ten traits; missing {missing}")
-    beliefs = {}
-    confirmed = set(state.confirmed)  # latch
-    for t in ALL_TRAITS:
-        b = state.beliefs[t]
-        if detections[t]:
-            b = TraitBelief(b.alpha + 1.0, b.beta)
-        else:
-            b = TraitBelief(b.alpha, b.beta + 1.0)
-        beliefs[t] = b
-        if b.mean > state.tau and b.alpha > 1.0:
-            confirmed.add(t)
-    return BeliefState(beliefs=beliefs, tau=state.tau, confirmed=frozenset(confirmed))
+    positives = tuple(p + bool(detections[t]) for t, p in zip(ALL_TRAITS, state.positives))
+    n = state.turns + 1
+    # the posterior mean (1 + p) / (2 + n) is alpha / (alpha + beta) to the bit: small integer sums are exact
+    confirmed = {t for t, p in zip(ALL_TRAITS, positives) if p > 0 and (1 + p) / (2 + n) > state.tau}
+    return BeliefState(positives, n, state.tau, state.confirmed | confirmed)
 
 
 def priority_traits(state: BeliefState, k: int = 4) -> list[TraitId]:
     """The k highest-entropy unconfirmed traits (ties by ascending index)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    candidates = [t for t in ALL_TRAITS if t not in state.confirmed]
-    beliefs = state.beliefs
-    candidates.sort(key=lambda t: (-beta_entropy(beliefs[t].alpha, beliefs[t].beta), int(t)))
-    return candidates[:k]
+    n = state.turns
+    candidates = [(t, p) for t, p in zip(ALL_TRAITS, state.positives) if t not in state.confirmed]
+    candidates.sort(key=lambda tp: (-beta_entropy(1.0 + tp[1], 1.0 + n - tp[1]), int(tp[0])))
+    return [t for t, _ in candidates[:k]]

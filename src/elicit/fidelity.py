@@ -167,7 +167,7 @@ def _simulate_patient(
     An anchor from the held-out patient raises AssertionError.
     """
     params = EmissionParams()
-    belief = BeliefState.fresh()
+    belief = BeliefState()
     turns = []
     for k in range(cfg.episodes_per_patient):
         ep_seed = derive_seed(cfg.seed, f"fidelity-{patient_id}-{k}")

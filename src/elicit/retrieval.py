@@ -55,8 +55,7 @@ def _norm(x: np.ndarray) -> float:
 class FallbackEncoder:
     """Deterministic dependency-free encoder: hashed token counts, L2-normalised."""
 
-    def __init__(self, dim: int = FALLBACK_DIM):
-        self.dim = dim
+    dim = FALLBACK_DIM
 
     def encode(self, text: str) -> Embedding:
         stripped = text.strip()

@@ -231,6 +231,13 @@ class EpisodeLog:
         numbers = [t.turn for t in log.turns]
         if numbers != list(range(1, len(numbers) + 1)):
             raise LogFormatError(f"turns must be numbered 1..{len(numbers)} in order, got {numbers}")
+        if len(numbers) > log.max_turns:
+            raise LogFormatError(f"{len(numbers)} turns exceed max_turns {log.max_turns}")
+        for before, after in zip(log.turns, log.turns[1:]):
+            if not set(before.confirmed) <= set(after.confirmed):
+                raise LogFormatError(f"turn {after.turn} drops a trait confirmed at turn {before.turn}")
+        if log.aborted != (log.abort_reason is not None):
+            raise LogFormatError(f"aborted is {log.aborted} but abort_reason is {log.abort_reason!r}")
         return log
 
     @classmethod
@@ -390,7 +397,7 @@ def run_episode(
         raise EmptyCandidateSetError("no bank snippets available for anchor retrieval")
     rng = random.Random(cfg.seed)
     topics = plan_topics(comps.ontology.dialogic_scenarios(), cfg.seed, cfg.max_turns)
-    state = BeliefState.fresh(tau=cfg.tau)
+    state = BeliefState(tau=cfg.tau)
     history: list[HistoryTurn] = []
     turns: list[TurnRecord] = []
     abort_reason = None
@@ -448,7 +455,7 @@ def run_replay(
         raise ValueError("transcript must be non-empty")
     comps = components or build_components(cfg, bank=None)
     gt = frozenset(ground_truth)
-    state = BeliefState.fresh(tau=cfg.tau)
+    state = BeliefState(tau=cfg.tau)
     turns: list[TurnRecord] = []
     abort_reason = None
     for question, response in transcript[: cfg.max_turns]:

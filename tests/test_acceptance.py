@@ -12,7 +12,7 @@ import time
 import pytest
 
 from elicit.bank import PatientProfile, SynthSpec, THETA_EPS, synthesize_bank
-from elicit.belief import BeliefState, TraitBelief, beta_entropy, priority_traits
+from elicit.belief import BeliefState, beta_entropy, priority_traits
 from elicit.detector import RuleDetector
 from elicit.metrics import aggregate, episode_metrics
 from elicit.ontology import ALL_TRAITS, TraitId
@@ -81,16 +81,14 @@ def test_criterion_3_belief_entropy_suite():
 
     rng = random.Random(31)
     for _ in range(1000):
-        beliefs = {
-            t: TraitBelief(1.0 + rng.randint(0, 15), 1.0 + rng.randint(0, 15))
-            for t in ALL_TRAITS
-        }
+        n = rng.randint(0, 30)
+        positives = tuple(rng.randint(0, n) for _ in ALL_TRAITS)
         confirmed = frozenset(t for t in ALL_TRAITS if rng.random() < 0.25)
-        state = BeliefState(beliefs=beliefs, tau=0.6, confirmed=confirmed)
+        state = BeliefState(positives=positives, turns=n, tau=0.6, confirmed=confirmed)
         k = rng.randint(1, 10)
         expected = sorted(
             (t for t in ALL_TRAITS if t not in confirmed),
-            key=lambda t: (-beta_entropy(beliefs[t].alpha, beliefs[t].beta), int(t)),
+            key=lambda t: (-beta_entropy(1.0 + positives[t - 1], 1.0 + n - positives[t - 1]), int(t)),
         )[:k]
         assert priority_traits(state, k) == expected
     _report("3 belief/entropy suite", t0, 30.0)

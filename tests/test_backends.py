@@ -42,6 +42,18 @@ def test_request_rejects_negative_temperature():
         req(temperature=-0.1)
 
 
+@pytest.mark.parametrize("bad", [{"max_concurrency": 0}, {"max_concurrency": -3}, {"timeout_s": float("nan")},
+                                 {"timeout_s": float("inf")}, {"timeout_s": 0.0}, {"timeout_s": -1.0}])
+def test_backend_config_rejects_a_concurrency_below_one_or_a_bad_timeout(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        BackendConfig(**bad)
+
+
+def test_backend_config_accepts_one_worker_and_a_short_timeout():
+    config = BackendConfig(max_concurrency=1, timeout_s=0.01)
+    assert (config.max_concurrency, config.timeout_s) == (1, 0.01)
+
+
 def test_fingerprint_stable_and_sensitive():
     assert req("a").fingerprint() == req("a").fingerprint()
     assert req("a").fingerprint() != req("b").fingerprint()

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import betaln, digamma
 
+from elicit import belief
 from elicit.belief import (
     BeliefState,
-    TraitBelief,
     beta_entropy,
     priority_traits,
     update,
@@ -21,6 +21,17 @@ from elicit.runner import EpisodeConfig, run_replay
 def detections(positive=()):
     pos = {TraitId.parse(t) if isinstance(t, str) else t for t in positive}
     return {t: t in pos for t in ALL_TRAITS}
+
+
+def counts(state, trait):
+    """Trait's Beta(alpha, beta) as floats, from its positive count and the turn count."""
+    p = state.positives[trait - 1]
+    return 1.0 + p, 1.0 + state.turns - p
+
+
+def mean(state, trait):
+    alpha, beta = counts(state, trait)
+    return alpha / (alpha + beta)
 
 
 def quad_entropy(alpha, beta):
@@ -45,44 +56,58 @@ def scipy_entropy(alpha, beta):
     )
 
 
+def test_fresh_state_is_the_uniform_prior():
+    state = BeliefState(tau=0.9)
+    assert (state.positives, state.turns, state.tau, state.confirmed) == ((0,) * 10, 0, 0.9, frozenset())
+    assert all(counts(state, t) == (1.0, 1.0) for t in ALL_TRAITS)
+
+
 def test_single_positive_confirms():
-    state = update(BeliefState.fresh(), detections(["F2"]))
-    b = state.beliefs[TraitId.F2]
-    assert (b.alpha, b.beta) == (2.0, 1.0)
-    assert state.beliefs[TraitId.F2].mean == pytest.approx(2 / 3)
+    state = update(BeliefState(), detections(["F2"]))
+    assert counts(state, TraitId.F2) == (2.0, 1.0)
+    assert mean(state, TraitId.F2) == pytest.approx(2 / 3)
     assert TraitId.F2 in state.confirmed
 
 
 def test_single_negative_does_not_confirm():
-    state = update(BeliefState.fresh(), detections())
-    b = state.beliefs[TraitId.F2]
-    assert (b.alpha, b.beta) == (1.0, 2.0)
-    assert state.beliefs[TraitId.F2].mean == pytest.approx(1 / 3)
+    state = update(BeliefState(), detections())
+    assert counts(state, TraitId.F2) == (1.0, 2.0)
+    assert mean(state, TraitId.F2) == pytest.approx(1 / 3)
     assert TraitId.F2 not in state.confirmed
 
 
 def test_twenty_negative_turns():
     # pure-negative evidence is symmetric across traits: Beta(1, 1+20) everywhere
-    state = BeliefState.fresh()
+    state = BeliefState()
     for _ in range(20):
         state = update(state, detections())
     for t in ALL_TRAITS:
-        b = state.beliefs[t]
-        assert (b.alpha, b.beta) == (1.0, 21.0)
-        assert state.beliefs[t].mean == pytest.approx(1 / 22)
+        assert counts(state, t) == (1.0, 21.0)
+        assert mean(state, t) == pytest.approx(1 / 22)
     assert not state.confirmed
 
 
 def test_update_requires_full_coverage():
-    state = BeliefState.fresh()
+    state = BeliefState()
     with pytest.raises(ValueError):
         update(state, {TraitId.F1: True})
 
 
 def test_posterior_means():
-    assert TraitBelief(1, 1).mean == pytest.approx(0.5)
-    assert TraitBelief(2, 1).mean == pytest.approx(0.6667, abs=1e-4)
-    assert TraitBelief(1, 3).mean == pytest.approx(0.25)
+    state = BeliefState()
+    assert mean(state, TraitId.F1) == pytest.approx(0.5)
+    state = update(state, detections(["F1"]))
+    assert mean(state, TraitId.F1) == pytest.approx(0.6667, abs=1e-4)
+    assert mean(update(BeliefState(), detections()), TraitId.F1) == pytest.approx(1 / 3)
+    state = update(update(BeliefState(), detections()), detections())
+    assert mean(state, TraitId.F1) == pytest.approx(0.25)
+
+
+def test_a_positive_at_exactly_tau_does_not_confirm():
+    # mean (1 + p) / (2 + n) must exceed tau: 2/4 after a miss and a hit is not over 0.5
+    state = update(update(BeliefState(tau=0.5), detections()), detections(["F3"]))
+    assert mean(state, TraitId.F3) == 0.5
+    assert TraitId.F3 not in state.confirmed
 
 
 def test_entropy_uniform_prior():
@@ -137,20 +162,23 @@ def test_entropy_decreases_along_diagonal():
 
 
 def test_priority_fresh_state():
-    assert priority_traits(BeliefState.fresh()) == [TraitId.F1, TraitId.F2, TraitId.F3, TraitId.F4]
+    assert priority_traits(BeliefState()) == [TraitId.F1, TraitId.F2, TraitId.F3, TraitId.F4]
 
 
 def test_priority_excludes_confirmed():
-    state = BeliefState.fresh()
-    state = BeliefState(beliefs=state.beliefs, tau=state.tau, confirmed=frozenset({TraitId.F1}))
+    state = BeliefState(confirmed=frozenset({TraitId.F1}))
     assert priority_traits(state) == [TraitId.F2, TraitId.F3, TraitId.F4, TraitId.F5]
 
 
 def test_priority_fewer_than_k():
-    state = BeliefState.fresh()
-    confirmed = frozenset(ALL_TRAITS[:8])
-    state = BeliefState(beliefs=state.beliefs, tau=state.tau, confirmed=confirmed)
+    state = BeliefState(confirmed=frozenset(ALL_TRAITS[:8]))
     assert priority_traits(state, k=4) == [TraitId.F9, TraitId.F10]
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_priority_rejects_k_below_one(k):
+    with pytest.raises(ValueError):
+        priority_traits(BeliefState(), k)
 
 
 # Integer pairs with a + b <= 22 where scipy's rounding gave H(a, b) != H(b, a).
@@ -162,9 +190,14 @@ MIRROR_PAIRS = [
 
 @pytest.mark.parametrize("a, b", MIRROR_PAIRS)
 def test_priority_mirror_pairs_tie_by_ascending_index(a, b):
-    mirrored = {TraitId.F1: (a, b), TraitId.F2: (b, a), TraitId.F3: (b, a), TraitId.F4: (a, b)}
-    beliefs = {t: TraitBelief(*map(float, mirrored.get(t, (1, 1)))) for t in ALL_TRAITS}
-    state = BeliefState(beliefs=beliefs, confirmed=frozenset(ALL_TRAITS) - set(mirrored))
+    # after a + b - 2 turns, a - 1 positives give Beta(a, b) and b - 1 give Beta(b, a)
+    mirrored = {TraitId.F1: a - 1, TraitId.F2: b - 1, TraitId.F3: b - 1, TraitId.F4: a - 1}
+    state = BeliefState(
+        positives=tuple(mirrored.get(t, 0) for t in ALL_TRAITS),
+        turns=a + b - 2,
+        confirmed=frozenset(ALL_TRAITS) - set(mirrored),
+    )
+    assert counts(state, TraitId.F1) == counts(state, TraitId.F2)[::-1] == (a, b)
     assert priority_traits(state) == [TraitId.F1, TraitId.F2, TraitId.F3, TraitId.F4]
 
 
@@ -173,8 +206,7 @@ def _brute_force_priority(state, k):
     for t in ALL_TRAITS:
         if t in state.confirmed:
             continue
-        b = state.beliefs[t]
-        scored.append((-beta_entropy(b.alpha, b.beta), int(t), t))
+        scored.append((-beta_entropy(*counts(state, t)), int(t), t))
     scored.sort()
     return [t for _, _, t in scored[:k]]
 
@@ -182,12 +214,10 @@ def _brute_force_priority(state, k):
 def test_priority_matches_brute_force_fuzzed():
     rng = random.Random(314)
     for _ in range(200):
-        beliefs = {
-            t: TraitBelief(alpha=1.0 + rng.randint(0, 12), beta=1.0 + rng.randint(0, 12))
-            for t in ALL_TRAITS
-        }
+        n = rng.randint(0, 24)
+        positives = tuple(rng.randint(0, n) for _ in ALL_TRAITS)
         confirmed = frozenset(t for t in ALL_TRAITS if rng.random() < 0.3)
-        state = BeliefState(beliefs=beliefs, tau=0.6, confirmed=confirmed)
+        state = BeliefState(positives=positives, turns=n, tau=0.6, confirmed=confirmed)
         k = rng.randint(1, 10)
         got = priority_traits(state, k)
         assert got == _brute_force_priority(state, k)
@@ -201,27 +231,28 @@ def test_update_order_insensitive_over_multiset():
     for _ in range(5):
         order = maps[:]
         rng.shuffle(order)
-        state = BeliefState.fresh()
+        state = BeliefState()
         for m in order:
             state = update(state, m)
-        final.append({t: (b.alpha, b.beta) for t, b in state.beliefs.items()})
+        final.append((state.positives, state.turns))
     assert all(f == final[0] for f in final)
+    assert final[0] == ((2, 1, 1, 0, 0, 0, 0, 0, 0, 0), 4)
 
 
 def test_confirmation_latch_is_monotone():
-    state = update(BeliefState.fresh(), detections(["F4"]))
+    state = update(BeliefState(), detections(["F4"]))
     assert TraitId.F4 in state.confirmed
     for _ in range(30):
         state = update(state, detections())
     # mean is well below tau now, but confirmation latched
-    assert state.beliefs[TraitId.F4].mean < state.tau
+    assert mean(state, TraitId.F4) < state.tau
     assert TraitId.F4 in state.confirmed
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.sets(st.sampled_from(list(ALL_TRAITS))), min_size=1, max_size=15))
 def test_confirmed_monotone_over_any_history(history):
-    state = BeliefState.fresh()
+    state = BeliefState()
     previous = frozenset()
     for positives in history:
         state = update(state, {t: t in positives for t in ALL_TRAITS})
@@ -239,9 +270,65 @@ def test_a_log_folds_back_to_its_beta_snapshots():
         ("Anything else?", "Nothing much."),
     ]
     log = run_replay(transcript, frozenset({TraitId.F2, TraitId.F6}), EpisodeConfig())
-    state = BeliefState.fresh(tau=log.tau)
+    state = BeliefState(tau=log.tau)
     for turn in log.turns:
         state = update(state, {TraitId.parse(n): v for n, v in turn.detections["labels"].items()})
         assert turn.confirmed == [t.name for t in sorted(state.confirmed)] == ["F6"]
-    assert state.beliefs[TraitId.F6] == state.beliefs[TraitId.F2] == TraitBelief(2.0, 3.0)
-    assert all(state.beliefs[t] == TraitBelief(1.0, 4.0) for t in ALL_TRAITS if t not in (TraitId.F2, TraitId.F6))
+    assert counts(state, TraitId.F6) == counts(state, TraitId.F2) == (2.0, 3.0)
+    assert all(counts(state, t) == (1.0, 4.0) for t in ALL_TRAITS if t not in (TraitId.F2, TraitId.F6))
+
+
+class _AlphaBetaReference:
+    """The per-trait float Beta(alpha, beta) belief that the counts replace."""
+
+    def __init__(self, tau):
+        self.tau = tau
+        self.ab = {t: (1.0, 1.0) for t in ALL_TRAITS}
+        self.confirmed = set()
+
+    def update(self, labels):
+        for t in ALL_TRAITS:
+            alpha, beta = self.ab[t]
+            alpha, beta = (alpha + 1.0, beta) if labels[t] else (alpha, beta + 1.0)
+            self.ab[t] = (alpha, beta)
+            if alpha / (alpha + beta) > self.tau and alpha > 1.0:
+                self.confirmed.add(t)
+
+    def priority(self, k):
+        candidates = [t for t in ALL_TRAITS if t not in self.confirmed]
+        candidates.sort(key=lambda t: (-beta_entropy(*self.ab[t]), int(t)))
+        return candidates[:k]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tau=st.sampled_from([0.0, 0.6, 0.9, 0.99]),
+    history=st.lists(st.sets(st.sampled_from(list(ALL_TRAITS))), max_size=40),
+)
+def test_counts_fold_like_per_trait_alpha_beta(tau, history):
+    state, reference = BeliefState(tau=tau), _AlphaBetaReference(tau)
+    for turn, positives in enumerate(history, start=1):
+        labels = {t: t in positives for t in ALL_TRAITS}
+        state = update(state, labels)
+        reference.update(labels)
+        assert state.turns == turn and all(0 <= p <= turn for p in state.positives)
+        assert all(counts(state, t) == reference.ab[t] for t in ALL_TRAITS)
+        assert state.confirmed == reference.confirmed
+        for k in range(1, 11):
+            assert priority_traits(state, k) == reference.priority(k)
+
+
+def test_priority_scores_each_unconfirmed_trait_once(monkeypatch):
+    # perfbench's belief.beta_entropy.calls_per_turn counts calls through the module attribute
+    calls = []
+
+    def counting(alpha, beta):
+        calls.append((alpha, beta))
+        return beta_entropy(alpha, beta)
+
+    monkeypatch.setattr(belief, "beta_entropy", counting)
+    state = BeliefState(positives=(1, 0, 2, 0, 0, 3, 0, 0, 0, 0), turns=4, confirmed=frozenset({TraitId.F6}))
+    for k in (1, 4, 10):
+        calls.clear()
+        priority_traits(state, k)
+        assert sorted(calls) == sorted(counts(state, t) for t in ALL_TRAITS if t != TraitId.F6)

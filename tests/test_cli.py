@@ -492,7 +492,9 @@ def test_replay_honours_config_tau(tmp_path):
 
 @pytest.mark.parametrize("line", ["tau = nan", "tau = inf", "tau = 1.5", "tau = -0.1",
                                   "emitter.M = nan", "emitter.strategy_gain = nan",
-                                  "emitter.affinity_weight = nan"])
+                                  "emitter.affinity_weight = nan", "backend.max_concurrency = 0",
+                                  "backend.max_concurrency = -3", "backend.timeout_s = nan",
+                                  "backend.timeout_s = inf", "backend.timeout_s = 0"])
 @pytest.mark.parametrize("command", ["run", "replay", "detect"])
 def test_an_out_of_range_setting_exits_1_with_an_error(tmp_path, capsys, command, line):
     transcript = tmp_path / "t.jsonl"
@@ -609,7 +611,8 @@ def _pre_slim_shape(doc):
 
 
 # a wrong key, a missing key, a value of the wrong JSON type, one out of range,
-# or turns numbered other than 1..n in order
+# turns numbered other than 1..n in order or more of them than max_turns, a
+# confirmed trait that a later turn drops, or aborted without a reason or the reverse
 _CORRUPTIONS = {
     "extra": lambda doc: doc["turns"][0].update(extra=1),
     "extra_top_level": lambda doc: doc.update(bogus=1),
@@ -630,6 +633,10 @@ _CORRUPTIONS = {
     "turns_renumbered": lambda doc: [t.update(turn=t["turn"] + 29) for t in doc["turns"]],
     "turns_reordered": lambda doc: doc["turns"].reverse(),
     "turn_zero": lambda doc: [t.update(turn=t["turn"] - 1) for t in doc["turns"]],
+    "turns_over_max_turns": lambda doc: doc.update(max_turns=len(doc["turns"]) - 1),
+    "confirmed_dropped": lambda doc: [doc["turns"][-2].update(confirmed=["F1"]), doc["turns"][-1].update(confirmed=[])],
+    "aborted_without_reason": lambda doc: doc.update(aborted=True),
+    "reason_without_aborted": lambda doc: doc.update(abort_reason="BackendError: connection reset"),
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from elicit import belief
 from elicit.bank import SynthSpec, ingest, synthesize_bank
-from elicit.ontology import TraitId
+from elicit.ontology import ALL_TRAITS, TraitId
 from elicit.patient import EmissionParams
 from elicit.runner import (
     BatchResult,
@@ -101,17 +101,19 @@ def pre_slim(doc: dict) -> str:
     writes the folded snapshot in its place, with the turn's coverage of the
     ground truth. The log's `final_confirmed` is the last turn's list.
     """
-    state = belief.BeliefState.fresh(tau=doc["tau"])
+    state = belief.BeliefState(tau=doc["tau"])
     gt = set(doc["ground_truth"])
     for turn in doc["turns"]:
         state = belief.update(state, {TraitId.parse(n): v for n, v in turn["detections"]["labels"].items()})
         confirmed = turn.pop("confirmed")
         assert confirmed == [t.name for t in sorted(state.confirmed)]
         turn["coverage_after"] = len(gt.intersection(confirmed)) / len(gt)
-        turn["belief_snapshot"] = {
-            t.name: {"alpha": b.alpha, "beta": b.beta, "mean": b.mean, "confirmed": t in state.confirmed}
-            for t, b in state.beliefs.items()
-        }
+        turn["belief_snapshot"] = {}
+        for t, p in zip(ALL_TRAITS, state.positives):
+            alpha, beta = 1.0 + p, 1.0 + state.turns - p
+            turn["belief_snapshot"][t.name] = {
+                "alpha": alpha, "beta": beta, "mean": alpha / (alpha + beta), "confirmed": t in state.confirmed
+            }
     doc["final_confirmed"] = [t.name for t in sorted(state.confirmed)]
     return json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=1)
 

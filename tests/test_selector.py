@@ -4,7 +4,7 @@ import random
 import pytest
 
 from elicit.backends import ScriptedBackend, ScriptExhaustedError
-from elicit.belief import BeliefState, TraitBelief
+from elicit.belief import BeliefState
 from elicit.ontology import ALL_TRAITS, STRATEGY_ORDER, Strategy, TraitId
 from elicit.selector import (
     HeuristicSelector,
@@ -25,26 +25,20 @@ def ctx_for(ontology, belief=None, topic_id=7):
     return SessionContext(
         clinical_background="adult, verbally fluent",
         history=[],
-        belief=belief or BeliefState.fresh(),
+        belief=belief or BeliefState(),
         topic=topic,
         ontology=ontology,
     )
 
 
 def with_confirmed(confirmed):
-    fresh = BeliefState.fresh()
-    return BeliefState(beliefs=fresh.beliefs, tau=fresh.tau, confirmed=frozenset(confirmed))
+    return BeliefState(confirmed=frozenset(confirmed))
 
 
 def state_with_entropies(noisy_traits):
-    """Partially-evidenced traits have higher entropy than pure-negative ones."""
-    beliefs = {}
-    for t in ALL_TRAITS:
-        if t in noisy_traits:
-            beliefs[t] = TraitBelief(3.0, 4.0)
-        else:
-            beliefs[t] = TraitBelief(1.0, 8.0)
-    return BeliefState(beliefs=beliefs, tau=0.6, confirmed=frozenset())
+    """Partially-evidenced traits, Beta(3, 4) after five turns, have higher
+    entropy than pure-negative ones, Beta(1, 6)."""
+    return BeliefState(positives=tuple(2 if t in noisy_traits else 0 for t in ALL_TRAITS), turns=5)
 
 
 def test_think_fresh_priority(ontology):
