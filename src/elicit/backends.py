@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -20,6 +21,8 @@ import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .errors import BackendError, InputError, read_text
+
 logger = logging.getLogger(__name__)
 
 API_KEY_ENV = "ELICIT_API_KEY"
@@ -27,10 +30,6 @@ DEFAULT_TIMEOUT_S = 60.0
 MAX_RETRIES = 2
 BACKOFF_BASE_S = 0.5
 RETRYABLE_STATUS = frozenset({408, 429})  # plus every 5xx
-
-
-class BackendError(RuntimeError):
-    pass
 
 
 class AuthError(BackendError):
@@ -92,9 +91,9 @@ class BackendConfig:
 
     def __post_init__(self):
         if not 0.0 < self.timeout_s < float("inf"):  # also false for nan
-            raise ValueError(f"timeout_s must be finite and > 0, got {self.timeout_s}")
+            raise InputError(f"timeout_s must be finite and > 0, got {self.timeout_s}")
         if self.max_concurrency < 1:
-            raise ValueError(f"max_concurrency must be >= 1, got {self.max_concurrency}")
+            raise InputError(f"max_concurrency must be >= 1, got {self.max_concurrency}")
 
 
 class HttpBackend:
@@ -183,6 +182,8 @@ class HttpBackend:
             out = []
             for row in rows:
                 vec = [float(x) for x in row["embedding"]]
+                if not all(map(math.isfinite, vec)):
+                    raise MalformedResponseError(f"embedding {row['index']} holds a non-finite value")
                 norm = sum(x * x for x in vec) ** 0.5
                 out.append([x / norm for x in vec] if norm > 0 else vec)
             return out
@@ -247,11 +248,16 @@ class ReplayBackend:
 
     def __init__(self, log_path: str | Path):
         self._responses: dict[str, list] = {}
-        with open(log_path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    entry = json.loads(line)
-                    self._responses.setdefault(entry["fingerprint"], []).append(entry["response"])
+        for line_no, line in enumerate(read_text(log_path).split("\n"), start=1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line)
+            except ValueError as e:
+                raise InputError(f"{log_path}: line {line_no}: invalid JSON ({e})") from None
+            if not isinstance(entry, dict) or type(entry.get("fingerprint")) is not str or "response" not in entry:
+                raise InputError(f"{log_path}: line {line_no}: expected a string fingerprint and a response")
+            self._responses.setdefault(entry["fingerprint"], []).append(entry["response"])
         self._served: dict[str, int] = {}
         self._lock = threading.Lock()
 

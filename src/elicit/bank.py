@@ -15,12 +15,13 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable
 
+from .errors import InputError, read_text
 from .ontology import ALL_TRAITS, TRAIT_BY_NAME, Ontology, TraitId, default_ontology
 
 THETA_EPS = 1e-3  # clamp keeps logit(theta) finite
 
 
-class BankSchemaError(ValueError):
+class BankSchemaError(InputError):
     """A bank line failed validation; carries the 1-based line number."""
 
     def __init__(self, line_no: int, message: str):
@@ -142,7 +143,7 @@ def ingest(path: str | Path) -> SnippetBank:
     Raises BankSchemaError naming the first offending line; an empty file
     yields an empty bank carrying a warning.
     """
-    text = Path(path).read_text("utf-8")
+    text = read_text(path)
     snippets: list[Snippet] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
@@ -187,7 +188,7 @@ class SynthSpec:
 
     def validate(self) -> None:
         if self.n_patients < 1 or self.snippets_per_patient < 1:
-            raise ValueError("n_patients and snippets_per_patient must be >= 1")
+            raise InputError("n_patients and snippets_per_patient must be >= 1")
 
 
 _QUESTION_TEMPLATES = [

@@ -1,7 +1,7 @@
 """Command-line entry point wiring the full pipeline.
 
 Subcommands: ingest, synth, run, replay, evaluate, validate, report, detect.
-Exit codes: 0 success, 1 usage/validation error, 2 backend/transport failure.
+Exit codes: 0 success, 1 an `InputError` (bad input), 2 a `BackendError`; see `errors`.
 All randomness flows from a single --seed per invocation.
 """
 
@@ -17,19 +17,18 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .backends import BackendConfig, BackendError, HttpBackend, RecordingBackend, ReplayBackend
-from .bank import BankSchemaError, SynthSpec, ingest, read_object, require_text, synthesize_bank, write_bank
-from .config import ConfigError, Settings, load_settings
-from .detector import DetectorParseError
-from .fidelity import FidelityConfig, InsufficientPatientsError, loo_validate
-from .metrics import CorpusReport, NoValidLogsError, aggregate
+from .backends import BackendConfig, HttpBackend, RecordingBackend, ReplayBackend
+from .bank import SynthSpec, ingest, read_object, require_text, synthesize_bank, write_bank
+from .config import Settings, load_settings
+from .errors import BackendError, InputError, read_text
+from .fidelity import FidelityConfig, loo_validate
+from .metrics import CorpusReport, aggregate
 from .ontology import TraitId, default_ontology, load_ontology
 from .runner import BatchResult, build_components, read_logs, run_batch, run_replay, write_logs
-from .selector import QuestionConstraintError
 
 
-class UsageError(Exception):
-    pass
+class UsageError(InputError):
+    """A flag, or what it names, that the command cannot use."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,23 +183,18 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _all_aborted(logs) -> bool:
-    """Whether every episode aborted; if so, the first one's reason goes to stderr like detect's backend errors."""
-    if not logs or not all(log.aborted for log in logs):
-        return False
-    reason = logs[0].abort_reason.partition(": ")[2]  # "<error type>: <message>"
-    print(f"error: every episode aborted; backend error: {reason}", file=sys.stderr)
-    return True
+def _fail_if_all_aborted(logs) -> None:
+    """Raise the first episode's abort as a BackendError when every episode aborted."""
+    if logs and all(log.aborted for log in logs):
+        raise BackendError(logs[0].abort_reason.partition(": ")[2])  # "<error type>: <message>"
 
 
 def _cmd_run(args) -> int:
     floor = 0 if args.mode == "replay" else 1  # 0 in replay mode means one per patient
     if args.episodes < floor:
-        print(f"error: --episodes must be >= {floor} in {args.mode} mode", file=sys.stderr)
-        return 1
+        raise UsageError(f"--episodes must be >= {floor} in {args.mode} mode")
     if args.parallel < 1:
-        print("error: --parallel must be >= 1", file=sys.stderr)
-        return 1
+        raise UsageError("--parallel must be >= 1")
     settings = _settings(
         args,
         max_turns=args.turns,
@@ -212,8 +206,7 @@ def _cmd_run(args) -> int:
     ont = _load_ontology(settings.ontology_path)
     bank = ingest(args.bank)
     if not len(bank):
-        print("error: bank is empty", file=sys.stderr)
-        return 1
+        raise UsageError("bank is empty")
 
     components = _components(settings, bank, ont, args.record, args.replay_log)
 
@@ -225,7 +218,8 @@ def _cmd_run(args) -> int:
     _write_manifest(out_dir, args.mode, settings, [l.episode_id for l in result.logs], result.skipped, ont.version)
     aborted = sum(1 for l in result.logs if l.aborted)
     print(f"wrote {len(result.logs)} episode logs to {out_dir} ({aborted} aborted, {len(result.skipped)} skipped)")
-    return 2 if _all_aborted(result.logs) else 0
+    _fail_if_all_aborted(result.logs)
+    return 0
 
 
 def _parse_ground_truth(text: str) -> frozenset[TraitId]:
@@ -234,7 +228,7 @@ def _parse_ground_truth(text: str) -> frozenset[TraitId]:
 
 def _read_transcript(path: str) -> list[tuple[str, str]]:
     pairs = []
-    for line_no, raw in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         if not raw.strip():
             continue
         obj = read_object(line_no, raw)
@@ -247,18 +241,17 @@ def _cmd_replay(args) -> int:
     ont = _load_ontology(settings.ontology_path)
     transcript = _read_transcript(args.path)
     if not transcript:
-        print("error: transcript is empty", file=sys.stderr)
-        return 1
+        raise UsageError("transcript is empty")
     gt = _parse_ground_truth(args.ground_truth)
     if not gt:
-        print("error: ground truth is empty", file=sys.stderr)
-        return 1
+        raise UsageError("ground truth is empty")
     components = _components(settings, None, ont)
     log = run_replay(transcript, gt, settings.episode, components, episode_id="replay-0000-manual")
     out_dir = Path(args.out)
     write_logs(BatchResult(logs=(log,), skipped=()), out_dir)
     print(f"wrote replay log to {out_dir}")
-    return 2 if _all_aborted([log]) else 0
+    _fail_if_all_aborted([log])
+    return 0
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -365,11 +358,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (BackendError, DetectorParseError) as e:  # detect has no episode to abort
+    except BackendError as e:
         print(f"backend error: {e}", file=sys.stderr)
         return 2
-    except (BankSchemaError, ConfigError, NoValidLogsError, InsufficientPatientsError,
-            QuestionConstraintError, FileNotFoundError, ValueError, KeyError) as e:
+    except (InputError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

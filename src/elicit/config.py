@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .backends import BackendConfig
+from .errors import InputError, read_text
 from .patient import EmissionParams
 from .runner import EpisodeConfig
 
@@ -58,7 +59,7 @@ KEYS: dict[str, tuple[type, str]] = {
 }
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     pass
 
 
@@ -72,7 +73,7 @@ def load_settings(path: str | Path | None = None) -> Settings:
     """Parse `key = value` lines; '#' starts a comment, blank lines ignored."""
     values: dict[type, dict] = {cls: {} for cls, _ in KEYS.values()}
     if path is not None:
-        for line_no, raw in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
+        for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

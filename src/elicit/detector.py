@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .backends import GenerationRequest, Message
+from .errors import BackendError
 from .ontology import ALL_TRAITS, Ontology, TraitId, default_ontology
 from .prompting import complete_json, load_prompt
 
@@ -22,7 +23,7 @@ class EmptyResponseError(ValueError):
     pass
 
 
-class DetectorParseError(RuntimeError):
+class DetectorParseError(BackendError):
     """The generation backend returned unusable labels twice in a row."""
 
 

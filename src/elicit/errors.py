@@ -1,0 +1,33 @@
+"""The two error roots that decide every exit code and every abort.
+
+- `InputError`: something the user gave is wrong (a bank, config, ontology,
+  transcript, replay log, episode log, flag or setting). `elicit` prints
+  `error: ...` and exits 1.
+- `BackendError`: a backend failed or broke its reply contract. An episode
+  that meets one aborts with it as its `abort_reason`; a command that meets
+  one outside an episode prints `backend error: ...` and exits 2.
+
+Anything else is a bug and keeps its traceback. An error class in this
+package descends from exactly one root, or is an internal check that valid
+input never trips.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+
+class InputError(ValueError):
+    """Something the user gave is wrong."""
+
+
+class BackendError(RuntimeError):
+    """A backend failed, or its reply broke the contract twice."""
+
+
+def read_text(path: str | Path) -> str:
+    """The text of a file the user gave; bytes that are not UTF-8 are an InputError naming it."""
+    try:
+        return Path(path).read_text("utf-8")
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text ({e})") from None

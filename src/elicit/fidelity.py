@@ -30,6 +30,7 @@ from typing import Mapping
 
 from .bank import PatientProfile, SnippetBank, base_rates, trait_frequencies
 from .belief import BeliefState
+from .errors import InputError
 from .metrics import ci95_halfwidth
 from .ontology import ALL_TRAITS, Ontology, Strategy, TraitId
 from .patient import EmissionParams, emit_traits  # emit_traits is unused here; perfbench traces it by name
@@ -56,7 +57,7 @@ THRESHOLDS = {
 }
 
 
-class InsufficientPatientsError(ValueError):
+class InsufficientPatientsError(InputError):
     pass
 
 
@@ -125,9 +126,9 @@ class FidelityConfig:
 
     def __post_init__(self):
         if self.episodes_per_patient < 1:
-            raise ValueError("episodes_per_patient must be >= 1")
+            raise InputError("episodes_per_patient must be >= 1")
         if self.turns < 1:
-            raise ValueError("turns must be >= 1")
+            raise InputError("turns must be >= 1")
 
 
 @dataclass(frozen=True)

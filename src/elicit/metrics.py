@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
+from .errors import InputError
 from .ontology import STRATEGY_ORDER
 from .runner import EpisodeLog
 
@@ -26,7 +27,7 @@ class EmptyGroundTruthError(ValueError):
     pass
 
 
-class NoValidLogsError(ValueError):
+class NoValidLogsError(InputError):
     pass
 
 
@@ -55,7 +56,6 @@ def _metrics(log: EpisodeLog, per_turn: list[float]) -> EpisodeMetrics:
     final_cov = per_turn[-1] if per_turn else 0.0
     # short episodes carry their final coverage forward to the turn budget
     padded = per_turn + [final_cov] * (log.max_turns - len(per_turn))
-    padded = padded[: log.max_turns]
 
     # the traits confirmed after the last turn, none for a log with no turns
     detected = set(log.turns[-1].confirmed if log.turns else ())

@@ -15,12 +15,14 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
+from .errors import InputError, read_text
 
-class OntologyError(ValueError):
+
+class OntologyError(InputError):
     """Raised when ontology data fails validation."""
 
 
-class UnknownTraitError(KeyError):
+class UnknownTraitError(InputError):
     """Raised when a trait id does not parse as F1..F10."""
 
 
@@ -188,13 +190,16 @@ def load_ontology(path: str | Path | None = None) -> Ontology:
     """Load and validate the ontology from `path`, or the embedded data file.
 
     Raises OntologyError naming the entry and the key of the first value that
-    is missing or of the wrong JSON type.
+    is missing or of the wrong JSON type, or naming the file if it is not JSON.
     """
     if path is None:
         raw = resources.files("elicit").joinpath("data/ontology.json").read_text("utf-8")
     else:
-        raw = Path(path).read_text("utf-8")
-    doc = json.loads(raw)
+        raw = read_text(path)
+    try:
+        doc = json.loads(raw)
+    except json.JSONDecodeError as e:
+        raise OntologyError(f"{path}: invalid JSON ({e})") from None
 
     traits: dict[TraitId, TraitDefinition] = {}
     for i, entry in enumerate(_get(doc, "ontology", "traits", list)):

@@ -24,6 +24,7 @@ from typing import Iterable, Mapping, Sequence
 from .backends import GenerationRequest, Message
 from .bank import THETA_EPS, PatientProfile, Snippet
 from .dialogue import HistoryTurn, render_history
+from .errors import BackendError, InputError
 from .ontology import ALL_TRAITS, Ontology, TraitId, default_ontology
 from .prompting import complete_parsed, load_prompt
 
@@ -34,7 +35,7 @@ class EmptyAnchorError(ValueError):
     pass
 
 
-class RealiserError(RuntimeError):
+class RealiserError(BackendError):
     """The generation backend returned an empty reply twice in a row."""
 
 
@@ -48,11 +49,11 @@ class EmissionParams:
     def __post_init__(self):
         for name in ("M", "strategy_gain", "affinity_weight"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         if self.M <= 0:
-            raise ValueError("suppression penalty M must be > 0")
+            raise InputError("suppression penalty M must be > 0")
         if self.max_traits_per_turn < 1:
-            raise ValueError("max_traits_per_turn must be >= 1")
+            raise InputError("max_traits_per_turn must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,14 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, TypeVar
 
+from .errors import read_text
+
 T = TypeVar("T")
 
 
 def load_prompt(name: str, prompt_dir: str | Path | None = None) -> str:
     if prompt_dir is not None:
-        return (Path(prompt_dir) / f"{name}.txt").read_text("utf-8")
+        return read_text(Path(prompt_dir) / f"{name}.txt")
     return resources.files("elicit").joinpath(f"prompts/{name}.txt").read_text("utf-8")
 
 

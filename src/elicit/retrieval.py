@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .bank import Snippet, SnippetBank
+from .errors import BackendError, InputError
 
 FALLBACK_DIM = 256
 
@@ -27,12 +28,12 @@ class EmptyTextError(ValueError):
     pass
 
 
-class DimensionMismatchError(ValueError):
-    pass
+class DimensionMismatchError(BackendError):
+    """Vectors of unequal length, which only a remote encoder can return."""
 
 
-class EmptyCandidateSetError(ValueError):
-    """Raised when excluding the patient leaves no snippet to retrieve from."""
+class EmptyCandidateSetError(InputError):
+    """Raised when excluding the patient leaves no snippet to retrieve from: a bank of one patient."""
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -24,24 +25,22 @@ from pathlib import Path
 from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
 from . import belief as belief_mod
-from .backends import BackendError
 from .bank import PatientProfile, Snippet, SnippetBank, base_rates
 from .belief import BeliefState
-from .detector import DetectionResult, DetectorParseError, EmptyResponseError, LlmDetector, RuleDetector
+from .detector import DetectionResult, LlmDetector, RuleDetector
 from .dialogue import HistoryTurn
+from .errors import BackendError, InputError
 from .ontology import TRAIT_BY_NAME, Ontology, Scenario, Strategy, STRATEGY_ORDER, TraitId, default_ontology
-from .patient import EmissionParams, LlmRealiser, RealiserError, TemplateRealiser, emit_traits
+from .patient import EmissionParams, LlmRealiser, TemplateRealiser, emit_traits
 from .retrieval import AnchorRetriever, EmptyCandidateSetError, FallbackEncoder, RemoteEncoder, cosine
-from .selector import HeuristicSelector, LlmSelector, SelectorError, SessionContext, Thought
+from .selector import HeuristicSelector, LlmSelector, SessionContext, Thought
 
 logger = logging.getLogger(__name__)
 
 REPLAY_STRATEGY = "replay"
 
-_ABORTABLE = (BackendError, SelectorError, RealiserError, DetectorParseError, EmptyCandidateSetError, EmptyResponseError)
 
-
-class LogFormatError(ValueError):
+class LogFormatError(InputError):
     """An episode log file that does not parse into an EpisodeLog."""
 
 
@@ -62,9 +61,12 @@ class EpisodeConfig:
 
     def __post_init__(self):
         if self.max_turns < 1:
-            raise ValueError("max_turns must be >= 1")
+            raise InputError("max_turns must be >= 1")
         if not 0.0 <= self.tau < 1.0:  # also false for nan
-            raise ValueError(f"tau must be in [0, 1), got {self.tau}")
+            raise InputError(f"tau must be in [0, 1), got {self.tau}")
+        for name in ("selector_temperature", "realiser_temperature"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # also false for nan
+                raise InputError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -108,7 +110,7 @@ def build_components(
     elif cfg.encoder_kind == "remote":
         encoder = RemoteEncoder(client)
     else:
-        raise ValueError(f"unknown encoder kind {cfg.encoder_kind!r}")
+        raise InputError(f"unknown encoder kind {cfg.encoder_kind!r}")
 
     if cfg.selector_kind == "heuristic":
         selector = HeuristicSelector()
@@ -117,7 +119,7 @@ def build_components(
             client, ask_temperature=cfg.selector_temperature, prompt_dir=cfg.prompt_dir
         )
     else:
-        raise ValueError(f"unknown selector kind {cfg.selector_kind!r}")
+        raise InputError(f"unknown selector kind {cfg.selector_kind!r}")
 
     if cfg.realiser_kind == "template":
         realiser = TemplateRealiser(ont)
@@ -126,14 +128,14 @@ def build_components(
             client, ont, temperature=cfg.realiser_temperature, prompt_dir=cfg.prompt_dir
         )
     else:
-        raise ValueError(f"unknown realiser kind {cfg.realiser_kind!r}")
+        raise InputError(f"unknown realiser kind {cfg.realiser_kind!r}")
 
     if cfg.detector_kind == "rule":
         detector = RuleDetector(ont)
     elif cfg.detector_kind == "llm":
         detector = LlmDetector(client, ont, prompt_dir=cfg.prompt_dir)
     else:
-        raise ValueError(f"unknown detector kind {cfg.detector_kind!r}")
+        raise InputError(f"unknown detector kind {cfg.detector_kind!r}")
 
     retriever = AnchorRetriever(bank, encoder) if bank is not None and len(bank) else None
     return Components(
@@ -384,7 +386,9 @@ def run_episode(
     Mode "tpa" plans every question from the belief (think, plan, ask). Mode
     "random" is the uniform-strategy baseline: it draws each strategy at random
     and asks with a neutral thought, so its turns log no thought. Ground-truth
-    labels are copied out of the profile here, once, for the log.
+    labels are copied out of the profile here, once, for the log. A
+    `BackendError` met in a turn ends the episode as aborted; any other error
+    is raised.
     """
     if mode not in ("tpa", "random"):
         raise ValueError(f"unknown loop mode {mode!r}")
@@ -421,7 +425,7 @@ def run_episode(
             anchor, score, response, detections = patient_turn(
                 comps, cfg.emission, profile, state.confirmed, history, rng, strategy, question
             )
-        except _ABORTABLE as e:
+        except BackendError as e:
             abort_reason = _abort_reason(episode_id, len(turns) + 1, e)
             break
 
@@ -461,7 +465,7 @@ def run_replay(
     for question, response in transcript[: cfg.max_turns]:
         try:
             detections = comps.detector.detect(question, response)
-        except _ABORTABLE as e:
+        except BackendError as e:
             abort_reason = _abort_reason(episode_id, len(turns) + 1, e)
             break
         state = _record(turns, state, REPLAY_STRATEGY, question, response, detections)

@@ -16,9 +16,11 @@ from . import belief as belief_mod
 from .backends import GenerationRequest, Message
 from .belief import BeliefState
 from .dialogue import HistoryTurn, render_history
+from .errors import BackendError
 from .ontology import (
     STRATEGY_ORDER,
     Ontology,
+    OntologyError,
     Scenario,
     Strategy,
     TraitId,
@@ -30,12 +32,12 @@ TRAIT_TOKEN_RE = re.compile(r"\bF(?:10|[1-9])\b")
 _THOUGHT_KEYS = dict.fromkeys(("confirmed_analysis", "elicitation_conditions", "strategy_rationale"), str)
 
 
-class SelectorError(RuntimeError):
+class SelectorError(BackendError):
     """Backend produced unusable output twice in a row."""
 
 
 class QuestionConstraintError(SelectorError):
-    """Question leaked a trait id or the strategy name after one retry."""
+    """The llm's question leaked a trait id or the strategy name after one retry."""
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,8 @@ class HeuristicSelector:
         head = thought.priority_traits[0] if thought.priority_traits else None
         question = heuristic_question(ctx.topic, strategy, head)
         if question_violates(question, strategy, ctx.ontology):
-            raise QuestionConstraintError(f"template question leaked vocabulary: {question!r}")
+            # the template words are fixed, so the leak comes from the ontology's topic or strategy names
+            raise OntologyError(f"template question leaked vocabulary: {question!r}")
         return question
 
 

@@ -21,6 +21,7 @@ from elicit.backends import (
     ScriptExhaustedError,
     TransportError,
 )
+from elicit.errors import InputError
 from elicit.retrieval import RemoteEncoder
 
 
@@ -160,6 +161,29 @@ def test_embed_needs_one_row_per_input(texts, indexes):
     if len(texts) == 1:  # the remote encoder sends one text and reads the one row back
         with pytest.raises(MalformedResponseError):
             RemoteEncoder(backend).encode(texts[0])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_embed_rejects_a_non_finite_value_as_a_malformed_reply(value):
+    data = [{"index": 0, "embedding": [1.0, value]}]
+    backend = HttpBackend(BackendConfig(), transport=lambda p, b: {"data": data}, api_key="k")
+    with pytest.raises(MalformedResponseError, match="non-finite"):
+        backend.embed(["a"])
+
+
+@pytest.mark.parametrize("line,problem", [
+    ('{"response": "r"}', "expected a string fingerprint and a response"),
+    ('{"fingerprint": ["f"], "response": "r"}', "expected a string fingerprint and a response"),
+    ('{"fingerprint": "f"}', "expected a string fingerprint and a response"),
+    ('["f", "r"]', "expected a string fingerprint and a response"),
+    ("{not json", "invalid JSON"),
+])
+def test_replay_log_with_a_bad_line_is_an_input_error_naming_the_file_and_line(tmp_path, line, problem):
+    log = tmp_path / "replay.jsonl"
+    log.write_text(json.dumps({"fingerprint": "f", "response": "r"}) + "\n\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(InputError) as err:
+        ReplayBackend(log)
+    assert str(err.value).startswith(f"{log}: line 3: {problem}")
 
 
 def test_embed_empty_batch():

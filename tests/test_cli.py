@@ -166,7 +166,7 @@ def test_validate_subcommand(tmp_path):
     assert "thresholds_met" in doc
 
 
-def test_validate_exits_1_when_every_question_names_its_strategy(tmp_path, capsys):
+def _ontology_naming_every_strategy_in_each_topic(tmp_path) -> Path:
     # each topic name holds every strategy's display name, so no question passes the selector's check
     from importlib import resources
 
@@ -176,9 +176,66 @@ def test_validate_exits_1_when_every_question_names_its_strategy(tmp_path, capsy
         scenario["name"] += f" ({every_name})"
     ontology = tmp_path / "ontology.json"
     ontology.write_text(json.dumps(doc))
+    return ontology
+
+
+def test_validate_exits_1_when_every_question_names_its_strategy(tmp_path, capsys):
+    ontology = _ontology_naming_every_strategy_in_each_topic(tmp_path)
     assert run_cli("validate", "--bank", str(GOLDEN), "--ontology", str(ontology),
                    "--episodes-per-patient", "1", "--turns", "2") == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("mode", ["tpa", "random"])
+def test_run_exits_1_when_every_question_names_its_strategy(tmp_path, capsys, mode):
+    # the heuristic templates are fixed, so the ontology is at fault: no episode aborts as if a backend had
+    ontology = _ontology_naming_every_strategy_in_each_topic(tmp_path)
+    out = tmp_path / "logs"
+    argv = ["run", "--bank", str(GOLDEN), "--mode", mode, "--episodes", "1", "--ontology", str(ontology)]
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: template question leaked vocabulary: ")
+    assert not out.exists()
+
+
+def test_run_on_a_one_patient_bank_exits_1_with_an_error(tmp_path, capsys):
+    bank = tmp_path / "bank.jsonl"
+    assert run_cli("synth", "--patients", "1", "--snippets", "4", "--out", str(bank)) == 0
+    capsys.readouterr()
+    out = tmp_path / "logs"
+    assert run_cli("run", "--bank", str(bank), "--episodes", "1", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: every snippet belongs to excluded patient 'P001'\n"
+    assert not out.exists()
+
+
+def test_an_ontology_file_that_is_not_json_exits_1_naming_it(tmp_path, capsys):
+    ontology = tmp_path / "ontology.json"
+    ontology.write_text("{not json", encoding="utf-8")
+    assert run_cli("synth", "--patients", "2", "--snippets", "3", "--ontology", str(ontology),
+                   "--out", str(tmp_path / "bank.jsonl")) == 1
+    assert capsys.readouterr().err.startswith(f"error: {ontology}: invalid JSON (")
+
+
+def test_replay_with_an_unknown_ground_truth_trait_prints_it_quoted_once(tmp_path, capsys):
+    transcript = tmp_path / "t.jsonl"
+    _write_transcript(transcript, ["It went fine, as they say."])
+    assert run_cli("replay", "--in", str(transcript), "--ground-truth", "F11",
+                   "--out", str(tmp_path / "logs")) == 1
+    assert capsys.readouterr().err == "error: unknown trait id: 'F11'\n"
+
+
+@pytest.mark.parametrize("given", ["bank", "transcript", "config"])
+def test_a_file_that_is_not_utf8_exits_1_naming_it(tmp_path, capsys, given):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("tau = 0.5 # \xe9t\xe9\n".encode("latin-1"))
+    transcript = tmp_path / "t.jsonl"
+    _write_transcript(transcript, ["It went fine, as they say."])
+    argv = {
+        "bank": ["ingest", "--in", str(bad)],
+        "transcript": ["detect", "--in", str(bad)],
+        "config": ["detect", "--in", str(transcript), "--config", str(bad)],
+    }[given]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text (")
 
 
 @pytest.mark.parametrize("flag", ["--turns", "--episodes-per-patient"])
@@ -494,7 +551,9 @@ def test_replay_honours_config_tau(tmp_path):
                                   "emitter.M = nan", "emitter.strategy_gain = nan",
                                   "emitter.affinity_weight = nan", "backend.max_concurrency = 0",
                                   "backend.max_concurrency = -3", "backend.timeout_s = nan",
-                                  "backend.timeout_s = inf", "backend.timeout_s = 0"])
+                                  "backend.timeout_s = inf", "backend.timeout_s = 0",
+                                  "selector.temperature = nan", "selector.temperature = inf",
+                                  "realiser.temperature = -2", "realiser.temperature = nan"])
 @pytest.mark.parametrize("command", ["run", "replay", "detect"])
 def test_an_out_of_range_setting_exits_1_with_an_error(tmp_path, capsys, command, line):
     transcript = tmp_path / "t.jsonl"
@@ -599,6 +658,46 @@ def test_run_with_remote_encoder_and_an_empty_replay_log_is_a_backend_error(tmp_
                    "--replay-log", str(replay_log), "--out", str(tmp_path / "logs"))
     assert code == 2
     assert "backend error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,problem", [
+    ('{"response": "Fine."}', "expected a string fingerprint and a response"),
+    ("{not json", "invalid JSON"),
+])
+def test_a_malformed_replay_log_line_exits_1_naming_the_file_and_line(tmp_path, capsys, line, problem):
+    replay_log = tmp_path / "replay.jsonl"
+    replay_log.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "logs"
+    assert run_cli("run", "--bank", str(GOLDEN), "--episodes", "1", "--detector", "llm",
+                   "--replay-log", str(replay_log), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {replay_log}: line 1: {problem}")
+    assert not out.exists()
+
+
+def test_a_non_finite_remote_embedding_is_a_backend_error(tmp_path, monkeypatch, capsys):
+    from elicit.backends import HttpBackend
+
+    def live_backend(config):
+        rows = lambda body: [{"index": i, "embedding": [float("nan"), 1.0]} for i in range(len(body["input"]))]
+        return HttpBackend(config, transport=lambda path, body: {"data": rows(body)}, api_key="k")
+
+    monkeypatch.setattr("elicit.cli.HttpBackend", live_backend)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("encoder.kind = remote\n")
+    code = run_cli("run", "--bank", str(GOLDEN), "--episodes", "1", "--config", str(cfg),
+                   "--out", str(tmp_path / "logs"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("backend error: embedding 0 holds a non-finite value")
+
+
+def test_an_internal_check_that_fails_keeps_its_traceback(tmp_path, monkeypatch):
+    # a broken invariant is a bug, not bad input: it must not exit 1 as a usage error
+    def broken_update(state, labels):
+        raise ValueError("detections must cover all ten traits; missing [F1]")
+
+    monkeypatch.setattr("elicit.belief.update", broken_update)
+    with pytest.raises(ValueError, match="detections must cover all ten traits"):
+        run_cli("run", "--bank", str(GOLDEN), "--episodes", "1", "--out", str(tmp_path / "logs"))
 
 
 def _pre_slim_shape(doc):

@@ -1,0 +1,44 @@
+"""Exit codes and episode aborts are decided by two error roots; a new error class
+in the package that picks neither, and is not an internal check listed here, must
+fail here rather than exit 1 or abort by accident."""
+
+import importlib
+import inspect
+import pkgutil
+
+import elicit
+from elicit.errors import BackendError, InputError
+
+ROOTS = (InputError, BackendError)
+
+# checks that valid input never trips: tripping one is a bug and keeps its traceback
+INTERNAL = {
+    "elicit.bank.UnknownPatientError",
+    "elicit.detector.EmptyResponseError",
+    "elicit.metrics.EmptyGroundTruthError",
+    "elicit.patient.EmptyAnchorError",
+    "elicit.retrieval.EmptyTextError",
+}
+
+
+def _error_classes() -> dict[str, type]:
+    """Every exception class defined in a module of the package, by dotted name, the roots left out."""
+    found = {}
+    for info in pkgutil.iter_modules(elicit.__path__):
+        module = importlib.import_module(f"elicit.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__ and cls not in ROOTS:
+                found[f"{cls.__module__}.{cls.__qualname__}"] = cls
+    return found
+
+
+def test_each_error_class_has_exactly_one_root_or_is_listed_as_internal():
+    found = _error_classes()
+    wrong = {
+        name: [root.__name__ for root in ROOTS if issubclass(cls, root)]
+        for name, cls in found.items()
+        if sum(issubclass(cls, root) for root in ROOTS) != (name not in INTERNAL)
+    }
+    assert wrong == {}
+    assert INTERNAL <= found.keys()  # the list names no class that is gone
+    assert "elicit.cli.UsageError" in found and "elicit.selector.QuestionConstraintError" in found

@@ -200,12 +200,11 @@ def test_gain_rate_pools_across_episodes():
     assert _gain_rate([a, b], Strategy.HYPOTHETICAL) == pytest.approx(0.5)
 
 
-def test_gain_rates_and_distributions_count_turns_past_max_turns():
-    # six recorded turns under a three-turn budget: the curve stops at turn 3,
-    # the strategy counts do not; values as the per-strategy re-walk gave them
+def test_gain_rates_and_distributions_count_every_turn():
+    # six recorded turns under a six-turn budget; values as the per-strategy re-walk gave them
     seq = [set(), {"F1"}, {"F1"}, {"F1"}, {"F1", "F2"}, {"F1", "F2", "F3"}]
     hyp, opn, multi = Strategy.HYPOTHETICAL.value, Strategy.OPEN_ENDED.value, Strategy.MULTI_STEP.value
-    log = make_log({"F1", "F2", "F3"}, seq, strategies=[hyp, opn, hyp, multi, hyp, opn], max_turns=3)
+    log = make_log({"F1", "F2", "F3"}, seq, strategies=[hyp, opn, hyp, multi, hyp, opn], max_turns=6)
     report = aggregate([log])
     assert report.gain_rates == {
         "correction_inducing": None, "emotion_oriented": None, "hypothetical": 1 / 3,
@@ -217,7 +216,7 @@ def test_gain_rates_and_distributions_count_turns_past_max_turns():
         "mid": {"open_ended": 1.0},
         "late": {},
     }
-    assert report.episodes[0].per_turn_coverage == (0.0, 1 / 3, 1 / 3)
+    assert report.episodes[0].per_turn_coverage == (0.0, 1 / 3, 1 / 3, 1 / 3, 2 / 3, 1.0)
     assert report.episodes[0].coverage == 1.0
 
 
