@@ -1,7 +1,7 @@
 """Command-line entry point wiring the full pipeline.
 
 Subcommands: ingest, synth, run, replay, evaluate, validate, report, detect.
-Exit codes: 0 success, 1 an `InputError` (bad input), 2 a `BackendError`; see `errors`.
+Exit codes: 0 success, 1 bad input (`InputError`), 2 backend failure (`BackendError`).
 All randomness flows from a single --seed per invocation.
 """
 
