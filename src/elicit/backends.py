@@ -3,8 +3,11 @@
 This is the only module that opens network connections. The wire protocol is
 the common chat-completions HTTP JSON format (POST /v1/chat/completions and
 POST /v1/embeddings); endpoint and model names are fully configurable and no
-vendor is assumed. Every live request/response pair can be recorded to a
-JSON-lines replay log and served back verbatim for offline runs.
+vendor is assumed. `HttpBackend` sends every request through one transport,
+`transport(path, body) -> dict`: the live `HttpTransport`, or a
+`ReplayTransport` serving the wire replies of a JSON-lines replay log, either
+of them wrapped by a `RecordingTransport` that writes such a log. A replayed
+reply is parsed and checked exactly as a live one.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import BackendError, InputError, read_text
@@ -45,7 +48,7 @@ class MalformedResponseError(BackendError):
 
 
 class ScriptExhaustedError(BackendError):
-    """A scripted backend ran out of canned completions."""
+    """A scripted backend or a replay log ran out of replies."""
 
 
 @dataclass(frozen=True)
@@ -68,17 +71,13 @@ class GenerationRequest:
             raise ValueError("temperature must be >= 0")
 
     def payload(self) -> dict:
-        """The request's one wire form: the HTTP body, the recorded request and the fingerprinted text."""
+        """The request's one wire form; `HttpBackend.complete` fills in the configured model."""
         return {
             "model": self.model,
             "messages": [{"role": m.role, "content": m.content} for m in self.messages],
             "temperature": self.temperature,
             "max_tokens": self.max_tokens,
         }
-
-    def fingerprint(self) -> str:
-        blob = json.dumps(self.payload(), sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -96,22 +95,14 @@ class BackendConfig:
             raise InputError(f"max_concurrency must be >= 1, got {self.max_concurrency}")
 
 
-class HttpBackend:
-    """Chat-completions client with bounded retries and a concurrency cap.
+class HttpTransport:
+    """The live transport: posts `body` as JSON to the configured endpoint and returns the parsed reply."""
 
-    `transport` is injectable for fault-injection tests; the default posts
-    JSON over urllib.
-    """
-
-    def __init__(self, config: BackendConfig, transport=None, api_key: str | None = None):
+    def __init__(self, config: BackendConfig, api_key: str | None = None):
         self.config = config
-        self._transport = transport or self._http_post
         self._key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self._semaphore = threading.Semaphore(config.max_concurrency)
-        self._lock = threading.Lock()
-        self.retry_count = 0
 
-    def _http_post(self, path: str, body: dict) -> dict:
+    def __call__(self, path: str, body: dict) -> dict:
         if not self._key:
             raise AuthError(f"no API key: set {API_KEY_ENV}")
         req = urllib.request.Request(
@@ -134,6 +125,97 @@ class HttpBackend:
             raise BackendError(f"request rejected: HTTP {e.code}") from e
         except (urllib.error.URLError, TimeoutError, OSError) as e:
             raise TransportError(str(e)) from e
+
+
+def _fingerprint(path: str, body: dict) -> str:
+    """The replay-log key of one posted request: its path and its body."""
+    blob = json.dumps({"path": path, "body": body}, sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+class RecordingTransport:
+    """Wraps a transport and appends a {fingerprint, request, response} line for each reply it returns.
+
+    `request` is the posted body and `response` the wire reply, before any parsing.
+    """
+
+    def __init__(self, inner, log_path: str | Path):
+        self._inner = inner
+        self._log_path = Path(log_path)
+        self._lock = threading.Lock()
+
+    def __call__(self, path: str, body: dict) -> dict:
+        reply = self._inner(path, body)
+        entry = {"fingerprint": _fingerprint(path, body), "request": body, "response": reply}
+        line = json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n"
+        with self._lock, open(self._log_path, "a", encoding="utf-8") as fh:
+            fh.write(line)
+        return reply
+
+
+class ReplayTransport:
+    """Serves the wire replies of a replay log written by `RecordingTransport`.
+
+    A request that was recorded n times is answered with its n recorded
+    replies in recorded order, one per call; call n + 1 is an error.
+    """
+
+    def __init__(self, log_path: str | Path):
+        self._responses: dict[str, list] = {}
+        for line_no, line in enumerate(read_text(log_path).split("\n"), start=1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line)
+            except ValueError as e:
+                raise InputError(f"{log_path}: line {line_no}: invalid JSON ({e})") from None
+            if not isinstance(entry, dict) or type(entry.get("fingerprint")) is not str or "response" not in entry:
+                raise InputError(f"{log_path}: line {line_no}: expected a string fingerprint and a response")
+            self._responses.setdefault(entry["fingerprint"], []).append(entry["response"])
+        self._served: dict[str, int] = {}
+        self._lock = threading.Lock()
+
+    def __call__(self, path: str, body: dict) -> dict:
+        fp = _fingerprint(path, body)
+        with self._lock:
+            occurrence = self._served.get(fp, 0)
+            recorded = self._responses.get(fp, ())
+            if occurrence >= len(recorded):
+                raise ScriptExhaustedError(
+                    f"replay log has no entry for fingerprint {fp[:12]}, occurrence {occurrence + 1}"
+                )
+            self._served[fp] = occurrence + 1
+        return recorded[occurrence]
+
+
+def _unit_vector(index: int, vec) -> list[float]:
+    """One embedding row as floats scaled to unit length; it must be a non-empty list of finite JSON numbers."""
+    if type(vec) is not list or not vec or not all(type(x) in (int, float) for x in vec):
+        raise MalformedResponseError(f"embedding {index} is not a non-empty list of numbers")
+    try:
+        vec = [float(x) for x in vec]
+    except OverflowError:
+        raise MalformedResponseError(f"embedding {index} holds an integer beyond the float range") from None
+    if not all(map(math.isfinite, vec)):
+        raise MalformedResponseError(f"embedding {index} holds a non-finite value")
+    norm = math.hypot(*vec)  # no overflow for large finite values, as a sum of squares would
+    return [x / norm for x in vec] if norm > 0 else vec
+
+
+class HttpBackend:
+    """Chat-completions client with bounded retries and a concurrency cap.
+
+    `transport(path, body) -> dict` posts one request and returns the wire
+    reply; it defaults to the live `HttpTransport`. Every reply, whichever
+    transport gave it, is checked here.
+    """
+
+    def __init__(self, config: BackendConfig, transport=None):
+        self.config = config
+        self._transport = transport or HttpTransport(config)
+        self._semaphore = threading.Semaphore(config.max_concurrency)
+        self._lock = threading.Lock()
+        self.retry_count = 0
 
     def _with_retries(self, path: str, body: dict) -> dict:
         delay = BACKOFF_BASE_S
@@ -175,20 +257,14 @@ class HttpBackend:
         try:
             rows = sorted(doc["data"], key=lambda r: r["index"])
             indexes = [r["index"] for r in rows]
-            if indexes != list(range(len(texts))):
-                raise MalformedResponseError(
-                    f"expected one embedding per input, indexes 0..{len(texts) - 1}; got indexes {indexes}"
-                )
-            out = []
-            for row in rows:
-                vec = [float(x) for x in row["embedding"]]
-                if not all(map(math.isfinite, vec)):
-                    raise MalformedResponseError(f"embedding {row['index']} holds a non-finite value")
-                norm = sum(x * x for x in vec) ** 0.5
-                out.append([x / norm for x in vec] if norm > 0 else vec)
-            return out
+            vectors = [r["embedding"] for r in rows]
         except (KeyError, TypeError) as e:
             raise MalformedResponseError(f"unexpected embedding payload: {e}") from e
+        if indexes != list(range(len(texts))) or not all(type(i) is int for i in indexes):
+            raise MalformedResponseError(
+                f"expected one embedding per input, indexes 0..{len(texts) - 1}; got indexes {indexes}"
+            )
+        return [_unit_vector(i, vec) for i, vec in enumerate(vectors)]
 
 
 class ScriptedBackend:
@@ -204,76 +280,3 @@ class ScriptedBackend:
         if not self._queue:
             raise ScriptExhaustedError("scripted completions exhausted")
         return self._queue.pop(0)
-
-
-def _embedding_fingerprint(texts: list[str]) -> str:
-    blob = json.dumps({"input": list(texts)}, ensure_ascii=False)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-@dataclass
-class RecordingBackend:
-    """Wraps a live client and appends {fingerprint, request, response} lines."""
-
-    inner: HttpBackend
-    log_path: Path
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def _append(self, entry: dict) -> None:
-        with self._lock, open(self.log_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n")
-
-    def complete(self, request: GenerationRequest) -> str:
-        text = self.inner.complete(request)
-        self._append({"fingerprint": request.fingerprint(), "request": request.payload(), "response": text})
-        return text
-
-    def embed(self, texts: list[str]) -> list[list[float]]:
-        vectors = self.inner.embed(texts)
-        entry = {
-            "fingerprint": _embedding_fingerprint(texts),
-            "request": {"input": list(texts)},
-            "response": vectors,
-        }
-        self._append(entry)
-        return vectors
-
-
-class ReplayBackend:
-    """Serves completions and embeddings recorded by RecordingBackend.
-
-    A request that was recorded n times is answered with its n recorded
-    responses in recorded order, one per call; call n + 1 is an error.
-    """
-
-    def __init__(self, log_path: str | Path):
-        self._responses: dict[str, list] = {}
-        for line_no, line in enumerate(read_text(log_path).split("\n"), start=1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError as e:
-                raise InputError(f"{log_path}: line {line_no}: invalid JSON ({e})") from None
-            if not isinstance(entry, dict) or type(entry.get("fingerprint")) is not str or "response" not in entry:
-                raise InputError(f"{log_path}: line {line_no}: expected a string fingerprint and a response")
-            self._responses.setdefault(entry["fingerprint"], []).append(entry["response"])
-        self._served: dict[str, int] = {}
-        self._lock = threading.Lock()
-
-    def _lookup(self, fp: str):
-        with self._lock:
-            occurrence = self._served.get(fp, 0)
-            recorded = self._responses.get(fp, ())
-            if occurrence >= len(recorded):
-                raise ScriptExhaustedError(
-                    f"replay log has no entry for fingerprint {fp[:12]}, occurrence {occurrence + 1}"
-                )
-            self._served[fp] = occurrence + 1
-        return recorded[occurrence]
-
-    def complete(self, request: GenerationRequest) -> str:
-        return self._lookup(request.fingerprint())
-
-    def embed(self, texts: list[str]) -> list[list[float]]:
-        return self._lookup(_embedding_fingerprint(texts))

@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .backends import BackendConfig, HttpBackend, RecordingBackend, ReplayBackend
+from .backends import HttpBackend, HttpTransport, RecordingTransport, ReplayTransport
 from .bank import SynthSpec, ingest, read_object, require_text, synthesize_bank, write_bank
 from .config import Settings, load_settings
 from .errors import BackendError, InputError, read_text
@@ -124,18 +124,12 @@ def _settings(args, **episode_flags) -> Settings:
     )
 
 
-def _make_client(config: BackendConfig, record: str | None, replay_log: str | None):
-    if replay_log:
-        return ReplayBackend(replay_log)
-    client = HttpBackend(config)
-    if record:
-        return RecordingBackend(inner=client, log_path=Path(record))
-    return client
-
-
 def _components(settings: Settings, bank, ont, record: str | None = None, replay_log: str | None = None):
     # building a client opens no connection; only the kinds that need one use it
-    client = _make_client(settings.backend, record, replay_log)
+    transport = ReplayTransport(replay_log) if replay_log else HttpTransport(settings.backend)
+    if record:
+        transport = RecordingTransport(transport, record)
+    client = HttpBackend(settings.backend, transport=transport)
     return build_components(settings.episode, bank, ont, client=client)
 
 

@@ -20,7 +20,7 @@ import logging
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
@@ -158,14 +158,25 @@ def _json_types(cls: type) -> dict[str, tuple[type, ...]]:
     return types
 
 
+@functools.cache
+def _required(cls: type) -> frozenset[str]:
+    """The fields of `cls` that have no default."""
+    return frozenset(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
+
+
 def _typed(cls: type, d) -> dict:
-    """Return `d` once every field of `cls` that it holds has a value of that field's JSON type."""
+    """Return `d` once it holds every required field of `cls`, no other key, and values of the fields' JSON types."""
     if not isinstance(d, dict):
         raise LogFormatError(f"expected a JSON object, got {type(d).__name__}")
     types = _json_types(cls)
+    if d.keys() != types.keys():  # a written log holds every key
+        if missing := sorted(_required(cls) - d.keys()):
+            raise LogFormatError(f"missing key {', '.join(missing)}")
+        if unknown := sorted(d.keys() - types.keys()):
+            raise LogFormatError(f"unknown key {', '.join(unknown)}")
     for key, value in d.items():
         # exact types, as json.loads makes them: true is a bool, never an int
-        if key in types and type(value) not in types[key]:
+        if type(value) not in types[key]:
             raise LogFormatError(f"{key} must be {' or '.join(t.__name__ for t in types[key])}, got {value!r}")
     return d
 
@@ -221,9 +232,12 @@ class EpisodeLog:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeLog":
+        names = _typed(cls, d)["ground_truth"]
+        if not all(type(n) is str and n in TRAIT_BY_NAME for n in names):
+            raise LogFormatError(f"ground_truth must list trait ids F1..F10, got {names!r}")
         log = cls(**{
-            **_typed(cls, d),  # one key per field, as to_dict writes them
-            "ground_truth": frozenset(map(TraitId.parse, d["ground_truth"])),
+            **d,  # one key per field, as to_dict writes them
+            "ground_truth": frozenset(TRAIT_BY_NAME[n] for n in names),
             "turns": tuple(map(TurnRecord.from_dict, d["turns"])),
         })
         if log.max_turns < 1:
@@ -554,6 +568,6 @@ def read_logs(log_dir: str | Path) -> list[EpisodeLog]:
             continue
         try:
             out.append(EpisodeLog.from_json(p.read_text("utf-8")))
-        except (KeyError, TypeError, ValueError) as e:
+        except (InputError, json.JSONDecodeError, UnicodeDecodeError) as e:  # a bug keeps its traceback
             raise LogFormatError(f"{p}: {type(e).__name__}: {e}") from e
     return out

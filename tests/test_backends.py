@@ -13,10 +13,11 @@ from elicit.backends import (
     BackendError,
     GenerationRequest,
     HttpBackend,
+    HttpTransport,
     MalformedResponseError,
     Message,
-    RecordingBackend,
-    ReplayBackend,
+    RecordingTransport,
+    ReplayTransport,
     ScriptedBackend,
     ScriptExhaustedError,
     TransportError,
@@ -55,10 +56,30 @@ def test_backend_config_accepts_one_worker_and_a_short_timeout():
     assert (config.max_concurrency, config.timeout_s) == (1, 0.01)
 
 
-def test_fingerprint_stable_and_sensitive():
-    assert req("a").fingerprint() == req("a").fingerprint()
-    assert req("a").fingerprint() != req("b").fingerprint()
-    assert req("a", 0.0).fingerprint() != req("a", 0.7).fingerprint()
+def recorded(transport, log, config=None):
+    """A client whose replies come from `transport` and are appended to the replay log `log`."""
+    return HttpBackend(config or BackendConfig(), transport=RecordingTransport(transport, log))
+
+
+def replayed(log, config=None):
+    """A client whose replies are served from the replay log `log`."""
+    return HttpBackend(config or BackendConfig(), transport=ReplayTransport(log))
+
+
+@pytest.mark.parametrize("path,changed", [
+    ("/v1/embeddings", {}),
+    ("/v1/chat/completions", {"model": "other-model"}),
+    ("/v1/chat/completions", {"temperature": 0.7}),
+    ("/v1/chat/completions", {"messages": [{"role": "user", "content": "b"}]}),
+])
+def test_replay_answers_only_the_path_and_body_it_recorded(tmp_path, path, changed):
+    log = tmp_path / "replay.jsonl"
+    recorded(lambda p, b: completion_payload("ok"), log, BackendConfig(model="m")).complete(req("a"))
+    body = json.loads(log.read_text("utf-8"))["request"]
+    assert body == {**req("a").payload(), "model": "m"}
+    assert ReplayTransport(log)("/v1/chat/completions", body) == completion_payload("ok")
+    with pytest.raises(ScriptExhaustedError):
+        ReplayTransport(log)(path, {**body, **changed})
 
 
 def test_scripted_queue_contract():
@@ -79,7 +100,7 @@ def test_transient_failures_then_success(monkeypatch):
             raise TransportError("HTTP 503")
         return completion_payload("recovered")
 
-    backend = HttpBackend(BackendConfig(), transport=flaky, api_key="k")
+    backend = HttpBackend(BackendConfig(), transport=flaky)
     assert backend.complete(req()) == "recovered"
     assert backend.retry_count == 2
     assert calls["n"] == 3
@@ -91,7 +112,7 @@ def test_retries_exhausted(monkeypatch):
     def always_down(path, body):
         raise TransportError("HTTP 500")
 
-    backend = HttpBackend(BackendConfig(), transport=always_down, api_key="k")
+    backend = HttpBackend(BackendConfig(), transport=always_down)
     with pytest.raises(TransportError):
         backend.complete(req())
     assert backend.retry_count == 2
@@ -104,7 +125,7 @@ def test_auth_error_not_retried():
         calls["n"] += 1
         raise AuthError("auth rejected (401)")
 
-    backend = HttpBackend(BackendConfig(), transport=rejected, api_key="bad")
+    backend = HttpBackend(BackendConfig(), transport=rejected)
     with pytest.raises(AuthError):
         backend.complete(req())
     assert calls["n"] == 1
@@ -118,14 +139,14 @@ def test_missing_key_is_auth_error(monkeypatch):
 
 
 def test_malformed_completion():
-    backend = HttpBackend(BackendConfig(), transport=lambda p, b: {"weird": 1}, api_key="k")
+    backend = HttpBackend(BackendConfig(), transport=lambda p, b: {"weird": 1})
     with pytest.raises(MalformedResponseError):
         backend.complete(req())
 
 
 @pytest.mark.parametrize("content", [None, 5, ["text"]])
 def test_completion_content_that_is_not_a_string_is_malformed(content):
-    backend = HttpBackend(BackendConfig(), transport=lambda p, b: completion_payload(content), api_key="k")
+    backend = HttpBackend(BackendConfig(), transport=lambda p, b: completion_payload(content))
     with pytest.raises(MalformedResponseError, match="not a string"):
         backend.complete(req())
 
@@ -140,7 +161,7 @@ def test_embed_order_preserved_and_normalised():
             ]
         }
 
-    backend = HttpBackend(BackendConfig(), transport=transport, api_key="k")
+    backend = HttpBackend(BackendConfig(), transport=transport)
     vectors = backend.embed(["a", "b", "c"])
     assert len(vectors) == 3
     for v in vectors:
@@ -152,10 +173,12 @@ def test_embed_order_preserved_and_normalised():
     (["a"], [0, 1]),  # two rows for one text
     (["a", "b"], [0, 0]),  # a repeated index
     (["a", "b"], [1, 2]),  # indexes not from 0
+    (["a", "b"], [0, True]),  # an index that is not a JSON integer
+    (["a"], [0.0]),
 ])
 def test_embed_needs_one_row_per_input(texts, indexes):
     data = [{"index": i, "embedding": [1.0, 0.0]} for i in indexes]
-    backend = HttpBackend(BackendConfig(), transport=lambda p, b: {"data": data}, api_key="k")
+    backend = HttpBackend(BackendConfig(), transport=lambda p, b: {"data": data})
     with pytest.raises(MalformedResponseError, match="one embedding per input"):
         backend.embed(texts)
     if len(texts) == 1:  # the remote encoder sends one text and reads the one row back
@@ -166,9 +189,30 @@ def test_embed_needs_one_row_per_input(texts, indexes):
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_embed_rejects_a_non_finite_value_as_a_malformed_reply(value):
     data = [{"index": 0, "embedding": [1.0, value]}]
-    backend = HttpBackend(BackendConfig(), transport=lambda p, b: {"data": data}, api_key="k")
+    backend = HttpBackend(BackendConfig(), transport=lambda p, b: {"data": data})
     with pytest.raises(MalformedResponseError, match="non-finite"):
         backend.embed(["a"])
+
+
+@pytest.mark.parametrize("vector", [["1.0", "x"], ["1.0", "2"], [True, 2], [], "1.0", None, {"0": 1.0}, [[1.0]]])
+def test_embed_needs_a_non_empty_list_of_json_numbers(vector):
+    data = [{"index": 0, "embedding": vector}]
+    backend = HttpBackend(BackendConfig(), transport=lambda p, b: {"data": data})
+    with pytest.raises(MalformedResponseError, match="embedding 0 is not a non-empty list of numbers"):
+        backend.embed(["a"])
+
+
+@pytest.mark.parametrize("scale", [1, 1e200, 1e-200])
+def test_embed_reads_json_integers_as_numbers_and_scales_any_finite_vector_to_unit_length(scale):
+    data = [{"index": 0, "embedding": [3 * scale, 4.0 * scale]}]
+    vector = HttpBackend(BackendConfig(), transport=lambda p, b: {"data": data}).embed(["a"])[0]
+    assert vector == pytest.approx([0.6, 0.8])
+
+
+def test_embed_rejects_an_integer_beyond_the_float_range():
+    data = [{"index": 0, "embedding": [10**400, 1.0]}]
+    with pytest.raises(MalformedResponseError, match="beyond the float range"):
+        HttpBackend(BackendConfig(), transport=lambda p, b: {"data": data}).embed(["a"])
 
 
 @pytest.mark.parametrize("line,problem", [
@@ -182,17 +226,17 @@ def test_replay_log_with_a_bad_line_is_an_input_error_naming_the_file_and_line(t
     log = tmp_path / "replay.jsonl"
     log.write_text(json.dumps({"fingerprint": "f", "response": "r"}) + "\n\n" + line + "\n", encoding="utf-8")
     with pytest.raises(InputError) as err:
-        ReplayBackend(log)
+        ReplayTransport(log)
     assert str(err.value).startswith(f"{log}: line 3: {problem}")
 
 
 def test_embed_empty_batch():
-    backend = HttpBackend(BackendConfig(), transport=lambda p, b: {}, api_key="k")
+    backend = HttpBackend(BackendConfig(), transport=lambda p, b: {})
     assert backend.embed([]) == []
 
 
 def test_embed_rejects_empty_text():
-    backend = HttpBackend(BackendConfig(), transport=lambda p, b: {}, api_key="k")
+    backend = HttpBackend(BackendConfig(), transport=lambda p, b: {})
     with pytest.raises(ValueError):
         backend.embed(["ok", "  "])
 
@@ -204,34 +248,37 @@ def test_record_then_replay_identical(tmp_path):
         return completion_payload(script[body["messages"][0]["content"]])
 
     log = tmp_path / "replay.jsonl"
-    recorder = RecordingBackend(
-        inner=HttpBackend(BackendConfig(), transport=transport, api_key="k"), log_path=log
-    )
+    recorder = recorded(transport, log)
     live = [recorder.complete(req("one")), recorder.complete(req("two"))]
 
-    replay = ReplayBackend(log)
+    replay = replayed(log)
     assert [replay.complete(req("one")), replay.complete(req("two"))] == live
     with pytest.raises(ScriptExhaustedError):
         replay.complete(req("three"))
 
+    # a line holds the posted body and the wire reply
     entries = [json.loads(l) for l in log.read_text().splitlines()]
-    assert {e["fingerprint"] for e in entries} == {req("one").fingerprint(), req("two").fingerprint()}
+    assert [(e["request"]["messages"][0]["content"], e["response"]) for e in entries] == [
+        ("one", completion_payload("first reply")), ("two", completion_payload("second reply")),
+    ]
 
 
-# the wire body and the replay-log line for two fixed requests, recorded before
-# the request's payload was built in one place
+# the wire body for two fixed requests, recorded before the request's payload
+# was built in one place, and the replay-log lines they record: each holds the
+# posted body and the wire reply
 WIRE_BODIES = [
     '{"model": "cfg-model", "messages": [{"role": "system", "content": "Be brief."}, '
     '{"role": "user", "content": "Caf\\u00e9?"}], "temperature": 0.25, "max_tokens": 64}',
     '{"model": "own-model", "messages": [{"role": "user", "content": "hi"}], "temperature": 0.7, "max_tokens": 512}',
 ]
 RECORDED_LINES = (
-    '{"fingerprint": "5a372d14bf94a7a304279785d1599d39d03fc916e8e2b8749d0c1f7f0b37e2df", "request": '
+    '{"fingerprint": "b488a0c5b801c62df4b4823fb50ccca0960750363b3cded19ffae3d03176a0bf", "request": '
     '{"max_tokens": 64, "messages": [{"content": "Be brief.", "role": "system"}, {"content": "Café?", "role": "user"}], '
-    '"model": "", "temperature": 0.25}, "response": "ok"}\n'
-    '{"fingerprint": "8f584f6f5a25fd8791ced9d2fe9266e442659abc551a6ecbfb265b9e55e30ae4", "request": '
+    '"model": "cfg-model", "temperature": 0.25}, '
+    '"response": {"choices": [{"message": {"content": "ok", "role": "assistant"}}]}}\n'
+    '{"fingerprint": "daf7e595b9bdf0754c12f1c44fa9d5f35651eaf112968758c8c163fe847119c6", "request": '
     '{"max_tokens": 512, "messages": [{"content": "hi", "role": "user"}], "model": "own-model", "temperature": 0.7}, '
-    '"response": "ok"}\n'
+    '"response": {"choices": [{"message": {"content": "ok", "role": "assistant"}}]}}\n'
 )
 
 
@@ -243,9 +290,7 @@ def test_wire_body_and_recorded_line_keep_their_bytes(tmp_path):
         return completion_payload("ok")
 
     log = tmp_path / "replay.jsonl"
-    recorder = RecordingBackend(
-        inner=HttpBackend(BackendConfig(model="cfg-model"), transport=transport, api_key="k"), log_path=log
-    )
+    recorder = recorded(transport, log, BackendConfig(model="cfg-model"))
     recorder.complete(GenerationRequest(
         messages=(Message("system", "Be brief."), Message("user", "Café?")), temperature=0.25, max_tokens=64
     ))
@@ -254,22 +299,16 @@ def test_wire_body_and_recorded_line_keep_their_bytes(tmp_path):
     assert log.read_text("utf-8") == RECORDED_LINES
 
 
-
 def test_replay_serves_a_recurring_request_once_per_recorded_occurrence(tmp_path):
     # at temperature > 0 the live backend may answer the same request differently each time
     replies = iter(["first", "second", "other", "third"])
     log = tmp_path / "replay.jsonl"
-    recorder = RecordingBackend(
-        inner=HttpBackend(
-            BackendConfig(), transport=lambda p, b: completion_payload(next(replies)), api_key="k"
-        ),
-        log_path=log,
-    )
+    recorder = recorded(lambda p, b: completion_payload(next(replies)), log)
     hot, cold = req("one", temperature=0.7), req("two", temperature=0.7)
     live = [recorder.complete(hot), recorder.complete(hot), recorder.complete(cold), recorder.complete(hot)]
     assert live == ["first", "second", "other", "third"]
 
-    replay = ReplayBackend(log)
+    replay = replayed(log)
     assert [replay.complete(hot), replay.complete(cold), replay.complete(hot), replay.complete(hot)] == [
         "first", "other", "second", "third",
     ]
@@ -277,6 +316,40 @@ def test_replay_serves_a_recurring_request_once_per_recorded_occurrence(tmp_path
         replay.complete(hot)
     with pytest.raises(ScriptExhaustedError):
         replay.complete(cold)
+
+
+def test_record_and_replay_lose_no_line_and_serve_each_reply_once_across_threads(tmp_path):
+    n_threads, per_thread = 16, 25
+    replies = iter(range(n_threads * per_thread))
+    log = tmp_path / "replay.jsonl"
+    config = BackendConfig(max_concurrency=n_threads)
+    clients = {"live": lambda: recorded(lambda p, b: completion_payload(f"reply {next(replies)}"), log, config),
+               "replayed": lambda: replayed(log, config)}  # built once the recording is done
+    hot = req("one", temperature=0.7)
+    served = {"live": [], "replayed": []}
+
+    def worker(client, key):
+        for _ in range(per_thread):
+            served[key].append(client.complete(hot))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for key, build in clients.items():
+            client = build()
+            threads = [threading.Thread(target=worker, args=(client, key)) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert len(log.read_text("utf-8").splitlines()) == n_threads * per_thread
+    assert sorted(served["replayed"]) == sorted(served["live"])
+    assert len(set(served["live"])) == n_threads * per_thread
+    with pytest.raises(ScriptExhaustedError):
+        client.complete(hot)
 
 
 def _embedding_transport(path, body):
@@ -291,12 +364,10 @@ def _embedding_transport(path, body):
 
 def test_record_then_replay_embeddings_identical(tmp_path):
     log = tmp_path / "replay.jsonl"
-    recorder = RecordingBackend(
-        inner=HttpBackend(BackendConfig(), transport=_embedding_transport, api_key="k"), log_path=log
-    )
+    recorder = recorded(_embedding_transport, log)
     live = [recorder.embed(["one"]), recorder.embed(["two", "three"])]
 
-    replay = ReplayBackend(log)
+    replay = replayed(log)
     assert [replay.embed(["one"]), replay.embed(["two", "three"])] == live
     with pytest.raises(ScriptExhaustedError):
         replay.embed(["three", "two"])
@@ -309,11 +380,9 @@ def test_replay_of_completions_and_embeddings_from_one_log(tmp_path):
         return completion_payload("reply")
 
     log = tmp_path / "replay.jsonl"
-    recorder = RecordingBackend(
-        inner=HttpBackend(BackendConfig(), transport=transport, api_key="k"), log_path=log
-    )
+    recorder = recorded(transport, log)
     vectors, text = recorder.embed(["one"]), recorder.complete(req("one"))
-    replay = ReplayBackend(log)
+    replay = replayed(log)
     assert replay.embed(["one"]) == vectors
     assert replay.complete(req("one")) == text
     with pytest.raises(ScriptExhaustedError):
@@ -335,7 +404,8 @@ def test_http_client_error_is_not_retried(monkeypatch, code):
     monkeypatch.setattr("elicit.backends.time.sleep", lambda s: None)
     calls = []
     monkeypatch.setattr(urllib.request, "urlopen", _urlopen_failing_with(code, calls))
-    backend = HttpBackend(BackendConfig(endpoint="http://localhost:1"), api_key="k")
+    config = BackendConfig(endpoint="http://localhost:1")
+    backend = HttpBackend(config, transport=HttpTransport(config, api_key="k"))
     with pytest.raises(BackendError) as err:
         backend.complete(req())
     assert not isinstance(err.value, TransportError)
@@ -349,7 +419,8 @@ def test_http_retryable_failures_are_retried(monkeypatch, code):
     monkeypatch.setattr("elicit.backends.time.sleep", lambda s: None)
     calls = []
     monkeypatch.setattr(urllib.request, "urlopen", _urlopen_failing_with(code, calls))
-    backend = HttpBackend(BackendConfig(endpoint="http://localhost:1"), api_key="k")
+    config = BackendConfig(endpoint="http://localhost:1")
+    backend = HttpBackend(config, transport=HttpTransport(config, api_key="k"))
     with pytest.raises(TransportError):
         backend.embed(["text"])
     assert len(calls) == 1 + MAX_RETRIES
@@ -360,7 +431,8 @@ def test_retry_count_is_exact_across_threads(monkeypatch):
     monkeypatch.setattr("elicit.backends.time.sleep", lambda s: None)
     calls = []
     monkeypatch.setattr(urllib.request, "urlopen", _urlopen_failing_with(503, calls))
-    backend = HttpBackend(BackendConfig(endpoint="http://localhost:1", max_concurrency=16), api_key="k")
+    config = BackendConfig(endpoint="http://localhost:1", max_concurrency=16)
+    backend = HttpBackend(config, transport=HttpTransport(config, api_key="k"))
     n_threads, per_thread = 16, 25
 
     def worker():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import socket
@@ -10,7 +11,9 @@ import pytest
 
 import elicit
 from elicit.cli import main
-from elicit.ontology import ALL_TRAITS
+from elicit.ontology import ALL_TRAITS, STRATEGY_ORDER
+from elicit.prompting import load_prompt
+from elicit.runner import EpisodeLog
 
 GOLDEN = Path(__file__).parent / "data" / "golden_bank.jsonl"
 
@@ -587,13 +590,8 @@ def test_replay_and_detect_take_the_detector_kind_from_config(tmp_path, monkeypa
 
 @pytest.mark.parametrize("command", ["replay", "detect"])
 def test_replay_and_detect_exit_2_when_the_detector_reply_breaks_the_contract(tmp_path, monkeypatch, capsys, command):
-    from elicit.backends import HttpBackend
-
-    def live_backend(config):
-        payload = lambda path, body: {"choices": [{"message": {"content": '{"F1": "yes"}'}}]}
-        return HttpBackend(config, transport=payload, api_key="k")
-
-    monkeypatch.setattr("elicit.cli.HttpBackend", live_backend)
+    payload = lambda path, body: {"choices": [{"message": {"content": '{"F1": "yes"}'}}]}
+    monkeypatch.setattr("elicit.cli.HttpTransport", lambda config: payload)
     transcript = tmp_path / "t.jsonl"
     _write_transcript(transcript, ["It went fine, as they say."])
     argv = [command, "--in", str(transcript), "--out", str(tmp_path / "out")]
@@ -606,16 +604,10 @@ def test_replay_and_detect_exit_2_when_the_detector_reply_breaks_the_contract(tm
 
 
 def test_run_in_replay_mode_writes_every_log_when_one_episode_aborts(tmp_path, monkeypatch, capsys):
-    from elicit.backends import HttpBackend
-
     # the golden bank's four exchanges: the last one is answered with unusable labels twice
     answers = iter([json.dumps({t.name: False for t in ALL_TRAITS})] * 3 + ['{"F1": "yes"}'] * 2)
-
-    def live_backend(config):
-        payload = lambda path, body: {"choices": [{"message": {"content": next(answers)}}]}
-        return HttpBackend(config, transport=payload, api_key="k")
-
-    monkeypatch.setattr("elicit.cli.HttpBackend", live_backend)
+    payload = lambda path, body: {"choices": [{"message": {"content": next(answers)}}]}
+    monkeypatch.setattr("elicit.cli.HttpTransport", lambda config: payload)
     out = tmp_path / "logs"
     assert run_cli("run", "--bank", str(GOLDEN), "--mode", "replay", "--detector", "llm", "--out", str(out)) == 0
     logs = {p.name: json.loads(p.read_text("utf-8")) for p in out.glob("replay-*.json")}
@@ -672,22 +664,6 @@ def test_a_malformed_replay_log_line_exits_1_naming_the_file_and_line(tmp_path, 
                    "--replay-log", str(replay_log), "--out", str(out)) == 1
     assert capsys.readouterr().err.startswith(f"error: {replay_log}: line 1: {problem}")
     assert not out.exists()
-
-
-def test_a_non_finite_remote_embedding_is_a_backend_error(tmp_path, monkeypatch, capsys):
-    from elicit.backends import HttpBackend
-
-    def live_backend(config):
-        rows = lambda body: [{"index": i, "embedding": [float("nan"), 1.0]} for i in range(len(body["input"]))]
-        return HttpBackend(config, transport=lambda path, body: {"data": rows(body)}, api_key="k")
-
-    monkeypatch.setattr("elicit.cli.HttpBackend", live_backend)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("encoder.kind = remote\n")
-    code = run_cli("run", "--bank", str(GOLDEN), "--episodes", "1", "--config", str(cfg),
-                   "--out", str(tmp_path / "logs"))
-    assert code == 2
-    assert capsys.readouterr().err.startswith("backend error: embedding 0 holds a non-finite value")
 
 
 def test_an_internal_check_that_fails_keeps_its_traceback(tmp_path, monkeypatch):
@@ -758,8 +734,6 @@ def test_a_malformed_episode_log_exits_1_naming_the_file(tmp_path, capsys, comma
 def test_replay_log_serves_a_recurring_request_in_recorded_order(tmp_path, monkeypatch, capsys):
     # the llm detector sends one request for two identical exchanges; the live
     # backend answers them differently, and a replay must serve both answers in order
-    from elicit.backends import HttpBackend
-
     exchange = {"patient_id": "P001", "session_id": "S1", "scenario_id": 3,
                 "doctor_curr": "How was your day?", "patient_reply": "Fine, the circle of life.",
                 "traits": ["F10"]}
@@ -768,11 +742,8 @@ def test_replay_log_serves_a_recurring_request_in_recorded_order(tmp_path, monke
     answers = iter([json.dumps({t.name: t.name == "F10" for t in ALL_TRAITS}),
                     json.dumps({t.name: False for t in ALL_TRAITS})])
 
-    def live_backend(config):
-        payload = lambda path, body: {"choices": [{"message": {"content": next(answers)}}]}
-        return HttpBackend(config, transport=payload, api_key="k")
-
-    monkeypatch.setattr("elicit.cli.HttpBackend", live_backend)
+    payload = lambda path, body: {"choices": [{"message": {"content": next(answers)}}]}
+    monkeypatch.setattr("elicit.cli.HttpTransport", lambda config: payload)
     record = tmp_path / "record.jsonl"
     run = ("run", "--bank", str(bank), "--mode", "replay", "--detector", "llm", "--out")
     assert run_cli(*run, str(tmp_path / "live"), "--record", str(record)) == 0
@@ -787,6 +758,114 @@ def test_replay_log_serves_a_recurring_request_in_recorded_order(tmp_path, monke
     assert "backend error" in capsys.readouterr().err
 
 
+def _completion(content):
+    return {"choices": [{"message": {"role": "assistant", "content": content}}]}
+
+
+def _embedding(index, vector):
+    return {"data": [{"index": index, "embedding": vector}]}  # the remote encoder sends one text a request
+
+
+# replies that break the backend contract and the error a run that meets them
+# must exit 2 with, whether the reply is live or replayed
+_MALFORMED_REPLIES = {
+    "content_not_a_string": (_completion(5), "completion content is not a string: 5"),
+    "nan": (_embedding(0, [float("nan"), 1.0]), "embedding 0 holds a non-finite value"),
+    "string_entry": (_embedding(0, ["1.0", "x"]), "embedding 0 is not a non-empty list of numbers"),
+    "empty_vector": (_embedding(0, []), "embedding 0 is not a non-empty list of numbers"),
+    "bad_indexes": (_embedding(1, [1.0, 0.0]), "expected one embedding per input, indexes 0..0; got indexes [1]"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_REPLIES))
+def test_a_malformed_reply_exits_2_alike_when_live_and_when_replayed(tmp_path, monkeypatch, capsys, case):
+    reply, problem = _MALFORMED_REPLIES[case]
+    cfg = tmp_path / "run.cfg"
+    if case == "content_not_a_string":
+        cfg.write_text("detector.kind = llm\n")
+        run = ("run", "--bank", str(GOLDEN), "--mode", "replay", "--config", str(cfg))
+    else:
+        cfg.write_text("encoder.kind = remote\n")
+        run = ("run", "--bank", str(GOLDEN), "--episodes", "1", "--config", str(cfg))
+    record = tmp_path / "record.jsonl"
+    monkeypatch.setattr("elicit.cli.HttpTransport", lambda config: lambda path, body: reply)
+    assert run_cli(*run, "--out", str(tmp_path / "live"), "--record", str(record)) == 2
+    assert capsys.readouterr().err.startswith(f"backend error: {problem}")
+    assert record.read_text("utf-8")  # the recorder keeps the wire reply that failed the check
+
+    monkeypatch.setattr("elicit.cli.HttpTransport", None)  # a replay builds no live transport
+    assert run_cli(*run, "--out", str(tmp_path / "again"), "--replay-log", str(record)) == 2
+    assert capsys.readouterr().err.startswith(f"backend error: {problem}")
+
+
+_TEMPLATE_HEADS = {name: load_prompt(name).partition("{")[0] for name in ("think", "plan", "ask", "realise", "detect")}
+
+
+def _fake_llm_service():
+    """A live transport answering each llm role's prompt and embedding texts; replies vary from call to call."""
+    calls = itertools.count()
+
+    def transport(path, body):
+        n = next(calls)
+        if path == "/v1/embeddings":
+            return {"data": [{"index": i, "embedding": [len(t), sum(map(ord, t)) % 97 / 7, 1.0]}
+                             for i, t in enumerate(body["input"])]}
+        prompt = body["messages"][0]["content"]
+        role = next(name for name, head in _TEMPLATE_HEADS.items() if prompt.startswith(head))
+        content = {
+            "think": json.dumps({"confirmed_analysis": f"call {n}", "elicitation_conditions": "a calm topic",
+                                 "strategy_rationale": "vary the angle"}),
+            "plan": json.dumps({"strategy": STRATEGY_ORDER[n % len(STRATEGY_ORDER)].value}),
+            "ask": json.dumps({"question": f"What happened next, part {n}?"}),
+            "realise": f"Reply {n}: it went all right, as they say.",
+            "detect": json.dumps({t.name: (int(t) + n) % 3 == 0 for t in ALL_TRAITS}),
+        }[role]
+        return _completion(content)
+
+    return transport
+
+
+def _episode_logs(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out.glob("*.json")) if p.name != "manifest.json"}
+
+
+def _record_llm_stack(tmp_path, monkeypatch):
+    """Record a tpa run of every llm kind and the remote encoder over a fake live service.
+
+    Returns the run's flags but `--out`, the replay log and the episode logs; the live
+    transport is then removed, so a later run can only replay.
+    """
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("encoder.kind = remote\n")
+    run = ("run", "--bank", str(GOLDEN), "--mode", "tpa", "--episodes", "2", "--turns", "4", "--seed", "1",
+           "--selector", "llm", "--realiser", "llm", "--detector", "llm", "--config", str(cfg))
+    record = tmp_path / "record.jsonl"
+    monkeypatch.setattr("elicit.cli.HttpTransport", lambda config: _fake_llm_service())
+    assert run_cli(*run, "--out", str(tmp_path / "live"), "--record", str(record)) == 0
+    monkeypatch.setattr("elicit.cli.HttpTransport", None)
+    live = _episode_logs(tmp_path / "live")
+    assert len(live) == 2 and not any(json.loads(text)["aborted"] for text in live.values())
+    return run, record, live
+
+
+def test_a_recorded_all_llm_tpa_run_replays_to_identical_logs(tmp_path, monkeypatch):
+    run, record, live = _record_llm_stack(tmp_path, monkeypatch)
+    requests = [json.loads(line)["request"] for line in record.read_text("utf-8").splitlines()]
+    assert {"input" in r for r in requests} == {True, False}  # embeddings and completions alike
+    assert run_cli(*run, "--out", str(tmp_path / "again"), "--replay-log", str(record)) == 0
+    assert _episode_logs(tmp_path / "again") == live
+
+
+def test_recording_a_replay_writes_a_log_that_replays_alike(tmp_path, monkeypatch):
+    run, record, live = _record_llm_stack(tmp_path, monkeypatch)
+    second = tmp_path / "second.jsonl"
+    assert run_cli(*run, "--out", str(tmp_path / "again"), "--replay-log", str(record), "--record", str(second)) == 0
+    assert _episode_logs(tmp_path / "again") == live
+    assert second.read_bytes() == record.read_bytes()  # a serial run sends its requests in one order
+    assert run_cli(*run, "--out", str(tmp_path / "third"), "--replay-log", str(second)) == 0
+    assert _episode_logs(tmp_path / "third") == live
+
+
 @pytest.fixture(scope="module")
 def golden_logs(tmp_path_factory):
     """The golden bank's tpa, random and replay logs in one directory."""
@@ -795,6 +874,16 @@ def golden_logs(tmp_path_factory):
         assert run_cli("run", "--bank", str(GOLDEN), "--mode", mode, "--episodes", episodes,
                        "--seed", "1", "--out", str(logs)) == 0
     return logs
+
+
+def test_a_bug_while_reading_logs_keeps_its_traceback(golden_logs, monkeypatch):
+    # only input faults exit 1; a KeyError from the parser itself is a bug
+    def broken(cls, d):
+        raise KeyError("no such field")
+
+    monkeypatch.setattr(EpisodeLog, "from_dict", classmethod(broken))
+    with pytest.raises(KeyError, match="no such field"):
+        run_cli("evaluate", "--logs", str(golden_logs))
 
 
 def _with_one_aborted(logs: Path, out: Path) -> Path:

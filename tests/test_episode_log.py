@@ -137,8 +137,8 @@ def test_golden_bank_logs_fold_back_to_their_pre_slim_bytes(case, tmp_path):
 
 # sha256 of the log an all-llm episode writes on the golden bank when a scripted
 # backend serves every reply, in its pre-slim shape and now, and of the
-# fingerprints of the requests it sent, one a line; the pre-slim digest was
-# recorded before the selector and detector shared one reply parser
+# sha256 of each sorted-key payload of the requests it sent, one a line; the
+# pre-slim digest was recorded before the selector and detector shared one reply parser
 PRE_SLIM_LLM_LOG_SHA256 = "844bc9670e3a841b9eb1a1ed5869b7678f29de5da29205a49e23c205ec548fc7"
 LLM_LOG_SHA256 = "40bcfaf65be9034cd3b05953c181054ea82d6806bcc3b42734bec6750d72fe26"
 LLM_FINGERPRINTS_SHA256 = "6031557561b1a9e204d591c0c9de0e9e742af657b7a0ab3c74fb07dde22c72f6"
@@ -171,10 +171,11 @@ def test_all_llm_episode_keeps_its_log_bytes_and_requests():
     log = run_episode(cfg, bank, base_rates(bank, "P001"), comps, "llm-0000-P001")
     gt = {t.name for t in log.ground_truth}
     assert not log.aborted and [len(gt.intersection(t.confirmed)) / len(gt) for t in log.turns] == [0.5] * turns
-    fingerprints = "\n".join(r.fingerprint() for r in client.requests)
+    payloads = (json.dumps(r.payload(), sort_keys=True, ensure_ascii=False) for r in client.requests)
+    fingerprints = "\n".join(map(_sha256, payloads))
     assert _sha256(pre_slim(json.loads(log.to_json()))) == PRE_SLIM_LLM_LOG_SHA256
     assert _sha256(log.to_json()) == LLM_LOG_SHA256
-    assert hashlib.sha256(fingerprints.encode("utf-8")).hexdigest() == LLM_FINGERPRINTS_SHA256
+    assert _sha256(fingerprints) == LLM_FINGERPRINTS_SHA256
 
 
 @pytest.fixture(scope="module")

@@ -437,23 +437,38 @@ def _turn_zero(d):
     d["turns"][0]["turn"] = 0
 
 
+def _ground_truth_entry_not_string(d):
+    d["ground_truth"] = [["F1"]]
+
+
+def _turn_not_an_object(d):
+    d["turns"][0] = 5
+
+
 @pytest.mark.parametrize(
-    "corrupt",
-    [_break_turn, _drop_turn_key, _drop_episode_key, _unknown_trait, _turns_not_a_list, _turn_zero,
-     "not json", "[1, 2]"],
+    "corrupt,problem",
+    [(_break_turn, "unknown key extra"), (_drop_turn_key, "missing key question"),
+     (_drop_episode_key, "missing key episode_id"), (_unknown_trait, "ground_truth must list trait ids F1..F10"),
+     (_ground_truth_entry_not_string, "ground_truth must list trait ids F1..F10, got [['F1']]"),
+     (_turns_not_a_list, "turns must be list"), (_turn_not_an_object, "expected a JSON object, got int"),
+     (_turn_zero, "turns must be numbered"), ("not json", "JSONDecodeError"), ("[1, 2]", "expected a JSON object"),
+     (b"\xff{}", "UnicodeDecodeError")],
 )
-def test_read_logs_names_the_malformed_file(synth_bank, tmp_path, corrupt):
+def test_read_logs_names_the_malformed_file_and_the_problem(synth_bank, tmp_path, corrupt, problem):
     paths = write_logs(run_batch(EpisodeConfig(seed=3), synth_bank, "random", 2), tmp_path)
     bad = paths[1]
     if callable(corrupt):
         doc = json.loads(bad.read_text("utf-8"))
         corrupt(doc)
         bad.write_text(json.dumps(doc), encoding="utf-8")
+    elif isinstance(corrupt, bytes):
+        bad.write_bytes(corrupt)
     else:
         bad.write_text(corrupt, encoding="utf-8")
     with pytest.raises(LogFormatError, match=re.escape(str(bad))) as info:
         read_logs(tmp_path)
     assert isinstance(info.value, ValueError)
+    assert problem in str(info.value)
 
 
 def test_batch_skips_patients_without_ground_truth():
