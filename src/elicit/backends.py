@@ -188,8 +188,8 @@ class ReplayTransport:
         return recorded[occurrence]
 
 
-def _unit_vector(index: int, vec) -> list[float]:
-    """One embedding row as floats scaled to unit length; it must be a non-empty list of finite JSON numbers."""
+def _float_row(index: int, vec) -> list[float]:
+    """One embedding row as floats, unscaled; it must be a non-empty list of finite JSON numbers."""
     if type(vec) is not list or not vec or not all(type(x) in (int, float) for x in vec):
         raise MalformedResponseError(f"embedding {index} is not a non-empty list of numbers")
     try:
@@ -198,8 +198,7 @@ def _unit_vector(index: int, vec) -> list[float]:
         raise MalformedResponseError(f"embedding {index} holds an integer beyond the float range") from None
     if not all(map(math.isfinite, vec)):
         raise MalformedResponseError(f"embedding {index} holds a non-finite value")
-    norm = math.hypot(*vec)  # no overflow for large finite values, as a sum of squares would
-    return [x / norm for x in vec] if norm > 0 else vec
+    return vec
 
 
 class HttpBackend:
@@ -248,6 +247,7 @@ class HttpBackend:
         return text
 
     def embed(self, texts: list[str]) -> list[list[float]]:
+        """One checked float row per text, unscaled: `RemoteEncoder` scales it to unit length."""
         if not texts:
             return []
         if any(not t.strip() for t in texts):
@@ -264,7 +264,7 @@ class HttpBackend:
             raise MalformedResponseError(
                 f"expected one embedding per input, indexes 0..{len(texts) - 1}; got indexes {indexes}"
             )
-        return [_unit_vector(i, vec) for i, vec in enumerate(vectors)]
+        return [_float_row(i, vec) for i, vec in enumerate(vectors)]
 
 
 class ScriptedBackend:

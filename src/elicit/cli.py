@@ -1,7 +1,8 @@
 """Command-line entry point wiring the full pipeline.
 
 Subcommands: ingest, synth, run, replay, evaluate, validate, report, detect.
-Exit codes: 0 success, 1 bad input (`InputError`), 2 backend failure (`BackendError`).
+Exit codes: 0 success, 1 bad input (`InputError`) or a path that cannot be read
+or written (`OSError`), 2 backend failure (`BackendError`).
 All randomness flows from a single --seed per invocation.
 """
 
@@ -355,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     except BackendError as e:
         print(f"backend error: {e}", file=sys.stderr)
         return 2
-    except (InputError, FileNotFoundError) as e:
+    except (InputError, OSError) as e:  # OSError: a path that cannot be read or written
         print(f"error: {e}", file=sys.stderr)
         return 1
 

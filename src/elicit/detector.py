@@ -9,13 +9,12 @@ response against the full trait definitions.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Mapping
 
 from .backends import GenerationRequest, Message
 from .errors import BackendError
-from .ontology import ALL_TRAITS, Ontology, TraitId, default_ontology
+from .ontology import ALL_TRAITS, Ontology, TraitId, default_ontology, marker_regex
 from .prompting import complete_json, load_prompt
 
 
@@ -50,10 +49,7 @@ class RuleDetector:
 
     def __init__(self, ontology: Ontology | None = None):
         self.ontology = ontology or default_ontology()
-        self._patterns: dict[TraitId, re.Pattern] = {}
-        for t, definition in self.ontology.traits.items():
-            alts = "|".join(re.escape(p) for p in definition.marker_lexicon)
-            self._patterns[t] = re.compile(rf"\b(?:{alts})\b", re.IGNORECASE)
+        self._patterns = {t: marker_regex(d.marker_lexicon) for t, d in self.ontology.traits.items()}
 
     def detect(self, question: str, response: str) -> DetectionResult:
         if not response.strip():

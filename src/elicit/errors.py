@@ -2,7 +2,8 @@
 
 - `InputError`: something the user gave is wrong (a bank, config, ontology,
   transcript, replay log, episode log, flag or setting). `elicit` prints
-  `error: ...` and exits 1.
+  `error: ...` and exits 1, as it does for an `OSError`: a path it cannot
+  read or write.
 - `BackendError`: a backend failed or broke its reply contract. An episode
   that meets one aborts with it as its `abort_reason`; a command that meets
   one outside an episode prints `backend error: ...` and exits 2.

@@ -34,7 +34,7 @@ from .errors import InputError
 from .metrics import ci95_halfwidth
 from .ontology import ALL_TRAITS, Ontology, Strategy, TraitId
 from .patient import EmissionParams, emit_traits  # emit_traits is unused here; perfbench traces it by name
-from .retrieval import AnchorRetriever, Embedding, cosine
+from .retrieval import AnchorRetriever, cosine
 from .runner import (
     Components,
     EpisodeConfig,
@@ -198,7 +198,7 @@ def _semantic_similarity(
     questions = list(dict.fromkeys(q for q, _ in sim_pairs))
     picks = retriever.nearest(retriever.bank.by_patient[patient_id], [encoder.encode(q) for q in questions])
     nearest = dict(zip(questions, picks))
-    replies: dict[int, Embedding] = {}
+    replies = {}
     scores = []
     for q_sim, r_sim in sim_pairs:
         i = nearest[q_sim]

@@ -14,6 +14,7 @@ from enum import Enum, IntEnum
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import Iterable
 
 from .errors import InputError, read_text
 
@@ -109,8 +110,10 @@ class Ontology:
         return tuple(s for s in self.scenarios if s.dialogic)
 
 
-def _word_boundary_contains(haystack: str, needle: str) -> bool:
-    return re.search(rf"\b{re.escape(needle)}\b", haystack, re.IGNORECASE) is not None
+def marker_regex(phrases: Iterable[str]) -> re.Pattern:
+    """The one marker grammar: any of `phrases` matched as whole words, ignoring case."""
+    alts = "|".join(re.escape(p) for p in phrases)
+    return re.compile(rf"\b(?:{alts})\b", re.IGNORECASE)
 
 
 def _validate(ont: Ontology) -> None:
@@ -150,7 +153,7 @@ def _validate(ont: Ontology) -> None:
                 for pb in b.marker_lexicon:
                     if pa.lower() == pb.lower():
                         raise OntologyError(f"marker {pa!r} owned by both {a.id} and {b.id}")
-                    if _word_boundary_contains(pb, pa):
+                    if marker_regex([pa]).search(pb):
                         raise OntologyError(
                             f"marker {pa!r} ({a.id}) is contained in {pb!r} ({b.id})"
                         )

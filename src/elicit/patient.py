@@ -25,7 +25,7 @@ from .backends import GenerationRequest, Message
 from .bank import THETA_EPS, PatientProfile, Snippet
 from .dialogue import HistoryTurn, render_history
 from .errors import BackendError, InputError
-from .ontology import ALL_TRAITS, Ontology, TraitId, default_ontology
+from .ontology import ALL_TRAITS, Ontology, TraitId, default_ontology, marker_regex
 from .prompting import complete_parsed, load_prompt
 
 DEFAULT_SUPPRESSION = 4.0  # sigma(-4) ~ 1.8%: rare re-emission of confirmed traits
@@ -115,12 +115,7 @@ class TemplateRealiser:
 
     def __init__(self, ontology: Ontology | None = None):
         self.ontology = ontology or default_ontology()
-        alts = "|".join(
-            re.escape(p)
-            for t in self.ontology.traits.values()
-            for p in t.marker_lexicon
-        )
-        self._any_marker = re.compile(rf"\b(?:{alts})\b", re.IGNORECASE)
+        self._any_marker = marker_regex(p for t in self.ontology.traits.values() for p in t.marker_lexicon)
 
     def _skeleton(self, text: str) -> str:
         # strip to a fixpoint: deleting one phrase may butt words together into another

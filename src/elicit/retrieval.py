@@ -1,9 +1,11 @@
 """Text encoding and anchor retrieval.
 
 Finds the bank snippet whose doctor utterance is most similar to the current
-question, always excluding the current patient's own records. The fallback
-encoder is a deterministic hashed bag-of-tokens; the remote encoder delegates
-to the embeddings endpoint in `backends`.
+question, always excluding the current patient's own records. A vector is a
+1-d float64 `np.ndarray`. Every encoder returns it at unit length, or all zeros
+for a zero row from a remote service. The fallback encoder is a deterministic
+hashed bag-of-tokens; the remote encoder delegates to the embeddings endpoint
+in `backends` and scales its rows, the one place they are scaled.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import math
 import re
 import zlib
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,18 +37,6 @@ class EmptyCandidateSetError(InputError):
     """Raised when excluding the patient leaves no snippet to retrieve from: a bank of one patient."""
 
 
-@dataclass(frozen=True)
-class Embedding:
-    values: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        if self.values.shape != (self.dim,):
-            raise DimensionMismatchError(f"expected shape ({self.dim},), got {self.values.shape}")
-        if not np.isfinite(self.values).all():
-            raise ValueError("embedding contains non-finite values")
-
-
 def _norm(x: np.ndarray) -> float:
     # np.linalg.norm's own sum and rounding for a 1-d vector, without its call overhead
     return math.sqrt(x.dot(x))
@@ -56,44 +45,49 @@ def _norm(x: np.ndarray) -> float:
 class FallbackEncoder:
     """Deterministic dependency-free encoder: hashed token counts, L2-normalised."""
 
-    dim = FALLBACK_DIM
-
-    def encode(self, text: str) -> Embedding:
+    def encode(self, text: str) -> np.ndarray:
         stripped = text.strip()
         if not stripped:
             raise EmptyTextError("cannot encode empty text")
         # punctuation-only input still gets a unit vector, in bucket 0
-        buckets = [zlib.crc32(tok.encode("utf-8")) % self.dim for tok in _TOKEN_RE.findall(stripped.lower())]
-        vec = np.bincount(buckets or [0], minlength=self.dim).astype(np.float64)
+        buckets = [zlib.crc32(tok.encode("utf-8")) % FALLBACK_DIM for tok in _TOKEN_RE.findall(stripped.lower())]
+        vec = np.bincount(buckets or [0], minlength=FALLBACK_DIM).astype(np.float64)
         vec /= _norm(vec)
-        return Embedding(values=vec, dim=self.dim)
+        return vec
 
 
 class RemoteEncoder:
-    """Encoder backed by the embeddings endpoint; vectors are re-normalised here."""
+    """Encoder backed by the embeddings endpoint: the client's row, scaled to unit length here and only here.
+
+    A zero row stays all zeros. The client (`HttpBackend.embed`) checks each row
+    is a non-empty list of finite numbers and returns it unscaled.
+    """
 
     def __init__(self, client):
         self.client = client
 
-    def encode(self, text: str) -> Embedding:
+    def encode(self, text: str) -> np.ndarray:
         stripped = text.strip()
         if not stripped:
             raise EmptyTextError("cannot encode empty text")
-        vec = np.asarray(self.client.embed([stripped])[0], dtype=np.float64)
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec = vec / norm
-        return Embedding(values=vec, dim=len(vec))
+        vec = np.array(self.client.embed([stripped])[0], dtype=np.float64)
+        peak = np.abs(vec).max()
+        if peak > 0:
+            # a power-of-two rescale is exact and lifts a subnormal row, whose norm would keep
+            # only a few bits, into the normal range
+            vec = np.ldexp(vec, -math.frexp(peak)[1])
+            vec /= math.hypot(*vec)
+        return vec
 
 
-def cosine(u: Embedding, v: Embedding) -> float:
-    if u.dim != v.dim:
-        raise DimensionMismatchError(f"dim mismatch: {u.dim} vs {v.dim}")
-    nu = _norm(u.values)
-    nv = _norm(v.values)
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    if u.shape != v.shape:
+        raise DimensionMismatchError(f"dim mismatch: {u.shape} vs {v.shape}")
+    nu = _norm(u)
+    nv = _norm(v)
     if nu == 0.0 or nv == 0.0:
         return 0.0
-    val = float(np.dot(u.values, v.values) / (nu * nv))
+    val = float(np.dot(u, v) / (nu * nv))
     return min(1.0, max(-1.0, val))
 
 
@@ -106,10 +100,12 @@ class AnchorRetriever:
     """Indexes one bank's doctor utterances and retrieves anchors.
 
     Scripted prompts repeat across patients, so the index holds each distinct
-    `doctor_curr` text once: a (distinct texts, dim) matrix of encodings, their
-    inverse norms, and each bank row's text index. A query is scored against
-    the texts with one mat-vec and the scores are gathered out to the rows, so
-    excluding a patient drops its rows but not a text other patients share.
+    `doctor_curr` text once: a (distinct texts, dim) matrix of encodings and
+    each bank row's text index. Encoders return unit vectors (or zero rows), so
+    a query's product with a row is their cosine to within a few ulps and the
+    index holds no norms. A query is scored against the texts with one mat-vec
+    and the scores are gathered out to the rows, so excluding a patient drops
+    its rows but not a text other patients share.
     The shortlisted texts, those within SHORTLIST_MARGIN of the best, are
     re-scored once each with the scalar `cosine`, so the winner and its score
     are exactly those of a brute-force scan. Ties still go to the lowest
@@ -120,7 +116,8 @@ class AnchorRetriever:
     `audit_log`, which validation harnesses may inspect for leakage.
     """
 
-    # far above the few-ulp gap between the mat-vec and `cosine`
+    # query and rows are unit length to within an ulp, so their product is within
+    # a few ulps of `cosine`; the margin is far above that gap
     SHORTLIST_MARGIN = 1e-9
 
     def __init__(self, bank: SnippetBank, backend):
@@ -136,43 +133,31 @@ class AnchorRetriever:
         )
         encoded = (backend.encode(text) for text in text_index)
         first = next(encoded)
-        self._matrix = np.empty((len(text_index), first.dim), dtype=np.float64)
-        self._matrix[0] = first.values
-        for i, e in enumerate(encoded, start=1):
-            self._check_dim(e)
-            self._matrix[i] = e.values
-        # norms without a (texts, dim) temporary; zero rows score 0 like `cosine`
-        norms = np.sqrt(np.einsum("ij,ij->i", self._matrix, self._matrix))
-        self._inv_norms = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+        self._matrix = np.empty((len(text_index), len(first)), dtype=np.float64)
+        self._matrix[0] = first
+        for i, v in enumerate(encoded, start=1):
+            self._check_dim(v)
+            self._matrix[i] = v
         self.audit_log: list[str] = []
 
-    def _check_dim(self, e: Embedding) -> None:
-        if e.dim != self._matrix.shape[1]:
-            raise DimensionMismatchError(f"dim mismatch: {e.dim} vs index {self._matrix.shape[1]}")
+    def _check_dim(self, v: np.ndarray) -> None:
+        if v.shape != self._matrix.shape[1:]:
+            raise DimensionMismatchError(f"dim mismatch: {v.shape} vs index {self._matrix.shape[1:]}")
 
-    def _scores(self, queries: Sequence[Embedding], texts: np.ndarray | slice = slice(None)) -> np.ndarray:
+    def _scores(self, queries: Sequence[np.ndarray], texts: np.ndarray | slice = slice(None)) -> np.ndarray:
         """Each query's cosine to each of `texts` (default every text), to within a few ulps.
 
         One (queries, texts) product; einsum runs on this thread: BLAS splits a
         large product across its own threads, which stalled for milliseconds at
         a time on a 2-vCPU host.
         """
-        values = np.empty((len(queries), self._matrix.shape[1]))
-        inv_q = np.empty((len(queries), 1))
-        for k, q in enumerate(queries):
+        for q in queries:
             self._check_dim(q)
-            values[k] = q.values
-            q_norm = _norm(q.values)
-            inv_q[k] = 1.0 / q_norm if q_norm > 0 else 0.0
-        scores = np.einsum("kj,ij->ki", values, self._matrix[texts])
-        scores *= self._inv_norms[texts]
-        scores *= inv_q
-        return scores
+        return np.einsum("kj,ij->ki", np.array(queries), self._matrix[texts])
 
-    def _exact(self, q: Embedding, texts: list[int]) -> dict[int, float]:
+    def _exact(self, q: np.ndarray, texts: list[int]) -> dict[int, float]:
         """The scalar `cosine` of `q` to each distinct text of a shortlist."""
-        dim = self._matrix.shape[1]
-        return {t: cosine(q, Embedding(self._matrix[t], dim)) for t in set(texts)}
+        return {t: cosine(q, self._matrix[t]) for t in set(texts)}
 
     def retrieve(self, query: str, exclude_patient: str) -> tuple[Snippet, float]:
         q = self.backend.encode(query)
@@ -193,7 +178,7 @@ class AnchorRetriever:
         self.audit_log.append(snippet.patient_id)
         return snippet, score
 
-    def nearest(self, rows: Sequence[int], queries: Sequence[Embedding]) -> list[int]:
+    def nearest(self, rows: Sequence[int], queries: Sequence[np.ndarray]) -> list[int]:
         """For each query, the position in `rows` of the bank row whose doctor text is nearest.
 
         Nearest is by exact `cosine`, as in `retrieve`: one product scores every

@@ -562,6 +562,8 @@ def write_logs(result: BatchResult, out_dir: str | Path) -> list[Path]:
 
 
 def read_logs(log_dir: str | Path) -> list[EpisodeLog]:
+    if not Path(log_dir).is_dir():
+        raise LogFormatError(f"{log_dir}: not a directory")
     out = []
     for p in sorted(Path(log_dir).glob("*.json")):
         if p.name == "manifest.json":

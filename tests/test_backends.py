@@ -151,21 +151,16 @@ def test_completion_content_that_is_not_a_string_is_malformed(content):
         backend.complete(req())
 
 
-def test_embed_order_preserved_and_normalised():
+def test_embed_keeps_order_and_returns_rows_unscaled():
     def transport(path, body):
         assert path == "/v1/embeddings"
-        return {
-            "data": [
-                {"index": i, "embedding": [float(i + 1), 0.0]}
-                for i in range(len(body["input"]))
-            ]
-        }
+        rows = [{"index": i, "embedding": [i + 1, 0.0]} for i in range(len(body["input"]))]
+        return {"data": rows[::-1]}
 
     backend = HttpBackend(BackendConfig(), transport=transport)
-    vectors = backend.embed(["a", "b", "c"])
-    assert len(vectors) == 3
-    for v in vectors:
-        assert sum(x * x for x in v) == pytest.approx(1.0)
+    assert backend.embed(["a", "b", "c"]) == [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]
+    # the remote encoder scales the row, once
+    assert RemoteEncoder(backend).encode("a").tolist() == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("texts,indexes", [
@@ -203,10 +198,10 @@ def test_embed_needs_a_non_empty_list_of_json_numbers(vector):
 
 
 @pytest.mark.parametrize("scale", [1, 1e200, 1e-200])
-def test_embed_reads_json_integers_as_numbers_and_scales_any_finite_vector_to_unit_length(scale):
+def test_remote_encoder_reads_json_integers_as_numbers_and_scales_any_finite_vector_to_unit_length(scale):
     data = [{"index": 0, "embedding": [3 * scale, 4.0 * scale]}]
-    vector = HttpBackend(BackendConfig(), transport=lambda p, b: {"data": data}).embed(["a"])[0]
-    assert vector == pytest.approx([0.6, 0.8])
+    vector = RemoteEncoder(HttpBackend(BackendConfig(), transport=lambda p, b: {"data": data})).encode("a")
+    assert vector.tolist() == pytest.approx([0.6, 0.8])
 
 
 def test_embed_rejects_an_integer_beyond_the_float_range():

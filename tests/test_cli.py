@@ -117,6 +117,15 @@ def test_evaluate_empty_dir(tmp_path, capsys):
     assert "no non-aborted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("given", ["missing", "file"])
+def test_evaluate_on_a_logs_path_that_is_no_directory_exits_1_naming_it(tmp_path, capsys, given):
+    logs = tmp_path / "logs"
+    if given == "file":
+        logs.write_text("")
+    assert run_cli("evaluate", "--logs", str(logs)) == 1
+    assert capsys.readouterr().err == f"error: {logs}: not a directory\n"
+
+
 def test_run_rejects_zero_episodes(tmp_path, capsys):
     bank = tmp_path / "bank.jsonl"
     assert run_cli("synth", "--patients", "2", "--snippets", "4", "--seed", "2",
@@ -884,6 +893,27 @@ def test_a_bug_while_reading_logs_keeps_its_traceback(golden_logs, monkeypatch):
     monkeypatch.setattr(EpisodeLog, "from_dict", classmethod(broken))
     with pytest.raises(KeyError, match="no such field"):
         run_cli("evaluate", "--logs", str(golden_logs))
+
+
+@pytest.mark.parametrize("command", ["evaluate", "validate", "detect", "run", "report"])
+def test_an_output_path_that_cannot_be_written_exits_1_naming_it(golden_logs, tmp_path, capsys, command):
+    # a directory where a file is written, or a file where a directory is made
+    directory, file = tmp_path / "a-dir", tmp_path / "a-file"
+    directory.mkdir()
+    file.write_text("")
+    transcript = tmp_path / "t.jsonl"
+    transcript.write_text(json.dumps({"question": "q", "response": "r"}))
+    argv, target = {
+        "evaluate": (["--logs", str(golden_logs), "--out", str(directory)], directory),
+        "validate": (["--bank", str(GOLDEN), "--episodes-per-patient", "1", "--turns", "2",
+                      "--out", str(directory)], directory),
+        "detect": (["--in", str(transcript), "--out", str(directory)], directory),
+        "run": (["--bank", str(GOLDEN), "--episodes", "1", "--out", str(file)], file),
+        "report": (["--logs", str(golden_logs), "--out-dir", str(file)], file),
+    }[command]
+    assert run_cli(command, *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(target) in err
 
 
 def _with_one_aborted(logs: Path, out: Path) -> Path:

@@ -12,9 +12,9 @@ from elicit.bank import Snippet, SnippetBank
 from elicit.retrieval import (
     AnchorRetriever,
     DimensionMismatchError,
-    Embedding,
     EmptyCandidateSetError,
     EmptyTextError,
+    FALLBACK_DIM,
     FallbackEncoder,
     RemoteEncoder,
     cosine,
@@ -35,20 +35,20 @@ def _snip(pid, sid, doctor, i=0):
 def test_fallback_deterministic():
     a = ENC.encode("hello world")
     b = ENC.encode("hello world")
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_fallback_unit_norm():
     v = ENC.encode("the quick brown fox")
-    assert abs(np.linalg.norm(v.values) - 1.0) < 1e-6
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-6
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.text(min_size=1).filter(lambda s: s.strip()))
 def test_fallback_unit_norm_property(text):
     v = ENC.encode(text)
-    assert abs(np.linalg.norm(v.values) - 1.0) < 1e-6
-    assert v.dim == 256
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-6
+    assert v.shape == (FALLBACK_DIM,)
 
 
 def test_fallback_empty_text():
@@ -65,19 +65,18 @@ def test_cosine_identity():
 
 def test_cosine_antipodal():
     x = ENC.encode("some words here")
-    neg = Embedding(values=-x.values, dim=x.dim)
-    assert cosine(x, neg) == pytest.approx(-1.0, abs=1e-9)
+    assert cosine(x, -x) == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_cosine_orthogonal():
     e1 = np.zeros(4); e1[0] = 1.0
     e2 = np.zeros(4); e2[1] = 1.0
-    assert cosine(Embedding(e1, 4), Embedding(e2, 4)) == pytest.approx(0.0, abs=1e-9)
+    assert cosine(e1, e2) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_cosine_dim_mismatch():
-    a = Embedding(np.ones(3) / np.sqrt(3), 3)
-    b = Embedding(np.ones(4) / 2.0, 4)
+    a = np.ones(3) / np.sqrt(3)
+    b = np.ones(4) / 2.0
     with pytest.raises(DimensionMismatchError):
         cosine(a, b)
 
@@ -103,14 +102,14 @@ def test_never_returns_excluded(tiny_bank):
 
 def _reference_cosine(u, v):
     """The scalar cosine as first written, on np.linalg.norm: the oracle's scoring."""
-    nu = np.linalg.norm(u.values)
-    nv = np.linalg.norm(v.values)
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         return 0.0
-    return min(1.0, max(-1.0, float(np.dot(u.values, v.values) / (nu * nv))))
+    return min(1.0, max(-1.0, float(np.dot(u, v) / (nu * nv))))
 
 
-def _reference_encode(text, dim=256):
+def _reference_encode(text, dim=FALLBACK_DIM):
     vec = np.zeros(dim)
     tokens = re.findall(r"[a-z0-9]+", text.strip().lower())
     if not tokens:
@@ -127,21 +126,21 @@ finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 @given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.lists(finite, min_size=n, max_size=n),
                                                      st.lists(finite, min_size=n, max_size=n))))
 def test_cosine_equals_the_reference_bit_for_bit(pair):
-    u, v = (Embedding(np.array(x), len(x)) for x in pair)
+    u, v = (np.array(x) for x in pair)
     assert cosine(u, v) == _reference_cosine(u, v)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.text(min_size=1).filter(lambda s: s.strip()))
 def test_fallback_encoding_equals_the_reference_bit_for_bit(text):
-    assert ENC.encode(text).values.tobytes() == _reference_encode(text).tobytes()
+    assert ENC.encode(text).tobytes() == _reference_encode(text).tobytes()
 
 
-def _brute_force(bank, query, exclude, embeddings=None):
+def _brute_force(bank, query, exclude, embeddings=None, enc=ENC):
     """The scalar oracle: a score for every candidate, best score then lowest key."""
     if embeddings is None:
-        embeddings = [ENC.encode(s.doctor_curr) for s in bank.snippets]
-    q = ENC.encode(query)
+        embeddings = [enc.encode(s.doctor_curr) for s in bank.snippets]
+    q = enc.encode(query)
     best = None
     for s, e in zip(bank.snippets, embeddings):
         if s.patient_id == exclude:
@@ -224,13 +223,10 @@ def test_retriever_reuses_precomputed_embeddings(tiny_bank):
 
 
 def test_remote_encoder_normalises():
-    class FakeClient:
-        def embed(self, texts):
-            return [[3.0, 4.0] for _ in texts]
-
-    enc = RemoteEncoder(FakeClient())
-    v = enc.encode("anything")
-    assert np.allclose(v.values, [0.6, 0.8])
+    enc = RemoteEncoder(_TableClient({"a": [3.0, 4.0], "subnormal": [5e-324, 5e-324]}))
+    assert np.allclose(enc.encode("a"), [0.6, 0.8])
+    # a norm of one bit must not scale the row to [1.0, 1.0]
+    assert np.allclose(enc.encode("subnormal"), [0.5 ** 0.5] * 2)
     with pytest.raises(EmptyTextError):
         enc.encode("  ")
 
@@ -283,7 +279,7 @@ def test_index_encodes_each_distinct_doctor_text_once():
     enc = CountingEncoder()
     retriever = AnchorRetriever(bank, enc)
     assert sorted(enc.texts) == sorted(distinct)
-    assert retriever._matrix.shape == (len(distinct), enc.dim)
+    assert retriever._matrix.shape == (len(distinct), FALLBACK_DIM)
 
 
 def test_a_text_shared_across_patients_goes_to_the_lowest_tie_key_outside_the_excluded_one():
@@ -365,7 +361,7 @@ def test_index_build_allocates_no_full_size_temporary():
     bank = SnippetBank(snippets=tuple(
         _snip(f"P{i // 10}", "s", " ".join(rng.choice(WORDS) for _ in range(5)), i) for i in range(n)
     ))
-    matrix_bytes = n * ENC.dim * 8
+    matrix_bytes = n * FALLBACK_DIM * 8
     tracemalloc.start()
     try:
         retriever = AnchorRetriever(bank, ENC)
@@ -374,3 +370,57 @@ def test_index_build_allocates_no_full_size_temporary():
         tracemalloc.stop()
     assert retriever.retrieve("school work", "P0")[0].patient_id != "P0"
     assert peak <= 1.5 * matrix_bytes
+
+
+def _remote_row(rng: random.Random, dim: int, dense: list[list[float]]) -> list[float]:
+    """A dense random row, a zero row, one scaled by 1e+-150, or a scaled copy of a dense row, which ties with it.
+
+    A copy scaled by 1e-320 is subnormal and keeps only a few bits, yet must still be scaled to unit length.
+    """
+    kind = rng.randrange(5)
+    if kind == 0:
+        return [0.0] * dim
+    if kind == 1 and dense:
+        scale = rng.choice([0.5, 3.0, 1e150, 1e-150, 1e-320])
+        return [x * scale for x in rng.choice(dense)]
+    row = [rng.uniform(-1.0, 1.0) for _ in range(dim)]
+    if kind == 2:
+        scale = rng.choice([1e150, 1e-150])
+        return [x * scale for x in row]
+    dense.append(row)
+    return row
+
+
+@settings(max_examples=40, deadline=None)
+@given(rng=st.randoms(use_true_random=False), dim=st.integers(2, 64), n=st.integers(2, 40),
+       n_texts=st.integers(1, 12))
+def test_dense_remote_vectors_match_the_scalar_oracle_exactly(rng, dim, n, n_texts):
+    dense: list[list[float]] = []
+    table = {f"text {k}": _remote_row(rng, dim, dense) for k in range(n_texts)}
+    texts = list(table)
+    table.update({f"query {k}": _remote_row(rng, dim, dense) for k in range(10)})
+    queries = list(table)  # the index's own texts, and others
+    enc = RemoteEncoder(_TableClient(table))
+    patients = [f"P{k}" for k in range(1, rng.randint(1, 4) + 1)]
+    bank = SnippetBank(snippets=tuple(
+        _snip(rng.choice(patients), f"s{rng.randint(1, 2)}", rng.choice(texts), i) for i in range(n)
+    ))
+    embeddings = [enc.encode(s.doctor_curr) for s in bank.snippets]
+    retriever = AnchorRetriever(bank, enc)
+    for _ in range(25):
+        query = rng.choice(queries)
+        exclude = rng.choice(patients + ["P9"])  # P9 excludes nothing
+        if all(s.patient_id == exclude for s in bank.snippets):
+            with pytest.raises(EmptyCandidateSetError):
+                retriever.retrieve(query, exclude)
+        else:
+            got, score = retriever.retrieve(query, exclude)
+            want, want_score = _brute_force(bank, query, exclude, embeddings, enc)
+            assert got == want
+            assert score == want_score
+        rows = bank.by_patient[rng.choice(list(bank.by_patient))]
+        batch = [enc.encode(q) for q in rng.sample(queries, rng.randint(1, 4))]
+        want_picks = [
+            max(range(len(rows)), key=lambda i: (_reference_cosine(q, embeddings[rows[i]]), -i)) for q in batch
+        ]
+        assert retriever.nearest(rows, batch) == want_picks
