@@ -75,11 +75,27 @@ def update(state: BeliefState, detections: Mapping[TraitId, bool]) -> BeliefStat
     return BeliefState(positives, n, state.tau, state.confirmed | confirmed)
 
 
-def priority_traits(state: BeliefState, k: int = 4) -> list[TraitId]:
-    """The k highest-entropy unconfirmed traits (ties by ascending index)."""
+def priority_traits(
+    state: BeliefState, k: int = 4, entropies: dict[tuple[int, int], float] | None = None
+) -> list[TraitId]:
+    """The k highest-entropy unconfirmed traits (ties by ascending index).
+
+    `entropies`, if given, remembers each trait's entropy by its (positives,
+    turns) pair, of which a T-turn episode has at most (T+1)(T+2)/2, so it
+    needs no bound. A selector owns one for the life of its `Components`.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = state.turns
+
+    def entropy(p: int) -> float:
+        if entropies is None:
+            return beta_entropy(1.0 + p, 1.0 + n - p)
+        h = entropies.get((p, n))
+        if h is None:
+            h = entropies[(p, n)] = beta_entropy(1.0 + p, 1.0 + n - p)
+        return h
+
     candidates = [(t, p) for t, p in zip(ALL_TRAITS, state.positives) if t not in state.confirmed]
-    candidates.sort(key=lambda tp: (-beta_entropy(1.0 + tp[1], 1.0 + n - tp[1]), int(tp[0])))
+    candidates.sort(key=lambda tp: (-entropy(tp[1]), int(tp[0])))
     return [t for t, _ in candidates[:k]]

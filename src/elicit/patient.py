@@ -111,11 +111,17 @@ _DANGLING_PUNCT_RE = re.compile(r"\s+([,.;!?])")
 
 
 class TemplateRealiser:
-    """Deterministic realiser; the exact-inverse partner of the rule detector."""
+    """Deterministic realiser; the exact-inverse partner of the rule detector.
+
+    Each anchor reply's skeleton is stripped once and remembered by the reply
+    text. The memo is filled on first use, is bounded by the bank's distinct
+    replies, and lives and dies with the realiser (and so with its `Components`).
+    """
 
     def __init__(self, ontology: Ontology | None = None):
         self.ontology = ontology or default_ontology()
         self._any_marker = marker_regex(p for t in self.ontology.traits.values() for p in t.marker_lexicon)
+        self._skeletons: dict[str, str] = {}
 
     def _skeleton(self, text: str) -> str:
         # strip to a fixpoint: deleting one phrase may butt words together into another
@@ -141,7 +147,9 @@ class TemplateRealiser:
         if not anchor.patient_reply.strip():
             raise EmptyAnchorError("anchor reply is empty")
         rng = random.Random(seed)
-        skeleton = self._skeleton(anchor.patient_reply)
+        skeleton = self._skeletons.get(anchor.patient_reply)
+        if skeleton is None:
+            skeleton = self._skeletons[anchor.patient_reply] = self._skeleton(anchor.patient_reply)
         words = skeleton.split()
         for t in sorted(set(emitted)):
             lexicon = self.ontology.traits[t].marker_lexicon

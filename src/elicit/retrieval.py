@@ -21,6 +21,7 @@ from .bank import Snippet, SnippetBank
 from .errors import BackendError, InputError
 
 FALLBACK_DIM = 256
+MEMO_CAP = 4096  # query texts `AnchorRetriever` remembers; with the llm selector nearly every question is new
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -112,6 +113,15 @@ class AnchorRetriever:
     `_tie_key`, then the lowest row. `nearest` scores a batch of query vectors
     against given rows with the same product, margin and re-scoring.
 
+    `retrieve` remembers its answers by query text alone. Let W be the winner
+    with nothing excluded and W' the winner with W's patient excluded; both
+    are minima of one order (best exact score, lowest `_tie_key`, lowest row),
+    so excluding patient P gives W unless P is W's patient, and W' then. The
+    memo holds W, and W' once a call has needed it, taken from the same
+    product as W. Errors are raised on every call and never remembered. The
+    memo is filled on first use, lives and dies with the retriever (and so
+    with its `Components`), and is emptied whenever it reaches MEMO_CAP texts.
+
     Retrieval audit: every retrieved snippet's patient id is appended to
     `audit_log`, which validation harnesses may inspect for leakage.
     """
@@ -138,6 +148,7 @@ class AnchorRetriever:
         for i, v in enumerate(encoded, start=1):
             self._check_dim(v)
             self._matrix[i] = v
+        self._memo: dict[str, tuple[tuple[Snippet, float], ...]] = {}
         self.audit_log: list[str] = []
 
     def _check_dim(self, v: np.ndarray) -> None:
@@ -159,22 +170,42 @@ class AnchorRetriever:
         """The scalar `cosine` of `q` to each distinct text of a shortlist."""
         return {t: cosine(q, self._matrix[t]) for t in set(texts)}
 
-    def retrieve(self, query: str, exclude_patient: str) -> tuple[Snippet, float]:
-        q = self.backend.encode(query)
-        scores = self._scores([q])[0][self._row_text]
-        scores[np.asarray(self.bank.by_patient.get(exclude_patient, ()), dtype=np.intp)] = -np.inf
+    def _best(self, q: np.ndarray, scores: np.ndarray) -> tuple[Snippet, float] | None:
+        """The best row of a row-score vector (excluded rows at -inf), or None if every row is excluded."""
         top = scores.max()
         if top == -np.inf:
-            raise EmptyCandidateSetError(
-                f"every snippet belongs to excluded patient {exclude_patient!r}"
-            )
+            return None
         snippets = self.bank.snippets
         rows = np.flatnonzero(scores >= top - self.SHORTLIST_MARGIN)
         texts = self._row_text[rows].tolist()
         exact = self._exact(q, texts)
         shortlist = [(exact[t], _tie_key(snippets[i]), i) for i, t in zip(rows.tolist(), texts)]
         score, _, best = min(shortlist, key=lambda c: (-c[0], c[1], c[2]))
-        snippet = snippets[best]
+        return snippets[best], score
+
+    def _winners(self, query: str, exclude_patient: str) -> tuple[tuple[Snippet, float], ...]:
+        """W, and W' too if W belongs to the excluded patient, from one encoding and one product."""
+        q = self.backend.encode(query)
+        scores = self._scores([q])[0][self._row_text]
+        winners = (self._best(q, scores),)
+        if winners[0][0].patient_id == exclude_patient:
+            scores[np.asarray(self.bank.by_patient[exclude_patient], dtype=np.intp)] = -np.inf
+            runner_up = self._best(q, scores)
+            if runner_up is None:
+                raise EmptyCandidateSetError(
+                    f"every snippet belongs to excluded patient {exclude_patient!r}"
+                )
+            winners += (runner_up,)
+        return winners
+
+    def retrieve(self, query: str, exclude_patient: str) -> tuple[Snippet, float]:
+        winners = self._memo.get(query)
+        if winners is None or (winners[0][0].patient_id == exclude_patient and len(winners) == 1):
+            winners = self._winners(query, exclude_patient)
+            if len(self._memo) >= MEMO_CAP:
+                self._memo.clear()  # cannot raise while other threads read or write the dict
+            self._memo[query] = winners
+        snippet, score = winners[0] if winners[0][0].patient_id != exclude_patient else winners[1]
         self.audit_log.append(snippet.patient_id)
         return snippet, score
 

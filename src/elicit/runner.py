@@ -71,7 +71,16 @@ class EpisodeConfig:
 
 @dataclass
 class Components:
-    """Shared, read-only collaborators for a batch of episodes."""
+    """Shared collaborators for a batch of episodes, read-only but for their memos.
+
+    The retriever's answers, the realiser's skeletons, the selector's
+    entropies and `definition_embedding`'s vectors are each filled on first
+    use and live and die with this object, so every `build_components` starts
+    them empty. `--parallel` threads share them with no lock: a memo only
+    gains entries or is emptied, and an entry is a pure function of its key,
+    so threads that race on one only compute it twice (and the retriever's
+    memo may pass its cap by an entry per thread until its next miss).
+    """
 
     ontology: Ontology
     selector: object

@@ -123,8 +123,11 @@ def heuristic_question(topic: Scenario, strategy: Strategy, head: TraitId | None
 class HeuristicSelector:
     """Deterministic twin: affinity-table planning, template questions."""
 
+    def __init__(self):
+        self._entropies: dict[tuple[int, int], float] = {}  # priority_traits' memo
+
     def think(self, ctx: SessionContext) -> Thought:
-        priority = tuple(belief_mod.priority_traits(ctx.belief, k=4))
+        priority = tuple(belief_mod.priority_traits(ctx.belief, k=4, entropies=self._entropies))
         confirmed = sorted(ctx.belief.confirmed)
         confirmed_text = ", ".join(t.name for t in confirmed) if confirmed else "none yet"
         priority_names = ", ".join(
@@ -163,6 +166,7 @@ class LlmSelector:
         self._think_tpl = load_prompt("think", prompt_dir)
         self._plan_tpl = load_prompt("plan", prompt_dir)
         self._ask_tpl = load_prompt("ask", prompt_dir)
+        self._entropies: dict[tuple[int, int], float] = {}  # priority_traits' memo
 
     def _strategies_text(self, ontology: Ontology) -> str:
         return "\n".join(
@@ -170,7 +174,7 @@ class LlmSelector:
         )
 
     def think(self, ctx: SessionContext) -> Thought:
-        priority = tuple(belief_mod.priority_traits(ctx.belief, k=4))
+        priority = tuple(belief_mod.priority_traits(ctx.belief, k=4, entropies=self._entropies))
         confirmed = sorted(ctx.belief.confirmed)
         prompt = self._think_tpl.format(
             background=ctx.clinical_background or "(none)",

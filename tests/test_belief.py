@@ -306,7 +306,7 @@ class _AlphaBetaReference:
     history=st.lists(st.sets(st.sampled_from(list(ALL_TRAITS))), max_size=40),
 )
 def test_counts_fold_like_per_trait_alpha_beta(tau, history):
-    state, reference = BeliefState(tau=tau), _AlphaBetaReference(tau)
+    state, reference, entropies = BeliefState(tau=tau), _AlphaBetaReference(tau), {}
     for turn, positives in enumerate(history, start=1):
         labels = {t: t in positives for t in ALL_TRAITS}
         state = update(state, labels)
@@ -316,10 +316,12 @@ def test_counts_fold_like_per_trait_alpha_beta(tau, history):
         assert state.confirmed == reference.confirmed
         for k in range(1, 11):
             assert priority_traits(state, k) == reference.priority(k)
+            assert priority_traits(state, k, entropies) == reference.priority(k)
 
 
 def test_priority_scores_each_unconfirmed_trait_once(monkeypatch):
-    # perfbench's belief.beta_entropy.calls_per_turn counts calls through the module attribute
+    # perfbench's belief.beta_entropy.calls_per_turn counts calls through the module attribute,
+    # so with a selector's memo it counts misses
     calls = []
 
     def counting(alpha, beta):
@@ -327,8 +329,18 @@ def test_priority_scores_each_unconfirmed_trait_once(monkeypatch):
         return beta_entropy(alpha, beta)
 
     monkeypatch.setattr(belief, "beta_entropy", counting)
-    state = BeliefState(positives=(1, 0, 2, 0, 0, 3, 0, 0, 0, 0), turns=4, confirmed=frozenset({TraitId.F6}))
+    positives = (1, 0, 2, 0, 0, 3, 0, 0, 0, 0)
     for k in (1, 4, 10):
-        calls.clear()
-        priority_traits(state, k)
-        assert sorted(calls) == sorted(counts(state, t) for t in ALL_TRAITS if t != TraitId.F6)
+        entropies = {}
+        for turns in (4, 5):  # the second state repeats the positives one turn on: every pair is new
+            state = BeliefState(positives=positives, turns=turns, confirmed=frozenset({TraitId.F6}))
+            unconfirmed = [counts(state, t) for t in ALL_TRAITS if t != TraitId.F6]
+            calls.clear()
+            want = priority_traits(state, k)
+            assert sorted(calls) == sorted(unconfirmed)  # no memo: once per unconfirmed trait
+            calls.clear()
+            assert priority_traits(state, k, entropies) == want
+            assert sorted(calls) == sorted(set(unconfirmed)) and len(calls) == 3
+            calls.clear()
+            assert priority_traits(state, k, entropies) == want
+            assert calls == []

@@ -2,12 +2,14 @@ import random
 import re
 import tracemalloc
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elicit import retrieval
 from elicit.bank import Snippet, SnippetBank
 from elicit.retrieval import (
     AnchorRetriever,
@@ -300,6 +302,43 @@ def test_a_text_shared_across_patients_goes_to_the_lowest_tie_key_outside_the_ex
             assert got == want
             assert score == want_score
             assert got.patient_id == ("P2" if exclude == "P1" else "P1")
+
+
+@settings(max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False), cap=st.sampled_from([2, 3, retrieval.MEMO_CAP]))
+def test_memoised_retrieve_answers_as_a_fresh_retriever_and_the_oracle(rng, cap):
+    # P1 and P2 share a text, so a query of that text has a best text held by two patients and
+    # excluding the global winner's patient hands the anchor to another patient with the same score
+    texts = ["how was school today", "tell me about your weekend", "the lake picture", "friends story"]
+    rows = [("P1", texts[0]), ("P2", texts[0])]
+    rows += [(f"P{rng.randint(1, 4)}", rng.choice(texts)) for _ in range(rng.randint(0, 8))]
+    bank = SnippetBank(snippets=tuple(_snip(pid, f"s{i % 2}", text, i) for i, (pid, text) in enumerate(rows)))
+    embeddings = [ENC.encode(s.doctor_curr) for s in bank.snippets]
+    queries = texts + ["school lake", "weekend friends cartoon", "lonely"]
+    retriever = AnchorRetriever(bank, ENC)
+    with mock.patch.object(retrieval, "MEMO_CAP", cap):
+        for _ in range(30):
+            query = rng.choice(queries)
+            winner, _ = _brute_force(bank, query, None, embeddings)
+            exclude = rng.choice([winner.patient_id, winner.patient_id, rng.choice(bank.patient_ids()), "P9"])
+            got = retriever.retrieve(query, exclude)
+            assert got == AnchorRetriever(bank, ENC).retrieve(query, exclude)
+            assert got == _brute_force(bank, query, exclude, embeddings)
+            assert len(retriever._memo) <= cap
+    assert len(retriever.audit_log) == 30  # hits are audited too
+
+
+def test_memoised_retrieve_raises_on_every_call_that_excludes_the_only_patient():
+    bank = SnippetBank(snippets=(_snip("A", "s1", "how was school today"), _snip("A", "s2", "the lake")))
+    enc = CountingEncoder()
+    retriever = AnchorRetriever(bank, enc)
+    for _ in range(3):
+        with pytest.raises(EmptyCandidateSetError):
+            retriever.retrieve("how was school today", "A")
+        assert retriever.retrieve("how was school today", "B") == (bank.snippets[0], 1.0)
+    # the winner is remembered, the error never: each excluding call encodes the query again
+    assert enc.texts[2:] == ["how was school today"] * 4
+    assert retriever.audit_log == ["A"] * 3
 
 
 class _TableClient:

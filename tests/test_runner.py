@@ -363,6 +363,28 @@ def test_batch_parallel_equals_serial(synth_bank, tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
 
 
+def _memos(comps):
+    return (comps.retriever._memo, comps.realiser._skeletons, comps.selector._entropies)
+
+
+def test_cold_threads_fill_the_memos_as_a_serial_run_does(synth_bank):
+    # parallel threads share one fresh set of memos from their first turn
+    cfg = EpisodeConfig(seed=9)
+    parallel = run_batch(cfg, synth_bank, "tpa", 8, parallel=4, components=build_components(cfg, synth_bank))
+    serial = run_batch(cfg, synth_bank, "tpa", 8, parallel=1, components=build_components(cfg, synth_bank))
+    assert [l.to_json() for l in parallel.logs] == [l.to_json() for l in serial.logs]
+
+
+def test_each_build_starts_with_memos_of_its_own(synth_bank):
+    cfg = EpisodeConfig(seed=9)
+    first = build_components(cfg, synth_bank)
+    run_batch(cfg, synth_bank, "tpa", 2, components=first)
+    assert all(_memos(first))
+    second = build_components(cfg, synth_bank)
+    assert not any(_memos(second))
+    assert all(a is not b for a, b in zip(_memos(first), _memos(second)))
+
+
 def test_batch_replay_mode(synth_bank):
     cfg = EpisodeConfig(seed=9)
     result = run_batch(cfg, synth_bank, "replay", 0)
