@@ -11,7 +11,7 @@ the patient's genuinely active traits above the inactive ones; that score is
 the clamped base rate, the emission probability of an unconfirmed trait with
 no offset. Semantic similarity pairs each simulated turn with the held-out
 patient's real snippet whose doctor question is nearest to the simulated
-question by exact cosine under the configured encoder; a tie goes to the
+question by exact cosine under the fallback encoder; a tie goes to the
 patient's first such snippet. The turn scores the cosine of the simulated and
 the real reply. The real questions' vectors are the retriever's index rows.
 
@@ -190,22 +190,17 @@ def _semantic_similarity(
 ) -> float:
     """Mean cosine between each simulated reply and the real reply whose question is nearest.
 
-    The real questions' vectors are the retriever's index rows; each distinct
-    simulated question is encoded once, and a real reply only once it is picked.
+    The real questions' vectors are the retriever's index rows and every other
+    vector comes from `retriever.encode`'s memo, so no text is encoded twice.
     """
-    encoder = retriever.backend
     real = retriever.bank.patient_snippets(patient_id)
     questions = list(dict.fromkeys(q for q, _ in sim_pairs))
-    picks = retriever.nearest(retriever.bank.by_patient[patient_id], [encoder.encode(q) for q in questions])
+    picks = retriever.nearest(retriever.bank.by_patient[patient_id], [retriever.encode(q) for q in questions])
     nearest = dict(zip(questions, picks))
-    replies = {}
-    scores = []
-    for q_sim, r_sim in sim_pairs:
-        i = nearest[q_sim]
-        if i not in replies:
-            replies[i] = encoder.encode(real[i].patient_reply)
-        scores.append(cosine(encoder.encode(r_sim), replies[i]))
-    return statistics.mean(scores)
+    return statistics.mean(
+        cosine(retriever.encode(r_sim), retriever.encode(real[nearest[q_sim]].patient_reply))
+        for q_sim, r_sim in sim_pairs
+    )
 
 
 def loo_validate(

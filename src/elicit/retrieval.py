@@ -21,7 +21,7 @@ from .bank import Snippet, SnippetBank
 from .errors import BackendError, InputError
 
 FALLBACK_DIM = 256
-MEMO_CAP = 4096  # query texts `AnchorRetriever` remembers; with the llm selector nearly every question is new
+MEMO_CAP = 4096  # texts each `AnchorRetriever` memo holds; with the llm selector nearly every question is new
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -118,9 +118,11 @@ class AnchorRetriever:
     are minima of one order (best exact score, lowest `_tie_key`, lowest row),
     so excluding patient P gives W unless P is W's patient, and W' then. The
     memo holds W, and W' once a call has needed it, taken from the same
-    product as W. Errors are raised on every call and never remembered. The
-    memo is filled on first use, lives and dies with the retriever (and so
-    with its `Components`), and is emptied whenever it reaches MEMO_CAP texts.
+    product as W. `encode`, the one way a text other than an index row
+    reaches the encoder, remembers each vector by text. In both memos errors
+    are raised on every call and never remembered; each is filled on first
+    use, lives and dies with the retriever (and so with its `Components`),
+    and is emptied whenever it reaches MEMO_CAP texts.
 
     Retrieval audit: every retrieved snippet's patient id is appended to
     `audit_log`, which validation harnesses may inspect for leakage.
@@ -130,18 +132,18 @@ class AnchorRetriever:
     # a few ulps of `cosine`; the margin is far above that gap
     SHORTLIST_MARGIN = 1e-9
 
-    def __init__(self, bank: SnippetBank, backend):
+    def __init__(self, bank: SnippetBank, encoder):
         if len(bank) == 0:
             raise EmptyCandidateSetError("bank is empty")
         self.bank = bank
-        self.backend = backend
+        self.encoder = encoder
         text_index: dict[str, int] = {}
         self._row_text = np.fromiter(
             (text_index.setdefault(s.doctor_curr, len(text_index)) for s in bank.snippets),
             dtype=np.intp,
             count=len(bank),
         )
-        encoded = (backend.encode(text) for text in text_index)
+        encoded = (encoder.encode(text) for text in text_index)
         first = next(encoded)
         self._matrix = np.empty((len(text_index), len(first)), dtype=np.float64)
         self._matrix[0] = first
@@ -149,7 +151,18 @@ class AnchorRetriever:
             self._check_dim(v)
             self._matrix[i] = v
         self._memo: dict[str, tuple[tuple[Snippet, float], ...]] = {}
+        self._vectors: dict[str, np.ndarray] = {}
         self.audit_log: list[str] = []
+
+    def encode(self, text: str) -> np.ndarray:
+        """`encoder.encode(text)`, remembered by text."""
+        vec = self._vectors.get(text)
+        if vec is None:
+            vec = self.encoder.encode(text)
+            if len(self._vectors) >= MEMO_CAP:
+                self._vectors.clear()  # cannot raise while other threads read or write the dict
+            self._vectors[text] = vec
+        return vec
 
     def _check_dim(self, v: np.ndarray) -> None:
         if v.shape != self._matrix.shape[1:]:
@@ -185,7 +198,7 @@ class AnchorRetriever:
 
     def _winners(self, query: str, exclude_patient: str) -> tuple[tuple[Snippet, float], ...]:
         """W, and W' too if W belongs to the excluded patient, from one encoding and one product."""
-        q = self.backend.encode(query)
+        q = self.encode(query)
         scores = self._scores([q])[0][self._row_text]
         winners = (self._best(q, scores),)
         if winners[0][0].patient_id == exclude_patient:

@@ -73,13 +73,13 @@ class EpisodeConfig:
 class Components:
     """Shared collaborators for a batch of episodes, read-only but for their memos.
 
-    The retriever's answers, the realiser's skeletons, the selector's
-    entropies and `definition_embedding`'s vectors are each filled on first
-    use and live and die with this object, so every `build_components` starts
-    them empty. `--parallel` threads share them with no lock: a memo only
-    gains entries or is emptied, and an entry is a pure function of its key,
-    so threads that race on one only compute it twice (and the retriever's
-    memo may pass its cap by an entry per thread until its next miss).
+    The retriever's answers and text vectors, the realiser's skeletons and
+    the selector's entropies are each filled on first use and live and die
+    with this object, so every `build_components` starts them empty.
+    `--parallel` threads share them with no lock: a memo only gains entries
+    or is emptied, and an entry is a pure function of its key, so threads
+    that race on one only compute it twice (and a retriever memo may pass
+    its cap by an entry per thread until its next miss).
     """
 
     ontology: Ontology
@@ -87,15 +87,6 @@ class Components:
     realiser: object
     detector: object
     retriever: AnchorRetriever | None
-    encoder: object
-    _definition_embeddings: dict[TraitId, object] = field(default_factory=dict, repr=False)
-
-    def definition_embedding(self, trait: TraitId):
-        if trait not in self._definition_embeddings:
-            self._definition_embeddings[trait] = self.encoder.encode(
-                self.ontology.traits[trait].definition
-            )
-        return self._definition_embeddings[trait]
 
 
 def build_components(
@@ -153,7 +144,6 @@ def build_components(
         realiser=realiser,
         detector=detector,
         retriever=retriever,
-        encoder=encoder,
     )
 
 
@@ -297,9 +287,9 @@ def _emission_offsets(
         for t in components.ontology.strategies[strategy].affinity:
             offsets[t] = offsets.get(t, 0.0) + params.strategy_gain
     if params.affinity_weight:
-        q_emb = components.encoder.encode(question)
-        for t in components.ontology.traits:
-            sim = cosine(q_emb, components.definition_embedding(t))
+        q_emb = components.retriever.encode(question)
+        for t, trait in components.ontology.traits.items():
+            sim = cosine(q_emb, components.retriever.encode(trait.definition))
             offsets[t] = offsets.get(t, 0.0) + params.affinity_weight * sim
     return offsets or None
 

@@ -207,6 +207,18 @@ def test_loo_raises_when_an_anchor_comes_from_the_held_out_patient(loo_bank, mon
         loo_validate(loo_bank, FidelityConfig(episodes_per_patient=1, turns=2))
 
 
+def test_loo_encodes_every_text_once(monkeypatch):
+    from elicit import runner
+
+    # the index build's doctor texts, then each question and each real or simulated reply once
+    bank = synthesize_bank(SynthSpec(n_patients=3, snippets_per_patient=6), seed=5)
+    enc = CountingEncoder()
+    monkeypatch.setattr(runner, "FallbackEncoder", lambda: enc)
+    loo_validate(bank, FidelityConfig(episodes_per_patient=2, turns=6))
+    assert len(enc.texts) > len({s.doctor_curr for s in bank.snippets})
+    assert len(enc.texts) == len(set(enc.texts))
+
+
 def test_loo_deterministic(loo_bank):
     cfg = FidelityConfig(episodes_per_patient=1, turns=10, seed=8)
     a = loo_validate(loo_bank, cfg)

@@ -336,8 +336,8 @@ def test_memoised_retrieve_raises_on_every_call_that_excludes_the_only_patient()
         with pytest.raises(EmptyCandidateSetError):
             retriever.retrieve("how was school today", "A")
         assert retriever.retrieve("how was school today", "B") == (bank.snippets[0], 1.0)
-    # the winner is remembered, the error never: each excluding call encodes the query again
-    assert enc.texts[2:] == ["how was school today"] * 4
+    # the winner and the query's vector are remembered, the error never: each excluding call raises
+    assert enc.texts[2:] == ["how was school today"]
     assert retriever.audit_log == ["A"] * 3
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from elicit.bank import PatientProfile, THETA_EPS, base_rates
 from elicit.ontology import ALL_TRAITS, STRATEGY_ORDER, OntologyError, TraitId, default_ontology
+from elicit.patient import EmissionParams
 from elicit.runner import (
     EpisodeConfig,
     LogFormatError,
@@ -21,6 +22,8 @@ from elicit.runner import (
     replay_transcript_for_patient,
     write_logs,
 )
+
+from conftest import CountingEncoder
 
 
 def coverages(log):
@@ -313,7 +316,7 @@ def test_session_context_carries_no_ground_truth():
 
 
 def test_emitter_reads_only_base_rates():
-    from elicit.patient import EmissionParams, emit_traits
+    from elicit.patient import emit_traits
 
     class NoGroundTruth:
         """Duck-typed profile with no ground_truth attribute at all."""
@@ -328,7 +331,6 @@ def test_emitter_reads_only_base_rates():
 
 
 def test_affinity_weight_turns_the_affinity_hook_on(stack):
-    from elicit.patient import EmissionParams
     from elicit.retrieval import cosine
     from elicit.runner import _emission_offsets
 
@@ -336,8 +338,9 @@ def test_affinity_weight_turns_the_affinity_hook_on(stack):
     question = "Tell me about the people you talk to and what you say to them."
     assert _emission_offsets(comps, EmissionParams(), None, question) is None
     offsets = _emission_offsets(comps, EmissionParams(affinity_weight=0.5), None, question)
-    q = comps.encoder.encode(question)
-    assert offsets == {t: 0.5 * cosine(q, comps.definition_embedding(t)) for t in ALL_TRAITS}
+    encode = comps.retriever.encode
+    definitions = {t: encode(comps.ontology.traits[t].definition) for t in ALL_TRAITS}
+    assert offsets == {t: 0.5 * cosine(encode(question), definitions[t]) for t in ALL_TRAITS}
     assert any(offsets.values())
 
 
@@ -364,12 +367,13 @@ def test_batch_parallel_equals_serial(synth_bank, tmp_path):
 
 
 def _memos(comps):
-    return (comps.retriever._memo, comps.realiser._skeletons, comps.selector._entropies)
+    return (comps.retriever._memo, comps.retriever._vectors, comps.realiser._skeletons, comps.selector._entropies)
 
 
-def test_cold_threads_fill_the_memos_as_a_serial_run_does(synth_bank):
+@pytest.mark.parametrize("affinity_weight", [0.0, 0.7])
+def test_cold_threads_fill_the_memos_as_a_serial_run_does(synth_bank, affinity_weight):
     # parallel threads share one fresh set of memos from their first turn
-    cfg = EpisodeConfig(seed=9)
+    cfg = EpisodeConfig(seed=9, emission=EmissionParams(affinity_weight=affinity_weight))
     parallel = run_batch(cfg, synth_bank, "tpa", 8, parallel=4, components=build_components(cfg, synth_bank))
     serial = run_batch(cfg, synth_bank, "tpa", 8, parallel=1, components=build_components(cfg, synth_bank))
     assert [l.to_json() for l in parallel.logs] == [l.to_json() for l in serial.logs]
@@ -383,6 +387,18 @@ def test_each_build_starts_with_memos_of_its_own(synth_bank):
     second = build_components(cfg, synth_bank)
     assert not any(_memos(second))
     assert all(a is not b for a, b in zip(_memos(first), _memos(second)))
+
+
+def test_a_batch_encodes_every_text_once(synth_bank, monkeypatch):
+    from elicit import runner
+
+    # the index build's doctor texts, each question, and each trait definition once
+    enc = CountingEncoder()
+    monkeypatch.setattr(runner, "FallbackEncoder", lambda: enc)
+    cfg = EpisodeConfig(seed=9, emission=EmissionParams(affinity_weight=0.7))
+    run_batch(cfg, synth_bank, "tpa", 4, components=build_components(cfg, synth_bank))
+    assert len(enc.texts) > len({s.doctor_curr for s in synth_bank.snippets}) + len(ALL_TRAITS)
+    assert len(enc.texts) == len(set(enc.texts))
 
 
 def test_batch_replay_mode(synth_bank):
