@@ -1,4 +1,4 @@
-"""Wire clients for generation and embedding services, plus deterministic twins.
+"""Wire clients for generation and embedding services.
 
 This is the only module that opens network connections. The wire protocol is
 the common chat-completions HTTP JSON format (POST /v1/chat/completions and
@@ -48,7 +48,7 @@ class MalformedResponseError(BackendError):
 
 
 class ScriptExhaustedError(BackendError):
-    """A scripted backend or a replay log ran out of replies."""
+    """A replay log, or a test's scripted backend, ran out of replies."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class GenerationRequest:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class BackendConfig:
     endpoint: str = "http://localhost:8000"
     model: str = ""
@@ -265,18 +265,3 @@ class HttpBackend:
                 f"expected one embedding per input, indexes 0..{len(texts) - 1}; got indexes {indexes}"
             )
         return [_float_row(i, vec) for i, vec in enumerate(vectors)]
-
-
-class ScriptedBackend:
-    """Deterministic generation twin: serves canned completions from an ordered
-    queue, consumed once; exhaustion is an error, never a silent recycle."""
-
-    def __init__(self, script: list[str]):
-        self._queue = list(script)
-        self.requests: list[GenerationRequest] = []
-
-    def complete(self, request: GenerationRequest) -> str:
-        self.requests.append(request)
-        if not self._queue:
-            raise ScriptExhaustedError("scripted completions exhausted")
-        return self._queue.pop(0)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 from .ontology import ALL_TRAITS, TraitId
 
@@ -63,12 +62,12 @@ class BeliefState:
     confirmed: frozenset[TraitId] = frozenset()
 
 
-def update(state: BeliefState, detections: Mapping[TraitId, bool]) -> BeliefState:
-    """Fold one turn of detections into the state; returns a new value."""
-    missing = [t for t in ALL_TRAITS if t not in detections]
-    if missing:
-        raise ValueError(f"detections must cover all ten traits; missing {missing}")
-    positives = tuple(p + bool(detections[t]) for t, p in zip(ALL_TRAITS, state.positives))
+def update(state: BeliefState, labels: tuple[bool, ...]) -> BeliefState:
+    """Fold one turn's detection labels, ten bools in trait order, into the state; returns a new value."""
+    # a mapping is refused: zipping it would add each trait id's index to that trait's count
+    if not isinstance(labels, tuple) or len(labels) != len(ALL_TRAITS):
+        raise ValueError(f"labels must be a tuple of {len(ALL_TRAITS)} bools in trait order, got {labels!r}")
+    positives = tuple(p + v for p, v in zip(state.positives, labels))
     n = state.turns + 1
     # the posterior mean (1 + p) / (2 + n) is alpha / (alpha + beta) to the bit: small integer sums are exact
     confirmed = {t for t, p in zip(ALL_TRAITS, positives) if p > 0 and (1 + p) / (2 + n) > state.tau}

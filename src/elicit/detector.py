@@ -10,11 +10,12 @@ response against the full trait definitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping
 
 from .backends import GenerationRequest, Message
 from .errors import BackendError
-from .ontology import ALL_TRAITS, Ontology, TraitId, default_ontology, marker_regex
+from .ontology import ALL_TRAITS, TRAIT_NAMES, Ontology, TraitId, default_ontology, marker_regex
 from .prompting import complete_json, load_prompt
 
 
@@ -26,20 +27,20 @@ class DetectorParseError(BackendError):
     """The generation backend returned unusable labels twice in a row."""
 
 
-_LABEL_KEYS = dict.fromkeys((t.name for t in ALL_TRAITS), bool)
+_LABEL_KEYS = dict.fromkeys(TRAIT_NAMES, bool)
 
 
 @dataclass(frozen=True)
 class DetectionResult:
-    labels: Mapping[TraitId, bool]
+    labels: tuple[bool, ...]  # one per trait, in trait order, like BeliefState.positives
     evidence: Mapping[TraitId, str]  # spans only for traits labelled true
 
     def positive(self) -> frozenset[TraitId]:
-        return frozenset(t for t, v in self.labels.items() if v)
+        return frozenset(compress(ALL_TRAITS, self.labels))
 
     def to_dict(self) -> dict:
         return {
-            "labels": {t.name: bool(self.labels[t]) for t in ALL_TRAITS},
+            "labels": dict(zip(TRAIT_NAMES, self.labels)),
             "evidence": {t.name: s for t, s in sorted(self.evidence.items())},
         }
 
@@ -49,19 +50,16 @@ class RuleDetector:
 
     def __init__(self, ontology: Ontology | None = None):
         self.ontology = ontology or default_ontology()
-        self._patterns = {t: marker_regex(d.marker_lexicon) for t, d in self.ontology.traits.items()}
+        self._patterns = tuple(marker_regex(self.ontology.traits[t].marker_lexicon) for t in ALL_TRAITS)
 
     def detect(self, question: str, response: str) -> DetectionResult:
         if not response.strip():
             raise EmptyResponseError("response must be non-empty")
-        labels: dict[TraitId, bool] = {}
-        evidence: dict[TraitId, str] = {}
-        for t in ALL_TRAITS:
-            m = self._patterns[t].search(response)
-            labels[t] = m is not None
-            if m is not None:
-                evidence[t] = m.group(0)
-        return DetectionResult(labels=labels, evidence=evidence)
+        matches = [p.search(response) for p in self._patterns]
+        return DetectionResult(
+            labels=tuple(m is not None for m in matches),
+            evidence={t: m.group(0) for t, m in zip(ALL_TRAITS, matches) if m is not None},
+        )
 
 
 class LlmDetector:
@@ -88,6 +86,6 @@ class LlmDetector:
             self.client,
             self._request(question, response),
             _LABEL_KEYS,
-            lambda doc: DetectionResult(labels={t: doc[t.name] for t in ALL_TRAITS}, evidence={}),
+            lambda doc: DetectionResult(labels=tuple(doc[n] for n in TRAIT_NAMES), evidence={}),
             DetectorParseError,
         )

@@ -79,10 +79,6 @@ def _metrics(log: EpisodeLog, per_turn: list[float]) -> EpisodeMetrics:
     )
 
 
-def episode_metrics(log: EpisodeLog) -> EpisodeMetrics:
-    return _metrics(log, _coverage(log))
-
-
 def _phase_of(turn_no: int) -> str:
     for name, lo, hi in PHASES:
         if lo <= turn_no <= hi:

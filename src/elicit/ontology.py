@@ -53,7 +53,8 @@ class TraitId(IntEnum):
 
 
 ALL_TRAITS: tuple[TraitId, ...] = tuple(TraitId)
-TRAIT_BY_NAME: dict[str, TraitId] = dict(TraitId.__members__)  # __members__ builds a new mapping on each access
+TRAIT_NAMES: tuple[str, ...] = tuple(t.name for t in ALL_TRAITS)  # each TraitId.name is a descriptor call
+TRAIT_BY_NAME: dict[str, TraitId] = dict(zip(TRAIT_NAMES, ALL_TRAITS))
 
 
 class Strategy(Enum):

@@ -56,12 +56,6 @@ class EmissionParams:
             raise InputError("max_traits_per_turn must be >= 1")
 
 
-@dataclass(frozen=True)
-class EmitDecision:
-    probabilities: Mapping[TraitId, float]
-    emitted: frozenset[TraitId]
-
-
 def _sigmoid(x: float) -> float:
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))
@@ -88,21 +82,22 @@ def emit_traits(
     params: EmissionParams,
     rng: random.Random,
     logit_offsets: Mapping[TraitId, float] | None = None,
-) -> EmitDecision:
-    """Sample the traits this reply will express. Reads only profile.base_rates."""
+) -> frozenset[TraitId]:
+    """Sample the traits this reply will express, one `rng` draw per trait in trait order.
+
+    Reads only profile.base_rates.
+    """
     confirmed_set = frozenset(confirmed)
     offsets = logit_offsets or {}
-    probabilities = {
-        t: emission_probability(
-            profile.base_rates[t], t in confirmed_set, params, offsets.get(t, 0.0)
-        )
+    probabilities = [
+        emission_probability(profile.base_rates[t], t in confirmed_set, params, offsets.get(t, 0.0))
         for t in ALL_TRAITS
-    }
-    sampled = [t for t in ALL_TRAITS if rng.random() < probabilities[t]]
+    ]
+    sampled = [t for t, q in zip(ALL_TRAITS, probabilities) if rng.random() < q]
     if len(sampled) > params.max_traits_per_turn:
-        sampled.sort(key=lambda t: (-probabilities[t], int(t)))
+        sampled.sort(key=lambda t: (-probabilities[t - 1], int(t)))
         sampled = sampled[: params.max_traits_per_turn]
-    return EmitDecision(probabilities=probabilities, emitted=frozenset(sampled))
+    return frozenset(sampled)
 
 
 _FALLBACK_SKELETON = "Well I suppose it depends but I can try to say a little about that."

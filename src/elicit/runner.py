@@ -311,10 +311,8 @@ def patient_turn(
     """
     anchor, score = components.retriever.retrieve(question, profile.patient_id)
     offsets = _emission_offsets(components, params, strategy, question)
-    decision = emit_traits(profile, confirmed, params, rng, offsets)
-    response = components.realiser.realise(
-        question, history, anchor, decision.emitted, seed=rng.randrange(2**31)
-    )
+    emitted = emit_traits(profile, confirmed, params, rng, offsets)
+    response = components.realiser.realise(question, history, anchor, emitted, seed=rng.randrange(2**31))
     return anchor, score, response, components.detector.detect(question, response)
 
 

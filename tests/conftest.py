@@ -1,6 +1,8 @@
 import pytest
 
+from elicit.backends import GenerationRequest, ScriptExhaustedError
 from elicit.bank import SnippetBank, Snippet, SynthSpec, synthesize_bank
+from elicit.metrics import EpisodeMetrics, aggregate
 from elicit.ontology import TraitId, default_ontology
 from elicit.retrieval import FallbackEncoder
 
@@ -56,3 +58,23 @@ class CountingEncoder(FallbackEncoder):
     def encode(self, text):
         self.texts.append(text)
         return super().encode(text)
+
+
+class ScriptedBackend:
+    """Deterministic generation twin: serves canned completions from an ordered
+    queue, consumed once; exhaustion is an error, never a silent recycle."""
+
+    def __init__(self, script: list[str]):
+        self._queue = list(script)
+        self.requests: list[GenerationRequest] = []
+
+    def complete(self, request: GenerationRequest) -> str:
+        self.requests.append(request)
+        if not self._queue:
+            raise ScriptExhaustedError("scripted completions exhausted")
+        return self._queue.pop(0)
+
+
+def episode_metrics(log) -> EpisodeMetrics:
+    """One log's metrics, as `aggregate` scores it, aborted or not."""
+    return aggregate([log], include_aborted=True).episodes[0]

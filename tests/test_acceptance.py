@@ -14,13 +14,13 @@ import pytest
 from elicit.bank import PatientProfile, SynthSpec, THETA_EPS, synthesize_bank
 from elicit.belief import BeliefState, beta_entropy, priority_traits
 from elicit.detector import RuleDetector
-from elicit.metrics import aggregate, episode_metrics
+from elicit.metrics import aggregate
 from elicit.ontology import ALL_TRAITS, TraitId
 from elicit.patient import EmissionParams, TemplateRealiser, emit_traits
 from elicit.retrieval import AnchorRetriever, EmptyCandidateSetError, FallbackEncoder, cosine
 from elicit.runner import EpisodeConfig, build_components, run_batch, run_episode, run_replay
 
-from conftest import make_snippet
+from conftest import episode_metrics, make_snippet
 from test_metrics import staircase_log
 
 
@@ -46,13 +46,13 @@ def test_criterion_2_emission_statistics():
     params = EmissionParams(M=4.0)
 
     rng = random.Random(1001)
-    hits = sum(TraitId.F5 in emit_traits(profile, (), params, rng).emitted for _ in range(10_000))
+    hits = sum(TraitId.F5 in emit_traits(profile, (), params, rng) for _ in range(10_000))
     rate = hits / 10_000
     assert 0.48 <= rate <= 0.52, rate
 
     rng = random.Random(1002)
     suppressed = sum(
-        TraitId.F5 in emit_traits(profile, {TraitId.F5}, params, rng).emitted
+        TraitId.F5 in emit_traits(profile, {TraitId.F5}, params, rng)
         for _ in range(10_000)
     )
     s_rate = suppressed / 10_000

@@ -18,12 +18,13 @@ from elicit.backends import (
     Message,
     RecordingTransport,
     ReplayTransport,
-    ScriptedBackend,
     ScriptExhaustedError,
     TransportError,
 )
 from elicit.errors import InputError
 from elicit.retrieval import RemoteEncoder
+
+from conftest import ScriptedBackend
 
 
 def req(text="hi", temperature=0.0):

@@ -14,13 +14,14 @@ from elicit.belief import (
     priority_traits,
     update,
 )
-from elicit.ontology import ALL_TRAITS, TraitId
+from elicit.ontology import ALL_TRAITS, TRAIT_NAMES, TraitId
 from elicit.runner import EpisodeConfig, run_replay
 
 
 def detections(positive=()):
+    """One turn's labels, ten bools in trait order, with `positive` labelled true."""
     pos = {TraitId.parse(t) if isinstance(t, str) else t for t in positive}
-    return {t: t in pos for t in ALL_TRAITS}
+    return tuple(t in pos for t in ALL_TRAITS)
 
 
 def counts(state, trait):
@@ -87,10 +88,16 @@ def test_twenty_negative_turns():
     assert not state.confirmed
 
 
-def test_update_requires_full_coverage():
-    state = BeliefState()
+@pytest.mark.parametrize(
+    "labels",
+    [dict.fromkeys(ALL_TRAITS, False), (False,) * 9, (False,) * 11],
+    ids=["trait-to-bool-dict", "nine-bools", "eleven-bools"],
+)
+def test_update_takes_only_a_tuple_of_ten_labels(labels):
+    # a bare zip fold takes all three: it would add a dict's trait ids to the
+    # counts, and silently drop a trait or a label for the wrong length
     with pytest.raises(ValueError):
-        update(state, {TraitId.F1: True})
+        update(BeliefState(), labels)
 
 
 def test_posterior_means():
@@ -255,7 +262,7 @@ def test_confirmed_monotone_over_any_history(history):
     state = BeliefState()
     previous = frozenset()
     for positives in history:
-        state = update(state, {t: t in positives for t in ALL_TRAITS})
+        state = update(state, detections(positives))
         assert state.confirmed >= previous
         previous = state.confirmed
 
@@ -272,7 +279,7 @@ def test_a_log_folds_back_to_its_beta_snapshots():
     log = run_replay(transcript, frozenset({TraitId.F2, TraitId.F6}), EpisodeConfig())
     state = BeliefState(tau=log.tau)
     for turn in log.turns:
-        state = update(state, {TraitId.parse(n): v for n, v in turn.detections["labels"].items()})
+        state = update(state, tuple(turn.detections["labels"][n] for n in TRAIT_NAMES))
         assert turn.confirmed == [t.name for t in sorted(state.confirmed)] == ["F6"]
     assert counts(state, TraitId.F6) == counts(state, TraitId.F2) == (2.0, 3.0)
     assert all(counts(state, t) == (1.0, 4.0) for t in ALL_TRAITS if t not in (TraitId.F2, TraitId.F6))
@@ -286,10 +293,10 @@ class _AlphaBetaReference:
         self.ab = {t: (1.0, 1.0) for t in ALL_TRAITS}
         self.confirmed = set()
 
-    def update(self, labels):
+    def update(self, positives):
         for t in ALL_TRAITS:
             alpha, beta = self.ab[t]
-            alpha, beta = (alpha + 1.0, beta) if labels[t] else (alpha, beta + 1.0)
+            alpha, beta = (alpha + 1.0, beta) if t in positives else (alpha, beta + 1.0)
             self.ab[t] = (alpha, beta)
             if alpha / (alpha + beta) > self.tau and alpha > 1.0:
                 self.confirmed.add(t)
@@ -308,9 +315,8 @@ class _AlphaBetaReference:
 def test_counts_fold_like_per_trait_alpha_beta(tau, history):
     state, reference, entropies = BeliefState(tau=tau), _AlphaBetaReference(tau), {}
     for turn, positives in enumerate(history, start=1):
-        labels = {t: t in positives for t in ALL_TRAITS}
-        state = update(state, labels)
-        reference.update(labels)
+        state = update(state, detections(positives))
+        reference.update(positives)
         assert state.turns == turn and all(0 <= p <= turn for p in state.positives)
         assert all(counts(state, t) == reference.ab[t] for t in ALL_TRAITS)
         assert state.confirmed == reference.confirmed

@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from elicit.backends import ScriptedBackend
 from elicit.detector import (
     DetectorParseError,
     EmptyResponseError,
@@ -10,6 +9,8 @@ from elicit.detector import (
     RuleDetector,
 )
 from elicit.ontology import ALL_TRAITS, TraitId
+
+from conftest import ScriptedBackend
 
 DET = RuleDetector()
 Q = "And how did that go?"
@@ -23,7 +24,7 @@ def test_f6_marker():
 def test_plain_response_all_false():
     result = DET.detect(Q, "The weather is fine.")
     assert result.positive() == frozenset()
-    assert set(result.labels) == set(ALL_TRAITS)
+    assert result.labels == (False,) * len(ALL_TRAITS)
     assert not result.evidence
 
 

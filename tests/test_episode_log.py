@@ -7,7 +7,7 @@ import pytest
 
 from elicit import belief
 from elicit.bank import SynthSpec, ingest, synthesize_bank
-from elicit.ontology import ALL_TRAITS, TraitId
+from elicit.ontology import ALL_TRAITS, TRAIT_NAMES
 from elicit.patient import EmissionParams
 from elicit.runner import (
     BatchResult,
@@ -104,7 +104,7 @@ def pre_slim(doc: dict) -> str:
     state = belief.BeliefState(tau=doc["tau"])
     gt = set(doc["ground_truth"])
     for turn in doc["turns"]:
-        state = belief.update(state, {TraitId.parse(n): v for n, v in turn["detections"]["labels"].items()})
+        state = belief.update(state, tuple(turn["detections"]["labels"][n] for n in TRAIT_NAMES))
         confirmed = turn.pop("confirmed")
         assert confirmed == [t.name for t in sorted(state.confirmed)]
         turn["coverage_after"] = len(gt.intersection(confirmed)) / len(gt)
@@ -145,7 +145,7 @@ LLM_FINGERPRINTS_SHA256 = "6031557561b1a9e204d591c0c9de0e9e742af657b7a0ab3c74fb0
 
 
 def test_all_llm_episode_keeps_its_log_bytes_and_requests():
-    from elicit.backends import ScriptedBackend
+    from conftest import ScriptedBackend
     from elicit.bank import base_rates
     from elicit.ontology import ALL_TRAITS, STRATEGY_ORDER
     from elicit.runner import build_components, run_episode

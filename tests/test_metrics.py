@@ -7,10 +7,11 @@ from elicit.metrics import (
     NoValidLogsError,
     aggregate,
     ci95_halfwidth,
-    episode_metrics,
 )
 from elicit.ontology import ALL_TRAITS, Strategy, TraitId
 from elicit.runner import EpisodeLog, TurnRecord
+
+from conftest import episode_metrics
 
 
 def make_log(

@@ -80,30 +80,30 @@ def test_emission_params_reject_non_finite_floats(name, value):
 def test_emit_all_floor_rarely_emits():
     profile = make_profile()
     rng = random.Random(0)
-    total = sum(len(emit_traits(profile, (), PARAMS, rng).emitted) for _ in range(100_000))
+    total = sum(len(emit_traits(profile, (), PARAMS, rng)) for _ in range(100_000))
     assert total / 100_000 < 0.02  # expectation is 10 * 1e-3 = 0.01
 
 
 def test_emit_strong_trait_nearly_always():
     profile = make_profile({"F2": 1 - THETA_EPS})
     rng = random.Random(1)
-    hits = sum(TraitId.F2 in emit_traits(profile, (), PARAMS, rng).emitted for _ in range(10_000))
+    hits = sum(TraitId.F2 in emit_traits(profile, (), PARAMS, rng) for _ in range(10_000))
     assert hits / 10_000 >= 0.99
 
 
 def test_emit_cap_two():
     profile = make_profile({"F1": 0.999, "F2": 0.999, "F3": 0.999})
     rng = random.Random(2)
-    decision = emit_traits(profile, (), PARAMS, rng)
-    assert len(decision.emitted) == 2
+    emitted = emit_traits(profile, (), PARAMS, rng)
+    assert len(emitted) == 2
     # overflow keeps the highest-probability traits; all tied here, so lowest indices win
-    assert decision.emitted == {TraitId.F1, TraitId.F2}
+    assert emitted == {TraitId.F1, TraitId.F2}
 
 
 def test_emit_deterministic_given_seed():
     profile = make_profile({"F2": 0.5, "F6": 0.4})
-    a = emit_traits(profile, (), PARAMS, random.Random(99)).emitted
-    b = emit_traits(profile, (), PARAMS, random.Random(99)).emitted
+    a = emit_traits(profile, (), PARAMS, random.Random(99))
+    b = emit_traits(profile, (), PARAMS, random.Random(99))
     assert a == b
 
 
@@ -111,7 +111,7 @@ def test_emit_deterministic_given_seed():
 def test_empirical_rate_matches_probability(p):
     profile = make_profile({"F5": p})
     rng = random.Random(7)
-    hits = sum(TraitId.F5 in emit_traits(profile, (), PARAMS, rng).emitted for _ in range(10_000))
+    hits = sum(TraitId.F5 in emit_traits(profile, (), PARAMS, rng) for _ in range(10_000))
     assert hits / 10_000 == pytest.approx(p, abs=0.02)
 
 
@@ -119,7 +119,7 @@ def test_suppression_empirical():
     profile = make_profile({"F5": 0.5})
     rng = random.Random(11)
     hits = sum(
-        TraitId.F5 in emit_traits(profile, {TraitId.F5}, PARAMS, rng).emitted
+        TraitId.F5 in emit_traits(profile, {TraitId.F5}, PARAMS, rng)
         for _ in range(10_000)
     )
     assert hits / 10_000 < 0.03  # analytic value sigma(-4) ~ 0.018
@@ -131,7 +131,7 @@ def test_logit_offset_boosts_emission():
     assert boosted > 0.3
     rng = random.Random(3)
     hits = sum(
-        TraitId.F5 in emit_traits(profile, (), PARAMS, rng, {TraitId.F5: 2.0}).emitted
+        TraitId.F5 in emit_traits(profile, (), PARAMS, rng, {TraitId.F5: 2.0})
         for _ in range(10_000)
     )
     assert hits / 10_000 == pytest.approx(boosted, abs=0.02)
@@ -229,7 +229,7 @@ def test_llm_realiser_uses_anchor_and_prompt():
 
 @pytest.mark.parametrize("blank", ["", "  \n\t "])
 def test_llm_realiser_asks_once_more_for_a_blank_reply(blank):
-    from elicit.backends import ScriptedBackend
+    from conftest import ScriptedBackend
 
     client = ScriptedBackend(script=[blank, "  A plain spoken answer. "])
     reply = LlmRealiser(client, temperature=0.7).realise("How was school?", [], ANCHOR, {TraitId.F6}, seed=0)
@@ -238,7 +238,7 @@ def test_llm_realiser_asks_once_more_for_a_blank_reply(blank):
 
 
 def test_llm_realiser_raises_a_typed_error_on_a_second_blank_reply():
-    from elicit.backends import ScriptedBackend
+    from conftest import ScriptedBackend
     from elicit.patient import RealiserError
 
     client = ScriptedBackend(script=["   ", "", "never asked for"])

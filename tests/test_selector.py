@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from elicit.backends import ScriptedBackend, ScriptExhaustedError
+from elicit.backends import ScriptExhaustedError
 from elicit.belief import BeliefState
 from elicit.ontology import ALL_TRAITS, STRATEGY_ORDER, Strategy, TraitId
 from elicit.selector import (
@@ -16,6 +16,8 @@ from elicit.selector import (
     heuristic_question,
     question_violates,
 )
+
+from conftest import ScriptedBackend
 
 SEL = HeuristicSelector()
 
