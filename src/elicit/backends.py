@@ -3,7 +3,9 @@
 This is the only module that opens network connections. The wire protocol is
 the common chat-completions HTTP JSON format (POST /v1/chat/completions and
 POST /v1/embeddings); endpoint and model names are fully configurable and no
-vendor is assumed. `HttpBackend` sends every request through one transport,
+vendor is assumed. A completion is one prompt string, posted as the one user
+message at the configured model, the caller's temperature and `MAX_TOKENS`.
+`HttpBackend` sends every request through one transport,
 `transport(path, body) -> dict`: the live `HttpTransport`, or a
 `ReplayTransport` serving the wire replies of a JSON-lines replay log, either
 of them wrapped by a `RecordingTransport` that writes such a log. A replayed
@@ -20,6 +22,7 @@ import os
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +36,7 @@ DEFAULT_TIMEOUT_S = 60.0
 MAX_RETRIES = 2
 BACKOFF_BASE_S = 0.5
 RETRYABLE_STATUS = frozenset({408, 429})  # plus every 5xx
+MAX_TOKENS = 512
 
 
 class AuthError(BackendError):
@@ -52,35 +56,6 @@ class ScriptExhaustedError(BackendError):
 
 
 @dataclass(frozen=True)
-class Message:
-    role: str  # system | user | assistant
-    content: str
-
-
-@dataclass(frozen=True)
-class GenerationRequest:
-    messages: tuple[Message, ...]
-    temperature: float
-    max_tokens: int = 512
-    model: str = ""
-
-    def __post_init__(self):
-        if not self.messages:
-            raise ValueError("request must contain at least one message")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-
-    def payload(self) -> dict:
-        """The request's one wire form; `HttpBackend.complete` fills in the configured model."""
-        return {
-            "model": self.model,
-            "messages": [{"role": m.role, "content": m.content} for m in self.messages],
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-        }
-
-
-@dataclass(frozen=True)
 class BackendConfig:
     endpoint: str = "http://localhost:8000"
     model: str = ""
@@ -89,6 +64,13 @@ class BackendConfig:
     max_concurrency: int = 4
 
     def __post_init__(self):
+        try:
+            url = urllib.parse.urlsplit(self.endpoint)
+            is_url = url.scheme in ("http", "https") and bool(url.hostname)
+        except ValueError:  # an unclosed IPv6 bracket
+            is_url = False
+        if not is_url:
+            raise InputError(f"endpoint must be an http(s) URL with a host, got {self.endpoint!r}")
         if not 0.0 < self.timeout_s < float("inf"):  # also false for nan
             raise InputError(f"timeout_s must be finite and > 0, got {self.timeout_s}")
         if self.max_concurrency < 1:
@@ -235,8 +217,14 @@ class HttpBackend:
                 time.sleep(delay)
                 delay *= 2
 
-    def complete(self, request: GenerationRequest) -> str:
-        body = {**request.payload(), "model": request.model or self.config.model}
+    def complete(self, prompt: str, temperature: float) -> str:
+        """The reply text to `prompt`, sent as the one user message at the configured model."""
+        body = {
+            "model": self.config.model,
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": temperature,
+            "max_tokens": MAX_TOKENS,
+        }
         doc = self._with_retries("/v1/chat/completions", body)
         try:
             text = doc["choices"][0]["message"]["content"]

@@ -186,7 +186,7 @@ class SynthSpec:
     n_patients: int
     snippets_per_patient: int
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_patients < 1 or self.snippets_per_patient < 1:
             raise InputError("n_patients and snippets_per_patient must be >= 1")
 
@@ -231,7 +231,6 @@ def synthesize_bank(spec: SynthSpec, seed: int, ontology: Ontology | None = None
     template sentences with the active traits' marker phrases woven in, so the
     rule-based detector recovers each snippet's annotations exactly.
     """
-    spec.validate()
     ont = ontology or default_ontology()
     profile_rng = random.Random(seed)
     rng = random.Random(seed)

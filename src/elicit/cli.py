@@ -25,7 +25,7 @@ from .errors import BackendError, InputError, read_text
 from .fidelity import FidelityConfig, loo_validate
 from .metrics import CorpusReport, aggregate
 from .ontology import TraitId, default_ontology, load_ontology
-from .runner import BatchResult, build_components, read_logs, run_batch, run_replay, write_logs
+from .runner import KINDS, BatchResult, build_components, read_logs, run_batch, run_replay, write_logs
 
 
 class UsageError(InputError):
@@ -60,9 +60,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--parallel", type=int, default=1)
-    p.add_argument("--selector", choices=["heuristic", "llm"], default=None)
-    p.add_argument("--realiser", choices=["template", "llm"], default=None)
-    p.add_argument("--detector", choices=["rule", "llm"], default=None)
+    p.add_argument("--selector", choices=KINDS["selector"], default=None)
+    p.add_argument("--realiser", choices=KINDS["realiser"], default=None)
+    p.add_argument("--detector", choices=KINDS["detector"], default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--ontology", default=None)
     p.add_argument("--record", default=None, help="record backend traffic to this replay log")
@@ -73,7 +73,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ground-truth", required=True, help="comma-separated trait ids, e.g. F2,F6")
     p.add_argument("--turns", type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--detector", choices=["rule", "llm"], default=None)
+    p.add_argument("--detector", choices=KINDS["detector"], default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--ontology", default=None)
 
@@ -98,7 +98,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("detect", help="run the trait detector over a transcript file")
     p.add_argument("--in", dest="path", required=True, help="JSON-lines of {question, response}")
-    p.add_argument("--backend", choices=["rule", "llm"], default=None, help="detector kind")
+    p.add_argument("--backend", choices=KINDS["detector"], default=None, help="detector kind")
     p.add_argument("--out", default=None, help="output JSON-lines path (default stdout)")
     p.add_argument("--config", default=None)
     p.add_argument("--ontology", default=None)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Mapping
 
-from .backends import GenerationRequest, Message
 from .errors import BackendError
 from .ontology import ALL_TRAITS, TRAIT_NAMES, Ontology, TraitId, default_ontology, marker_regex
 from .prompting import complete_json, load_prompt
@@ -69,22 +68,17 @@ class LlmDetector:
         self.client = client
         self.ontology = ontology or default_ontology()
         self._template = load_prompt("detect", prompt_dir)
-
-    def _request(self, question: str, response: str) -> GenerationRequest:
-        definitions = "\n".join(
+        self._definitions = "\n".join(
             f"{t.name}: {d.name}. {d.definition}" for t, d in sorted(self.ontology.traits.items())
         )
-        prompt = self._template.format(
-            definitions=definitions, question=question, response=response
-        )
-        return GenerationRequest(messages=(Message("user", prompt),), temperature=0.0)
 
     def detect(self, question: str, response: str) -> DetectionResult:
         if not response.strip():
             raise EmptyResponseError("response must be non-empty")
         return complete_json(
             self.client,
-            self._request(question, response),
+            self._template.format(definitions=self._definitions, question=question, response=response),
+            0.0,
             _LABEL_KEYS,
             lambda doc: DetectionResult(labels=tuple(doc[n] for n in TRAIT_NAMES), evidence={}),
             DetectorParseError,

@@ -21,7 +21,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .backends import GenerationRequest, Message
 from .bank import THETA_EPS, PatientProfile, Snippet
 from .dialogue import HistoryTurn, render_history
 from .errors import BackendError, InputError
@@ -204,5 +203,4 @@ class LlmRealiser:
             anchor=anchor.patient_reply,
             emitted=emitted_text,
         )
-        request = GenerationRequest(messages=(Message("user", prompt),), temperature=self.temperature)
-        return complete_parsed(self.client, request, _non_empty, RealiserError)
+        return complete_parsed(self.client, prompt, self.temperature, _non_empty, RealiserError)

@@ -1,8 +1,9 @@
 """Prompt template loading and structured-output parsing helpers.
 
 Prompt texts live in versioned template files under ``prompts/``, not in
-code; a custom directory can be supplied for experimentation. Every reply is
-read by `complete_parsed`; the selector's and detector's JSON through `complete_json`.
+code; a custom directory can be supplied for experimentation. A role sends its
+filled template as one prompt string, with its temperature, and `complete_parsed`
+reads every reply; `complete_json` the selector's and detector's JSON.
 """
 
 from __future__ import annotations
@@ -42,14 +43,14 @@ def extract_json_object(text: str, keys: Mapping[str, type]) -> dict:
     return doc
 
 
-def complete_parsed(client, request, parse: Callable[[str], T], error: type[Exception]) -> T:
-    """Send `request` and build a value from the reply text with `parse`.
+def complete_parsed(client, prompt: str, temperature: float, parse: Callable[[str], T], error: type[Exception]) -> T:
+    """Send `prompt` at `temperature` and build a value from the reply text with `parse`.
 
     `parse` may reject the reply with ValueError. A rejected reply is asked
     for once more; a second rejection raises `error`.
     """
     for attempt in range(2):
-        text = client.complete(request)  # a backend failure is not retried here
+        text = client.complete(prompt, temperature)  # a backend failure is not retried here
         try:
             return parse(text)
         except ValueError as e:
@@ -57,6 +58,13 @@ def complete_parsed(client, request, parse: Callable[[str], T], error: type[Exce
                 raise error(f"unusable reply after one retry: {e}") from e
 
 
-def complete_json(client, request, keys: Mapping[str, type], parse: Callable[[dict], T], error: type[Exception]) -> T:
+def complete_json(
+    client,
+    prompt: str,
+    temperature: float,
+    keys: Mapping[str, type],
+    parse: Callable[[dict], T],
+    error: type[Exception],
+) -> T:
     """`complete_parsed` of `parse` on the reply's first JSON object, whose `keys` are typed as given."""
-    return complete_parsed(client, request, lambda text: parse(extract_json_object(text, keys)), error)
+    return complete_parsed(client, prompt, temperature, lambda text: parse(extract_json_object(text, keys)), error)

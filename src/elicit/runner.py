@@ -38,6 +38,13 @@ from .selector import HeuristicSelector, LlmSelector, SessionContext, Thought
 logger = logging.getLogger(__name__)
 
 REPLAY_STRATEGY = "replay"
+# each role's kinds: the deterministic one, then the one that needs a backend client
+KINDS = {
+    "encoder": ("fallback", "remote"),
+    "selector": ("heuristic", "llm"),
+    "realiser": ("template", "llm"),
+    "detector": ("rule", "llm"),
+}
 
 
 class LogFormatError(InputError):
@@ -67,6 +74,9 @@ class EpisodeConfig:
         for name in ("selector_temperature", "realiser_temperature"):
             if not 0.0 <= getattr(self, name) < math.inf:  # also false for nan
                 raise InputError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        for role, kinds in KINDS.items():
+            if (kind := getattr(self, f"{role}_kind")) not in kinds:
+                raise InputError(f"unknown {role} kind {kind!r}")
 
 
 @dataclass
@@ -101,42 +111,23 @@ def build_components(
     encoder require one.
     """
     ont = ontology or default_ontology()
-    for role in ("encoder", "selector", "realiser", "detector"):
+    for role, (_, networked) in KINDS.items():
         kind = getattr(cfg, f"{role}_kind")
-        if client is None and kind in ("remote", "llm"):
+        if client is None and kind == networked:
             raise ValueError(f"{role} kind {kind!r} needs a backend client")
-    if cfg.encoder_kind == "fallback":
-        encoder = FallbackEncoder()
-    elif cfg.encoder_kind == "remote":
-        encoder = RemoteEncoder(client)
+    encoder = RemoteEncoder(client) if cfg.encoder_kind == "remote" else FallbackEncoder()
+    if cfg.selector_kind == "llm":
+        selector = LlmSelector(client, ask_temperature=cfg.selector_temperature, prompt_dir=cfg.prompt_dir)
     else:
-        raise InputError(f"unknown encoder kind {cfg.encoder_kind!r}")
-
-    if cfg.selector_kind == "heuristic":
         selector = HeuristicSelector()
-    elif cfg.selector_kind == "llm":
-        selector = LlmSelector(
-            client, ask_temperature=cfg.selector_temperature, prompt_dir=cfg.prompt_dir
-        )
+    if cfg.realiser_kind == "llm":
+        realiser = LlmRealiser(client, ont, temperature=cfg.realiser_temperature, prompt_dir=cfg.prompt_dir)
     else:
-        raise InputError(f"unknown selector kind {cfg.selector_kind!r}")
-
-    if cfg.realiser_kind == "template":
         realiser = TemplateRealiser(ont)
-    elif cfg.realiser_kind == "llm":
-        realiser = LlmRealiser(
-            client, ont, temperature=cfg.realiser_temperature, prompt_dir=cfg.prompt_dir
-        )
-    else:
-        raise InputError(f"unknown realiser kind {cfg.realiser_kind!r}")
-
-    if cfg.detector_kind == "rule":
-        detector = RuleDetector(ont)
-    elif cfg.detector_kind == "llm":
+    if cfg.detector_kind == "llm":
         detector = LlmDetector(client, ont, prompt_dir=cfg.prompt_dir)
     else:
-        raise InputError(f"unknown detector kind {cfg.detector_kind!r}")
-
+        detector = RuleDetector(ont)
     retriever = AnchorRetriever(bank, encoder) if bank is not None and len(bank) else None
     return Components(
         ontology=ont,

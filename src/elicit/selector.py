@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass, field
 
 from . import belief as belief_mod
-from .backends import GenerationRequest, Message
 from .belief import BeliefState
 from .dialogue import HistoryTurn, render_history
 from .errors import BackendError
@@ -188,10 +187,10 @@ class LlmSelector:
             )
             or "(all traits confirmed)",
         )
-        request = GenerationRequest(messages=(Message("user", prompt),), temperature=0.0)
         return complete_json(
             self.client,
-            request,
+            prompt,
+            0.0,
             _THOUGHT_KEYS,
             lambda doc: Thought(
                 confirmed_analysis=doc["confirmed_analysis"],
@@ -209,10 +208,9 @@ class LlmSelector:
             thought=thought.strategy_rationale + "\n" + thought.elicitation_conditions,
             strategies=self._strategies_text(ctx.ontology),
         )
-        request = GenerationRequest(messages=(Message("user", prompt),), temperature=0.0)
         # Strategy() rejects an id outside the six with ValueError
         return complete_json(
-            self.client, request, {"strategy": str}, lambda doc: Strategy(doc["strategy"].strip()), SelectorError
+            self.client, prompt, 0.0, {"strategy": str}, lambda doc: Strategy(doc["strategy"].strip()), SelectorError
         )
 
     def ask(self, ctx: SessionContext, thought: Thought, strategy: Strategy) -> str:
@@ -222,7 +220,6 @@ class LlmSelector:
             thought=thought.elicitation_conditions,
             strategy_description=ctx.ontology.strategies[strategy].description,
         )
-        request = GenerationRequest(messages=(Message("user", prompt),), temperature=self.ask_temperature)
 
         def checked(doc: dict) -> str:
             question = doc["question"].strip()
@@ -230,4 +227,6 @@ class LlmSelector:
                 raise ValueError(f"question is empty or names a trait id or the strategy: {question!r}")
             return question
 
-        return complete_json(self.client, request, {"question": str}, checked, QuestionConstraintError)
+        return complete_json(
+            self.client, prompt, self.ask_temperature, {"question": str}, checked, QuestionConstraintError
+        )

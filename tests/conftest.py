@@ -1,6 +1,6 @@
 import pytest
 
-from elicit.backends import GenerationRequest, ScriptExhaustedError
+from elicit.backends import ScriptExhaustedError
 from elicit.bank import SnippetBank, Snippet, SynthSpec, synthesize_bank
 from elicit.metrics import EpisodeMetrics, aggregate
 from elicit.ontology import TraitId, default_ontology
@@ -66,10 +66,10 @@ class ScriptedBackend:
 
     def __init__(self, script: list[str]):
         self._queue = list(script)
-        self.requests: list[GenerationRequest] = []
+        self.requests: list[tuple[str, float]] = []  # (prompt, temperature) per call
 
-    def complete(self, request: GenerationRequest) -> str:
-        self.requests.append(request)
+    def complete(self, prompt: str, temperature: float) -> str:
+        self.requests.append((prompt, temperature))
         if not self._queue:
             raise ScriptExhaustedError("scripted completions exhausted")
         return self._queue.pop(0)

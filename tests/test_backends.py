@@ -11,11 +11,9 @@ from elicit.backends import (
     AuthError,
     BackendConfig,
     BackendError,
-    GenerationRequest,
     HttpBackend,
     HttpTransport,
     MalformedResponseError,
-    Message,
     RecordingTransport,
     ReplayTransport,
     ScriptExhaustedError,
@@ -27,22 +25,8 @@ from elicit.retrieval import RemoteEncoder
 from conftest import ScriptedBackend
 
 
-def req(text="hi", temperature=0.0):
-    return GenerationRequest(messages=(Message("user", text),), temperature=temperature)
-
-
 def completion_payload(text):
     return {"choices": [{"message": {"role": "assistant", "content": text}}]}
-
-
-def test_request_requires_messages():
-    with pytest.raises(ValueError):
-        GenerationRequest(messages=(), temperature=0.0)
-
-
-def test_request_rejects_negative_temperature():
-    with pytest.raises(ValueError):
-        req(temperature=-0.1)
 
 
 @pytest.mark.parametrize("bad", [{"max_concurrency": 0}, {"max_concurrency": -3}, {"timeout_s": float("nan")},
@@ -50,6 +34,17 @@ def test_request_rejects_negative_temperature():
 def test_backend_config_rejects_a_concurrency_below_one_or_a_bad_timeout(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         BackendConfig(**bad)
+
+
+@pytest.mark.parametrize("endpoint", ["localhost:8000", "ftp://host", "http://", "http:///v1", "", "http://[::1"])
+def test_backend_config_rejects_an_endpoint_that_is_not_an_http_url_with_a_host(endpoint):
+    with pytest.raises(InputError, match="endpoint must be an http"):
+        BackendConfig(endpoint=endpoint)
+
+
+@pytest.mark.parametrize("endpoint", ["http://localhost:8000", "https://api.example.com/v1/", "http://[::1]:8000"])
+def test_backend_config_accepts_an_http_or_https_url(endpoint):
+    assert BackendConfig(endpoint=endpoint).endpoint == endpoint
 
 
 def test_backend_config_accepts_one_worker_and_a_short_timeout():
@@ -75,9 +70,9 @@ def replayed(log, config=None):
 ])
 def test_replay_answers_only_the_path_and_body_it_recorded(tmp_path, path, changed):
     log = tmp_path / "replay.jsonl"
-    recorded(lambda p, b: completion_payload("ok"), log, BackendConfig(model="m")).complete(req("a"))
+    recorded(lambda p, b: completion_payload("ok"), log, BackendConfig(model="m")).complete("a", 0.0)
     body = json.loads(log.read_text("utf-8"))["request"]
-    assert body == {**req("a").payload(), "model": "m"}
+    assert body == {"model": "m", "messages": [{"role": "user", "content": "a"}], "temperature": 0.0, "max_tokens": 512}
     assert ReplayTransport(log)("/v1/chat/completions", body) == completion_payload("ok")
     with pytest.raises(ScriptExhaustedError):
         ReplayTransport(log)(path, {**body, **changed})
@@ -85,10 +80,10 @@ def test_replay_answers_only_the_path_and_body_it_recorded(tmp_path, path, chang
 
 def test_scripted_queue_contract():
     backend = ScriptedBackend(script=["A", "B"])
-    assert backend.complete(req()) == "A"
-    assert backend.complete(req()) == "B"
+    assert backend.complete("hi", 0.0) == "A"
+    assert backend.complete("hi", 0.0) == "B"
     with pytest.raises(ScriptExhaustedError):
-        backend.complete(req())
+        backend.complete("hi", 0.0)
 
 
 def test_transient_failures_then_success(monkeypatch):
@@ -102,7 +97,7 @@ def test_transient_failures_then_success(monkeypatch):
         return completion_payload("recovered")
 
     backend = HttpBackend(BackendConfig(), transport=flaky)
-    assert backend.complete(req()) == "recovered"
+    assert backend.complete("hi", 0.0) == "recovered"
     assert backend.retry_count == 2
     assert calls["n"] == 3
 
@@ -115,7 +110,7 @@ def test_retries_exhausted(monkeypatch):
 
     backend = HttpBackend(BackendConfig(), transport=always_down)
     with pytest.raises(TransportError):
-        backend.complete(req())
+        backend.complete("hi", 0.0)
     assert backend.retry_count == 2
 
 
@@ -128,7 +123,7 @@ def test_auth_error_not_retried():
 
     backend = HttpBackend(BackendConfig(), transport=rejected)
     with pytest.raises(AuthError):
-        backend.complete(req())
+        backend.complete("hi", 0.0)
     assert calls["n"] == 1
 
 
@@ -136,20 +131,20 @@ def test_missing_key_is_auth_error(monkeypatch):
     monkeypatch.delenv("ELICIT_API_KEY", raising=False)
     backend = HttpBackend(BackendConfig(endpoint="http://nowhere.invalid"))
     with pytest.raises(AuthError):
-        backend.complete(req())
+        backend.complete("hi", 0.0)
 
 
 def test_malformed_completion():
     backend = HttpBackend(BackendConfig(), transport=lambda p, b: {"weird": 1})
     with pytest.raises(MalformedResponseError):
-        backend.complete(req())
+        backend.complete("hi", 0.0)
 
 
 @pytest.mark.parametrize("content", [None, 5, ["text"]])
 def test_completion_content_that_is_not_a_string_is_malformed(content):
     backend = HttpBackend(BackendConfig(), transport=lambda p, b: completion_payload(content))
     with pytest.raises(MalformedResponseError, match="not a string"):
-        backend.complete(req())
+        backend.complete("hi", 0.0)
 
 
 def test_embed_keeps_order_and_returns_rows_unscaled():
@@ -245,12 +240,12 @@ def test_record_then_replay_identical(tmp_path):
 
     log = tmp_path / "replay.jsonl"
     recorder = recorded(transport, log)
-    live = [recorder.complete(req("one")), recorder.complete(req("two"))]
+    live = [recorder.complete("one", 0.0), recorder.complete("two", 0.0)]
 
     replay = replayed(log)
-    assert [replay.complete(req("one")), replay.complete(req("two"))] == live
+    assert [replay.complete("one", 0.0), replay.complete("two", 0.0)] == live
     with pytest.raises(ScriptExhaustedError):
-        replay.complete(req("three"))
+        replay.complete("three", 0.0)
 
     # a line holds the posted body and the wire reply
     entries = [json.loads(l) for l in log.read_text().splitlines()]
@@ -259,21 +254,20 @@ def test_record_then_replay_identical(tmp_path):
     ]
 
 
-# the wire body for two fixed requests, recorded before the request's payload
-# was built in one place, and the replay-log lines they record: each holds the
-# posted body and the wire reply
+# the wire body of two fixed prompts at a configured model, as the code that
+# still built a request object posted them, and the replay-log lines they
+# record: each holds the posted body and the wire reply
 WIRE_BODIES = [
-    '{"model": "cfg-model", "messages": [{"role": "system", "content": "Be brief."}, '
-    '{"role": "user", "content": "Caf\\u00e9?"}], "temperature": 0.25, "max_tokens": 64}',
-    '{"model": "own-model", "messages": [{"role": "user", "content": "hi"}], "temperature": 0.7, "max_tokens": 512}',
+    '{"model": "cfg-model", "messages": [{"role": "user", "content": "Caf\\u00e9?"}], "temperature": 0.25, '
+    '"max_tokens": 512}',
+    '{"model": "cfg-model", "messages": [{"role": "user", "content": "hi"}], "temperature": 0.7, "max_tokens": 512}',
 ]
 RECORDED_LINES = (
-    '{"fingerprint": "b488a0c5b801c62df4b4823fb50ccca0960750363b3cded19ffae3d03176a0bf", "request": '
-    '{"max_tokens": 64, "messages": [{"content": "Be brief.", "role": "system"}, {"content": "Café?", "role": "user"}], '
-    '"model": "cfg-model", "temperature": 0.25}, '
+    '{"fingerprint": "4fbe57e0f71e1dc65e3ed9f3622fb7616d8e2c61a359a8c94ce8e0bf4de1c46e", "request": '
+    '{"max_tokens": 512, "messages": [{"content": "Café?", "role": "user"}], "model": "cfg-model", "temperature": 0.25}, '
     '"response": {"choices": [{"message": {"content": "ok", "role": "assistant"}}]}}\n'
-    '{"fingerprint": "daf7e595b9bdf0754c12f1c44fa9d5f35651eaf112968758c8c163fe847119c6", "request": '
-    '{"max_tokens": 512, "messages": [{"content": "hi", "role": "user"}], "model": "own-model", "temperature": 0.7}, '
+    '{"fingerprint": "1153fa9ea2316ac190bd9990708d9765d89f250d177a2f492c429c629dc4ac15", "request": '
+    '{"max_tokens": 512, "messages": [{"content": "hi", "role": "user"}], "model": "cfg-model", "temperature": 0.7}, '
     '"response": {"choices": [{"message": {"content": "ok", "role": "assistant"}}]}}\n'
 )
 
@@ -287,10 +281,8 @@ def test_wire_body_and_recorded_line_keep_their_bytes(tmp_path):
 
     log = tmp_path / "replay.jsonl"
     recorder = recorded(transport, log, BackendConfig(model="cfg-model"))
-    recorder.complete(GenerationRequest(
-        messages=(Message("system", "Be brief."), Message("user", "Café?")), temperature=0.25, max_tokens=64
-    ))
-    recorder.complete(GenerationRequest(messages=(Message("user", "hi"),), temperature=0.7, model="own-model"))
+    recorder.complete("Café?", 0.25)
+    recorder.complete("hi", 0.7)
     assert bodies == WIRE_BODIES
     assert log.read_text("utf-8") == RECORDED_LINES
 
@@ -300,18 +292,18 @@ def test_replay_serves_a_recurring_request_once_per_recorded_occurrence(tmp_path
     replies = iter(["first", "second", "other", "third"])
     log = tmp_path / "replay.jsonl"
     recorder = recorded(lambda p, b: completion_payload(next(replies)), log)
-    hot, cold = req("one", temperature=0.7), req("two", temperature=0.7)
-    live = [recorder.complete(hot), recorder.complete(hot), recorder.complete(cold), recorder.complete(hot)]
+    hot, cold = ("one", 0.7), ("two", 0.7)
+    live = [recorder.complete(*hot), recorder.complete(*hot), recorder.complete(*cold), recorder.complete(*hot)]
     assert live == ["first", "second", "other", "third"]
 
     replay = replayed(log)
-    assert [replay.complete(hot), replay.complete(cold), replay.complete(hot), replay.complete(hot)] == [
+    assert [replay.complete(*hot), replay.complete(*cold), replay.complete(*hot), replay.complete(*hot)] == [
         "first", "other", "second", "third",
     ]
     with pytest.raises(ScriptExhaustedError, match="occurrence 4"):
-        replay.complete(hot)
+        replay.complete(*hot)
     with pytest.raises(ScriptExhaustedError):
-        replay.complete(cold)
+        replay.complete(*cold)
 
 
 def test_record_and_replay_lose_no_line_and_serve_each_reply_once_across_threads(tmp_path):
@@ -321,12 +313,12 @@ def test_record_and_replay_lose_no_line_and_serve_each_reply_once_across_threads
     config = BackendConfig(max_concurrency=n_threads)
     clients = {"live": lambda: recorded(lambda p, b: completion_payload(f"reply {next(replies)}"), log, config),
                "replayed": lambda: replayed(log, config)}  # built once the recording is done
-    hot = req("one", temperature=0.7)
+    hot = ("one", 0.7)
     served = {"live": [], "replayed": []}
 
     def worker(client, key):
         for _ in range(per_thread):
-            served[key].append(client.complete(hot))
+            served[key].append(client.complete(*hot))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -345,7 +337,7 @@ def test_record_and_replay_lose_no_line_and_serve_each_reply_once_across_threads
     assert sorted(served["replayed"]) == sorted(served["live"])
     assert len(set(served["live"])) == n_threads * per_thread
     with pytest.raises(ScriptExhaustedError):
-        client.complete(hot)
+        client.complete(*hot)
 
 
 def _embedding_transport(path, body):
@@ -377,10 +369,10 @@ def test_replay_of_completions_and_embeddings_from_one_log(tmp_path):
 
     log = tmp_path / "replay.jsonl"
     recorder = recorded(transport, log)
-    vectors, text = recorder.embed(["one"]), recorder.complete(req("one"))
+    vectors, text = recorder.embed(["one"]), recorder.complete("one", 0.0)
     replay = replayed(log)
     assert replay.embed(["one"]) == vectors
-    assert replay.complete(req("one")) == text
+    assert replay.complete("one", 0.0) == text
     with pytest.raises(ScriptExhaustedError):
         replay.embed(["two"])
 
@@ -403,7 +395,7 @@ def test_http_client_error_is_not_retried(monkeypatch, code):
     config = BackendConfig(endpoint="http://localhost:1")
     backend = HttpBackend(config, transport=HttpTransport(config, api_key="k"))
     with pytest.raises(BackendError) as err:
-        backend.complete(req())
+        backend.complete("hi", 0.0)
     assert not isinstance(err.value, TransportError)
     assert str(code) in str(err.value)
     assert len(calls) == 1
@@ -434,7 +426,7 @@ def test_retry_count_is_exact_across_threads(monkeypatch):
     def worker():
         for _ in range(per_thread):
             with pytest.raises(TransportError):
-                backend.complete(req())
+                backend.complete("hi", 0.0)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

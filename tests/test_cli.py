@@ -5,6 +5,8 @@ import os
 import socket
 import subprocess
 import sys
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -565,7 +567,8 @@ def test_replay_honours_config_tau(tmp_path):
                                   "backend.max_concurrency = -3", "backend.timeout_s = nan",
                                   "backend.timeout_s = inf", "backend.timeout_s = 0",
                                   "selector.temperature = nan", "selector.temperature = inf",
-                                  "realiser.temperature = -2", "realiser.temperature = nan"])
+                                  "realiser.temperature = -2", "realiser.temperature = nan",
+                                  "detector.kind = bert", "encoder.kind = bert"])
 @pytest.mark.parametrize("command", ["run", "replay", "detect"])
 def test_an_out_of_range_setting_exits_1_with_an_error(tmp_path, capsys, command, line):
     transcript = tmp_path / "t.jsonl"
@@ -580,6 +583,26 @@ def test_an_out_of_range_setting_exits_1_with_an_error(tmp_path, capsys, command
     }[command]
     assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_an_endpoint_that_is_not_an_http_url_is_a_config_error_not_a_backend_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ELICIT_API_KEY", "k")
+    monkeypatch.setattr("elicit.backends.time.sleep", lambda s: None)
+    calls = []
+
+    def urlopen(req, timeout=None):
+        calls.append(req.full_url)
+        raise urllib.error.URLError("unknown url type")
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("backend.endpoint = localhost:8000\n")
+    out = tmp_path / "out"
+    code = run_cli("run", "--bank", str(GOLDEN), "--episodes", "1", "--selector", "llm",
+                   "--config", str(cfg), "--out", str(out))
+    assert (code, calls) == (1, [])
+    assert capsys.readouterr().err == "error: endpoint must be an http(s) URL with a host, got 'localhost:8000'\n"
     assert not out.exists()
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json, urllib.request
 import numpy as np
 from . import ontology
-from .backends import Message
+from .backends import HttpBackend
 
 def lazy():
     import scipy.stats

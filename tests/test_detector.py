@@ -89,10 +89,10 @@ def test_llm_detector_parses_labels():
     det = LlmDetector(client)
     result = det.detect(Q, "some reply")
     assert result.positive() == {TraitId.F2, TraitId.F6}
-    prompt = client.requests[0].messages[0].content
+    prompt, temperature = client.requests[0]
     assert "some reply" in prompt
     assert "mimics verbatim" in prompt  # definitions ride along as diagnostic knowledge
-    assert client.requests[0].temperature == 0.0
+    assert temperature == 0.0
 
 
 def test_llm_detector_reads_detect_prompt_from_the_configured_prompt_dir(tmp_path):
@@ -102,7 +102,7 @@ def test_llm_detector_reads_detect_prompt_from_the_configured_prompt_dir(tmp_pat
     client = ScriptedBackend(script=[_labels_payload({"F1"})])
     cfg = EpisodeConfig(detector_kind="llm", prompt_dir=str(tmp_path))
     build_components(cfg, None, client=client).detector.detect(Q, "some reply")
-    assert client.requests[0].messages[0].content == "Custom detector prompt. Reply: some reply"
+    assert client.requests[0] == ("Custom detector prompt. Reply: some reply", 0.0)
 
 
 def test_llm_detector_retries_once():

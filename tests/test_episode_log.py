@@ -136,16 +136,17 @@ def test_golden_bank_logs_fold_back_to_their_pre_slim_bytes(case, tmp_path):
 
 
 # sha256 of the log an all-llm episode writes on the golden bank when a scripted
-# backend serves every reply, in its pre-slim shape and now, and of the
-# sha256 of each sorted-key payload of the requests it sent, one a line; the
-# pre-slim digest was recorded before the selector and detector shared one reply parser
+# transport serves every reply, in its pre-slim shape and now, and of the
+# sha256 of each sorted-key body it posted, one a line; the pre-slim digest was
+# recorded before the selector and detector shared one reply parser, and the
+# bodies' digest while the roles still built request objects
 PRE_SLIM_LLM_LOG_SHA256 = "844bc9670e3a841b9eb1a1ed5869b7678f29de5da29205a49e23c205ec548fc7"
 LLM_LOG_SHA256 = "40bcfaf65be9034cd3b05953c181054ea82d6806bcc3b42734bec6750d72fe26"
 LLM_FINGERPRINTS_SHA256 = "6031557561b1a9e204d591c0c9de0e9e742af657b7a0ab3c74fb07dde22c72f6"
 
 
 def test_all_llm_episode_keeps_its_log_bytes_and_requests():
-    from conftest import ScriptedBackend
+    from elicit.backends import BackendConfig, HttpBackend
     from elicit.bank import base_rates
     from elicit.ontology import ALL_TRAITS, STRATEGY_ORDER
     from elicit.runner import build_components, run_episode
@@ -164,15 +165,21 @@ def test_all_llm_episode_keeps_its_log_bytes_and_requests():
             f"Reply {i}: it went all right, as they say.",
             json.dumps({t.name: t.name == "F2" or (int(t) + i) % 3 == 0 for t in ALL_TRAITS}),
         ]
-    client = ScriptedBackend(script=script)
+    replies, bodies = iter(script), []
+
+    def transport(path, body):
+        bodies.append(json.dumps(body, sort_keys=True, ensure_ascii=False))
+        return {"choices": [{"message": {"role": "assistant", "content": next(replies)}}]}
+
+    client = HttpBackend(BackendConfig(), transport=transport)
     cfg = EpisodeConfig(max_turns=turns, seed=3, selector_kind="llm", realiser_kind="llm", detector_kind="llm")
     bank = ingest(GOLDEN)
     comps = build_components(cfg, bank, client=client)
     log = run_episode(cfg, bank, base_rates(bank, "P001"), comps, "llm-0000-P001")
     gt = {t.name for t in log.ground_truth}
     assert not log.aborted and [len(gt.intersection(t.confirmed)) / len(gt) for t in log.turns] == [0.5] * turns
-    payloads = (json.dumps(r.payload(), sort_keys=True, ensure_ascii=False) for r in client.requests)
-    fingerprints = "\n".join(map(_sha256, payloads))
+    assert next(replies, None) is None
+    fingerprints = "\n".join(map(_sha256, bodies))
     assert _sha256(pre_slim(json.loads(log.to_json()))) == PRE_SLIM_LLM_LOG_SHA256
     assert _sha256(log.to_json()) == LLM_LOG_SHA256
     assert _sha256(fingerprints) == LLM_FINGERPRINTS_SHA256

@@ -212,19 +212,19 @@ def test_llm_realiser_uses_anchor_and_prompt():
         def __init__(self):
             self.requests = []
 
-        def complete(self, request):
-            self.requests.append(request)
+        def complete(self, prompt, temperature):
+            self.requests.append((prompt, temperature))
             return "A plain spoken answer."
 
     client = Client()
     realiser = LlmRealiser(client, temperature=0.7)
     reply = realiser.realise("How was school?", [], ANCHOR, {TraitId.F6}, seed=0)
     assert reply == "A plain spoken answer."
-    prompt = client.requests[0].messages[0].content
+    prompt, temperature = client.requests[0]
     assert ANCHOR.patient_reply in prompt
     assert "How was school?" in prompt
     assert "Superfluous Phrase Attachment" in prompt
-    assert client.requests[0].temperature == pytest.approx(0.7)
+    assert temperature == pytest.approx(0.7)
 
 
 @pytest.mark.parametrize("blank", ["", "  \n\t "])

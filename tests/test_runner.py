@@ -7,6 +7,7 @@ import re
 import pytest
 
 from elicit.bank import PatientProfile, THETA_EPS, base_rates
+from elicit.errors import InputError
 from elicit.ontology import ALL_TRAITS, STRATEGY_ORDER, OntologyError, TraitId, default_ontology
 from elicit.patient import EmissionParams
 from elicit.runner import (
@@ -603,6 +604,14 @@ def test_replay_mode_aborts_an_episode_on_an_unusable_detector_reply_and_keeps_t
     assert (second.patient_id, second.aborted, len(second.turns)) == ("P002", True, 1)
     assert second.abort_reason == "DetectorParseError: unusable reply after one retry: F1 must be a bool, got 'no'"
     assert coverages(second)[0] == 1.0
+
+
+@pytest.mark.parametrize("role", ["encoder", "selector", "realiser", "detector"])
+def test_the_config_rejects_an_unknown_kind(role):
+    with pytest.raises(InputError, match=f"unknown {role} kind 'bert'"):
+        EpisodeConfig(**{f"{role}_kind": "bert"})
+    with pytest.raises(InputError, match=f"unknown {role} kind 'LLM'"):
+        dataclasses.replace(EpisodeConfig(), **{f"{role}_kind": "LLM"})
 
 
 def test_encoder_kind_is_checked_when_components_are_built(synth_bank):
