@@ -5,6 +5,13 @@ each trait's marker phrases (word-boundary, case-insensitive, no stemming:
 markers are verbatim exemplars and fuzziness would break the realiser
 round-trip), and a zero-shot generation-backed detector that classifies the
 response against the full trait definitions.
+
+The lexical detector finds every trait's markers in one scan of the response
+with the ontology's union pattern, and each trait's evidence is still its
+leftmost match. A scan steps over whatever starts inside a match; where
+another trait's phrase can start there (the ontology's overlap table, empty
+for the embedded vocabulary), that trait's own pattern is tried at each
+position of the match.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from itertools import compress
 from typing import Mapping
 
 from .errors import BackendError
-from .ontology import ALL_TRAITS, TRAIT_NAMES, Ontology, TraitId, default_ontology, marker_regex
+from .ontology import ALL_TRAITS, TRAIT_BY_NAME, TRAIT_NAMES, Ontology, TraitId, default_ontology
 from .prompting import complete_json, load_prompt
 
 
@@ -49,16 +56,24 @@ class RuleDetector:
 
     def __init__(self, ontology: Ontology | None = None):
         self.ontology = ontology or default_ontology()
-        self._patterns = tuple(marker_regex(self.ontology.traits[t].marker_lexicon) for t in ALL_TRAITS)
+        self._markers = self.ontology.markers
 
     def detect(self, question: str, response: str) -> DetectionResult:
         if not response.strip():
             raise EmptyResponseError("response must be non-empty")
-        matches = [p.search(response) for p in self._patterns]
-        return DetectionResult(
-            labels=tuple(m is not None for m in matches),
-            evidence={t: m.group(0) for t, m in zip(ALL_TRAITS, matches) if m is not None},
-        )
+        union, patterns, overlaps = self._markers.union, self._markers.patterns, self._markers.overlaps
+        evidence: dict[TraitId, str] = {}
+        for m in union.finditer(response):
+            t = TRAIT_BY_NAME[m.lastgroup]
+            evidence.setdefault(t, m.group())
+            for u in overlaps[t - 1]:
+                if u not in evidence:
+                    for pos in range(m.start(), m.end()):
+                        hit = patterns[u - 1].match(response, pos)
+                        if hit:
+                            evidence[u] = hit.group()
+                            break
+        return DetectionResult(labels=tuple(t in evidence for t in ALL_TRAITS), evidence=evidence)
 
 
 class LlmDetector:

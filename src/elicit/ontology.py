@@ -11,7 +11,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -110,11 +110,79 @@ class Ontology:
         """The eleven dialogue-based scenarios, ordered by id."""
         return tuple(s for s in self.scenarios if s.dialogic)
 
+    @cached_property
+    def markers(self) -> Markers:
+        """Every trait's markers compiled under the marker grammar; built on first use, then kept."""
+        lexicons = [self.traits[t].marker_lexicon for t in ALL_TRAITS]
+        groups = (f"(?P<{t.name}>{_alternatives(lex)})" for t, lex in zip(ALL_TRAITS, lexicons))
+        return Markers(
+            union=_whole_words("|".join(groups), [p for lex in lexicons for p in lex]),
+            patterns=tuple(marker_regex(lex) for lex in lexicons),
+            overlaps=_overlaps(lexicons),
+        )
+
+
+@dataclass(frozen=True)
+class Markers:
+    """An ontology's marker phrases under the marker grammar, traits in trait order."""
+
+    union: re.Pattern  # every phrase; a match's `lastgroup` names its trait ("F1".."F10")
+    patterns: tuple[re.Pattern, ...]  # trait t's phrases alone, at index t - 1
+    overlaps: tuple[tuple[TraitId, ...], ...]  # at index t - 1: other traits a scan may step over in a t match
+
+
+def _alternatives(phrases: Iterable[str]) -> str:
+    return "|".join(re.escape(p) for p in phrases)
+
+
+def _whole_words(alternatives: str, phrases: list[str]) -> re.Pattern:
+    # The lookahead on the phrases' first characters matches nothing new; it lets
+    # a scan skip word starts where no phrase begins without trying every phrase.
+    firsts = "".join(sorted({re.escape(p[0]) for p in phrases})) if all(phrases) else ""
+    head = f"(?=[{firsts}])" if firsts else ""
+    return re.compile(rf"\b{head}(?:{alternatives})\b", re.IGNORECASE)
+
 
 def marker_regex(phrases: Iterable[str]) -> re.Pattern:
     """The one marker grammar: any of `phrases` matched as whole words, ignoring case."""
-    alts = "|".join(re.escape(p) for p in phrases)
-    return re.compile(rf"\b(?:{alts})\b", re.IGNORECASE)
+    phrases = list(phrases)
+    return _whole_words(_alternatives(phrases), phrases)
+
+
+_BOUNDARY = re.compile(r"\b")
+
+
+def _folded(lexicons: list[tuple[str, ...]]) -> list[list[str]]:
+    """The phrases with each character replaced by the lowest of the phrases' characters that
+    the grammar's IGNORECASE equates with it, so two folded strings are equal exactly when
+    the grammar equates them (k, K and the Kelvin sign K all fold to K)."""
+    chars = sorted({c for lexicon in lexicons for p in lexicon for c in p})
+    first = re.compile("|".join(f"({re.escape(c)})" for c in chars), re.IGNORECASE)
+    table = {ord(c): chars[first.fullmatch(c).lastindex - 1] for c in chars}
+    return [[p.translate(table) for p in lexicon] for lexicon in lexicons]
+
+
+def _overlaps(lexicons: list[tuple[str, ...]]) -> tuple[tuple[TraitId, ...], ...]:
+    """For each trait t, the other traits one of whose phrases can match at or inside a match of t.
+
+    A u phrase matching at offset i of a t match agrees with the t phrase over
+    their common length, ignoring case as the grammar does, and starts on a word
+    boundary, which for i > 0 the t phrase's own characters decide. A one-pass
+    scan steps over such a u match, so the detector looks for it there.
+    """
+    folded = _folded(lexicons)
+    tails = [
+        [f[i:] for p, f in zip(lexicon, fs) for i in range(len(p)) if i == 0 or _BOUNDARY.match(p, i)]
+        for lexicon, fs in zip(lexicons, folded)
+    ]
+    return tuple(
+        tuple(
+            u
+            for u, fs in zip(ALL_TRAITS, folded)
+            if u != t and any(tail.startswith(f) or f.startswith(tail) for tail in tails[t - 1] for f in fs)
+        )
+        for t in ALL_TRAITS
+    )
 
 
 def _validate(ont: Ontology) -> None:

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 from .bank import THETA_EPS, PatientProfile, Snippet
 from .dialogue import HistoryTurn, render_history
 from .errors import BackendError, InputError
-from .ontology import ALL_TRAITS, Ontology, TraitId, default_ontology, marker_regex
+from .ontology import ALL_TRAITS, Ontology, TraitId, default_ontology
 from .prompting import complete_parsed, load_prompt
 
 DEFAULT_SUPPRESSION = 4.0  # sigma(-4) ~ 1.8%: rare re-emission of confirmed traits
@@ -114,7 +114,7 @@ class TemplateRealiser:
 
     def __init__(self, ontology: Ontology | None = None):
         self.ontology = ontology or default_ontology()
-        self._any_marker = marker_regex(p for t in self.ontology.traits.values() for p in t.marker_lexicon)
+        self._any_marker = self.ontology.markers.union
         self._skeletons: dict[str, str] = {}
 
     def _skeleton(self, text: str) -> str:

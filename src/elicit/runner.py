@@ -117,7 +117,7 @@ def build_components(
             raise ValueError(f"{role} kind {kind!r} needs a backend client")
     encoder = RemoteEncoder(client) if cfg.encoder_kind == "remote" else FallbackEncoder()
     if cfg.selector_kind == "llm":
-        selector = LlmSelector(client, ask_temperature=cfg.selector_temperature, prompt_dir=cfg.prompt_dir)
+        selector = LlmSelector(client, ont, ask_temperature=cfg.selector_temperature, prompt_dir=cfg.prompt_dir)
     else:
         selector = HeuristicSelector()
     if cfg.realiser_kind == "llm":

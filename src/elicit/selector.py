@@ -159,18 +159,16 @@ class HeuristicSelector:
 class LlmSelector:
     """Generation-backed selector with structured JSON outputs and one retry per step."""
 
-    def __init__(self, client, ask_temperature: float, prompt_dir=None):
+    def __init__(self, client, ontology: Ontology | None = None, *, ask_temperature: float, prompt_dir=None):
         self.client = client
         self.ask_temperature = ask_temperature
         self._think_tpl = load_prompt("think", prompt_dir)
         self._plan_tpl = load_prompt("plan", prompt_dir)
         self._ask_tpl = load_prompt("ask", prompt_dir)
-        self._entropies: dict[tuple[int, int], float] = {}  # priority_traits' memo
-
-    def _strategies_text(self, ontology: Ontology) -> str:
-        return "\n".join(
-            f"- {p.strategy.value}: {p.description}" for p in ontology.strategies.values()
+        self._strategies = "\n".join(
+            f"- {p.strategy.value}: {p.description}" for p in (ontology or default_ontology()).strategies.values()
         )
+        self._entropies: dict[tuple[int, int], float] = {}  # priority_traits' memo
 
     def think(self, ctx: SessionContext) -> Thought:
         priority = tuple(belief_mod.priority_traits(ctx.belief, k=4, entropies=self._entropies))
@@ -179,7 +177,7 @@ class LlmSelector:
             background=ctx.clinical_background or "(none)",
             history=render_history(ctx.history),
             topic=ctx.topic.name,
-            strategies=self._strategies_text(ctx.ontology),
+            strategies=self._strategies,
             confirmed=", ".join(t.name for t in confirmed) or "none yet",
             priority="\n".join(
                 f"- {t.name}: {ctx.ontology.traits[t].name} -- {ctx.ontology.traits[t].definition}"
@@ -206,7 +204,7 @@ class LlmSelector:
             background=ctx.clinical_background or "(none)",
             history=render_history(ctx.history),
             thought=thought.strategy_rationale + "\n" + thought.elicitation_conditions,
-            strategies=self._strategies_text(ctx.ontology),
+            strategies=self._strategies,
         )
         # Strategy() rejects an id outside the six with ValueError
         return complete_json(

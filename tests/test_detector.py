@@ -1,14 +1,19 @@
 import json
+import re
+from importlib import resources
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from elicit.detector import (
+    DetectionResult,
     DetectorParseError,
     EmptyResponseError,
     LlmDetector,
     RuleDetector,
 )
-from elicit.ontology import ALL_TRAITS, TraitId
+from elicit.ontology import ALL_TRAITS, TraitId, default_ontology, load_ontology
 
 from conftest import ScriptedBackend
 
@@ -66,6 +71,104 @@ def test_every_marker_fires_exactly_its_owner(ontology):
         for phrase in definition.marker_lexicon:
             result = DET.detect(Q, f"Leading words then {phrase} and trailing words.")
             assert result.positive() == {owner}, phrase
+
+
+def ten_search_detect(ontology, response: str) -> DetectionResult:
+    """The oracle: one search per trait, each trait's evidence its own leftmost match.
+
+    Its patterns are the marker grammar written out plainly, without the
+    package's first-character lookahead.
+    """
+    patterns = [
+        re.compile(rf"\b(?:{'|'.join(map(re.escape, ontology.traits[t].marker_lexicon))})\b", re.IGNORECASE)
+        for t in ALL_TRAITS
+    ]
+    matches = [p.search(response) for p in patterns]
+    return DetectionResult(
+        labels=tuple(m is not None for m in matches),
+        evidence={t: m.group(0) for t, m in zip(ALL_TRAITS, matches) if m is not None},
+    )
+
+
+# A vocabulary in which phrases of one trait start inside phrases of another:
+# F2 inside F1 ("okay then" / "then again"), F3 inside F2, F7 after the hyphen
+# of F6, and F5 at F4's own position (a leading "!" has no word boundary of its
+# own, so the loader's containment check cannot see it).
+OVERLAPPING_MARKERS = {
+    "F1": ["okay then", "word for word"],
+    "F2": ["then again", "mideast"],
+    "F3": ["again and again"],
+    "F4": ["!wow"],
+    "F5": ["!wow there"],
+    "F6": ["x-ray"],
+    "F7": ["ray of hope"],
+    "F8": ["fine fine fine", "kind of fine"],
+    "F9": ["as they say", "so to speak"],
+    "F10": ["circle of life", "ready to roll"],
+}
+
+
+def write_ontology(path, markers):
+    doc = json.loads(resources.files("elicit").joinpath("data/ontology.json").read_text("utf-8"))
+    for entry in doc["traits"]:
+        entry["markers"] = markers[entry["id"]]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return load_ontology(path)
+
+
+@pytest.fixture(scope="module")
+def overlapping(tmp_path_factory):
+    return write_ontology(tmp_path_factory.mktemp("ontology") / "overlapping.json", OVERLAPPING_MARKERS)
+
+
+def test_the_embedded_vocabulary_has_no_cross_trait_overlap(ontology):
+    assert ontology.markers.overlaps == ((),) * len(ALL_TRAITS)
+
+
+def test_the_overlap_table_names_each_trait_that_can_start_inside_another(overlapping):
+    table = dict(zip(ALL_TRAITS, overlapping.markers.overlaps))
+    assert {t: set(us) for t, us in table.items() if us} == {
+        TraitId.F1: {TraitId.F2},
+        TraitId.F2: {TraitId.F3},
+        TraitId.F4: {TraitId.F5},
+        TraitId.F5: {TraitId.F4},
+        TraitId.F6: {TraitId.F7},
+    }
+
+
+@pytest.mark.parametrize("text,found", [
+    ("Well okay then again we left.", {"F1": "okay then", "F2": "then again"}),
+    ("okay then again and again", {"F1": "okay then", "F2": "then again", "F3": "again and again"}),
+    ("yes!wow there it is", {"F4": "!wow", "F5": "!wow there"}),
+    ("an x-ray of hope", {"F6": "x-ray", "F7": "ray of hope"}),
+])
+def test_a_phrase_starting_inside_another_traits_match_is_found(overlapping, text, found):
+    result = RuleDetector(overlapping).detect(Q, text)
+    assert result.to_dict()["evidence"] == found
+    assert result == ten_search_detect(overlapping, text)
+
+
+_PLAIN_WORDS = ("the", "then", "again", "and", "okay", "fine", "wow", "ray", "say", "mideastern", "kinder", "!")
+_SEPARATORS = (" ", " ", ", ", "", "-", ". ")
+_FOLDS = str.maketrans({"k": "\u212a", "s": "\u017f", "i": "\u0130"})  # KELVIN SIGN, LONG S, DOTTED CAPITAL I
+_CASES = (str, str.upper, str.title, lambda s: s.translate(_FOLDS), lambda s: s.upper().translate(_FOLDS))
+
+
+def _pieces(ont):
+    phrases = [p for t in ALL_TRAITS for p in ont.traits[t].marker_lexicon]
+    return phrases + sorted({w for p in phrases for w in p.split()}) + list(_PLAIN_WORDS)
+
+
+@pytest.mark.parametrize("vocabulary", ["embedded", "overlapping"])
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_one_scan_finds_what_ten_searches_find(overlapping, vocabulary, data):
+    ont = overlapping if vocabulary == "overlapping" else default_ontology()
+    piece = st.tuples(st.sampled_from(_pieces(ont)), st.sampled_from(_CASES)).map(lambda pc: pc[1](pc[0]))
+    parts = data.draw(st.lists(st.tuples(piece, st.sampled_from(_SEPARATORS)), min_size=1, max_size=14))
+    text = "".join(p + sep for p, sep in parts)
+    assume(text.strip())
+    assert RuleDetector(ont).detect(Q, text) == ten_search_detect(ont, text)
 
 
 def test_empty_response_error():
