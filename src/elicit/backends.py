@@ -27,7 +27,7 @@ import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import BackendError, InputError, read_text
+from .errors import BackendError, InputError, numbered_lines, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -144,9 +144,7 @@ class ReplayTransport:
 
     def __init__(self, log_path: str | Path):
         self._responses: dict[str, list] = {}
-        for line_no, line in enumerate(read_text(log_path).split("\n"), start=1):
-            if not line.strip():
-                continue
+        for line_no, line in numbered_lines(read_text(log_path)):
             try:
                 entry = json.loads(line)
             except ValueError as e:
@@ -187,13 +185,12 @@ class HttpBackend:
     """Chat-completions client with bounded retries and a concurrency cap.
 
     `transport(path, body) -> dict` posts one request and returns the wire
-    reply; it defaults to the live `HttpTransport`. Every reply, whichever
-    transport gave it, is checked here.
+    reply. Every reply, whichever transport gave it, is checked here.
     """
 
-    def __init__(self, config: BackendConfig, transport=None):
+    def __init__(self, config: BackendConfig, transport):
         self.config = config
-        self._transport = transport or HttpTransport(config)
+        self._transport = transport
         self._semaphore = threading.Semaphore(config.max_concurrency)
         self._lock = threading.Lock()
         self.retry_count = 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable
 
-from .errors import InputError, read_text
+from .errors import InputError, numbered_lines, read_text
 from .ontology import ALL_TRAITS, TRAIT_BY_NAME, Ontology, TraitId, default_ontology
 
 THETA_EPS = 1e-3  # clamp keeps logit(theta) finite
@@ -143,12 +143,7 @@ def ingest(path: str | Path) -> SnippetBank:
     Raises BankSchemaError naming the first offending line; an empty file
     yields an empty bank carrying a warning.
     """
-    text = read_text(path)
-    snippets: list[Snippet] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        snippets.append(_parse_line(line_no, raw))
+    snippets = [_parse_line(line_no, raw) for line_no, raw in numbered_lines(read_text(path))]
     warnings = () if snippets else ("bank is empty",)
     return SnippetBank(snippets=tuple(snippets), warnings=warnings)
 

@@ -74,22 +74,18 @@ def update(state: BeliefState, labels: tuple[bool, ...]) -> BeliefState:
     return BeliefState(positives, n, state.tau, state.confirmed | confirmed)
 
 
-def priority_traits(
-    state: BeliefState, k: int = 4, entropies: dict[tuple[int, int], float] | None = None
-) -> list[TraitId]:
+def priority_traits(state: BeliefState, k: int, entropies: dict[tuple[int, int], float]) -> list[TraitId]:
     """The k highest-entropy unconfirmed traits (ties by ascending index).
 
-    `entropies`, if given, remembers each trait's entropy by its (positives,
-    turns) pair, of which a T-turn episode has at most (T+1)(T+2)/2, so it
-    needs no bound. A selector owns one for the life of its `Components`.
+    `entropies` remembers each trait's entropy by its (positives, turns)
+    pair, of which a T-turn episode has at most (T+1)(T+2)/2, so it needs no
+    bound. A selector owns one for the life of its `Components`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = state.turns
 
     def entropy(p: int) -> float:
-        if entropies is None:
-            return beta_entropy(1.0 + p, 1.0 + n - p)
         h = entropies.get((p, n))
         if h is None:
             h = entropies[(p, n)] = beta_entropy(1.0 + p, 1.0 + n - p)

@@ -21,7 +21,7 @@ from . import __version__
 from .backends import HttpBackend, HttpTransport, RecordingTransport, ReplayTransport
 from .bank import SynthSpec, ingest, read_object, require_text, synthesize_bank, write_bank
 from .config import Settings, load_settings
-from .errors import BackendError, InputError, read_text
+from .errors import BackendError, InputError, numbered_lines, read_text
 from .fidelity import FidelityConfig, loo_validate
 from .metrics import CorpusReport, aggregate
 from .ontology import TraitId, default_ontology, load_ontology
@@ -223,9 +223,7 @@ def _parse_ground_truth(text: str) -> frozenset[TraitId]:
 
 def _read_transcript(path: str) -> list[tuple[str, str]]:
     pairs = []
-    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
-        if not raw.strip():
-            continue
+    for line_no, raw in numbered_lines(read_text(path)):
         obj = read_object(line_no, raw)
         pairs.append((require_text(line_no, obj, "question"), require_text(line_no, obj, "response")))
     return pairs

@@ -21,7 +21,7 @@ from itertools import compress
 from typing import Mapping
 
 from .errors import BackendError
-from .ontology import ALL_TRAITS, TRAIT_BY_NAME, TRAIT_NAMES, Ontology, TraitId, default_ontology
+from .ontology import ALL_TRAITS, TRAIT_BY_NAME, TRAIT_NAMES, Ontology, TraitId
 from .prompting import complete_json, load_prompt
 
 
@@ -54,8 +54,8 @@ class DetectionResult:
 class RuleDetector:
     """Lexical detector: trait is present iff any of its marker phrases occurs."""
 
-    def __init__(self, ontology: Ontology | None = None):
-        self.ontology = ontology or default_ontology()
+    def __init__(self, ontology: Ontology):
+        self.ontology = ontology
         self._markers = self.ontology.markers
 
     def detect(self, question: str, response: str) -> DetectionResult:
@@ -79,9 +79,9 @@ class RuleDetector:
 class LlmDetector:
     """Zero-shot detector: dialogue context plus trait definitions, JSON labels out."""
 
-    def __init__(self, client, ontology: Ontology | None = None, prompt_dir=None):
+    def __init__(self, client, ontology: Ontology, *, prompt_dir: str | None):
         self.client = client
-        self.ontology = ontology or default_ontology()
+        self.ontology = ontology
         self._template = load_prompt("detect", prompt_dir)
         self._definitions = "\n".join(
             f"{t.name}: {d.name}. {d.definition}" for t, d in sorted(self.ontology.traits.items())

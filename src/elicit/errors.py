@@ -16,6 +16,7 @@ input never trips.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterator
 
 
 class InputError(ValueError):
@@ -32,3 +33,14 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_text("utf-8")
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not UTF-8 text ({e})") from None
+
+
+def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The (line number, line) pairs of `text`'s non-blank lines, split on "\\n" only.
+
+    JSON allows U+2028, U+2029 and U+0085 raw inside a string, so a
+    JSON-lines reader must not split on them as `str.splitlines` does.
+    """
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if line.strip():
+            yield line_no, line

@@ -174,9 +174,7 @@ def _simulate_patient(
         ep_seed = derive_seed(cfg.seed, f"fidelity-{patient_id}-{k}")
         rng = random.Random(ep_seed)
         for topic in plan_topics(components.ontology.dialogic_scenarios(), ep_seed, cfg.turns):
-            ctx = SessionContext(
-                clinical_background="", history=[], belief=belief, topic=topic, ontology=components.ontology
-            )
+            ctx = SessionContext(history=[], belief=belief, topic=topic)
             strategy, question = random_question(components, ctx, rng)
             anchor, _, reply, result = patient_turn(components, params, profile, (), [], rng, strategy, question)
             if anchor.patient_id == patient_id:
@@ -205,11 +203,10 @@ def _semantic_similarity(
 
 def loo_validate(
     bank: SnippetBank,
-    cfg: FidelityConfig | None = None,
+    cfg: FidelityConfig,
     ontology: Ontology | None = None,
 ) -> FidelityReport:
     """Leave-one-out validation of the patient agent against its source bank."""
-    cfg = cfg or FidelityConfig()
     patients = bank.patient_ids()
     if len(patients) < 2:
         raise InsufficientPatientsError("leave-one-out needs at least 2 patients")

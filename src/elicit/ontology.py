@@ -150,6 +150,7 @@ def marker_regex(phrases: Iterable[str]) -> re.Pattern:
 
 
 _BOUNDARY = re.compile(r"\b")
+_WORD_EDGED = re.compile(r"\w(?:.*\w)?", re.DOTALL)  # the grammar's \b can bracket the phrase
 
 
 def _folded(lexicons: list[tuple[str, ...]]) -> list[list[str]]:
@@ -211,6 +212,9 @@ def _validate(ont: Ontology) -> None:
             raise OntologyError(f"{t.id}: name and definition must be non-empty")
         if not t.marker_lexicon:
             raise OntologyError(f"{t.id}: marker lexicon must be non-empty")
+        for phrase in t.marker_lexicon:
+            if not _WORD_EDGED.fullmatch(phrase):
+                raise OntologyError(f"{t.id}: marker {phrase!r} must begin and end with a word character")
 
     # Markers must be usable by the rule detector without cross-trait ambiguity:
     # no phrase may be shared with, or word-boundary-contained in, another trait's phrase.

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 from .bank import THETA_EPS, PatientProfile, Snippet
 from .dialogue import HistoryTurn, render_history
 from .errors import BackendError, InputError
-from .ontology import ALL_TRAITS, Ontology, TraitId, default_ontology
+from .ontology import ALL_TRAITS, Ontology, TraitId
 from .prompting import complete_parsed, load_prompt
 
 DEFAULT_SUPPRESSION = 4.0  # sigma(-4) ~ 1.8%: rare re-emission of confirmed traits
@@ -62,9 +62,7 @@ def _sigmoid(x: float) -> float:
     return z / (1.0 + z)
 
 
-def emission_probability(
-    theta: float, confirmed: bool, params: EmissionParams, offset: float = 0.0
-) -> float:
+def emission_probability(theta: float, confirmed: bool, params: EmissionParams, offset: float) -> float:
     if not THETA_EPS <= theta <= 1.0 - THETA_EPS:
         raise ValueError(f"theta must be clamped to [{THETA_EPS}, {1 - THETA_EPS}]")
     if not confirmed and offset == 0.0:
@@ -80,16 +78,15 @@ def emit_traits(
     confirmed: Iterable[TraitId],
     params: EmissionParams,
     rng: random.Random,
-    logit_offsets: Mapping[TraitId, float] | None = None,
+    logit_offsets: Mapping[TraitId, float],
 ) -> frozenset[TraitId]:
     """Sample the traits this reply will express, one `rng` draw per trait in trait order.
 
-    Reads only profile.base_rates.
+    Reads only profile.base_rates; a trait missing from `logit_offsets` has offset 0.
     """
     confirmed_set = frozenset(confirmed)
-    offsets = logit_offsets or {}
     probabilities = [
-        emission_probability(profile.base_rates[t], t in confirmed_set, params, offsets.get(t, 0.0))
+        emission_probability(profile.base_rates[t], t in confirmed_set, params, logit_offsets.get(t, 0.0))
         for t in ALL_TRAITS
     ]
     sampled = [t for t, q in zip(ALL_TRAITS, probabilities) if rng.random() < q]
@@ -112,8 +109,8 @@ class TemplateRealiser:
     replies, and lives and dies with the realiser (and so with its `Components`).
     """
 
-    def __init__(self, ontology: Ontology | None = None):
-        self.ontology = ontology or default_ontology()
+    def __init__(self, ontology: Ontology):
+        self.ontology = ontology
         self._any_marker = self.ontology.markers.union
         self._skeletons: dict[str, str] = {}
 
@@ -164,16 +161,9 @@ def _non_empty(reply: str) -> str:
 class LlmRealiser:
     """Generation-backed realiser sharing the template twin's interface; a blank reply is asked for once more."""
 
-    def __init__(
-        self,
-        client,
-        ontology: Ontology | None = None,
-        *,
-        temperature: float,
-        prompt_dir=None,
-    ):
+    def __init__(self, client, ontology: Ontology, *, temperature: float, prompt_dir: str | None):
         self.client = client
-        self.ontology = ontology or default_ontology()
+        self.ontology = ontology
         self.temperature = temperature
         self._template = load_prompt("realise", prompt_dir)
 

@@ -18,7 +18,7 @@ from .errors import read_text
 T = TypeVar("T")
 
 
-def load_prompt(name: str, prompt_dir: str | Path | None = None) -> str:
+def load_prompt(name: str, prompt_dir: str | Path | None) -> str:
     if prompt_dir is not None:
         return read_text(Path(prompt_dir) / f"{name}.txt")
     return resources.files("elicit").joinpath(f"prompts/{name}.txt").read_text("utf-8")

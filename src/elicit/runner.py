@@ -20,7 +20,7 @@ import logging
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
@@ -60,7 +60,6 @@ class EpisodeConfig:
     realiser_kind: str = "template"
     detector_kind: str = "rule"
     encoder_kind: str = "fallback"
-    clinical_background: str = ""
     emission: EmissionParams = field(default_factory=EmissionParams)
     selector_temperature: float = 0.7
     realiser_temperature: float = 0.7
@@ -119,7 +118,7 @@ def build_components(
     if cfg.selector_kind == "llm":
         selector = LlmSelector(client, ont, ask_temperature=cfg.selector_temperature, prompt_dir=cfg.prompt_dir)
     else:
-        selector = HeuristicSelector()
+        selector = HeuristicSelector(ont)
     if cfg.realiser_kind == "llm":
         realiser = LlmRealiser(client, ont, temperature=cfg.realiser_temperature, prompt_dir=cfg.prompt_dir)
     else:
@@ -148,19 +147,13 @@ def _json_types(cls: type) -> dict[str, tuple[type, ...]]:
     return types
 
 
-@functools.cache
-def _required(cls: type) -> frozenset[str]:
-    """The fields of `cls` that have no default."""
-    return frozenset(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
-
-
 def _typed(cls: type, d) -> dict:
-    """Return `d` once it holds every required field of `cls`, no other key, and values of the fields' JSON types."""
+    """Return `d` once it holds every field of `cls`, no other key, and values of the fields' JSON types."""
     if not isinstance(d, dict):
         raise LogFormatError(f"expected a JSON object, got {type(d).__name__}")
     types = _json_types(cls)
     if d.keys() != types.keys():  # a written log holds every key
-        if missing := sorted(_required(cls) - d.keys()):
+        if missing := sorted(types.keys() - d.keys()):
             raise LogFormatError(f"missing key {', '.join(missing)}")
         if unknown := sorted(d.keys() - types.keys()):
             raise LogFormatError(f"unknown key {', '.join(unknown)}")
@@ -272,7 +265,7 @@ def _emission_offsets(
     params: EmissionParams,
     strategy: Strategy | None,
     question: str,
-) -> dict[TraitId, float] | None:
+) -> dict[TraitId, float]:
     offsets: dict[TraitId, float] = {}
     if params.strategy_gain and strategy is not None:
         for t in components.ontology.strategies[strategy].affinity:
@@ -282,7 +275,7 @@ def _emission_offsets(
         for t, trait in components.ontology.traits.items():
             sim = cosine(q_emb, components.retriever.encode(trait.definition))
             offsets[t] = offsets.get(t, 0.0) + params.affinity_weight * sim
-    return offsets or None
+    return offsets
 
 
 def patient_turn(
@@ -409,13 +402,7 @@ def run_episode(
     abort_reason = None
 
     for topic in topics:
-        ctx = SessionContext(
-            clinical_background=cfg.clinical_background,
-            history=history,
-            belief=state,
-            topic=topic,
-            ontology=comps.ontology,
-        )
+        ctx = SessionContext(history=history, belief=state, topic=topic)
         try:
             if mode == "random":
                 thought = None

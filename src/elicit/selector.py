@@ -1,7 +1,8 @@
 """Per-turn questioning cycle: gap analysis, strategy selection, question generation.
 
-Two backends share one interface. The heuristic backend is a pure function of
-the session context and exists so the whole loop runs deterministically
+Two backends share one interface, and each takes its ontology once, at
+construction. The heuristic backend is a pure function of that ontology and
+the session context, and exists so the whole loop runs deterministically
 offline; the generation backend prompts a model with structured templates.
 In both cases the priority-trait list is computed by the engine from the
 belief state, never taken from model output.
@@ -10,7 +11,7 @@ belief state, never taken from model output.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import belief as belief_mod
 from .belief import BeliefState
@@ -23,11 +24,12 @@ from .ontology import (
     Scenario,
     Strategy,
     TraitId,
-    default_ontology,
 )
 from .prompting import complete_json, load_prompt
 
 TRAIT_TOKEN_RE = re.compile(r"\bF(?:10|[1-9])\b")
+PRIORITY_K = 4  # traits a thought puts first
+NO_BACKGROUND = "(none)"  # the think and plan prompts' clinical background
 _THOUGHT_KEYS = dict.fromkeys(("confirmed_analysis", "elicitation_conditions", "strategy_rationale"), str)
 
 
@@ -41,11 +43,11 @@ class QuestionConstraintError(SelectorError):
 
 @dataclass(frozen=True)
 class SessionContext:
-    clinical_background: str
+    """What the doctor knows at the start of one turn."""
+
     history: list[HistoryTurn]
     belief: BeliefState
     topic: Scenario
-    ontology: Ontology = field(default_factory=default_ontology)
 
 
 @dataclass(frozen=True)
@@ -122,16 +124,15 @@ def heuristic_question(topic: Scenario, strategy: Strategy, head: TraitId | None
 class HeuristicSelector:
     """Deterministic twin: affinity-table planning, template questions."""
 
-    def __init__(self):
+    def __init__(self, ontology: Ontology):
+        self.ontology = ontology
         self._entropies: dict[tuple[int, int], float] = {}  # priority_traits' memo
 
     def think(self, ctx: SessionContext) -> Thought:
-        priority = tuple(belief_mod.priority_traits(ctx.belief, k=4, entropies=self._entropies))
+        priority = tuple(belief_mod.priority_traits(ctx.belief, PRIORITY_K, self._entropies))
         confirmed = sorted(ctx.belief.confirmed)
         confirmed_text = ", ".join(t.name for t in confirmed) if confirmed else "none yet"
-        priority_names = ", ".join(
-            f"{t.name} ({ctx.ontology.traits[t].name})" for t in priority
-        )
+        priority_names = ", ".join(f"{t.name} ({self.ontology.traits[t].name})" for t in priority)
         return Thought(
             confirmed_analysis=f"Confirmed so far: {confirmed_text}.",
             priority_traits=priority,
@@ -145,12 +146,12 @@ class HeuristicSelector:
         )
 
     def plan(self, ctx: SessionContext, thought: Thought) -> Strategy:
-        return _plan_from_priority(thought.priority_traits, ctx.ontology)
+        return _plan_from_priority(thought.priority_traits, self.ontology)
 
     def ask(self, ctx: SessionContext, thought: Thought, strategy: Strategy) -> str:
         head = thought.priority_traits[0] if thought.priority_traits else None
         question = heuristic_question(ctx.topic, strategy, head)
-        if question_violates(question, strategy, ctx.ontology):
+        if question_violates(question, strategy, self.ontology):
             # the template words are fixed, so the leak comes from the ontology's topic or strategy names
             raise OntologyError(f"template question leaked vocabulary: {question!r}")
         return question
@@ -159,30 +160,27 @@ class HeuristicSelector:
 class LlmSelector:
     """Generation-backed selector with structured JSON outputs and one retry per step."""
 
-    def __init__(self, client, ontology: Ontology | None = None, *, ask_temperature: float, prompt_dir=None):
+    def __init__(self, client, ontology: Ontology, *, ask_temperature: float, prompt_dir: str | None):
         self.client = client
+        self.ontology = ontology
         self.ask_temperature = ask_temperature
         self._think_tpl = load_prompt("think", prompt_dir)
         self._plan_tpl = load_prompt("plan", prompt_dir)
         self._ask_tpl = load_prompt("ask", prompt_dir)
-        self._strategies = "\n".join(
-            f"- {p.strategy.value}: {p.description}" for p in (ontology or default_ontology()).strategies.values()
-        )
+        self._strategies = "\n".join(f"- {p.strategy.value}: {p.description}" for p in ontology.strategies.values())
         self._entropies: dict[tuple[int, int], float] = {}  # priority_traits' memo
 
     def think(self, ctx: SessionContext) -> Thought:
-        priority = tuple(belief_mod.priority_traits(ctx.belief, k=4, entropies=self._entropies))
+        priority = tuple(belief_mod.priority_traits(ctx.belief, PRIORITY_K, self._entropies))
         confirmed = sorted(ctx.belief.confirmed)
+        traits = self.ontology.traits
         prompt = self._think_tpl.format(
-            background=ctx.clinical_background or "(none)",
+            background=NO_BACKGROUND,
             history=render_history(ctx.history),
             topic=ctx.topic.name,
             strategies=self._strategies,
             confirmed=", ".join(t.name for t in confirmed) or "none yet",
-            priority="\n".join(
-                f"- {t.name}: {ctx.ontology.traits[t].name} -- {ctx.ontology.traits[t].definition}"
-                for t in priority
-            )
+            priority="\n".join(f"- {t.name}: {traits[t].name} -- {traits[t].definition}" for t in priority)
             or "(all traits confirmed)",
         )
         return complete_json(
@@ -201,7 +199,7 @@ class LlmSelector:
 
     def plan(self, ctx: SessionContext, thought: Thought) -> Strategy:
         prompt = self._plan_tpl.format(
-            background=ctx.clinical_background or "(none)",
+            background=NO_BACKGROUND,
             history=render_history(ctx.history),
             thought=thought.strategy_rationale + "\n" + thought.elicitation_conditions,
             strategies=self._strategies,
@@ -216,12 +214,12 @@ class LlmSelector:
             history=render_history(ctx.history),
             topic=ctx.topic.name,
             thought=thought.elicitation_conditions,
-            strategy_description=ctx.ontology.strategies[strategy].description,
+            strategy_description=self.ontology.strategies[strategy].description,
         )
 
         def checked(doc: dict) -> str:
             question = doc["question"].strip()
-            if not question or question_violates(question, strategy, ctx.ontology):
+            if not question or question_violates(question, strategy, self.ontology):
                 raise ValueError(f"question is empty or names a trait id or the strategy: {question!r}")
             return question
 

@@ -15,7 +15,7 @@ from elicit.bank import PatientProfile, SynthSpec, THETA_EPS, synthesize_bank
 from elicit.belief import BeliefState, beta_entropy, priority_traits
 from elicit.detector import RuleDetector
 from elicit.metrics import aggregate
-from elicit.ontology import ALL_TRAITS, TraitId
+from elicit.ontology import ALL_TRAITS, TraitId, default_ontology
 from elicit.patient import EmissionParams, TemplateRealiser, emit_traits
 from elicit.retrieval import AnchorRetriever, EmptyCandidateSetError, FallbackEncoder, cosine
 from elicit.runner import EpisodeConfig, build_components, run_batch, run_episode, run_replay
@@ -46,13 +46,13 @@ def test_criterion_2_emission_statistics():
     params = EmissionParams(M=4.0)
 
     rng = random.Random(1001)
-    hits = sum(TraitId.F5 in emit_traits(profile, (), params, rng) for _ in range(10_000))
+    hits = sum(TraitId.F5 in emit_traits(profile, (), params, rng, {}) for _ in range(10_000))
     rate = hits / 10_000
     assert 0.48 <= rate <= 0.52, rate
 
     rng = random.Random(1002)
     suppressed = sum(
-        TraitId.F5 in emit_traits(profile, {TraitId.F5}, params, rng)
+        TraitId.F5 in emit_traits(profile, {TraitId.F5}, params, rng, {})
         for _ in range(10_000)
     )
     s_rate = suppressed / 10_000
@@ -90,14 +90,14 @@ def test_criterion_3_belief_entropy_suite():
             (t for t in ALL_TRAITS if t not in confirmed),
             key=lambda t: (-beta_entropy(1.0 + positives[t - 1], 1.0 + n - positives[t - 1]), int(t)),
         )[:k]
-        assert priority_traits(state, k) == expected
+        assert priority_traits(state, k, {}) == expected
     _report("3 belief/entropy suite", t0, 30.0)
 
 
 def test_criterion_4_closed_loop_round_trip():
     t0 = time.monotonic()
-    realiser = TemplateRealiser()
-    detector = RuleDetector()
+    realiser = TemplateRealiser(default_ontology())
+    detector = RuleDetector(default_ontology())
     rng = random.Random(41)
     fillers = [
         "Well I went to the lake with my brother and we talked for a while.",

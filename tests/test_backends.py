@@ -129,7 +129,8 @@ def test_auth_error_not_retried():
 
 def test_missing_key_is_auth_error(monkeypatch):
     monkeypatch.delenv("ELICIT_API_KEY", raising=False)
-    backend = HttpBackend(BackendConfig(endpoint="http://nowhere.invalid"))
+    config = BackendConfig(endpoint="http://nowhere.invalid")
+    backend = HttpBackend(config, transport=HttpTransport(config))
     with pytest.raises(AuthError):
         backend.complete("hi", 0.0)
 

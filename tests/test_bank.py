@@ -16,7 +16,7 @@ from elicit.bank import (
     write_bank,
 )
 from elicit.detector import RuleDetector
-from elicit.ontology import TraitId
+from elicit.ontology import TraitId, default_ontology
 
 GOLDEN = Path(__file__).parent / "data" / "golden_bank.jsonl"
 
@@ -38,6 +38,28 @@ def test_ingest_count_preserved(tmp_path):
     p = tmp_path / "bank.jsonl"
     p.write_text("\n".join(json.dumps(l) for l in lines) + "\n")
     assert len(ingest(p)) == 4
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"], ids=["u2028", "u2029", "u0085"])
+def test_ingest_keeps_a_raw_line_separator_inside_a_string(tmp_path, separator):
+    # JSON allows these raw inside a string, so only "\n" ends a line
+    reply = f"It went fine.{separator}Then we left."
+    line = {"patient_id": "A", "session_id": "s", "scenario_id": 3,
+            "doctor_curr": "q", "patient_reply": reply, "traits": []}
+    p = tmp_path / "bank.jsonl"
+    p.write_text(json.dumps(line, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert [s.patient_reply for s in ingest(p).snippets] == [reply]
+
+
+def test_ingest_reads_crlf_line_ends(tmp_path):
+    lines = [
+        {"patient_id": "A", "session_id": "s", "scenario_id": 3,
+         "doctor_curr": f"q{i}", "patient_reply": f"r{i}", "traits": ["F2"]}
+        for i in range(3)
+    ]
+    p = tmp_path / "bank.jsonl"
+    p.write_bytes("".join(json.dumps(l) + "\r\n" for l in lines).encode("utf-8"))
+    assert [s.patient_reply for s in ingest(p).snippets] == ["r0", "r1", "r2"]
 
 
 def test_ingest_unknown_trait_names_line(tmp_path):
@@ -161,7 +183,7 @@ def test_synthesize_differs_across_seeds():
 
 
 def test_synthetic_round_trip_exact(synth_bank):
-    detector = RuleDetector()
+    detector = RuleDetector(default_ontology())
     for s in synth_bank.snippets:
         assert detector.detect(s.doctor_curr, s.patient_reply).positive() == s.traits
 
@@ -192,7 +214,7 @@ def test_write_then_ingest_round_trip(tmp_path, synth_bank):
 )
 def test_synth_round_trip_property(n_patients, snippets, seed):
     bank = synthesize_bank(SynthSpec(n_patients=n_patients, snippets_per_patient=snippets), seed=seed)
-    detector = RuleDetector()
+    detector = RuleDetector(default_ontology())
     assert sum(len(v) for v in bank.by_patient.values()) == len(bank)
     for s in bank.snippets:
         assert detector.detect(s.doctor_curr, s.patient_reply).positive() == s.traits

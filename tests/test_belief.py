@@ -169,23 +169,23 @@ def test_entropy_decreases_along_diagonal():
 
 
 def test_priority_fresh_state():
-    assert priority_traits(BeliefState()) == [TraitId.F1, TraitId.F2, TraitId.F3, TraitId.F4]
+    assert priority_traits(BeliefState(), 4, {}) == [TraitId.F1, TraitId.F2, TraitId.F3, TraitId.F4]
 
 
 def test_priority_excludes_confirmed():
     state = BeliefState(confirmed=frozenset({TraitId.F1}))
-    assert priority_traits(state) == [TraitId.F2, TraitId.F3, TraitId.F4, TraitId.F5]
+    assert priority_traits(state, 4, {}) == [TraitId.F2, TraitId.F3, TraitId.F4, TraitId.F5]
 
 
 def test_priority_fewer_than_k():
     state = BeliefState(confirmed=frozenset(ALL_TRAITS[:8]))
-    assert priority_traits(state, k=4) == [TraitId.F9, TraitId.F10]
+    assert priority_traits(state, 4, {}) == [TraitId.F9, TraitId.F10]
 
 
 @pytest.mark.parametrize("k", [0, -1])
 def test_priority_rejects_k_below_one(k):
     with pytest.raises(ValueError):
-        priority_traits(BeliefState(), k)
+        priority_traits(BeliefState(), k, {})
 
 
 # Integer pairs with a + b <= 22 where scipy's rounding gave H(a, b) != H(b, a).
@@ -205,7 +205,7 @@ def test_priority_mirror_pairs_tie_by_ascending_index(a, b):
         confirmed=frozenset(ALL_TRAITS) - set(mirrored),
     )
     assert counts(state, TraitId.F1) == counts(state, TraitId.F2)[::-1] == (a, b)
-    assert priority_traits(state) == [TraitId.F1, TraitId.F2, TraitId.F3, TraitId.F4]
+    assert priority_traits(state, 4, {}) == [TraitId.F1, TraitId.F2, TraitId.F3, TraitId.F4]
 
 
 def _brute_force_priority(state, k):
@@ -226,7 +226,7 @@ def test_priority_matches_brute_force_fuzzed():
         confirmed = frozenset(t for t in ALL_TRAITS if rng.random() < 0.3)
         state = BeliefState(positives=positives, turns=n, tau=0.6, confirmed=confirmed)
         k = rng.randint(1, 10)
-        got = priority_traits(state, k)
+        got = priority_traits(state, k, {})
         assert got == _brute_force_priority(state, k)
         assert not set(got) & confirmed
 
@@ -321,7 +321,7 @@ def test_counts_fold_like_per_trait_alpha_beta(tau, history):
         assert all(counts(state, t) == reference.ab[t] for t in ALL_TRAITS)
         assert state.confirmed == reference.confirmed
         for k in range(1, 11):
-            assert priority_traits(state, k) == reference.priority(k)
+            assert priority_traits(state, k, {}) == reference.priority(k)
             assert priority_traits(state, k, entropies) == reference.priority(k)
 
 
@@ -341,9 +341,7 @@ def test_priority_scores_each_unconfirmed_trait_once(monkeypatch):
         for turns in (4, 5):  # the second state repeats the positives one turn on: every pair is new
             state = BeliefState(positives=positives, turns=turns, confirmed=frozenset({TraitId.F6}))
             unconfirmed = [counts(state, t) for t in ALL_TRAITS if t != TraitId.F6]
-            calls.clear()
-            want = priority_traits(state, k)
-            assert sorted(calls) == sorted(unconfirmed)  # no memo: once per unconfirmed trait
+            want = _brute_force_priority(state, k)  # through the unpatched beta_entropy
             calls.clear()
             assert priority_traits(state, k, entropies) == want
             assert sorted(calls) == sorted(set(unconfirmed)) and len(calls) == 3

@@ -340,6 +340,21 @@ def test_detect_subcommand(tmp_path, capsys):
     assert doc["labels"]["F1"] is False
 
 
+def test_a_raw_line_separator_inside_a_transcript_response_is_kept(tmp_path):
+    # JSON allows U+2028 raw inside a string, so only "\n" ends a transcript line
+    response = "circle of life\u2028as they say"
+    transcript = tmp_path / "t.jsonl"
+    transcript.write_text(json.dumps({"question": "q", "response": response}, ensure_ascii=False) + "\n", "utf-8")
+    out, logs = tmp_path / "det.jsonl", tmp_path / "logs"
+    assert run_cli("detect", "--in", str(transcript), "--backend", "rule", "--out", str(out)) == 0
+    assert [json.loads(line)["evidence"] for line in out.read_text("utf-8").split("\n") if line] == [
+        {"F6": "as they say", "F10": "circle of life"}
+    ]
+    assert run_cli("replay", "--in", str(transcript), "--ground-truth", "F6", "--out", str(logs)) == 0
+    log = EpisodeLog.from_json((logs / "replay-0000-manual.json").read_text("utf-8"))
+    assert [t.response for t in log.turns] == [response]
+
+
 def test_run_exits_2_when_every_episode_aborts(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("ELICIT_API_KEY", raising=False)
     bank = tmp_path / "bank.jsonl"
@@ -729,6 +744,8 @@ _CORRUPTIONS = {
     "belief_snapshot": _pre_slim_shape,
     "turn": lambda doc: doc["turns"][0].update(turn="1"),
     "aborted": lambda doc: doc.update(aborted="no"),
+    "aborted_missing": lambda doc: doc.pop("aborted"),
+    "anchor_score_missing": lambda doc: doc["turns"][0].pop("anchor_score"),
     "confirmed_not_list": lambda doc: doc["turns"][0].update(confirmed="F1"),
     "confirmed_missing": lambda doc: doc["turns"][0].pop("confirmed"),
     "confirmed_trait_id": lambda doc: doc["turns"][0].update(confirmed=["F11"]),
@@ -830,7 +847,7 @@ def test_a_malformed_reply_exits_2_alike_when_live_and_when_replayed(tmp_path, m
     assert capsys.readouterr().err.startswith(f"backend error: {problem}")
 
 
-_TEMPLATE_HEADS = {name: load_prompt(name).partition("{")[0] for name in ("think", "plan", "ask", "realise", "detect")}
+_TEMPLATE_HEADS = {name: load_prompt(name, None).partition("{")[0] for name in ("think", "plan", "ask", "realise", "detect")}
 
 
 def _fake_llm_service():

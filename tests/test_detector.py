@@ -13,11 +13,11 @@ from elicit.detector import (
     LlmDetector,
     RuleDetector,
 )
-from elicit.ontology import ALL_TRAITS, TraitId, default_ontology, load_ontology
+from elicit.ontology import ALL_TRAITS, OntologyError, TraitId, default_ontology, load_ontology
 
 from conftest import ScriptedBackend
 
-DET = RuleDetector()
+DET = RuleDetector(default_ontology())
 Q = "And how did that go?"
 
 
@@ -91,15 +91,14 @@ def ten_search_detect(ontology, response: str) -> DetectionResult:
 
 
 # A vocabulary in which phrases of one trait start inside phrases of another:
-# F2 inside F1 ("okay then" / "then again"), F3 inside F2, F7 after the hyphen
-# of F6, and F5 at F4's own position (a leading "!" has no word boundary of its
-# own, so the loader's containment check cannot see it).
+# F2 inside F1 ("okay then" / "then again"), F3 inside F2, and F7 after the
+# hyphen of F6.
 OVERLAPPING_MARKERS = {
     "F1": ["okay then", "word for word"],
     "F2": ["then again", "mideast"],
     "F3": ["again and again"],
-    "F4": ["!wow"],
-    "F5": ["!wow there"],
+    "F4": ["big deal"],
+    "F5": ["no worries"],
     "F6": ["x-ray"],
     "F7": ["ray of hope"],
     "F8": ["fine fine fine", "kind of fine"],
@@ -130,16 +129,20 @@ def test_the_overlap_table_names_each_trait_that_can_start_inside_another(overla
     assert {t: set(us) for t, us in table.items() if us} == {
         TraitId.F1: {TraitId.F2},
         TraitId.F2: {TraitId.F3},
-        TraitId.F4: {TraitId.F5},
-        TraitId.F5: {TraitId.F4},
         TraitId.F6: {TraitId.F7},
     }
+
+
+@pytest.mark.parametrize("phrase", ["!wow", "wow!", "!wow there", "", " wow"])
+def test_a_marker_phrase_without_word_characters_at_both_ends_is_rejected(tmp_path, phrase):
+    # the grammar's \b never matches such a phrase where the realiser puts it
+    with pytest.raises(OntologyError, match=f"F4: marker {re.escape(repr(phrase))} must begin and end"):
+        write_ontology(tmp_path / "edged.json", {**OVERLAPPING_MARKERS, "F4": [phrase]})
 
 
 @pytest.mark.parametrize("text,found", [
     ("Well okay then again we left.", {"F1": "okay then", "F2": "then again"}),
     ("okay then again and again", {"F1": "okay then", "F2": "then again", "F3": "again and again"}),
-    ("yes!wow there it is", {"F4": "!wow", "F5": "!wow there"}),
     ("an x-ray of hope", {"F6": "x-ray", "F7": "ray of hope"}),
 ])
 def test_a_phrase_starting_inside_another_traits_match_is_found(overlapping, text, found):
@@ -189,7 +192,7 @@ def _labels_payload(positive):
 
 def test_llm_detector_parses_labels():
     client = ScriptedBackend(script=[_labels_payload({"F2", "F6"})])
-    det = LlmDetector(client)
+    det = LlmDetector(client, default_ontology(), prompt_dir=None)
     result = det.detect(Q, "some reply")
     assert result.positive() == {TraitId.F2, TraitId.F6}
     prompt, temperature = client.requests[0]
@@ -210,13 +213,13 @@ def test_llm_detector_reads_detect_prompt_from_the_configured_prompt_dir(tmp_pat
 
 def test_llm_detector_retries_once():
     client = ScriptedBackend(script=["no json here", _labels_payload({"F1"})])
-    det = LlmDetector(client)
+    det = LlmDetector(client, default_ontology(), prompt_dir=None)
     assert det.detect(Q, "reply").positive() == {TraitId.F1}
 
 
 def test_llm_detector_fails_after_two_bad():
     client = ScriptedBackend(script=["bad", json.dumps({"F1": True})])  # second misses keys
-    det = LlmDetector(client)
+    det = LlmDetector(client, default_ontology(), prompt_dir=None)
     with pytest.raises(DetectorParseError):
         det.detect(Q, "reply")
 
@@ -227,5 +230,5 @@ def test_llm_detector_rejects_labels_that_are_not_bools_after_one_retry(value):
     payload = json.dumps({t.name: value for t in ALL_TRAITS})
     client = ScriptedBackend(script=[payload, payload])
     with pytest.raises(DetectorParseError, match="F1 must be a bool"):
-        LlmDetector(client).detect(Q, "reply")
+        LlmDetector(client, default_ontology(), prompt_dir=None).detect(Q, "reply")
     assert len(client.requests) == 2

@@ -176,7 +176,7 @@ def loo_bank():
 def test_loo_requires_two_patients():
     bank = synthesize_bank(SynthSpec(n_patients=1, snippets_per_patient=5), seed=1)
     with pytest.raises(InsufficientPatientsError):
-        loo_validate(bank)
+        loo_validate(bank, FidelityConfig())
 
 
 def test_loo_two_patient_bank_has_two_folds():

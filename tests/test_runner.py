@@ -327,8 +327,8 @@ def test_emitter_reads_only_base_rates():
             self.base_rates = profile.base_rates
 
     profile = profile_with({"F2": 0.5})
-    emitted = emit_traits(NoGroundTruth(profile), (), EmissionParams(), random.Random(1))
-    assert emitted == emit_traits(profile, (), EmissionParams(), random.Random(1))
+    emitted = emit_traits(NoGroundTruth(profile), (), EmissionParams(), random.Random(1), {})
+    assert emitted == emit_traits(profile, (), EmissionParams(), random.Random(1), {})
 
 
 def test_affinity_weight_turns_the_affinity_hook_on(stack):
@@ -337,7 +337,7 @@ def test_affinity_weight_turns_the_affinity_hook_on(stack):
 
     _, _, comps = stack
     question = "Tell me about the people you talk to and what you say to them."
-    assert _emission_offsets(comps, EmissionParams(), None, question) is None
+    assert _emission_offsets(comps, EmissionParams(), None, question) == {}
     offsets = _emission_offsets(comps, EmissionParams(affinity_weight=0.5), None, question)
     encode = comps.retriever.encode
     definitions = {t: encode(comps.ontology.traits[t].definition) for t in ALL_TRAITS}

@@ -5,7 +5,7 @@ import pytest
 
 from elicit.backends import ScriptExhaustedError
 from elicit.belief import BeliefState
-from elicit.ontology import ALL_TRAITS, STRATEGY_ORDER, Strategy, TraitId
+from elicit.ontology import ALL_TRAITS, STRATEGY_ORDER, Strategy, TraitId, default_ontology
 from elicit.selector import (
     HeuristicSelector,
     LlmSelector,
@@ -19,18 +19,12 @@ from elicit.selector import (
 
 from conftest import ScriptedBackend
 
-SEL = HeuristicSelector()
+SEL = HeuristicSelector(default_ontology())
 
 
 def ctx_for(ontology, belief=None, topic_id=7):
     topic = next(s for s in ontology.dialogic_scenarios() if s.id == topic_id)
-    return SessionContext(
-        clinical_background="adult, verbally fluent",
-        history=[],
-        belief=belief or BeliefState(),
-        topic=topic,
-        ontology=ontology,
-    )
+    return SessionContext(history=[], belief=belief or BeliefState(), topic=topic)
 
 
 def with_confirmed(confirmed):
@@ -128,8 +122,12 @@ def test_question_violates_screen(ontology):
 # --- scripted generation backend --------------------------------------------
 
 
+def llm_selector(client):
+    return LlmSelector(client, default_ontology(), ask_temperature=0.7, prompt_dir=None)
+
+
 def scripted_selector(completions):
-    return LlmSelector(ScriptedBackend(script=completions), ask_temperature=0.7)
+    return llm_selector(ScriptedBackend(script=completions))
 
 
 def test_llm_think_fields_from_payload_priority_from_engine(ontology):
@@ -165,7 +163,7 @@ def test_llm_think_recovers_on_retry(ontology):
 def test_llm_plan_accepts_valid_strategy(ontology):
     sel = scripted_selector([json.dumps({"strategy": "hypothetical"})])
     ctx = ctx_for(ontology)
-    thought = HeuristicSelector().think(ctx)
+    thought = SEL.think(ctx)
     assert sel.plan(ctx, thought) == Strategy.HYPOTHETICAL
 
 
@@ -174,7 +172,7 @@ def test_llm_plan_rejects_foreign_strategy(ontology):
         [json.dumps({"strategy": "socratic"}), json.dumps({"strategy": "socratic"})]
     )
     ctx = ctx_for(ontology)
-    thought = HeuristicSelector().think(ctx)
+    thought = SEL.think(ctx)
     with pytest.raises(SelectorError):
         sel.plan(ctx, thought)
 
@@ -184,7 +182,7 @@ def test_llm_ask_rejects_trait_token_then_recovers(ontology):
         [json.dumps({"question": "Tell me about F3."}), json.dumps({"question": "Tell me more."})]
     )
     ctx = ctx_for(ontology)
-    thought = HeuristicSelector().think(ctx)
+    thought = SEL.think(ctx)
     assert sel.ask(ctx, thought, Strategy.OPEN_ENDED) == "Tell me more."
 
 
@@ -193,7 +191,7 @@ def test_llm_ask_errors_after_two_violations(ontology):
         [json.dumps({"question": "What about F3?"}), json.dumps({"question": "And F10 too?"})]
     )
     ctx = ctx_for(ontology)
-    thought = HeuristicSelector().think(ctx)
+    thought = SEL.think(ctx)
     with pytest.raises(QuestionConstraintError):
         sel.ask(ctx, thought, Strategy.OPEN_ENDED)
 
@@ -206,7 +204,7 @@ _THOUGHT = {"confirmed_analysis": "a", "elicitation_conditions": "b", "strategy_
 def test_llm_think_rejects_a_null_field_after_one_retry(ontology, field):
     client = ScriptedBackend(script=[json.dumps({**_THOUGHT, field: None})] * 2)
     with pytest.raises(SelectorError, match=field):
-        LlmSelector(client, ask_temperature=0.7).think(ctx_for(ontology))
+        llm_selector(client).think(ctx_for(ontology))
     assert len(client.requests) == 2
 
 
@@ -214,7 +212,7 @@ def test_llm_plan_rejects_a_number_for_the_strategy_after_one_retry(ontology):
     client = ScriptedBackend(script=[json.dumps({"strategy": 3})] * 2)
     ctx = ctx_for(ontology)
     with pytest.raises(SelectorError, match="strategy must be a str"):
-        LlmSelector(client, ask_temperature=0.7).plan(ctx, HeuristicSelector().think(ctx))
+        llm_selector(client).plan(ctx, SEL.think(ctx))
     assert len(client.requests) == 2
 
 
@@ -222,14 +220,14 @@ def test_llm_ask_rejects_a_null_question_after_one_retry(ontology):
     client = ScriptedBackend(script=[json.dumps({"question": None})] * 2)
     ctx = ctx_for(ontology)
     with pytest.raises(QuestionConstraintError, match="question must be a str"):
-        LlmSelector(client, ask_temperature=0.7).ask(ctx, HeuristicSelector().think(ctx), Strategy.OPEN_ENDED)
+        llm_selector(client).ask(ctx, SEL.think(ctx), Strategy.OPEN_ENDED)
     assert len(client.requests) == 2
 
 
 def test_scripted_queue_exhaustion(ontology):
     sel = scripted_selector([json.dumps({"strategy": "open_ended"})])
     ctx = ctx_for(ontology)
-    thought = HeuristicSelector().think(ctx)
+    thought = SEL.think(ctx)
     assert sel.plan(ctx, thought) == Strategy.OPEN_ENDED
     with pytest.raises(ScriptExhaustedError):
         sel.plan(ctx, thought)
