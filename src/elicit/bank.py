@@ -125,10 +125,13 @@ def _parse_line(line_no: int, raw: str) -> Snippet:
     scenario_id = obj["scenario_id"]
     if type(scenario_id) is not int or not 1 <= scenario_id <= 15:
         raise BankSchemaError(line_no, f"scenario_id out of range 1..15: {scenario_id!r}")
+    patient_id = _id_text(line_no, obj, "patient_id")
+    if "/" in patient_id or "\0" in patient_id:  # it ends an episode log's file name
+        raise BankSchemaError(line_no, f"patient_id must not hold '/' or U+0000, got {patient_id!r}")
     doctor_curr = require_text(line_no, obj, "doctor_curr")
     patient_reply = require_text(line_no, obj, "patient_reply")
     return Snippet(
-        patient_id=_id_text(line_no, obj, "patient_id"),
+        patient_id=patient_id,
         session_id=_id_text(line_no, obj, "session_id"),
         scenario_id=scenario_id,
         doctor_curr=doctor_curr,

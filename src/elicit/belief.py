@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .ontology import ALL_TRAITS, TraitId
 
 DEFAULT_TAU = 0.6  # one positive from the prior gives mean 2/3 > tau: immediate confirmation
+MAX_TURNS = 1_000  # the one bound on an episode's turns, up to which priority_traits' key is checked exact
 
 
 def _digamma(x: float) -> float:
@@ -37,8 +38,9 @@ def beta_entropy(alpha: float, beta: float) -> float:
     H = ln B(a,b) - (a-1) psi(a) - (b-1) psi(b) + (a+b-2) psi(a+b)
 
     Evaluated on (min, max) of the arguments, so H(a, b) == H(b, a) bit for
-    bit: ``priority_traits`` breaks entropy ties by index, and a mirror pair
-    such as (2, 4) / (4, 2) must tie exactly rather than by rounding.
+    bit: the tests order traits by this entropy, ties by index, as the oracle
+    of ``priority_traits``' integer key, and a mirror pair such as (2, 4) /
+    (4, 2) must tie exactly rather than by rounding.
     """
     a, b = (alpha, beta) if alpha <= beta else (beta, alpha)
     if not 0.0 < a <= b:  # also false when either is NaN
@@ -74,23 +76,17 @@ def update(state: BeliefState, labels: tuple[bool, ...]) -> BeliefState:
     return BeliefState(positives, n, state.tau, state.confirmed | confirmed)
 
 
-def priority_traits(state: BeliefState, k: int, entropies: dict[tuple[int, int], float]) -> list[TraitId]:
+def priority_traits(state: BeliefState, k: int) -> list[TraitId]:
     """The k highest-entropy unconfirmed traits (ties by ascending index).
 
-    `entropies` remembers each trait's entropy by its (positives, turns)
-    pair, of which a T-turn episode has at most (T+1)(T+2)/2, so it needs no
-    bound. A selector owns one for the life of its `Components`.
+    After n turns a trait with p positives is Beta(1 + p, 1 + n - p), whose
+    entropy falls strictly as |2p - n| grows and is the same for p and n - p,
+    so the order is the integer key (|2p - n|, index). For every n up to
+    MAX_TURNS, the bound on an episode's turns, a test checks that this is
+    the order of `beta_entropy` with ties by index.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = state.turns
-
-    def entropy(p: int) -> float:
-        h = entropies.get((p, n))
-        if h is None:
-            h = entropies[(p, n)] = beta_entropy(1.0 + p, 1.0 + n - p)
-        return h
-
-    candidates = [(t, p) for t, p in zip(ALL_TRAITS, state.positives) if t not in state.confirmed]
-    candidates.sort(key=lambda tp: (-entropy(tp[1]), int(tp[0])))
-    return [t for t, _ in candidates[:k]]
+    keyed = sorted((abs(2 * p - n), t) for t, p in zip(ALL_TRAITS, state.positives) if t not in state.confirmed)
+    return [t for _, t in keyed[:k]]

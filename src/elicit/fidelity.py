@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .bank import PatientProfile, SnippetBank, base_rates, trait_frequencies
-from .belief import BeliefState
+from .belief import MAX_TURNS, BeliefState
 from .errors import InputError
 from .metrics import ci95_halfwidth
 from .ontology import ALL_TRAITS, Ontology, Strategy, TraitId
@@ -127,8 +127,8 @@ class FidelityConfig:
     def __post_init__(self):
         if self.episodes_per_patient < 1:
             raise InputError("episodes_per_patient must be >= 1")
-        if self.turns < 1:
-            raise InputError("turns must be >= 1")
+        if not 1 <= self.turns <= MAX_TURNS:
+            raise InputError(f"turns must be in 1..{MAX_TURNS}, got {self.turns}")
 
 
 @dataclass(frozen=True)

@@ -66,8 +66,8 @@ class EpisodeConfig:
     prompt_dir: str | None = None
 
     def __post_init__(self):
-        if self.max_turns < 1:
-            raise InputError("max_turns must be >= 1")
+        if not 1 <= self.max_turns <= belief_mod.MAX_TURNS:
+            raise InputError(f"max_turns must be in 1..{belief_mod.MAX_TURNS}, got {self.max_turns}")
         if not 0.0 <= self.tau < 1.0:  # also false for nan
             raise InputError(f"tau must be in [0, 1), got {self.tau}")
         for name in ("selector_temperature", "realiser_temperature"):
@@ -82,9 +82,9 @@ class EpisodeConfig:
 class Components:
     """Shared collaborators for a batch of episodes, read-only but for their memos.
 
-    The retriever's answers and text vectors, the realiser's skeletons and
-    the selector's entropies are each filled on first use and live and die
-    with this object, so every `build_components` starts them empty.
+    The retriever's answers and text vectors and the realiser's skeletons
+    are each filled on first use and live and die with this object, so
+    every `build_components` starts them empty.
     `--parallel` threads share them with no lock: a memo only gains entries
     or is emptied, and an entry is a pure function of its key, so threads
     that race on one only compute it twice (and a retriever memo may pass
@@ -223,8 +223,8 @@ class EpisodeLog:
             "ground_truth": frozenset(TRAIT_BY_NAME[n] for n in names),
             "turns": tuple(map(TurnRecord.from_dict, d["turns"])),
         })
-        if log.max_turns < 1:
-            raise LogFormatError(f"max_turns must be >= 1, got {log.max_turns}")
+        if not 1 <= log.max_turns <= belief_mod.MAX_TURNS:
+            raise LogFormatError(f"max_turns must be in 1..{belief_mod.MAX_TURNS}, got {log.max_turns}")
         if not log.ground_truth:
             raise LogFormatError("ground_truth must be non-empty")
         numbers = [t.turn for t in log.turns]

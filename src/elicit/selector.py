@@ -126,10 +126,9 @@ class HeuristicSelector:
 
     def __init__(self, ontology: Ontology):
         self.ontology = ontology
-        self._entropies: dict[tuple[int, int], float] = {}  # priority_traits' memo
 
     def think(self, ctx: SessionContext) -> Thought:
-        priority = tuple(belief_mod.priority_traits(ctx.belief, PRIORITY_K, self._entropies))
+        priority = tuple(belief_mod.priority_traits(ctx.belief, PRIORITY_K))
         confirmed = sorted(ctx.belief.confirmed)
         confirmed_text = ", ".join(t.name for t in confirmed) if confirmed else "none yet"
         priority_names = ", ".join(f"{t.name} ({self.ontology.traits[t].name})" for t in priority)
@@ -168,10 +167,9 @@ class LlmSelector:
         self._plan_tpl = load_prompt("plan", prompt_dir)
         self._ask_tpl = load_prompt("ask", prompt_dir)
         self._strategies = "\n".join(f"- {p.strategy.value}: {p.description}" for p in ontology.strategies.values())
-        self._entropies: dict[tuple[int, int], float] = {}  # priority_traits' memo
 
     def think(self, ctx: SessionContext) -> Thought:
-        priority = tuple(belief_mod.priority_traits(ctx.belief, PRIORITY_K, self._entropies))
+        priority = tuple(belief_mod.priority_traits(ctx.belief, PRIORITY_K))
         confirmed = sorted(ctx.belief.confirmed)
         traits = self.ontology.traits
         prompt = self._think_tpl.format(

@@ -90,7 +90,7 @@ def test_criterion_3_belief_entropy_suite():
             (t for t in ALL_TRAITS if t not in confirmed),
             key=lambda t: (-beta_entropy(1.0 + positives[t - 1], 1.0 + n - positives[t - 1]), int(t)),
         )[:k]
-        assert priority_traits(state, k, {}) == expected
+        assert priority_traits(state, k) == expected
     _report("3 belief/entropy suite", t0, 30.0)
 
 

@@ -94,6 +94,7 @@ def test_ingest_missing_field(tmp_path):
 @pytest.mark.parametrize("key,value", [
     ("traits", None), ("traits", 5), ("traits", "F2"), ("traits", [2]),
     ("patient_id", None), ("patient_id", True), ("session_id", ["S1"]),
+    ("patient_id", "P/1"), ("patient_id", "P\x00"),
     ("scenario_id", True), ("scenario_id", "3"),
 ])
 def test_ingest_wrong_typed_field_names_line(tmp_path, key, value):

@@ -9,6 +9,7 @@ from scipy.special import betaln, digamma
 
 from elicit import belief
 from elicit.belief import (
+    MAX_TURNS,
     BeliefState,
     beta_entropy,
     priority_traits,
@@ -169,23 +170,23 @@ def test_entropy_decreases_along_diagonal():
 
 
 def test_priority_fresh_state():
-    assert priority_traits(BeliefState(), 4, {}) == [TraitId.F1, TraitId.F2, TraitId.F3, TraitId.F4]
+    assert priority_traits(BeliefState(), 4) == [TraitId.F1, TraitId.F2, TraitId.F3, TraitId.F4]
 
 
 def test_priority_excludes_confirmed():
     state = BeliefState(confirmed=frozenset({TraitId.F1}))
-    assert priority_traits(state, 4, {}) == [TraitId.F2, TraitId.F3, TraitId.F4, TraitId.F5]
+    assert priority_traits(state, 4) == [TraitId.F2, TraitId.F3, TraitId.F4, TraitId.F5]
 
 
 def test_priority_fewer_than_k():
     state = BeliefState(confirmed=frozenset(ALL_TRAITS[:8]))
-    assert priority_traits(state, 4, {}) == [TraitId.F9, TraitId.F10]
+    assert priority_traits(state, 4) == [TraitId.F9, TraitId.F10]
 
 
 @pytest.mark.parametrize("k", [0, -1])
 def test_priority_rejects_k_below_one(k):
     with pytest.raises(ValueError):
-        priority_traits(BeliefState(), k, {})
+        priority_traits(BeliefState(), k)
 
 
 # Integer pairs with a + b <= 22 where scipy's rounding gave H(a, b) != H(b, a).
@@ -205,7 +206,7 @@ def test_priority_mirror_pairs_tie_by_ascending_index(a, b):
         confirmed=frozenset(ALL_TRAITS) - set(mirrored),
     )
     assert counts(state, TraitId.F1) == counts(state, TraitId.F2)[::-1] == (a, b)
-    assert priority_traits(state, 4, {}) == [TraitId.F1, TraitId.F2, TraitId.F3, TraitId.F4]
+    assert priority_traits(state, 4) == [TraitId.F1, TraitId.F2, TraitId.F3, TraitId.F4]
 
 
 def _brute_force_priority(state, k):
@@ -226,9 +227,23 @@ def test_priority_matches_brute_force_fuzzed():
         confirmed = frozenset(t for t in ALL_TRAITS if rng.random() < 0.3)
         state = BeliefState(positives=positives, turns=n, tau=0.6, confirmed=confirmed)
         k = rng.randint(1, 10)
-        got = priority_traits(state, k, {})
+        got = priority_traits(state, k)
         assert got == _brute_force_priority(state, k)
         assert not set(got) & confirmed
+
+
+def test_priority_key_orders_as_entropy_up_to_the_turn_bound():
+    # the key (|2p - n|, index) sorts any traits as (-beta_entropy, index) does
+    # exactly when, at each n, the entropy ties to the bit for p and n - p and
+    # rises strictly from p = 0 to the centre: checked for every n and p in bounds
+    rng = random.Random(26)
+    for n in range(MAX_TURNS + 1):
+        h = [beta_entropy(1.0 + p, 1.0 + n - p) for p in range(n + 1)]
+        assert all(h[p] == h[n - p] for p in range(n + 1)), n
+        assert all(h[p] < h[p + 1] for p in range(n // 2)), n
+        low = [rng.randint(0, n) for _ in range(5)]
+        state = BeliefState(positives=tuple(low + [n - p for p in reversed(low)]), turns=n)
+        assert priority_traits(state, 10) == _brute_force_priority(state, 10), n
 
 
 def test_update_order_insensitive_over_multiset():
@@ -313,7 +328,7 @@ class _AlphaBetaReference:
     history=st.lists(st.sets(st.sampled_from(list(ALL_TRAITS))), max_size=40),
 )
 def test_counts_fold_like_per_trait_alpha_beta(tau, history):
-    state, reference, entropies = BeliefState(tau=tau), _AlphaBetaReference(tau), {}
+    state, reference = BeliefState(tau=tau), _AlphaBetaReference(tau)
     for turn, positives in enumerate(history, start=1):
         state = update(state, detections(positives))
         reference.update(positives)
@@ -321,13 +336,11 @@ def test_counts_fold_like_per_trait_alpha_beta(tau, history):
         assert all(counts(state, t) == reference.ab[t] for t in ALL_TRAITS)
         assert state.confirmed == reference.confirmed
         for k in range(1, 11):
-            assert priority_traits(state, k, {}) == reference.priority(k)
-            assert priority_traits(state, k, entropies) == reference.priority(k)
+            assert priority_traits(state, k) == reference.priority(k)
 
 
-def test_priority_scores_each_unconfirmed_trait_once(monkeypatch):
-    # perfbench's belief.beta_entropy.calls_per_turn counts calls through the module attribute,
-    # so with a selector's memo it counts misses
+def test_priority_makes_no_beta_entropy_calls(monkeypatch):
+    # perfbench's belief.beta_entropy.calls_per_turn counts calls through the module attribute
     calls = []
 
     def counting(alpha, beta):
@@ -337,14 +350,8 @@ def test_priority_scores_each_unconfirmed_trait_once(monkeypatch):
     monkeypatch.setattr(belief, "beta_entropy", counting)
     positives = (1, 0, 2, 0, 0, 3, 0, 0, 0, 0)
     for k in (1, 4, 10):
-        entropies = {}
-        for turns in (4, 5):  # the second state repeats the positives one turn on: every pair is new
+        for turns in (4, 5):
             state = BeliefState(positives=positives, turns=turns, confirmed=frozenset({TraitId.F6}))
-            unconfirmed = [counts(state, t) for t in ALL_TRAITS if t != TraitId.F6]
             want = _brute_force_priority(state, k)  # through the unpatched beta_entropy
-            calls.clear()
-            assert priority_traits(state, k, entropies) == want
-            assert sorted(calls) == sorted(set(unconfirmed)) and len(calls) == 3
-            calls.clear()
-            assert priority_traits(state, k, entropies) == want
+            assert priority_traits(state, k) == want
             assert calls == []

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import elicit
+from elicit.belief import MAX_TURNS
 from elicit.cli import main
 from elicit.ontology import ALL_TRAITS, STRATEGY_ORDER
 from elicit.prompting import load_prompt
@@ -53,6 +54,18 @@ def test_ingest_a_wrong_typed_field_exits_1_naming_the_line(tmp_path, capsys, ke
     bad.write_text(json.dumps(dict(first, **{key: value})) + "\n")
     assert run_cli("ingest", "--in", str(bad)) == 1
     assert capsys.readouterr().err.startswith(f"error: line 1: {key} ")
+
+
+@pytest.mark.parametrize("patient_id", ["P\x00", "x/../../escaped"])
+def test_run_on_a_patient_id_that_is_no_file_name_exits_1_before_writing(tmp_path, capsys, patient_id):
+    # the id ends each episode log's file name, so it is refused at ingest
+    lines = GOLDEN.read_text("utf-8").splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([lines[0], json.dumps(dict(json.loads(lines[1]), patient_id=patient_id))]) + "\n")
+    out = tmp_path / "logs"
+    assert run_cli("run", "--bank", str(bad), "--episodes", "2", "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: line 2: patient_id must not hold '/' or U+0000")
+    assert not out.exists()
 
 
 def _synth_with_scenario_id(tmp_path, index, scenario_id) -> tuple[int, Path]:
@@ -257,6 +270,23 @@ def test_validate_with_a_zero_count_exits_1_with_an_error(tmp_path, capsys, flag
     out = tmp_path / "f.json"
     assert run_cli("validate", "--bank", str(GOLDEN), flag, "0", "--out", str(out)) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("turns", ["0", str(MAX_TURNS + 1), str(10**20)])
+@pytest.mark.parametrize("command", ["run", "replay", "validate"])
+def test_a_turn_count_outside_one_to_the_bound_exits_1_with_an_error(tmp_path, capsys, command, turns):
+    transcript = tmp_path / "t.jsonl"
+    _write_transcript(transcript, ["It went fine, as they say."])
+    out = tmp_path / "out"
+    argv = {
+        "run": ["run", "--bank", str(GOLDEN), "--episodes", "1"],
+        "replay": ["replay", "--in", str(transcript), "--ground-truth", "F10"],
+        "validate": ["validate", "--bank", str(GOLDEN)],
+    }[command]
+    assert run_cli(*argv, "--turns", turns, "--out", str(out)) == 1
+    name = "turns" if command == "validate" else "max_turns"
+    assert capsys.readouterr().err == f"error: {name} must be in 1..{MAX_TURNS}, got {turns}\n"
     assert not out.exists()
 
 
@@ -753,6 +783,8 @@ _CORRUPTIONS = {
     "confirmed_duplicate": lambda doc: doc["turns"][0].update(confirmed=["F3", "F3"]),
     "max_turns_zero": lambda doc: doc.update(max_turns=0),
     "max_turns_negative": lambda doc: doc.update(max_turns=-5),
+    "max_turns_huge": lambda doc: doc.update(max_turns=2**70),
+    "max_turns_over_bound": lambda doc: doc.update(max_turns=MAX_TURNS + 1),
     "ground_truth_empty": lambda doc: doc.update(ground_truth=[]),
     "turns_renumbered": lambda doc: [t.update(turn=t["turn"] + 29) for t in doc["turns"]],
     "turns_reordered": lambda doc: doc["turns"].reverse(),

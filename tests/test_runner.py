@@ -7,7 +7,9 @@ import re
 import pytest
 
 from elicit.bank import PatientProfile, THETA_EPS, base_rates
+from elicit.belief import MAX_TURNS
 from elicit.errors import InputError
+from elicit.fidelity import FidelityConfig
 from elicit.ontology import ALL_TRAITS, STRATEGY_ORDER, OntologyError, TraitId, default_ontology
 from elicit.patient import EmissionParams
 from elicit.runner import (
@@ -53,6 +55,18 @@ def test_episode_config_rejects_tau_outside_zero_to_one(tau):
 @pytest.mark.parametrize("tau", [0.0, 0.6, 0.99])
 def test_episode_config_accepts_tau_in_zero_to_one(tau):
     assert EpisodeConfig(tau=tau).tau == tau
+
+
+@pytest.mark.parametrize("turns", [0, -1, MAX_TURNS + 1, 2**70])
+def test_configs_reject_a_turn_count_outside_one_to_the_bound(turns):
+    with pytest.raises(InputError, match=rf"^max_turns must be in 1\.\.{MAX_TURNS}, got {turns}$"):
+        EpisodeConfig(max_turns=turns)
+    with pytest.raises(InputError, match=rf"^turns must be in 1\.\.{MAX_TURNS}, got {turns}$"):
+        FidelityConfig(turns=turns)
+
+
+def test_configs_accept_the_turn_bound():
+    assert EpisodeConfig(max_turns=MAX_TURNS).max_turns == FidelityConfig(turns=MAX_TURNS).turns == MAX_TURNS
 
 
 @pytest.fixture(scope="module")
@@ -368,7 +382,7 @@ def test_batch_parallel_equals_serial(synth_bank, tmp_path):
 
 
 def _memos(comps):
-    return (comps.retriever._memo, comps.retriever._vectors, comps.realiser._skeletons, comps.selector._entropies)
+    return (comps.retriever._memo, comps.retriever._vectors, comps.realiser._skeletons)
 
 
 @pytest.mark.parametrize("affinity_weight", [0.0, 0.7])
