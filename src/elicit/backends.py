@@ -27,7 +27,7 @@ import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import BackendError, InputError, numbered_lines, read_text
+from .errors import BackendError, InputError, numbered_lines, parse_json, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -98,7 +98,7 @@ class HttpTransport:
         )
         try:
             with urllib.request.urlopen(req, timeout=self.config.timeout_s) as resp:
-                return json.loads(resp.read().decode("utf-8"))
+                raw = resp.read()
         except urllib.error.HTTPError as e:
             if e.code in (401, 403):
                 raise AuthError(f"auth rejected ({e.code})") from e
@@ -107,6 +107,10 @@ class HttpTransport:
             raise BackendError(f"request rejected: HTTP {e.code}") from e
         except (urllib.error.URLError, TimeoutError, OSError) as e:
             raise TransportError(str(e)) from e
+        try:
+            return parse_json(raw.decode("utf-8"))
+        except ValueError as e:  # also a UnicodeDecodeError
+            raise MalformedResponseError(f"reply is not UTF-8 JSON: {e}") from e
 
 
 def _fingerprint(path: str, body: dict) -> str:
@@ -146,7 +150,7 @@ class ReplayTransport:
         self._responses: dict[str, list] = {}
         for line_no, line in numbered_lines(read_text(log_path)):
             try:
-                entry = json.loads(line)
+                entry = parse_json(line)
             except ValueError as e:
                 raise InputError(f"{log_path}: line {line_no}: invalid JSON ({e})") from None
             if not isinstance(entry, dict) or type(entry.get("fingerprint")) is not str or "response" not in entry:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable
 
-from .errors import InputError, numbered_lines, read_text
+from .errors import InputError, numbered_lines, parse_json, read_text
 from .ontology import ALL_TRAITS, TRAIT_BY_NAME, Ontology, TraitId, default_ontology
 
 THETA_EPS = 1e-3  # clamp keeps logit(theta) finite
@@ -83,7 +83,7 @@ class PatientProfile:
 def read_object(line_no: int, raw: str) -> dict:
     """One JSON-lines line, which must hold a JSON object."""
     try:
-        obj = json.loads(raw)
+        obj = parse_json(raw)
     except json.JSONDecodeError as e:
         raise BankSchemaError(line_no, f"invalid JSON ({e.msg})") from None
     if not isinstance(obj, dict):

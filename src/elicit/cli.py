@@ -59,7 +59,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--turns", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument("--parallel", type=int, default=1, help="bound on episodes in flight when a kind waits on a backend")
     p.add_argument("--selector", choices=KINDS["selector"], default=None)
     p.add_argument("--realiser", choices=KINDS["realiser"], default=None)
     p.add_argument("--detector", choices=KINDS["detector"], default=None)

@@ -15,6 +15,7 @@ input never trips.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Iterator
 
@@ -33,6 +34,18 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_text("utf-8")
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not UTF-8 text ({e})") from None
+
+
+def parse_json(text: str):
+    """`json.loads(text)`, where JSON nested too deep to parse is a `json.JSONDecodeError` like any other bad JSON.
+
+    `json.loads` raises `RecursionError` for it, which no boundary that
+    catches bad JSON would catch.
+    """
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
 
 
 def numbered_lines(text: str) -> Iterator[tuple[int, str]]:

@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-from .errors import InputError, read_text
+from .errors import InputError, parse_json, read_text
 
 
 class OntologyError(InputError):
@@ -273,7 +273,7 @@ def load_ontology(path: str | Path | None = None) -> Ontology:
     else:
         raw = read_text(path)
     try:
-        doc = json.loads(raw)
+        doc = parse_json(raw)
     except json.JSONDecodeError as e:
         raise OntologyError(f"{path}: invalid JSON ({e})") from None
 

@@ -8,12 +8,11 @@ reads every reply; `complete_json` the selector's and detector's JSON.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, TypeVar
 
-from .errors import read_text
+from .errors import parse_json, read_text
 
 T = TypeVar("T")
 
@@ -34,7 +33,7 @@ def extract_json_object(text: str, keys: Mapping[str, type]) -> dict:
     end = text.rfind("}")
     if start < 0 or end <= start:
         raise ValueError("no JSON object in completion")
-    doc = json.loads(text[start : end + 1])
+    doc = parse_json(text[start : end + 1])
     if not isinstance(doc, dict):
         raise ValueError("completion JSON is not an object")
     for key, kind in keys.items():

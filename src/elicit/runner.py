@@ -29,7 +29,7 @@ from .bank import PatientProfile, Snippet, SnippetBank, base_rates
 from .belief import BeliefState
 from .detector import DetectionResult, LlmDetector, RuleDetector
 from .dialogue import HistoryTurn
-from .errors import BackendError, InputError
+from .errors import BackendError, InputError, parse_json
 from .ontology import TRAIT_BY_NAME, Ontology, Scenario, Strategy, STRATEGY_ORDER, TraitId, default_ontology
 from .patient import EmissionParams, LlmRealiser, TemplateRealiser, emit_traits
 from .retrieval import AnchorRetriever, EmptyCandidateSetError, FallbackEncoder, RemoteEncoder, cosine
@@ -85,10 +85,11 @@ class Components:
     The retriever's answers and text vectors and the realiser's skeletons
     are each filled on first use and live and die with this object, so
     every `build_components` starts them empty.
-    `--parallel` threads share them with no lock: a memo only gains entries
-    or is emptied, and an entry is a pure function of its key, so threads
-    that race on one only compute it twice (and a retriever memo may pass
-    its cap by an entry per thread until its next miss).
+    The threads of a `run_batch` whose kinds wait on a backend share them with
+    no lock: a memo only gains entries or is emptied, and an entry is a pure
+    function of its key, so threads that race on one only compute it twice
+    (and a retriever memo may pass its cap by an entry per thread until its
+    next miss).
     """
 
     ontology: Ontology
@@ -96,6 +97,11 @@ class Components:
     realiser: object
     detector: object
     retriever: AnchorRetriever | None
+
+
+def _backend_roles(cfg: EpisodeConfig) -> list[str]:
+    """The roles whose configured kind waits on a backend client, in `KINDS` order."""
+    return [role for role, (_, networked) in KINDS.items() if getattr(cfg, f"{role}_kind") == networked]
 
 
 def build_components(
@@ -110,10 +116,8 @@ def build_components(
     encoder require one.
     """
     ont = ontology or default_ontology()
-    for role, (_, networked) in KINDS.items():
-        kind = getattr(cfg, f"{role}_kind")
-        if client is None and kind == networked:
-            raise ValueError(f"{role} kind {kind!r} needs a backend client")
+    if client is None and (roles := _backend_roles(cfg)):
+        raise ValueError(f"{roles[0]} kind {KINDS[roles[0]][1]!r} needs a backend client")
     encoder = RemoteEncoder(client) if cfg.encoder_kind == "remote" else FallbackEncoder()
     if cfg.selector_kind == "llm":
         selector = LlmSelector(client, ont, ask_temperature=cfg.selector_temperature, prompt_dir=cfg.prompt_dir)
@@ -241,7 +245,7 @@ class EpisodeLog:
 
     @classmethod
     def from_json(cls, text: str) -> "EpisodeLog":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(parse_json(text))
 
 
 def derive_seed(run_seed: int, episode_id: str) -> int:
@@ -483,7 +487,10 @@ def run_batch(
     """Run a batch of episodes round-robin over the bank's patients.
 
     Per-episode seeds are derived from (run seed, episode id), so parallel and
-    serial execution produce identical logs.
+    serial execution produce identical logs. `parallel` bounds the episodes in
+    flight on a thread pool only when a kind waits on a backend; with every
+    kind deterministic the jobs run on the calling thread, since under the GIL
+    threads only add switching to CPU-bound turns.
     """
     if mode not in ("tpa", "random", "replay"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -513,7 +520,7 @@ def run_batch(
             return None
         return run_replay(transcript, gt, ecfg, comps, episode_id, patient_id=pid)
 
-    if parallel > 1:
+    if parallel > 1 and _backend_roles(cfg):
         with ThreadPoolExecutor(max_workers=parallel) as pool:
             results = list(pool.map(one, jobs))
     else:

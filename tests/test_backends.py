@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 import threading
@@ -442,3 +443,25 @@ def test_retry_count_is_exact_across_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(calls) == n_threads * per_thread * (1 + MAX_RETRIES)
     assert backend.retry_count == n_threads * per_thread * MAX_RETRIES
+
+
+@pytest.mark.parametrize("body", [
+    b"<html><body>502 Bad Gateway</body></html>",
+    b'{"choices": [',
+    b'{"choices": "\xff"}',
+    b"[" * 5000 + b"]" * 5000,
+], ids=["html", "truncated", "not-utf8", "nested-too-deeply"])
+def test_a_200_reply_that_is_not_utf8_json_is_a_malformed_response(monkeypatch, body):
+    calls = []
+
+    def fake_urlopen(req, timeout=None):
+        calls.append(req.full_url)
+        return io.BytesIO(body)  # a status-200 reply: a context manager with read()
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    config = BackendConfig(endpoint="http://localhost:1")
+    backend = HttpBackend(config, transport=HttpTransport(config, api_key="k"))
+    with pytest.raises(MalformedResponseError, match="reply is not UTF-8 JSON"):
+        backend.complete("hi", 0.0)
+    assert len(calls) == 1  # a malformed reply is not retried
+    assert backend.retry_count == 0

@@ -743,6 +743,30 @@ def test_a_malformed_replay_log_line_exits_1_naming_the_file_and_line(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("boundary,expected", [
+    ("ingest", "error: line 1: invalid JSON (nested too deeply)"),
+    ("detect --in", "error: line 1: invalid JSON (nested too deeply)"),
+    ("run --ontology", "error: {path}: invalid JSON (nested too deeply"),
+    ("run --replay-log", "error: {path}: line 1: invalid JSON (nested too deeply"),
+    ("evaluate", "error: {path}: JSONDecodeError: nested too deeply"),
+], ids=["ingest", "detect", "ontology", "replay-log", "evaluate"])
+def test_json_nested_too_deeply_exits_1_with_the_boundary_error(tmp_path, capsys, boundary, expected):
+    # json.loads raises RecursionError for it, which is no InputError
+    path = tmp_path / "in" / "deep.json"
+    path.parent.mkdir()
+    path.write_text("[" * 5000 + "]" * 5000 + "\n", encoding="utf-8")
+    run = ["run", "--bank", str(GOLDEN), "--episodes", "1", "--out", str(tmp_path / "out")]
+    argv = {
+        "ingest": ["ingest", "--in", str(path)],
+        "detect --in": ["detect", "--in", str(path)],
+        "run --ontology": [*run, "--ontology", str(path)],
+        "run --replay-log": [*run, "--detector", "llm", "--replay-log", str(path)],
+        "evaluate": ["evaluate", "--logs", str(path.parent)],
+    }[boundary]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith(expected.format(path=path))
+
+
 def test_an_internal_check_that_fails_keeps_its_traceback(tmp_path, monkeypatch):
     # a broken invariant is a bug, not bad input: it must not exit 1 as a usage error
     def broken_update(state, labels):

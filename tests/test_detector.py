@@ -224,6 +224,16 @@ def test_llm_detector_fails_after_two_bad():
         det.detect(Q, "reply")
 
 
+def test_llm_detector_reads_json_nested_too_deeply_as_an_unusable_reply():
+    deep = '{"F1": ' + "[" * 5000 + "]" * 5000 + "}"
+    recovers = ScriptedBackend(script=[deep, _labels_payload({"F1"})])
+    assert LlmDetector(recovers, default_ontology(), prompt_dir=None).detect(Q, "reply").positive() == {TraitId.F1}
+    client = ScriptedBackend(script=[deep, deep])
+    with pytest.raises(DetectorParseError, match="unusable reply after one retry: nested too deeply"):
+        LlmDetector(client, default_ontology(), prompt_dir=None).detect(Q, "reply")
+    assert len(client.requests) == 2
+
+
 @pytest.mark.parametrize("value", ["false", 1, 0, None])
 def test_llm_detector_rejects_labels_that_are_not_bools_after_one_retry(value):
     # a label must be a JSON true or false: "false", 1, 0 and null are not coerced

@@ -2,9 +2,11 @@
 in the package that picks neither, and is not an internal check listed here, must
 fail here rather than exit 1 or abort by accident."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import elicit
 from elicit.errors import BackendError, InputError
@@ -42,3 +44,18 @@ def test_each_error_class_has_exactly_one_root_or_is_listed_as_internal():
     assert wrong == {}
     assert INTERNAL <= found.keys()  # the list names no class that is gone
     assert "elicit.cli.UsageError" in found and "elicit.selector.QuestionConstraintError" in found
+
+
+def test_every_json_input_is_parsed_by_the_one_helper():
+    # json.loads raises RecursionError for JSON nested too deeply, which no boundary catches;
+    # errors.parse_json turns it into the JSONDecodeError every boundary does catch
+    src = Path(elicit.__file__).parent
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("loads", "load")
+        and isinstance(node.value, ast.Name) and node.value.id == "json"
+    ]
+    assert calls == []

@@ -3,16 +3,20 @@ import json
 import math
 import random
 import re
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from elicit.backends import ScriptExhaustedError
 from elicit.bank import PatientProfile, THETA_EPS, base_rates
 from elicit.belief import MAX_TURNS
 from elicit.errors import InputError
 from elicit.fidelity import FidelityConfig
 from elicit.ontology import ALL_TRAITS, STRATEGY_ORDER, OntologyError, TraitId, default_ontology
 from elicit.patient import EmissionParams
+from elicit.retrieval import FallbackEncoder
 from elicit.runner import (
+    KINDS,
     EpisodeConfig,
     LogFormatError,
     build_components,
@@ -385,13 +389,61 @@ def _memos(comps):
     return (comps.retriever._memo, comps.retriever._vectors, comps.realiser._skeletons)
 
 
+class EmbeddingClient:
+    """A backend client that embeds by the fallback encoder and has no completions to give."""
+
+    def embed(self, texts):
+        return [FallbackEncoder().encode(t).tolist() for t in texts]
+
+    def complete(self, prompt, temperature):
+        raise ScriptExhaustedError("no completions scripted")
+
+
 @pytest.mark.parametrize("affinity_weight", [0.0, 0.7])
 def test_cold_threads_fill_the_memos_as_a_serial_run_does(synth_bank, affinity_weight):
-    # parallel threads share one fresh set of memos from their first turn
-    cfg = EpisodeConfig(seed=9, emission=EmissionParams(affinity_weight=affinity_weight))
-    parallel = run_batch(cfg, synth_bank, "tpa", 8, parallel=4, components=build_components(cfg, synth_bank))
-    serial = run_batch(cfg, synth_bank, "tpa", 8, parallel=1, components=build_components(cfg, synth_bank))
+    # the remote encoder waits on a backend, so parallel episodes run on threads that share
+    # one fresh set of memos from their first turn
+    cfg = EpisodeConfig(seed=9, encoder_kind="remote", emission=EmissionParams(affinity_weight=affinity_weight))
+    threaded = build_components(cfg, synth_bank, client=EmbeddingClient())
+    parallel = run_batch(cfg, synth_bank, "tpa", 8, parallel=4, components=threaded)
+    cold = build_components(cfg, synth_bank, client=EmbeddingClient())
+    serial = run_batch(cfg, synth_bank, "tpa", 8, parallel=1, components=cold)
     assert [l.to_json() for l in parallel.logs] == [l.to_json() for l in serial.logs]
+    assert all(_memos(threaded))
+
+
+@pytest.mark.parametrize("mode", ["tpa", "random", "replay"])
+def test_a_deterministic_batch_runs_on_the_calling_thread_whatever_parallel_is(synth_bank, monkeypatch, mode):
+    from elicit import runner
+
+    cfg = EpisodeConfig(seed=9)
+    serial = run_batch(cfg, synth_bank, mode, 4)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a batch of deterministic kinds started a thread pool")
+
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", no_pool)
+    parallel = run_batch(cfg, synth_bank, mode, 4, parallel=4)
+    assert [l.to_json() for l in parallel.logs] == [l.to_json() for l in serial.logs]
+
+
+@pytest.mark.parametrize("role", sorted(KINDS))
+def test_a_batch_with_a_kind_that_waits_on_a_backend_runs_on_a_thread_pool(synth_bank, monkeypatch, role):
+    from elicit import runner
+
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", RecordingPool)
+    cfg = dataclasses.replace(EpisodeConfig(seed=9), **{f"{role}_kind": KINDS[role][1]})
+    comps = build_components(cfg, synth_bank, client=EmbeddingClient())
+    result = run_batch(cfg, synth_bank, "tpa", 4, parallel=3, components=comps)
+    assert pools == [3]
+    assert len(result.logs) == 4  # the llm kinds' episodes abort on their first completion
 
 
 def test_each_build_starts_with_memos_of_its_own(synth_bank):
