@@ -275,13 +275,24 @@ def _write_strategy_csv(report: CorpusReport, path: Path) -> None:
     _write_csv(path, ["phase", "strategy", "proportion"], rows)
 
 
+def _distinct_outputs(outputs: dict[str, str | Path | None]) -> None:
+    """Raise a UsageError when two of the named output paths resolve to the same file; None is no output."""
+    seen: dict[Path, str] = {}
+    for name, path in outputs.items():
+        if path:
+            if (resolved := Path(path).resolve()) in seen:
+                raise UsageError(f"{seen[resolved]} and {name} are the same file {path}")
+            seen[resolved] = name
+
+
 def _cmd_evaluate(args) -> int:
-    logs = read_logs(args.logs)
-    report = aggregate(logs, include_aborted=args.include_aborted)
+    curves = Path(args.csv).parent / "curves.csv" if args.csv else None
+    _distinct_outputs({"--out": args.out, "--csv": args.csv, "the curves.csv beside --csv": curves})
+    report = aggregate(read_logs(args.logs), include_aborted=args.include_aborted)
     _write_json(report.to_dict(), args.out)
     if args.csv:
         _write_episode_csv(report, Path(args.csv))
-        _write_curves_csv(report, Path(args.csv).with_name("curves.csv"))
+        _write_curves_csv(report, curves)
     print(
         f"episodes={report.n_episodes} coverage={report.mean_coverage:.3f} "
         f"f1={report.mean_f1:.3f} aucc={report.mean_aucc:.3f}",
@@ -304,8 +315,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    logs = read_logs(args.logs)
-    report = aggregate(logs, include_aborted=args.include_aborted)
+    report = aggregate(read_logs(args.logs), include_aborted=args.include_aborted)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_episode_csv(report, out_dir / "report.csv")

@@ -31,7 +31,7 @@ from typing import Mapping
 from .bank import PatientProfile, SnippetBank, base_rates, trait_frequencies
 from .belief import MAX_TURNS, BeliefState
 from .errors import InputError
-from .metrics import ci95_halfwidth
+from .metrics import ci95_halfwidth, exact_mean, exact_stdev
 from .ontology import ALL_TRAITS, Ontology, Strategy, TraitId
 from .patient import EmissionParams, emit_traits  # emit_traits is unused here; perfbench traces it by name
 from .retrieval import AnchorRetriever, cosine
@@ -108,10 +108,9 @@ class SummaryStat:
     @classmethod
     def of(cls, values: list[float]) -> "SummaryStat":
         n = len(values)
-        sd = statistics.stdev(values) if n >= 2 else 0.0
         return cls(
-            mean=statistics.mean(values),
-            sd=sd,
+            mean=exact_mean(values),
+            sd=exact_stdev(values) if n >= 2 else 0.0,
             median=statistics.median(values),
             ci95=ci95_halfwidth(values),
             n=n,
@@ -195,7 +194,7 @@ def _semantic_similarity(
     questions = list(dict.fromkeys(q for q, _ in sim_pairs))
     picks = retriever.nearest(retriever.bank.by_patient[patient_id], [retriever.encode(q) for q in questions])
     nearest = dict(zip(questions, picks))
-    return statistics.mean(
+    return exact_mean(
         cosine(retriever.encode(r_sim), retriever.encode(real[nearest[q_sim]].patient_reply))
         for q_sim, r_sim in sim_pairs
     )
@@ -236,7 +235,7 @@ def loo_validate(
         per_trait[t.name] = {"auc": auc, "n_patients": n_pos}
         if auc is not None and n_pos >= MIN_PATIENTS_PER_TRAIT:
             included.append(auc)
-    auc_overall = statistics.mean(included) if included else None
+    auc_overall = exact_mean(included) if included else None
 
     kl_stat = SummaryStat.of(kls)
     ferr_stat = SummaryStat.of(ferrs)

@@ -6,21 +6,29 @@ reading of the raw logs. Episode scores are pooled
 as the unweighted mean over episodes; a patient-level aggregation (mean
 within patient, then across patients) is always emitted alongside to make
 the pooling convention visible.
+
+`exact_mean` and `exact_stdev` sum each float's exact binary value in
+integers and round once, so they equal `statistics.mean` and
+`statistics.stdev` of finite floats to the bit without a `Fraction` per value.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
+from .belief import MAX_TURNS
 from .errors import InputError
 from .ontology import STRATEGY_ORDER
 from .runner import EpisodeLog
 
 PHASES: tuple[tuple[str, int, float], ...] = (("early", 1, 5), ("mid", 6, 12), ("late", 13, math.inf))
+# the phase of each turn number a log may hold, at its index
+_PHASE_OF_TURN: tuple[str | None, ...] = (None,) + tuple(
+    next(name for name, lo, hi in PHASES if lo <= turn <= hi) for turn in range(1, MAX_TURNS + 1)
+)
 
 
 class EmptyGroundTruthError(ValueError):
@@ -79,12 +87,6 @@ def _metrics(log: EpisodeLog, per_turn: list[float]) -> EpisodeMetrics:
     )
 
 
-def _phase_of(turn_no: int) -> str:
-    for name, lo, hi in PHASES:
-        if lo <= turn_no <= hi:
-            return name
-
-
 def _distribution(counts: dict[str, int]) -> dict[str, float]:
     total = sum(counts.values())
     if total == 0:
@@ -113,10 +115,44 @@ class CorpusReport:
         return {**vars(self), "episodes": [vars(e) for e in self.episodes]}
 
 
+def _scaled(values: Iterable[float]) -> tuple[list[int], int]:
+    """Each value as an integer numerator over one power-of-two denominator, exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)  # a ValueError for no values
+    return [n * (den // d) for n, d in ratios], den
+
+
+def exact_mean(values: Iterable[float]) -> float:
+    """The mean of `values`, rounded once from its exact value: `statistics.mean` of finite floats."""
+    nums, den = _scaled(values)
+    return sum(nums) / (len(nums) * den)  # int true division rounds correctly
+
+
+def exact_stdev(values: Iterable[float]) -> float:
+    """The sample standard deviation, rounded once from its exact value: `statistics.stdev` of finite floats."""
+    nums, den = _scaled(values)
+    n = len(nums)
+    if n < 2:
+        raise ValueError("need at least two values")
+    total = sum(nums)
+    # the variance is (n·Σx² - (Σx)²) / (n·(n-1)·den²), in integers
+    num, div = n * sum(x * x for x in nums) - total * total, n * (n - 1) * den * den
+    # scale num/div by 4**-shift so that its integer root keeps at least 2·53+3 bits: rounding
+    # that root to odd, then once to a float, rounds the exact root correctly
+    shift = (num.bit_length() - div.bit_length() - 109) // 2
+    if shift >= 0:
+        div <<= 2 * shift
+    else:
+        num <<= -2 * shift
+    root = math.isqrt(num // div)
+    root |= root * root * div != num
+    return (root << shift) / 1 if shift >= 0 else root / (1 << -shift)
+
+
 def ci95_halfwidth(values: list[float]) -> float:
     if len(values) < 2:
         return 0.0
-    return 1.96 * statistics.stdev(values) / math.sqrt(len(values))
+    return 1.96 * exact_stdev(values) / math.sqrt(len(values))
 
 
 def aggregate(logs: Iterable[EpisodeLog], include_aborted: bool = False) -> CorpusReport:
@@ -140,7 +176,7 @@ def aggregate(logs: Iterable[EpisodeLog], include_aborted: bool = False) -> Corp
             used[turn.strategy] += 1
             if cov > prev:
                 effective[turn.strategy] += 1
-            phase_counts[_phase_of(turn.turn)][turn.strategy] += 1
+            phase_counts[_PHASE_OF_TURN[turn.turn]][turn.strategy] += 1
             prev = cov
     if not episodes:
         raise NoValidLogsError("no non-aborted episode logs to aggregate")
@@ -153,8 +189,8 @@ def aggregate(logs: Iterable[EpisodeLog], include_aborted: bool = False) -> Corp
         per_patient.setdefault(e.patient_id, []).append(e)
     by_patient: dict = {"n_patients": len(per_patient)}
     for attr in ("coverage", "f1", "aucc"):  # the mean over patients of each patient's mean
-        by_patient[f"mean_{attr}"] = statistics.mean(
-            statistics.mean(getattr(x, attr) for x in group) for group in per_patient.values()
+        by_patient[f"mean_{attr}"] = exact_mean(
+            exact_mean(getattr(x, attr) for x in group) for group in per_patient.values()
         )
 
     labels = sorted({s.value for s in STRATEGY_ORDER} | set(used))

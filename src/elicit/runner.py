@@ -21,8 +21,9 @@ import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from operator import contains
 from pathlib import Path
-from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
+from typing import Iterable, Iterator, Sequence, get_args, get_origin, get_type_hints
 
 from . import belief as belief_mod
 from .bank import PatientProfile, Snippet, SnippetBank, base_rates
@@ -152,7 +153,10 @@ def _json_types(cls: type) -> dict[str, tuple[type, ...]]:
 
 
 def _typed(cls: type, d) -> dict:
-    """Return `d` once it holds every field of `cls`, no other key, and values of the fields' JSON types."""
+    """Return `d` once it holds every field of `cls`, no other key, and values of the fields' JSON types.
+
+    Types are exact, as json.loads makes them: true is a bool, never an int.
+    """
     if not isinstance(d, dict):
         raise LogFormatError(f"expected a JSON object, got {type(d).__name__}")
     types = _json_types(cls)
@@ -161,11 +165,25 @@ def _typed(cls: type, d) -> dict:
             raise LogFormatError(f"missing key {', '.join(missing)}")
         if unknown := sorted(d.keys() - types.keys()):
             raise LogFormatError(f"unknown key {', '.join(unknown)}")
-    for key, value in d.items():
-        # exact types, as json.loads makes them: true is a bool, never an int
-        if type(value) not in types[key]:
-            raise LogFormatError(f"{key} must be {' or '.join(t.__name__ for t in types[key])}, got {value!r}")
+    # one scan in C; the loop runs only to word the fault
+    if not all(map(contains, types.values(), map(type, map(d.__getitem__, types)))):
+        for key, value in d.items():
+            if type(value) not in types[key]:
+                raise LogFormatError(f"{key} must be {' or '.join(t.__name__ for t in types[key])}, got {value!r}")
     return d
+
+
+def _built(cls: type, d: dict):
+    """An instance of the frozen dataclass `cls` holding `d`'s values, made without running `__init__`.
+
+    Only for a `d` that `_typed` has proven to hold exactly the fields of
+    `cls`: the generated `__init__` would only store each of them in the
+    instance's `__dict__`, since these classes have no `__post_init__` and no
+    field is left to its default.
+    """
+    obj = object.__new__(cls)
+    vars(obj).update(d)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -183,15 +201,19 @@ class TurnRecord:
     anchor_score: float | None = None
 
     def to_dict(self) -> dict:
-        return dict(vars(self))  # one key per field, as from_dict reads them
+        return dict(vars(self))  # one key per field, as _turn_record reads them
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TurnRecord":
-        record = cls(**_typed(cls, d))
-        names = record.confirmed
-        if not all(type(n) is str and n in TRAIT_BY_NAME for n in names) or len(set(names)) < len(names):
-            raise LogFormatError(f"confirmed must list distinct trait ids F1..F10, got {names!r}")
-        return record
+
+def _turn_record(d) -> tuple[TurnRecord, set[str]]:
+    """The turn record `d` holds and the set of its confirmed trait ids, checked known and distinct."""
+    names = _typed(TurnRecord, d)["confirmed"]
+    try:
+        latched = set(names)  # an entry that is no str fails the subset test below, or cannot hash
+    except TypeError:
+        latched = None
+    if latched is None or len(latched) < len(names) or not latched <= TRAIT_BY_NAME.keys():
+        raise LogFormatError(f"confirmed must list distinct trait ids F1..F10, got {names!r}")
+    return _built(TurnRecord, d), latched
 
 
 @dataclass(frozen=True)
@@ -215,17 +237,19 @@ class EpisodeLog:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False)
+        # a log is a tree of fresh containers, so the encoder's cycle check finds nothing
+        return json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False, check_circular=False)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeLog":
         names = _typed(cls, d)["ground_truth"]
         if not all(type(n) is str and n in TRAIT_BY_NAME for n in names):
             raise LogFormatError(f"ground_truth must list trait ids F1..F10, got {names!r}")
-        log = cls(**{
+        records = list(map(_turn_record, d["turns"]))  # (turn record, its set of confirmed trait ids)
+        log = _built(cls, {
             **d,  # one key per field, as to_dict writes them
             "ground_truth": frozenset(TRAIT_BY_NAME[n] for n in names),
-            "turns": tuple(map(TurnRecord.from_dict, d["turns"])),
+            "turns": tuple(turn for turn, _ in records),
         })
         if not 1 <= log.max_turns <= belief_mod.MAX_TURNS:
             raise LogFormatError(f"max_turns must be in 1..{belief_mod.MAX_TURNS}, got {log.max_turns}")
@@ -236,8 +260,8 @@ class EpisodeLog:
             raise LogFormatError(f"turns must be numbered 1..{len(numbers)} in order, got {numbers}")
         if len(numbers) > log.max_turns:
             raise LogFormatError(f"{len(numbers)} turns exceed max_turns {log.max_turns}")
-        for before, after in zip(log.turns, log.turns[1:]):
-            if not set(before.confirmed) <= set(after.confirmed):
+        for (before, was), (after, now) in zip(records, records[1:]):
+            if not was <= now:
                 raise LogFormatError(f"turn {after.turn} drops a trait confirmed at turn {before.turn}")
         if log.aborted != (log.abort_reason is not None):
             raise LogFormatError(f"aborted is {log.aborted} but abort_reason is {log.abort_reason!r}")
@@ -543,15 +567,20 @@ def write_logs(result: BatchResult, out_dir: str | Path) -> list[Path]:
     return paths
 
 
-def read_logs(log_dir: str | Path) -> list[EpisodeLog]:
+def read_logs(log_dir: str | Path) -> Iterator[EpisodeLog]:
+    """Each episode log in `log_dir` but `manifest.json`, read and checked one at a time in file-name order.
+
+    The directory is checked and listed at the call. A malformed file raises
+    `LogFormatError` naming it when the iteration reaches it, so a caller that
+    writes only after the last log writes nothing for a bad directory.
+    """
     if not Path(log_dir).is_dir():
         raise LogFormatError(f"{log_dir}: not a directory")
-    out = []
-    for p in sorted(Path(log_dir).glob("*.json")):
-        if p.name == "manifest.json":
-            continue
-        try:
-            out.append(EpisodeLog.from_json(p.read_text("utf-8")))
-        except (InputError, json.JSONDecodeError, UnicodeDecodeError) as e:  # a bug keeps its traceback
-            raise LogFormatError(f"{p}: {type(e).__name__}: {e}") from e
-    return out
+    return map(_read_log, sorted(p for p in Path(log_dir).glob("*.json") if p.name != "manifest.json"))
+
+
+def _read_log(path: Path) -> EpisodeLog:
+    try:
+        return EpisodeLog.from_json(path.read_text("utf-8"))
+    except (InputError, json.JSONDecodeError, UnicodeDecodeError) as e:  # a bug keeps its traceback
+        raise LogFormatError(f"{path}: {type(e).__name__}: {e}") from e

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -5,11 +6,14 @@ import os
 import socket
 import subprocess
 import sys
+import tempfile
 import urllib.error
 import urllib.request
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import elicit
 from elicit.belief import MAX_TURNS
@@ -1064,6 +1068,78 @@ def test_evaluate_and_report_outputs_keep_their_bytes(golden_logs, tmp_path, com
                        "--csv", str(out / "report.csv"), *flags) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
     assert digests == REPORT_GOLDEN_SHA256[command]
+
+
+@pytest.mark.parametrize(
+    "out,csv",
+    [(None, "d/curves.csv"), ("d/report.json", "d/curves.csv"), ("d/curves.csv", "d/episodes.csv"),
+     ("d/episodes.csv", "d/episodes.csv"), ("d/../d/curves.csv", "d/episodes.csv")],
+)
+def test_evaluate_refuses_two_outputs_that_are_one_file(golden_logs, tmp_path, capsys, out, csv):
+    # --out, --csv and the curves.csv written beside --csv must be three files
+    (tmp_path / "d").mkdir()
+    flags = ["--csv", str(tmp_path / csv)] + (["--out", str(tmp_path / out)] if out else [])
+    assert run_cli("evaluate", "--logs", str(golden_logs), *flags) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any((tmp_path / "d").iterdir())
+
+
+_JSON_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 2**70), st.floats(), st.text(max_size=4),
+    st.lists(st.sampled_from(["F1", "F2", "F11", 1]), max_size=3), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def _mutated_log(draw, doc: dict) -> bytes:
+    """The bytes of `doc`, a written episode log, after up to three random mutations."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(0, 3))):
+        turns = doc["turns"] if isinstance(doc.get("turns"), list) else []
+        turn = draw(st.sampled_from(turns)) if turns else None
+        target = doc if turn is None or not isinstance(turn, dict) or draw(st.booleans()) else turn
+        kind = draw(st.sampled_from(["drop", "add", "retype", "renumber", "unlatch"]))
+        if kind == "drop" and target:
+            del target[draw(st.sampled_from(sorted(target)))]
+        elif kind == "add":
+            target[draw(st.text(min_size=1, max_size=8))] = draw(_JSON_VALUE)
+        elif kind == "retype" and target:
+            target[draw(st.sampled_from(sorted(target)))] = draw(_JSON_VALUE)
+        elif kind == "renumber" and isinstance(turn, dict):
+            turn["turn"] = draw(st.integers(-1, len(turns) + 2))
+        elif kind == "unlatch" and isinstance(turn, dict) and isinstance(turn.get("confirmed"), list) and turn["confirmed"]:
+            turn["confirmed"].pop(draw(st.integers(0, len(turn["confirmed"]) - 1)))
+    data = json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    damage = draw(st.sampled_from(["none", "truncate", "not_utf8"]))
+    if damage == "truncate":
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    elif damage == "not_utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def golden_tpa_log(golden_logs):
+    return json.loads((golden_logs / "tpa-0000-P001.json").read_text("utf-8"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), include_aborted=st.booleans())
+def test_a_mutated_episode_log_exits_0_or_1_and_writes_nothing_on_1(golden_tpa_log, data, include_aborted):
+    blob = data.draw(_mutated_log(golden_tpa_log))
+    flags = ["--include-aborted"] if include_aborted else []
+    with tempfile.TemporaryDirectory() as tmp:
+        logs, evaluated, reported = Path(tmp) / "logs", Path(tmp) / "evaluated", Path(tmp) / "reported"
+        logs.mkdir()
+        evaluated.mkdir()
+        (logs / "tpa-0000-P001.json").write_bytes(blob)
+        code = run_cli("evaluate", "--logs", str(logs), "--out", str(evaluated / "report.json"),
+                       "--csv", str(evaluated / "report.csv"), *flags)
+        assert code in (0, 1)
+        assert (code == 1) == (not any(evaluated.iterdir()))
+        assert run_cli("report", "--logs", str(logs), "--out-dir", str(reported), *flags) == code
+        assert reported.exists() == (code == 0)
 
 
 def test_cli_import_loads_no_scipy():

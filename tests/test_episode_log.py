@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 from elicit import belief
 from elicit.bank import SynthSpec, ingest, synthesize_bank
+from elicit.metrics import aggregate
 from elicit.ontology import ALL_TRAITS, TRAIT_NAMES
 from elicit.patient import EmissionParams
 from elicit.runner import (
@@ -195,7 +197,7 @@ def batches():
 @pytest.mark.parametrize("mode", ["tpa", "random", "replay"])
 def test_read_then_to_json_reproduces_each_written_file(batches, mode, tmp_path):
     paths = write_logs(batches[mode], tmp_path)
-    again = read_logs(tmp_path)
+    again = list(read_logs(tmp_path))
     assert [log.episode_id + ".json" for log in again] == [p.name for p in paths]
     for path, log in zip(paths, again):
         assert (log.to_json() + "\n").encode("utf-8") == path.read_bytes()
@@ -245,7 +247,7 @@ def test_reply_text_reads_back_unchanged_from_its_written_file(batches, text, tm
     assert written.count("\n") == 1 and written.endswith("\n")
     # ensure_ascii=False: printable non-ASCII text is written as itself, not as \u escapes
     assert all(c in written for c in text if ord(c) > 127)
-    assert read_logs(tmp_path) == [log]
+    assert list(read_logs(tmp_path)) == [log]
 
 
 @pytest.mark.parametrize("score", [0.0, -0.0, 0.1, 1 / 3, 5e-324, 1e308, -1.0], ids=repr)
@@ -255,3 +257,24 @@ def test_a_float_reads_back_with_its_value_and_sign(batches, score):
     again = EpisodeLog.from_json(log.to_json())
     assert all(repr(t.anchor_score) == repr(score) for t in again.turns)
     assert again.to_json() == log.to_json()
+
+
+def _peak_bytes_to_aggregate(log_dir: Path) -> int:
+    tracemalloc.start()
+    try:
+        aggregate(read_logs(log_dir))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluating_a_log_directory_holds_one_log_at_a_time(batches, tmp_path):
+    # a held 12-turn log costs about 32 KB; what aggregate keeps of each is its metrics, about 1 KB
+    log = batches["tpa"].logs[0]
+    peaks = {}
+    for n in (100, 400):
+        logs = tuple(replace(log, episode_id=f"tpa-{i:04d}-{log.patient_id}") for i in range(n))
+        write_logs(BatchResult(logs=logs, skipped=()), tmp_path / str(n))
+        aggregate(read_logs(tmp_path / str(n)))  # untraced, so that lazy set-up is not counted once
+        peaks[n] = _peak_bytes_to_aggregate(tmp_path / str(n))
+    assert peaks[400] - peaks[100] <= 300 * 4096

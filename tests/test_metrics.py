@@ -1,12 +1,18 @@
+import math
 import random
+import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elicit.metrics import (
     EmptyGroundTruthError,
     NoValidLogsError,
     aggregate,
     ci95_halfwidth,
+    exact_mean,
+    exact_stdev,
 )
 from elicit.ontology import ALL_TRAITS, Strategy, TraitId
 from elicit.runner import EpisodeLog, TurnRecord
@@ -335,3 +341,56 @@ def test_ci95_halfwidth_formula():
     expected = 1.96 * statistics.stdev(values) / math.sqrt(len(values))
     assert ci95_halfwidth(values) == pytest.approx(expected, abs=1e-12)
     assert ci95_halfwidth([0.5]) == 0.0
+
+
+# finite floats of every scale, signed zeros, subnormals, the extremes of the
+# range, and coverage-like k/g fractions; a sample may repeat one value
+_FLOAT = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e300, -1e300]),
+    st.integers(1, 10).flatmap(lambda g: st.integers(0, g).map(lambda k: k / g)),
+)
+
+
+def _samples(min_size):
+    return st.one_of(
+        st.lists(_FLOAT, min_size=min_size, max_size=200),
+        st.tuples(_FLOAT, st.integers(min_size, 200)).map(lambda pair: [pair[0]] * pair[1]),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_samples(1))
+def test_exact_mean_equals_statistics_mean_to_the_bit(values):
+    assert exact_mean(values) == statistics.mean(values)
+    assert exact_mean(iter(values)) == statistics.mean(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_samples(2))
+def test_exact_stdev_and_ci95_equal_their_statistics_values_to_the_bit(values):
+    assert exact_stdev(values) == statistics.stdev(values)
+    assert ci95_halfwidth(values) == 1.96 * statistics.stdev(values) / math.sqrt(len(values))
+
+
+@st.composite
+def _logs(draw):
+    logs = []
+    for i in range(draw(st.integers(1, 6))):
+        gt = draw(st.sets(st.sampled_from(ALL_TRAITS), min_size=1, max_size=4))
+        confirmed, seq = set(), []
+        for _ in range(draw(st.integers(0, 20))):
+            confirmed |= draw(st.sets(st.sampled_from(ALL_TRAITS), max_size=1))
+            seq.append(set(confirmed))
+        strategies = draw(st.lists(st.sampled_from([s.value for s in Strategy]), min_size=len(seq), max_size=len(seq)))
+        logs.append(make_log(
+            gt, seq, strategies=strategies, max_turns=max(len(seq), 1) + draw(st.integers(0, 3)),
+            episode_id=f"e{i}", patient_id=f"P{draw(st.integers(0, 2))}",
+        ))
+    return logs
+
+
+@settings(max_examples=30, deadline=None)
+@given(_logs())
+def test_aggregate_folds_an_iterator_as_it_folds_a_list(logs):
+    assert aggregate(iter(logs)) == aggregate(logs)

@@ -571,7 +571,7 @@ def test_read_logs_names_the_malformed_file_and_the_problem(synth_bank, tmp_path
     else:
         bad.write_text(corrupt, encoding="utf-8")
     with pytest.raises(LogFormatError, match=re.escape(str(bad))) as info:
-        read_logs(tmp_path)
+        list(read_logs(tmp_path))
     assert isinstance(info.value, ValueError)
     assert problem in str(info.value)
 
