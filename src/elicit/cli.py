@@ -275,11 +275,19 @@ def _write_strategy_csv(report: CorpusReport, path: Path) -> None:
     _write_csv(path, ["phase", "strategy", "proportion"], rows)
 
 
-def _distinct_outputs(outputs: dict[str, str | Path | None]) -> None:
-    """Raise a UsageError when two of the named output paths resolve to the same file; None is no output."""
+def _check_outputs(outputs: dict[str, str | Path | None]) -> None:
+    """Raise a UsageError unless each output is a file path in an existing directory, and no two are one file.
+
+    None is no output. A command checks its outputs before it reads any input,
+    so an output it cannot write never leaves another behind.
+    """
     seen: dict[Path, str] = {}
     for name, path in outputs.items():
         if path:
+            if not Path(path).parent.is_dir():
+                raise UsageError(f"{name} {path}: no directory {Path(path).parent}")
+            if Path(path).is_dir():
+                raise UsageError(f"{name} {path} is a directory")
             if (resolved := Path(path).resolve()) in seen:
                 raise UsageError(f"{seen[resolved]} and {name} are the same file {path}")
             seen[resolved] = name
@@ -287,7 +295,7 @@ def _distinct_outputs(outputs: dict[str, str | Path | None]) -> None:
 
 def _cmd_evaluate(args) -> int:
     curves = Path(args.csv).parent / "curves.csv" if args.csv else None
-    _distinct_outputs({"--out": args.out, "--csv": args.csv, "the curves.csv beside --csv": curves})
+    _check_outputs({"--out": args.out, "--csv": args.csv, "the curves.csv beside --csv": curves})
     report = aggregate(read_logs(args.logs), include_aborted=args.include_aborted)
     _write_json(report.to_dict(), args.out)
     if args.csv:

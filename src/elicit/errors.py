@@ -37,15 +37,41 @@ def read_text(path: str | Path) -> str:
 
 
 def parse_json(text: str):
-    """`json.loads(text)`, where JSON nested too deep to parse is a `json.JSONDecodeError` like any other bad JSON.
+    """`json.loads(text)`, where bad JSON of two more kinds is a `json.JSONDecodeError` like any other.
 
-    `json.loads` raises `RecursionError` for it, which no boundary that
-    catches bad JSON would catch.
+    - JSON nested too deep to parse: `json.loads` raises `RecursionError`,
+      which no boundary that catches bad JSON would catch.
+    - A string holding a lone surrogate: `json.loads` returns it, and every
+      UTF-8 writer then fails on it. Every reader decodes its text from UTF-8
+      strictly, so only a `\\u` escape can carry one, and text without one
+      skips the check. The search for `\\` runs first: a one-character
+      search is a memchr, and one for `\\u` is many times slower.
     """
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
+    if "\\" in text and "\\u" in text and _holds_lone_surrogate(value):
+        raise json.JSONDecodeError("a string holds a lone surrogate", text, 0)
+    return value
+
+
+def _holds_lone_surrogate(value) -> bool:
+    """Whether a parsed JSON value holds a string, key or not, with a code point in U+D800..U+DFFF."""
+    stack = [value]  # no recursion: the value may nest as deep as `json.loads` allows
+    while stack:
+        v = stack.pop()
+        if isinstance(v, str):
+            try:
+                v.encode("utf-8")
+            except UnicodeEncodeError:
+                return True
+        elif isinstance(v, dict):
+            stack += v
+            stack += v.values()
+        elif isinstance(v, list):
+            stack += v
+    return False
 
 
 def numbered_lines(text: str) -> Iterator[tuple[int, str]]:

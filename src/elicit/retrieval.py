@@ -10,9 +10,11 @@ in `backends` and scales its rows, the one place they are scaled.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 import zlib
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -92,26 +94,33 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return min(1.0, max(-1.0, val))
 
 
-def _tie_key(s: Snippet) -> tuple:
-    # content-based: permuting bank order must never change the winner
-    return (s.patient_id, s.session_id, s.scenario_id, s.doctor_curr, s.patient_reply)
+# content-based: permuting bank order must never change the winner
+_tie_key = attrgetter("patient_id", "session_id", "scenario_id", "doctor_curr", "patient_reply")
+_patient = attrgetter("patient_id")
 
 
 class AnchorRetriever:
     """Indexes one bank's doctor utterances and retrieves anchors.
 
-    Scripted prompts repeat across patients, so the index holds each distinct
-    `doctor_curr` text once: a (distinct texts, dim) matrix of encodings and
-    each bank row's text index. Encoders return unit vectors (or zero rows), so
-    a query's product with a row is their cosine to within a few ulps and the
-    index holds no norms. A query is scored against the texts with one mat-vec
-    and the scores are gathered out to the rows, so excluding a patient drops
-    its rows but not a text other patients share.
-    The shortlisted texts, those within SHORTLIST_MARGIN of the best, are
-    re-scored once each with the scalar `cosine`, so the winner and its score
-    are exactly those of a brute-force scan. Ties still go to the lowest
-    `_tie_key`, then the lowest row. `nearest` scores a batch of query vectors
-    against given rows with the same product, margin and re-scoring.
+    Scripted prompts repeat across patients, so the distinct `doctor_curr`
+    text is the unit of both scoring and selection. The index holds each
+    text once: a (distinct texts, dim) matrix of encodings and each bank row's
+    text index. Encoders return unit vectors (or zero rows), so a query's
+    product with a text is their cosine to within a few ulps and the index
+    holds no norms. Each text also gets its snippets in (`_tie_key`, row)
+    order, built on the text's first shortlisting; the key starts with the
+    patient id, so one patient's snippets of a text are one run of that order.
+
+    A query is scored against the texts with one mat-vec. The texts within
+    SHORTLIST_MARGIN of the best eligible text are re-scored once each with
+    the scalar `cosine`, so the winner and its score are exactly those of a
+    brute-force scan over the rows. Every text is eligible unless a patient
+    is excluded; then only texts with a row of another patient are, and such
+    a text offers its first snippet outside that patient's run. Among the
+    texts with the best exact score, the offer with the lowest `_tie_key`
+    wins; offers of two texts never share a key, as it holds the text.
+    `nearest` scores a batch of query vectors against given rows with the
+    same product, margin and re-scoring.
 
     `retrieve` remembers its answers by query text alone. Let W be the winner
     with nothing excluded and W' the winner with W's patient excluded; both
@@ -122,7 +131,9 @@ class AnchorRetriever:
     reaches the encoder, remembers each vector by text. In both memos errors
     are raised on every call and never remembered; each is filled on first
     use, lives and dies with the retriever (and so with its `Components`),
-    and is emptied whenever it reaches MEMO_CAP texts.
+    and is emptied whenever it reaches MEMO_CAP texts. A text's order is
+    never changed once built, and its slot is filled by one assignment, so
+    threads that race to build it build equal lists.
 
     Retrieval audit: every retrieved snippet's patient id is appended to
     `audit_log`, which validation harnesses may inspect for leakage.
@@ -150,6 +161,7 @@ class AnchorRetriever:
         for i, v in enumerate(encoded, start=1):
             self._check_dim(v)
             self._matrix[i] = v
+        self._orders: list[list[Snippet] | None] = [None] * len(text_index)
         self._memo: dict[str, tuple[tuple[Snippet, float], ...]] = {}
         self._vectors: dict[str, np.ndarray] = {}
         self.audit_log: list[str] = []
@@ -183,27 +195,50 @@ class AnchorRetriever:
         """The scalar `cosine` of `q` to each distinct text of a shortlist."""
         return {t: cosine(q, self._matrix[t]) for t in set(texts)}
 
-    def _best(self, q: np.ndarray, scores: np.ndarray) -> tuple[Snippet, float] | None:
-        """The best row of a row-score vector (excluded rows at -inf), or None if every row is excluded."""
-        top = scores.max()
-        if top == -np.inf:
-            return None
-        snippets = self.bank.snippets
-        rows = np.flatnonzero(scores >= top - self.SHORTLIST_MARGIN)
-        texts = self._row_text[rows].tolist()
-        exact = self._exact(q, texts)
-        shortlist = [(exact[t], _tie_key(snippets[i]), i) for i, t in zip(rows.tolist(), texts)]
-        score, _, best = min(shortlist, key=lambda c: (-c[0], c[1], c[2]))
-        return snippets[best], score
+    def _offer(self, t: int, exclude_patient: str | None) -> Snippet | None:
+        """Text `t`'s first snippet by (`_tie_key`, row) outside the excluded patient's, or None if it has none."""
+        order = self._orders[t]
+        if order is None:
+            # rows in row order and a stable sort, so of equal keys the lowest row comes first
+            rows = np.flatnonzero(self._row_text == t).tolist()
+            order = self._orders[t] = sorted(map(self.bank.snippets.__getitem__, rows), key=_tie_key)
+        if order[0].patient_id != exclude_patient:
+            return order[0]
+        end = bisect.bisect_right(order, exclude_patient, key=_patient)  # past the excluded run at the front
+        return order[end] if end < len(order) else None
+
+    def _best(
+        self, q: np.ndarray, scores: np.ndarray, exclude_patient: str | None = None
+    ) -> tuple[Snippet, float] | None:
+        """The best snippet outside the excluded patient's, from `q`'s text scores, or None if there is none.
+
+        A shortlisted text with no snippet of another patient is set to -inf in
+        `scores` and the shortlist taken again, so the margin is measured from
+        the best eligible text.
+        """
+        while True:
+            top = scores.max()
+            if top == -np.inf:
+                return None
+            shortlist = np.flatnonzero(scores >= top - self.SHORTLIST_MARGIN).tolist()
+            offers = {t: self._offer(t, exclude_patient) for t in shortlist}
+            ineligible = [t for t, offer in offers.items() if offer is None]
+            if not ineligible:
+                break
+            scores[ineligible] = -np.inf
+        exact = self._exact(q, shortlist)
+        score = max(exact.values())
+        best = [(offers[t], t) for t in shortlist if exact[t] == score]
+        offer, t = best[0] if len(best) == 1 else min(best, key=lambda c: _tie_key(c[0]))
+        return offer, exact[t]  # the text's own score: 0.0 and -0.0 tie
 
     def _winners(self, query: str, exclude_patient: str) -> tuple[tuple[Snippet, float], ...]:
         """W, and W' too if W belongs to the excluded patient, from one encoding and one product."""
         q = self.encode(query)
-        scores = self._scores([q])[0][self._row_text]
+        scores = self._scores([q])[0]
         winners = (self._best(q, scores),)
         if winners[0][0].patient_id == exclude_patient:
-            scores[np.asarray(self.bank.by_patient[exclude_patient], dtype=np.intp)] = -np.inf
-            runner_up = self._best(q, scores)
+            runner_up = self._best(q, scores, exclude_patient)
             if runner_up is None:
                 raise EmptyCandidateSetError(
                     f"every snippet belongs to excluded patient {exclude_patient!r}"

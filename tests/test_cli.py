@@ -1084,6 +1084,97 @@ def test_evaluate_refuses_two_outputs_that_are_one_file(golden_logs, tmp_path, c
     assert not any((tmp_path / "d").iterdir())
 
 
+
+@pytest.mark.parametrize("out,csv,named", [
+    ("r.json", "missing/ep.csv", "missing"), ("missing/r.json", "ep.csv", "missing"), ("missing/r.json", None, "missing"),
+    ("r.json", "d", "d is a directory"), ("d", "ep.csv", "d is a directory"),
+])
+def test_evaluate_refuses_an_output_it_cannot_write_before_writing_any(golden_logs, tmp_path, capsys, out, csv, named):
+    # it used to write --out, then fail on --csv and leave the report behind
+    (tmp_path / "d").mkdir()
+    flags = ["--out", str(tmp_path / out)] + (["--csv", str(tmp_path / csv)] if csv else [])
+    assert run_cli("evaluate", "--logs", str(golden_logs), *flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / named) in err
+    assert [p.name for p in tmp_path.iterdir()] == ["d"] and not any((tmp_path / "d").iterdir())
+
+
+def _with_lone_surrogate_escape(path: Path, line: int, key: str) -> None:
+    """Append U+D800 to `key` of one JSON line of `path`, written as the escape json.dumps gives it."""
+    lines = path.read_text("utf-8").splitlines()
+    doc = json.loads(lines[line])
+    doc[key] += "\ud800"
+    lines[line] = json.dumps(doc)
+    assert "\\ud800" in lines[line]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_a_lone_surrogate_escape_in_a_bank_reply_exits_1_naming_the_line(tmp_path, capsys):
+    # it used to pass ingest and fail the log writer with a UnicodeEncodeError traceback
+    bank, logs = tmp_path / "bank.jsonl", tmp_path / "logs"
+    assert run_cli("synth", "--patients", "3", "--snippets", "4", "--seed", "3", "--out", str(bank)) == 0
+    _with_lone_surrogate_escape(bank, 1, "patient_reply")
+    capsys.readouterr()
+    assert run_cli("run", "--bank", str(bank), "--mode", "replay", "--out", str(logs)) == 1
+    assert capsys.readouterr().err == "error: line 2: invalid JSON (a string holds a lone surrogate)\n"
+    assert not logs.exists()
+
+
+@pytest.mark.parametrize("key", ["patient_id", "episode_id"])
+def test_a_lone_surrogate_escape_in_an_episode_log_exits_1_and_writes_nothing(golden_logs, tmp_path, capsys, key):
+    logs, out = tmp_path / "logs", tmp_path / "out"
+    logs.mkdir()
+    out.mkdir()
+    log = logs / "tpa-0000-P001.json"
+    log.write_bytes((golden_logs / log.name).read_bytes())
+    _with_lone_surrogate_escape(log, 0, key)
+    assert run_cli("evaluate", "--logs", str(logs), "--out", str(out / "report.json"),
+                   "--csv", str(out / "report.csv")) == 1
+    assert run_cli("report", "--logs", str(logs), "--out-dir", str(out / "reported")) == 1
+    assert capsys.readouterr().err.count(f"error: {log}: JSONDecodeError: a string holds a lone surrogate") == 2
+    assert not any(out.iterdir())
+
+
+def test_an_escaped_surrogate_pair_still_reads(golden_logs, tmp_path):
+    logs, out = tmp_path / "logs", tmp_path / "out"
+    logs.mkdir()
+    log = logs / "tpa-0000-P001.json"
+    doc = json.loads((golden_logs / log.name).read_text("utf-8"))
+    doc["patient_id"] = "P\U0001F600"
+    log.write_text(json.dumps(doc), encoding="utf-8")
+    assert "\\ud83d\\ude00" in log.read_text("utf-8")
+    assert run_cli("report", "--logs", str(logs), "--out-dir", str(out)) == 0
+    assert ",P\U0001F600," in (out / "report.csv").read_text("utf-8")
+
+
+# sha256 of the `M-*.json` logs, concatenated in name order, that `run --mode M --episodes 6
+# --seed 29 --turns 20` writes on `synth --patients 200 --snippets 10 --seed 29`: 60 doctor texts
+# shared by ~33 rows each, recorded before anchors were picked per distinct text
+SHARED_BANK_SHA256 = "7ad46e7d23b7670e79ce4f8b545a7f1f20f225494f99facdd4f99bb192f2cbff"
+SHARED_BANK_LOGS_SHA256 = {
+    "tpa": "24e47bd8682a8db52c417251d223257dc98d128c8142ce5f9ead78deffe090d6",
+    "random": "9641712c08a891d277beb5e6a07cf4cdc73c57705e23f9e43ec412ee5ebcd32e",
+}
+
+
+@pytest.fixture(scope="module")
+def shared_bank(tmp_path_factory):
+    bank = tmp_path_factory.mktemp("shared") / "bank.jsonl"
+    assert run_cli("synth", "--patients", "200", "--snippets", "10", "--seed", "29", "--out", str(bank)) == 0
+    assert hashlib.sha256(bank.read_bytes()).hexdigest() == SHARED_BANK_SHA256
+    return bank
+
+
+@pytest.mark.parametrize("mode", list(SHARED_BANK_LOGS_SHA256))
+def test_a_bank_of_heavily_shared_texts_keeps_its_log_bytes(shared_bank, tmp_path, mode):
+    out = tmp_path / mode
+    assert run_cli("run", "--bank", str(shared_bank), "--mode", mode, "--episodes", "6", "--seed", "29",
+                   "--turns", "20", "--out", str(out)) == 0
+    logs = sorted(out.glob(f"{mode}-*.json"))
+    assert len(logs) == 6
+    assert hashlib.sha256(b"".join(p.read_bytes() for p in logs)).hexdigest() == SHARED_BANK_LOGS_SHA256[mode]
+
+
 _JSON_VALUE = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 2**70), st.floats(), st.text(max_size=4),
     st.lists(st.sampled_from(["F1", "F2", "F11", 1]), max_size=3), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),

@@ -5,11 +5,14 @@ fail here rather than exit 1 or abort by accident."""
 import ast
 import importlib
 import inspect
+import json
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import elicit
-from elicit.errors import BackendError, InputError
+from elicit.errors import BackendError, InputError, parse_json
 
 ROOTS = (InputError, BackendError)
 
@@ -59,3 +62,19 @@ def test_every_json_input_is_parsed_by_the_one_helper():
         and isinstance(node.value, ast.Name) and node.value.id == "json"
     ]
     assert calls == []
+
+
+@pytest.mark.parametrize("text", [r'"\ud800"', r'"a\udfffb"', r'{"\udc00": 1}', r'[[{"k": ["x", "\ude00\ud83d"]}]]'])
+def test_a_lone_surrogate_escape_is_bad_json(text):
+    # json.loads returns it, and no UTF-8 writer can write it
+    with pytest.raises(json.JSONDecodeError, match="a string holds a lone surrogate"):
+        parse_json(text)
+
+
+@pytest.mark.parametrize("text,value", [
+    (r'"\ud83d\ude00"', "\U0001F600"),  # a pair is one code point
+    (r'"\\ud800"', "\\ud800"),  # an escaped backslash, then text
+    ('"\u00e9 \\u00e9"', "\u00e9 \u00e9"),
+])
+def test_escapes_that_make_no_lone_surrogate_still_parse(text, value):
+    assert parse_json(text) == value

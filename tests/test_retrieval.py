@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from elicit import retrieval
 from elicit.bank import Snippet, SnippetBank
+from elicit.ontology import ALL_TRAITS
 from elicit.retrieval import (
     AnchorRetriever,
     DimensionMismatchError,
@@ -339,6 +341,63 @@ def test_memoised_retrieve_raises_on_every_call_that_excludes_the_only_patient()
     # the winner and the query's vector are remembered, the error never: each excluding call raises
     assert enc.texts[2:] == ["how was school today"]
     assert retriever.audit_log == ["A"] * 3
+
+
+SHARED_TEXTS = ["how was school today", "tell me about your weekend", "the lake picture", "school friends story"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(1, 300), n_texts=st.integers(1, 4))
+def test_texts_shared_by_many_rows_pick_the_oracles_row(rng, n, n_texts):
+    # a few texts over up to 300 rows of many patients, sessions and scenarios, with rows that repeat
+    # another's tie key (same fields, other traits) and a patient that owns every row of the first text
+    texts = rng.sample(SHARED_TEXTS, n_texts)
+    patients = [f"P{k:02d}" for k in range(rng.randint(1, 40))]
+    owner = rng.choice(patients)
+    rows: list[Snippet] = []
+    for _ in range(n):
+        if rows and rng.random() < 0.2:
+            twin = rng.choice(rows)
+            rows.append(dataclasses.replace(twin, traits=frozenset(rng.sample(ALL_TRAITS, rng.randint(0, 3)))))
+            continue
+        text = rng.choice(texts)
+        rows.append(Snippet(
+            patient_id=owner if text == texts[0] else rng.choice(patients), session_id=f"s{rng.randint(1, 3)}",
+            scenario_id=rng.randint(1, 4), doctor_curr=text, patient_reply=f"reply {rng.randint(0, 5)}",
+            traits=frozenset(),
+        ))
+    bank = SnippetBank(snippets=tuple(rows))
+    embeddings = [ENC.encode(s.doctor_curr) for s in bank.snippets]
+    retriever = AnchorRetriever(bank, ENC)
+    queries = texts + ["school", "weekend lake", "friends", "cartoon"]
+    for _ in range(25):
+        query = rng.choice(queries)
+        exclude = rng.choice([owner, owner, rng.choice(patients), "P99"])  # P99 excludes nothing
+        fresh = AnchorRetriever(bank, ENC)
+        if all(s.patient_id == exclude for s in bank.snippets):
+            for r in (retriever, fresh):
+                with pytest.raises(EmptyCandidateSetError):
+                    r.retrieve(query, exclude)
+            continue
+        want = _brute_force(bank, query, exclude, embeddings)
+        assert retriever.retrieve(query, exclude) == want
+        assert fresh.retrieve(query, exclude) == want
+
+
+def test_a_memo_miss_on_a_text_of_1000_rows_takes_no_tie_key_per_row():
+    # the text's (tie key, row) order is built on its first shortlisting; after that a miss takes the
+    # order's first row, or for W' the first row past the excluded patient's run, with no key per row
+    bank = SnippetBank(snippets=tuple(
+        _snip(f"P{i % 100:03d}", f"s{i % 7}", "how was school today", i) for i in range(1000)
+    ))
+    retriever = AnchorRetriever(bank, ENC)
+    calls = []
+    for query in ("how was school", "school today"):  # two questions, so two memo misses
+        with mock.patch.object(retrieval, "_tie_key", side_effect=retrieval._tie_key) as tie_key:
+            got = retriever.retrieve(query, "P000")  # P000 holds W, so W' is taken too
+        calls.append(tie_key.call_count)
+        assert got == _brute_force(bank, query, "P000")
+    assert calls == [1000, 0]
 
 
 class _TableClient:
