@@ -12,6 +12,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -117,26 +118,44 @@ def _trait_set(line_no: int, names) -> frozenset[TraitId]:
     raise BankSchemaError(line_no, f"traits must be a list of trait ids F1..F10, got {names!r}")
 
 
+_fields = itemgetter(*REQUIRED_FIELDS)
+
+
 def _parse_line(line_no: int, raw: str) -> Snippet:
+    """One bank line's snippet, its fields read in one pass.
+
+    The first fault is the one named, in this order: a missing field (the
+    first in `REQUIRED_FIELDS` order), `scenario_id`, `patient_id`'s type,
+    a '/' or U+0000 in it, `doctor_curr`, `patient_reply`, `session_id`,
+    `traits`. Values are checked inline with exact types (a parsed JSON
+    value is never a subclass); `_id_text` and `require_text` are called
+    only to turn an integer id into text or to word a fault.
+    """
     obj = read_object(line_no, raw)
-    for f in REQUIRED_FIELDS:
-        if f not in obj:
-            raise BankSchemaError(line_no, f"missing field {f!r}")
-    scenario_id = obj["scenario_id"]
+    try:
+        patient_id, session_id, scenario_id, doctor_curr, patient_reply, traits = _fields(obj)
+    except KeyError:
+        missing = next(f for f in REQUIRED_FIELDS if f not in obj)
+        raise BankSchemaError(line_no, f"missing field {missing!r}") from None
     if type(scenario_id) is not int or not 1 <= scenario_id <= 15:
         raise BankSchemaError(line_no, f"scenario_id out of range 1..15: {scenario_id!r}")
-    patient_id = _id_text(line_no, obj, "patient_id")
+    if type(patient_id) is not str:
+        patient_id = _id_text(line_no, obj, "patient_id")
     if "/" in patient_id or "\0" in patient_id:  # it ends an episode log's file name
         raise BankSchemaError(line_no, f"patient_id must not hold '/' or U+0000, got {patient_id!r}")
-    doctor_curr = require_text(line_no, obj, "doctor_curr")
-    patient_reply = require_text(line_no, obj, "patient_reply")
+    if type(doctor_curr) is not str or not doctor_curr.strip():
+        require_text(line_no, obj, "doctor_curr")  # raises
+    if type(patient_reply) is not str or not patient_reply.strip():
+        require_text(line_no, obj, "patient_reply")  # raises
+    if type(session_id) is not str:
+        session_id = _id_text(line_no, obj, "session_id")
     return Snippet(
         patient_id=patient_id,
-        session_id=_id_text(line_no, obj, "session_id"),
+        session_id=session_id,
         scenario_id=scenario_id,
         doctor_curr=doctor_curr,
         patient_reply=patient_reply,
-        traits=_trait_set(line_no, obj["traits"]),
+        traits=_trait_set(line_no, traits),
     )
 
 

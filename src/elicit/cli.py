@@ -310,6 +310,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    _check_outputs({"--out": args.out})
     ont = _load_ontology(args.ontology)
     bank = ingest(args.bank)
     cfg = FidelityConfig(
@@ -334,6 +335,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    _check_outputs({"--out": args.out})
     settings = _settings(args, detector_kind=args.backend)
     detector = _components(settings, None, _load_ontology(settings.ontology_path)).detector
     transcript = _read_transcript(args.path)  # every line is checked before any output is written

@@ -36,11 +36,23 @@ def read_text(path: str | Path) -> str:
         raise InputError(f"{path}: not UTF-8 text ({e})") from None
 
 
+_DECODER = json.JSONDecoder()  # `json.loads`'s own settings
+_WHITESPACE = json.decoder.WHITESPACE.match
+
+
 def parse_json(text: str):
-    """`json.loads(text)`, where bad JSON of two more kinds is a `json.JSONDecodeError` like any other.
+    """`json.loads(text)`, where bad JSON of three more kinds is a `json.JSONDecodeError` like any other.
+
+    The value comes from one `raw_decode` call, accepted when only JSON
+    whitespace follows it; that is `json.loads` without its wrappers. Any
+    other text (bad JSON, extra data, leading whitespace, a BOM) is parsed
+    again by `json.loads`, so each error keeps its wording and position.
 
     - JSON nested too deep to parse: `json.loads` raises `RecursionError`,
       which no boundary that catches bad JSON would catch.
+    - A number with more digits than `int` converts (4,300 by default):
+      `json.loads` raises a bare `ValueError`, which no such boundary
+      catches either.
     - A string holding a lone surrogate: `json.loads` returns it, and every
       UTF-8 writer then fails on it. Every reader decodes its text from UTF-8
       strictly, so only a `\\u` escape can carry one, and text without one
@@ -48,12 +60,26 @@ def parse_json(text: str):
       search is a memchr, and one for `\\u` is many times slower.
     """
     try:
-        value = json.loads(text)
-    except RecursionError:
-        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+        value, end = _DECODER.raw_decode(text)
+        if end != len(text) and _WHITESPACE(text, end).end() != len(text):
+            raise ValueError("extra data")  # json.loads words it
+    except (ValueError, RecursionError):
+        value = _loads(text)
     if "\\" in text and "\\u" in text and _holds_lone_surrogate(value):
         raise json.JSONDecodeError("a string holds a lone surrogate", text, 0)
     return value
+
+
+def _loads(text: str):
+    """`json.loads(text)`, its `RecursionError` and digit-limit `ValueError` raised as `json.JSONDecodeError`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+    except ValueError:  # the scanner's only other ValueError is int's digit limit
+        raise json.JSONDecodeError("a number has too many digits to convert", text, 0) from None
 
 
 def _holds_lone_surrogate(value) -> bool:

@@ -126,14 +126,15 @@ class AnchorRetriever:
     with nothing excluded and W' the winner with W's patient excluded; both
     are minima of one order (best exact score, lowest `_tie_key`, lowest row),
     so excluding patient P gives W unless P is W's patient, and W' then. The
-    memo holds W, and W' once a call has needed it, taken from the same
-    product as W. `encode`, the one way a text other than an index row
-    reaches the encoder, remembers each vector by text. In both memos errors
-    are raised on every call and never remembered; each is filled on first
-    use, lives and dies with the retriever (and so with its `Components`),
-    and is emptied whenever it reaches MEMO_CAP texts. A text's order is
-    never changed once built, and its slot is filled by one assignment, so
-    threads that race to build it build equal lists.
+    memo holds W, and W' once a call has needed it: from W's own product when
+    the first call needs both, else from one product and one pick of its own.
+    `encode`, the one way a text other than an index row reaches the encoder,
+    remembers each vector by text. In both memos errors are raised on every
+    call and never remembered; each is filled on first use, lives and dies
+    with the retriever (and so with its `Components`), and is emptied
+    whenever it reaches MEMO_CAP texts. A text's order is never changed once
+    built, and its slot is filled by one assignment, so threads that race to
+    build it build equal lists.
 
     Retrieval audit: every retrieved snippet's patient id is appended to
     `audit_log`, which validation harnesses may inspect for leakage.
@@ -232,11 +233,16 @@ class AnchorRetriever:
         offer, t = best[0] if len(best) == 1 else min(best, key=lambda c: _tie_key(c[0]))
         return offer, exact[t]  # the text's own score: 0.0 and -0.0 tie
 
-    def _winners(self, query: str, exclude_patient: str) -> tuple[tuple[Snippet, float], ...]:
-        """W, and W' too if W belongs to the excluded patient, from one encoding and one product."""
+    def _winners(
+        self, query: str, exclude_patient: str, known: tuple[tuple[Snippet, float], ...] = ()
+    ) -> tuple[tuple[Snippet, float], ...]:
+        """W, and W' too if W belongs to the excluded patient, from one encoding and one product.
+
+        `known` is the memo's entry so far: given W, only W' is picked.
+        """
         q = self.encode(query)
         scores = self._scores([q])[0]
-        winners = (self._best(q, scores),)
+        winners = known or (self._best(q, scores),)
         if winners[0][0].patient_id == exclude_patient:
             runner_up = self._best(q, scores, exclude_patient)
             if runner_up is None:
@@ -247,9 +253,9 @@ class AnchorRetriever:
         return winners
 
     def retrieve(self, query: str, exclude_patient: str) -> tuple[Snippet, float]:
-        winners = self._memo.get(query)
-        if winners is None or (winners[0][0].patient_id == exclude_patient and len(winners) == 1):
-            winners = self._winners(query, exclude_patient)
+        winners = self._memo.get(query, ())
+        if not winners or (winners[0][0].patient_id == exclude_patient and len(winners) == 1):
+            winners = self._winners(query, exclude_patient, winners)
             if len(self._memo) >= MEMO_CAP:
                 self._memo.clear()  # cannot raise while other threads read or write the dict
             self._memo[query] = winners

@@ -106,6 +106,33 @@ def test_ingest_wrong_typed_field_names_line(tmp_path, key, value):
     assert exc.value.line_no == 2
 
 
+_MISSING = object()
+
+
+@pytest.mark.parametrize("faults,message", [
+    ({"scenario_id": 0, "patient_id": None}, "scenario_id out of range 1..15: 0"),
+    ({"doctor_curr": " ", "session_id": True}, "doctor_curr must be non-empty text"),
+    ({"traits": _MISSING, "session_id": _MISSING}, "missing field 'session_id'"),
+    ({"patient_reply": _MISSING, "scenario_id": "3"}, "missing field 'patient_reply'"),
+    ({"patient_id": 1.5, "doctor_curr": None}, "patient_id must be a string or an integer, got 1.5"),
+    ({"patient_id": "P/1", "doctor_curr": ""}, "patient_id must not hold '/' or U+0000, got 'P/1'"),
+    ({"doctor_curr": 5, "patient_reply": ""}, "doctor_curr must be non-empty text"),
+    ({"patient_reply": ["r"], "session_id": False}, "patient_reply must be non-empty text"),
+    ({"session_id": [], "traits": "F1"}, "session_id must be a string or an integer, got []"),
+], ids=["scenario-patient", "doctor-session", "missing-two", "missing-and-scenario", "patient-type-doctor",
+        "patient-slash-doctor", "doctor-reply", "reply-session", "session-traits"])
+def test_a_line_with_two_faults_names_the_first_in_check_order(tmp_path, faults, message):
+    # order: a missing field, scenario_id, patient_id's type, '/' or NUL, doctor_curr, patient_reply,
+    # session_id, traits
+    first = json.loads(GOLDEN.read_text("utf-8").splitlines()[0])
+    line = {k: v for k, v in dict(first, **faults).items() if v is not _MISSING}
+    p = tmp_path / "bank.jsonl"
+    p.write_text(json.dumps(line) + "\n")
+    with pytest.raises(BankSchemaError) as exc:
+        ingest(p)
+    assert str(exc.value) == f"line 1: {message}"
+
+
 def test_ingest_reads_an_integer_id_as_text(tmp_path):
     first = json.loads(GOLDEN.read_text("utf-8").splitlines()[0])
     p = tmp_path / "bank.jsonl"

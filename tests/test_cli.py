@@ -1135,6 +1135,50 @@ def test_a_lone_surrogate_escape_in_an_episode_log_exits_1_and_writes_nothing(go
     assert not any(out.iterdir())
 
 
+_LONG_NUMBER = "1" * 5000  # over int's default 4,300-digit limit, so json.loads raises a bare ValueError
+
+
+def test_a_number_too_long_to_convert_in_a_bank_line_exits_1_naming_the_line(tmp_path, capsys):
+    # it used to end in a ValueError traceback
+    bank = tmp_path / "bank.jsonl"
+    first = GOLDEN.read_text("utf-8").splitlines()[0]
+    bank.write_text(first[:-1] + f', "x": {_LONG_NUMBER}}}\n', encoding="utf-8")
+    assert run_cli("ingest", "--in", str(bank)) == 1
+    assert capsys.readouterr().err == "error: line 1: invalid JSON (a number has too many digits to convert)\n"
+
+
+def test_a_number_too_long_to_convert_in_an_episode_log_exits_1_and_writes_nothing(golden_logs, tmp_path, capsys):
+    logs, out = tmp_path / "logs", tmp_path / "out"
+    logs.mkdir()
+    out.mkdir()
+    log = logs / "tpa-0000-P001.json"
+    text = (golden_logs / log.name).read_text("utf-8").rstrip()
+    log.write_text(text[:-1] + f', "x": {_LONG_NUMBER}}}\n', encoding="utf-8")
+    assert run_cli("evaluate", "--logs", str(logs), "--out", str(out / "report.json"),
+                   "--csv", str(out / "report.csv")) == 1
+    assert capsys.readouterr().err.startswith(f"error: {log}: JSONDecodeError: a number has too many digits to convert")
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["validate", "detect"])
+def test_validate_and_detect_refuse_an_out_they_cannot_write_before_reading_input(tmp_path, capsys, monkeypatch,
+                                                                                   command):
+    # validate used to run the whole leave-one-out pass, then fail on --out with an OSError naming no flag
+    def never(*args):
+        raise AssertionError("input read before --out was checked")
+
+    monkeypatch.setattr("elicit.cli.loo_validate", never)
+    monkeypatch.setattr("elicit.cli.ingest", never)
+    monkeypatch.setattr("elicit.cli._read_transcript", never)
+    transcript = tmp_path / "t.jsonl"
+    transcript.write_text(json.dumps({"question": "q", "response": "r"}) + "\n")
+    source = ["--bank", str(GOLDEN)] if command == "validate" else ["--in", str(transcript)]
+    out = tmp_path / "missing" / "v.json"
+    assert run_cli(command, *source, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: --out {out}: no directory {out.parent}\n"
+    assert not (tmp_path / "missing").exists()
+
+
 def test_an_escaped_surrogate_pair_still_reads(golden_logs, tmp_path):
     logs, out = tmp_path / "logs", tmp_path / "out"
     logs.mkdir()

@@ -400,6 +400,23 @@ def test_a_memo_miss_on_a_text_of_1000_rows_takes_no_tie_key_per_row():
     assert calls == [1000, 0]
 
 
+def test_a_memo_entry_holding_w_picks_only_w_prime_when_w_is_excluded():
+    # the entry already holds W, so a call that excludes W's patient runs one product and one pick, for W'
+    bank = SnippetBank(snippets=(
+        _snip("P1", "s1", "how was school today"), _snip("P2", "s1", "how was school today", 1),
+        _snip("P3", "s1", "the lake picture", 2),
+    ))
+    retriever = AnchorRetriever(bank, ENC)
+    assert retriever.retrieve("school today", "P3")[0].patient_id == "P1"
+    with mock.patch.object(AnchorRetriever, "_best", autospec=True, side_effect=AnchorRetriever._best) as best, \
+            mock.patch.object(AnchorRetriever, "_scores", autospec=True, side_effect=AnchorRetriever._scores) as scores:
+        got = retriever.retrieve("school today", "P1")
+    assert (best.call_count, scores.call_count) == (1, 1)
+    assert got == _brute_force(bank, "school today", "P1") == AnchorRetriever(bank, ENC).retrieve("school today", "P1")
+    assert got[0].patient_id == "P2"
+    assert len(retriever._memo["school today"]) == 2
+
+
 class _TableClient:
     """Embeddings client serving fixed vectors by text, zero vectors included."""
 
