@@ -190,6 +190,7 @@ def _cmd_run(args) -> int:
         raise UsageError(f"--episodes must be >= {floor} in {args.mode} mode")
     if args.parallel < 1:
         raise UsageError("--parallel must be >= 1")
+    _check_log_dir(args.out)
     settings = _settings(
         args,
         max_turns=args.turns,
@@ -230,6 +231,7 @@ def _read_transcript(path: str) -> list[tuple[str, str]]:
 
 
 def _cmd_replay(args) -> int:
+    _check_log_dir(args.out)
     settings = _settings(args, max_turns=args.turns, detector_kind=args.detector)
     ont = _load_ontology(settings.ontology_path)
     transcript = _read_transcript(args.path)
@@ -291,6 +293,17 @@ def _check_outputs(outputs: dict[str, str | Path | None]) -> None:
             if (resolved := Path(path).resolve()) in seen:
                 raise UsageError(f"{seen[resolved]} and {name} are the same file {path}")
             seen[resolved] = name
+
+
+def _check_log_dir(out: str) -> None:
+    """Raise a UsageError if the log directory `--out` already holds a `*.json` file.
+
+    `evaluate` and `report` read every `*.json` file of a directory, so one
+    directory holds one run's logs. Checked before any input is read.
+    """
+    held = min(Path(out).glob("*.json"), default=None)
+    if held is not None:
+        raise UsageError(f"--out {out} already holds {held.name}; give a new or empty directory")
 
 
 def _cmd_evaluate(args) -> int:

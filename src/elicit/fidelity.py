@@ -13,7 +13,8 @@ no offset. Semantic similarity pairs each simulated turn with the held-out
 patient's real snippet whose doctor question is nearest to the simulated
 question by exact cosine under the fallback encoder; a tie goes to the
 patient's first such snippet. The turn scores the cosine of the simulated and
-the real reply. The real questions' vectors are the retriever's index rows.
+the real reply. The real questions' vectors are the retriever's index rows,
+and each fold's distinct replies are encoded in one batch.
 
 Conventions the source material leaves open, fixed here: KL smoothing adds
 1e-6 to every trait mass before normalising; frequency error is the mean
@@ -26,6 +27,7 @@ import math
 import random
 import statistics
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping
 
 from .bank import PatientProfile, SnippetBank, base_rates, trait_frequencies
@@ -187,17 +189,19 @@ def _semantic_similarity(
 ) -> float:
     """Mean cosine between each simulated reply and the real reply whose question is nearest.
 
-    The real questions' vectors are the retriever's index rows and every other
-    vector comes from `retriever.encode`'s memo, so no text is encoded twice.
+    The real questions' vectors are the retriever's index rows, and the
+    simulated questions' come from `retriever.encode`'s memo. The fold's
+    distinct simulated and real replies are encoded in one batch that bypasses
+    the memo, since nothing outside the fold reads their vectors.
     """
     real = retriever.bank.patient_snippets(patient_id)
     questions = list(dict.fromkeys(q for q, _ in sim_pairs))
     picks = retriever.nearest(retriever.bank.by_patient[patient_id], [retriever.encode(q) for q in questions])
     nearest = dict(zip(questions, picks))
-    return exact_mean(
-        cosine(retriever.encode(r_sim), retriever.encode(real[nearest[q_sim]].patient_reply))
-        for q_sim, r_sim in sim_pairs
-    )
+    pairs = [(r_sim, real[nearest[q_sim]].patient_reply) for q_sim, r_sim in sim_pairs]
+    replies = list(dict.fromkeys(chain.from_iterable(pairs)))
+    vectors = dict(zip(replies, retriever.encoder.encode_many(replies)))
+    return exact_mean(cosine(vectors[r_sim], vectors[r_real]) for r_sim, r_real in pairs)
 
 
 def loo_validate(

@@ -5,15 +5,18 @@ question, always excluding the current patient's own records. A vector is a
 1-d float64 `np.ndarray`. Every encoder returns it at unit length, or all zeros
 for a zero row from a remote service. The fallback encoder is a deterministic
 hashed bag-of-tokens; the remote encoder delegates to the embeddings endpoint
-in `backends` and scales its rows, the one place they are scaled.
+in `backends` and scales its rows, the one place they are scaled. Each encoder
+also has `encode_many(texts)`, whose rows equal `encode` of each text: the
+fallback encoder counts a whole batch with one `bincount`, and the remote
+encoder posts one request per text, as `encode` does.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import re
 import zlib
+from itertools import chain
 from operator import attrgetter
 from typing import Sequence
 
@@ -25,7 +28,9 @@ from .errors import BackendError, InputError
 FALLBACK_DIM = 256
 MEMO_CAP = 4096  # texts each `AnchorRetriever` memo holds; with the llm selector nearly every question is new
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# every byte but a-z and 0-9 to a space. UTF-8 writes a non-ASCII character in bytes >= 0x80 only, so the
+# translated UTF-8 of a text splits into exactly the runs `[a-z0-9]+` finds in the text
+_SEPARATORS = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 32 for b in range(256))
 
 
 class EmptyTextError(ValueError):
@@ -45,18 +50,43 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
+def _tokens(text: str) -> list[bytes]:
+    """The runs of a-z and 0-9 in the lowercased text, as bytes, or [b""] when it has none.
+
+    crc32(b"") is 0, so a punctuation-only text counts once in bucket 0.
+    """
+    stripped = text.strip()
+    if not stripped:
+        raise EmptyTextError("cannot encode empty text")
+    return stripped.lower().encode("utf-8", "surrogatepass").translate(_SEPARATORS).split() or [b""]
+
+
 class FallbackEncoder:
     """Deterministic dependency-free encoder: hashed token counts, L2-normalised."""
 
     def encode(self, text: str) -> np.ndarray:
-        stripped = text.strip()
-        if not stripped:
-            raise EmptyTextError("cannot encode empty text")
-        # punctuation-only input still gets a unit vector, in bucket 0
-        buckets = [zlib.crc32(tok.encode("utf-8")) % FALLBACK_DIM for tok in _TOKEN_RE.findall(stripped.lower())]
-        vec = np.bincount(buckets or [0], minlength=FALLBACK_DIM).astype(np.float64)
+        buckets = [zlib.crc32(tok) % FALLBACK_DIM for tok in _tokens(text)]
+        vec = np.bincount(buckets, minlength=FALLBACK_DIM).astype(np.float64)
         vec /= _norm(vec)
         return vec
+
+    def encode_many(self, texts: Sequence[str]) -> np.ndarray:
+        """A (len(texts), FALLBACK_DIM) matrix whose rows are bit-identical to `encode` of each text.
+
+        One weighted `bincount` over `row * FALLBACK_DIM + bucket` counts the
+        whole batch straight into float64, with no integer copy. Counts are
+        small integers, so each row's squared sum is exact and its root equals
+        `_norm`'s.
+        """
+        tokens = [_tokens(text) for text in texts]
+        lengths = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
+        buckets = np.fromiter(map(zlib.crc32, chain.from_iterable(tokens)), dtype=np.intp, count=lengths.sum())
+        buckets %= FALLBACK_DIM
+        buckets += np.repeat(np.arange(len(tokens)) * FALLBACK_DIM, lengths)
+        counts = np.bincount(buckets, weights=np.ones(len(buckets)), minlength=len(tokens) * FALLBACK_DIM)
+        matrix = counts.reshape(len(tokens), FALLBACK_DIM).astype(np.float64, copy=False)  # int64 when empty
+        matrix /= np.sqrt(np.einsum("ij,ij->i", matrix, matrix))[:, None]
+        return matrix
 
 
 class RemoteEncoder:
@@ -82,6 +112,21 @@ class RemoteEncoder:
             vec /= math.hypot(*vec)
         return vec
 
+    def encode_many(self, texts: Sequence[str]) -> np.ndarray:
+        """`encode` of each text in order, one request each so the posted bodies do not change, as matrix rows.
+
+        Rows of unequal length raise DimensionMismatchError.
+        """
+        matrix = np.empty((0, 0))
+        for i, text in enumerate(texts):
+            vec = self.encode(text)
+            if i == 0:
+                matrix = np.empty((len(texts), len(vec)))
+            elif vec.shape != matrix.shape[1:]:
+                raise DimensionMismatchError(f"dim mismatch: {vec.shape} vs {matrix.shape[1:]}")
+            matrix[i] = vec
+        return matrix
+
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     if u.shape != v.shape:
@@ -104,7 +149,8 @@ class AnchorRetriever:
 
     Scripted prompts repeat across patients, so the distinct `doctor_curr`
     text is the unit of both scoring and selection. The index holds each
-    text once: a (distinct texts, dim) matrix of encodings and each bank row's
+    text once: a (distinct texts, dim) matrix of encodings, built with one
+    `encoder.encode_many` call in first-appearance order, and each bank row's
     text index. Encoders return unit vectors (or zero rows), so a query's
     product with a text is their cosine to within a few ulps and the index
     holds no norms. Each text also gets its snippets in (`_tie_key`, row)
@@ -128,13 +174,14 @@ class AnchorRetriever:
     so excluding patient P gives W unless P is W's patient, and W' then. The
     memo holds W, and W' once a call has needed it: from W's own product when
     the first call needs both, else from one product and one pick of its own.
-    `encode`, the one way a text other than an index row reaches the encoder,
-    remembers each vector by text. In both memos errors are raised on every
-    call and never remembered; each is filled on first use, lives and dies
-    with the retriever (and so with its `Components`), and is emptied
-    whenever it reaches MEMO_CAP texts. A text's order is never changed once
-    built, and its slot is filled by one assignment, so threads that race to
-    build it build equal lists.
+    `encode` remembers each vector by text; the index rows, and the reply
+    batches of `fidelity`, go through `encoder.encode_many` and are not
+    remembered. In both memos errors are raised on every call and never
+    remembered; each is filled on first use, lives and dies with the
+    retriever (and so with its `Components`), and is emptied whenever it
+    reaches MEMO_CAP texts. A text's order is never changed once built, and
+    its slot is filled by one assignment, so threads that race to build it
+    build equal lists.
 
     Retrieval audit: every retrieved snippet's patient id is appended to
     `audit_log`, which validation harnesses may inspect for leakage.
@@ -155,13 +202,7 @@ class AnchorRetriever:
             dtype=np.intp,
             count=len(bank),
         )
-        encoded = (encoder.encode(text) for text in text_index)
-        first = next(encoded)
-        self._matrix = np.empty((len(text_index), len(first)), dtype=np.float64)
-        self._matrix[0] = first
-        for i, v in enumerate(encoded, start=1):
-            self._check_dim(v)
-            self._matrix[i] = v
+        self._matrix = encoder.encode_many(list(text_index))
         self._orders: list[list[Snippet] | None] = [None] * len(text_index)
         self._memo: dict[str, tuple[tuple[Snippet, float], ...]] = {}
         self._vectors: dict[str, np.ndarray] = {}

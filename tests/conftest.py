@@ -49,15 +49,24 @@ def tiny_bank():
 
 
 class CountingEncoder(FallbackEncoder):
-    """The fallback encoder, recording every text it is asked to encode."""
+    """The fallback encoder, recording every text it is asked to encode, one at a time or in a batch.
+
+    `texts` holds every text in order; `batches` holds each `encode_many` call's texts.
+    """
 
     def __init__(self):
         super().__init__()
         self.texts = []
+        self.batches = []
 
     def encode(self, text):
         self.texts.append(text)
         return super().encode(text)
+
+    def encode_many(self, texts):
+        self.texts.extend(texts)
+        self.batches.append(list(texts))
+        return super().encode_many(texts)
 
 
 class ScriptedBackend:

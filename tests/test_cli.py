@@ -975,13 +975,71 @@ def test_recording_a_replay_writes_a_log_that_replays_alike(tmp_path, monkeypatc
     assert _episode_logs(tmp_path / "third") == live
 
 
+@pytest.mark.parametrize("command", ["run", "replay"])
+def test_run_and_replay_refuse_an_out_that_holds_a_json_file_before_reading_input(tmp_path, capsys, command):
+    # evaluate reads every *.json of a directory, so a second run into one would be pooled with the first
+    out = tmp_path / "logs"
+    assert run_cli("run", "--bank", str(GOLDEN), "--episodes", "2", "--seed", "1", "--out", str(out)) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    missing = str(tmp_path / "missing.jsonl")  # never read: the check comes first
+    argv = {
+        "run": ["run", "--bank", missing, "--mode", "random", "--episodes", "1"],
+        "replay": ["replay", "--in", missing, "--ground-truth", "F10"],
+    }[command]
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: --out {out} already holds manifest.json; give a new or empty directory\n"
+    )
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # a directory that holds no *.json file is still written into
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "notes.txt").write_text("kept")
+    transcript = tmp_path / "t.jsonl"
+    _write_transcript(transcript, ["It went fine, as they say."])
+    argv = {
+        "run": ["run", "--bank", str(GOLDEN), "--episodes", "1"],
+        "replay": ["replay", "--in", str(transcript), "--ground-truth", "F10"],
+    }[command]
+    assert run_cli(*argv, "--out", str(other)) == 0
+    assert (other / "notes.txt").read_text() == "kept" and any(other.glob("*.json"))
+
+
+def test_run_and_validate_write_the_same_bytes_under_any_hash_seed(tmp_path):
+    # a fresh interpreter per hash seed: str hashes, and so set iteration orders, differ between them
+    src = str(Path(elicit.__file__).resolve().parents[1])
+    written = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"hash-seed-{hash_seed}"
+        for argv in (
+            ["run", "--bank", str(GOLDEN), "--mode", "tpa", "--episodes", "3", "--seed", "1",
+             "--out", str(out / "logs")],
+            ["validate", "--bank", str(GOLDEN), "--episodes-per-patient", "2", "--seed", "1",
+             "--out", str(out / "validate.json")],
+        ):
+            subprocess.run([sys.executable, "-m", "elicit.cli", *argv], env=env, capture_output=True, check=True,
+                           timeout=120)
+        written.append((_episode_logs(out / "logs"), (out / "validate.json").read_bytes()))
+    assert len(written[0][0]) == 3
+    assert hashlib.sha256(written[0][1]).hexdigest() == VALIDATE_GOLDEN_SHA256
+    assert written[0] == written[1]
+
+
 @pytest.fixture(scope="module")
 def golden_logs(tmp_path_factory):
-    """The golden bank's tpa, random and replay logs in one directory."""
-    logs = tmp_path_factory.mktemp("golden") / "logs"
+    """The golden bank's tpa, random and replay logs, moved from their three runs into one directory."""
+    root = tmp_path_factory.mktemp("golden")
+    logs = root / "logs"
+    logs.mkdir()
     for mode, episodes in (("tpa", "3"), ("random", "3"), ("replay", "0")):
         assert run_cli("run", "--bank", str(GOLDEN), "--mode", mode, "--episodes", episodes,
-                       "--seed", "1", "--out", str(logs)) == 0
+                       "--seed", "1", "--out", str(root / mode)) == 0
+        for log in (root / mode).glob("*.json"):
+            if log.name != "manifest.json":
+                log.rename(logs / log.name)
     return logs
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import re
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elicit import retrieval
+from elicit.backends import BackendConfig, HttpBackend
 from elicit.bank import Snippet, SnippetBank
 from elicit.ontology import ALL_TRAITS
 from elicit.retrieval import (
@@ -138,6 +140,33 @@ def test_cosine_equals_the_reference_bit_for_bit(pair):
 @given(st.text(min_size=1).filter(lambda s: s.strip()))
 def test_fallback_encoding_equals_the_reference_bit_for_bit(text):
     assert ENC.encode(text).tobytes() == _reference_encode(text).tobytes()
+
+
+# beside ASCII letters and digits: U+212A KELVIN SIGN, whose lowercase is ASCII "k"; U+0130, whose lowercase
+# is "i" and a combining dot; other non-ASCII letters, an ideographic space, a lone surrogate, NUL, a tab,
+# a newline and punctuation
+ORACLE_CHARS = list("aZ9 \t\n\x00.,?!-'ßéΣ") + ["\u212a", "\u0130", "\u3000", "\ud800"]
+oracle_texts = st.one_of(
+    st.text(st.sampled_from(ORACLE_CHARS), min_size=1, max_size=12).filter(lambda s: s.strip()),
+    st.sampled_from(["?!", "...", "\u212a", "\u0130", "Tell me about school.", "\tno\x00way"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(oracle_texts, max_size=20))
+def test_encode_many_rows_equal_the_reference_and_encode_bit_for_bit(texts):
+    matrix = ENC.encode_many(texts)
+    assert matrix.shape == (len(texts), FALLBACK_DIM)
+    for text, row in zip(texts, matrix):
+        assert row.tobytes() == _reference_encode(text).tobytes() == ENC.encode(text).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(oracle_texts, max_size=8), st.sampled_from(["", " ", "\t\n", "\u3000"]), st.data())
+def test_a_blank_text_anywhere_in_a_batch_raises_empty_text(texts, blank, data):
+    at = data.draw(st.integers(0, len(texts)))
+    with pytest.raises(EmptyTextError):
+        ENC.encode_many(texts[:at] + [blank] + texts[at:])
 
 
 def _brute_force(bank, query, exclude, embeddings=None, enc=ENC):
@@ -425,6 +454,25 @@ class _TableClient:
 
     def embed(self, texts):
         return [self.table[t] for t in texts]
+
+
+def test_a_remote_index_build_posts_one_request_per_distinct_doctor_text_as_encode_does():
+    def recording(posted):
+        def transport(path, body):
+            posted.append((path, json.dumps(body).encode("utf-8")))
+            return {"data": [{"index": 0, "embedding": ENC.encode(body["input"][0]).tolist()}]}
+
+        return HttpBackend(BackendConfig(), transport=transport)
+
+    texts = ["how was school", "the lake", "how was school", "Tell me a story", "the lake"]
+    bank = SnippetBank(snippets=tuple(_snip(f"P{i % 3}", "s", text, i) for i, text in enumerate(texts)))
+    built, single = [], []
+    retriever = AnchorRetriever(bank, RemoteEncoder(recording(built)))
+    one_at_a_time = RemoteEncoder(recording(single))
+    rows = [one_at_a_time.encode(text) for text in dict.fromkeys(texts)]
+    assert built == single  # the same bytes, in first-appearance order
+    assert [json.loads(body)["input"] for _, body in built] == [["how was school"], ["the lake"], ["Tell me a story"]]
+    assert retriever._matrix.tobytes() == np.array(rows).tobytes()
 
 
 def test_query_of_another_dim_raises_dimension_mismatch():
