@@ -14,7 +14,7 @@ patient's real snippet whose doctor question is nearest to the simulated
 question by exact cosine under the fallback encoder; a tie goes to the
 patient's first such snippet. The turn scores the cosine of the simulated and
 the real reply. The real questions' vectors are the retriever's index rows,
-and each fold's distinct replies are encoded in one batch.
+and each fold encodes the distinct replies no earlier fold encoded in one batch.
 
 Conventions the source material leaves open, fixed here: KL smoothing adds
 1e-6 to every trait mass before normalising; frequency error is the mean
@@ -29,6 +29,8 @@ import statistics
 from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping
+
+import numpy as np
 
 from .bank import PatientProfile, SnippetBank, base_rates, trait_frequencies
 from .belief import MAX_TURNS, BeliefState
@@ -185,23 +187,30 @@ def _simulate_patient(
 
 
 def _semantic_similarity(
-    retriever: AnchorRetriever, patient_id: str, sim_pairs: list[tuple[str, str]]
+    retriever: AnchorRetriever,
+    patient_id: str,
+    sim_pairs: list[tuple[str, str]],
+    replies: dict[str, np.ndarray] | None = None,
 ) -> float:
     """Mean cosine between each simulated reply and the real reply whose question is nearest.
 
     The real questions' vectors are the retriever's index rows, and the
     simulated questions' come from `retriever.encode`'s memo. The fold's
-    distinct simulated and real replies are encoded in one batch that bypasses
-    the memo, since nothing outside the fold reads their vectors.
+    distinct simulated and real replies that are not in `replies` (the vectors
+    of the replies earlier folds of a run scored) are encoded in one batch and
+    added to it, so a run encodes no reply twice and the retriever's memo holds
+    no reply.
     """
+    if replies is None:
+        replies = {}
     real = retriever.bank.patient_snippets(patient_id)
     questions = list(dict.fromkeys(q for q, _ in sim_pairs))
     picks = retriever.nearest(retriever.bank.by_patient[patient_id], [retriever.encode(q) for q in questions])
     nearest = dict(zip(questions, picks))
     pairs = [(r_sim, real[nearest[q_sim]].patient_reply) for q_sim, r_sim in sim_pairs]
-    replies = list(dict.fromkeys(chain.from_iterable(pairs)))
-    vectors = dict(zip(replies, retriever.encoder.encode_many(replies)))
-    return exact_mean(cosine(vectors[r_sim], vectors[r_real]) for r_sim, r_real in pairs)
+    new = [r for r in dict.fromkeys(chain.from_iterable(pairs)) if r not in replies]
+    replies.update(zip(new, retriever.encoder.encode_many(new)))
+    return exact_mean(cosine(replies[r_sim], replies[r_real]) for r_sim, r_real in pairs)
 
 
 def loo_validate(
@@ -219,6 +228,7 @@ def loo_validate(
     kls: list[float] = []
     ferrs: list[float] = []
     sims: list[float] = []
+    replies: dict[str, np.ndarray] = {}
     detected_by_strategy: dict[str, list[frozenset[TraitId]]] = {}
     for pid, profile in profiles.items():
         turns = _simulate_patient(bank, pid, cfg, components, profile)
@@ -226,7 +236,7 @@ def loo_validate(
         simulated = trait_frequencies(detected for _, _, _, detected in turns)
         kls.append(kl_divergence(real, simulated))
         ferrs.append(frequency_error(real, simulated))
-        sims.append(_semantic_similarity(components.retriever, pid, [(q, r) for _, q, r, _ in turns]))
+        sims.append(_semantic_similarity(components.retriever, pid, [(q, r) for _, q, r, _ in turns], replies))
         for strategy, _, _, detected in turns:
             detected_by_strategy.setdefault(strategy.value, []).append(detected)
 

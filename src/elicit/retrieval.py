@@ -117,15 +117,11 @@ class RemoteEncoder:
 
         Rows of unequal length raise DimensionMismatchError.
         """
-        matrix = np.empty((0, 0))
-        for i, text in enumerate(texts):
-            vec = self.encode(text)
-            if i == 0:
-                matrix = np.empty((len(texts), len(vec)))
-            elif vec.shape != matrix.shape[1:]:
-                raise DimensionMismatchError(f"dim mismatch: {vec.shape} vs {matrix.shape[1:]}")
-            matrix[i] = vec
-        return matrix
+        rows = [self.encode(text) for text in texts]
+        for row in rows[1:]:
+            if row.shape != rows[0].shape:
+                raise DimensionMismatchError(f"dim mismatch: {row.shape} vs {rows[0].shape}")
+        return np.array(rows)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
