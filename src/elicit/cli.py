@@ -295,12 +295,20 @@ def _check_outputs(outputs: dict[str, str | Path | None]) -> None:
             seen[resolved] = name
 
 
+def _check_out_dir(flag: str, out: str) -> None:
+    """Raise a UsageError unless `out` is a directory or can be made one: its nearest existing path is a directory."""
+    nearest = next(p for p in (Path(out), *Path(out).parents) if p.exists())
+    if not nearest.is_dir():
+        raise UsageError(f"{flag} {out}: {nearest} is not a directory")
+
+
 def _check_log_dir(out: str) -> None:
-    """Raise a UsageError if the log directory `--out` already holds a `*.json` file.
+    """Raise a UsageError unless the log directory `--out` can be made and holds no `*.json` file.
 
     `evaluate` and `report` read every `*.json` file of a directory, so one
     directory holds one run's logs. Checked before any input is read.
     """
+    _check_out_dir("--out", out)
     held = min(Path(out).glob("*.json"), default=None)
     if held is not None:
         raise UsageError(f"--out {out} already holds {held.name}; give a new or empty directory")
@@ -337,6 +345,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    _check_out_dir("--out-dir", args.out_dir)
     report = aggregate(read_logs(args.logs), include_aborted=args.include_aborted)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,13 @@ patient's real snippet whose doctor question is nearest to the simulated
 question by exact cosine under the fallback encoder; a tie goes to the
 patient's first such snippet. The turn scores the cosine of the simulated and
 the real reply. The real questions' vectors are the retriever's index rows,
-and each fold encodes the distinct replies no earlier fold encoded in one batch.
+and each fold encodes in one batch the distinct replies that no earlier fold
+on its process encoded.
+
+The folds are independent once the components are built, so a long run maps
+them over contiguous chunks of patients on forked processes (`fanout`), each
+a copy-on-write image of the built components. Memos and reply vectors are
+per process; no output byte depends on the number of processes.
 
 Conventions the source material leaves open, fixed here: KL smoothing adds
 1e-6 to every trait mass before normalising; frequency error is the mean
@@ -32,6 +38,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import fanout
 from .bank import PatientProfile, SnippetBank, base_rates, trait_frequencies
 from .belief import MAX_TURNS, BeliefState
 from .errors import InputError
@@ -52,6 +59,12 @@ from .selector import SessionContext
 
 KL_SMOOTHING = 1e-6
 MIN_PATIENTS_PER_TRAIT = 4  # traits with fewer positive patients are left out of the overall AUC
+# simulated turns per process below which a forked child costs more than it
+# saves: one fork, pipe and reap took ~3 ms and a turn ~80 us on a 2-vCPU
+# host, but with each process's memos cold and copy-on-write faults on both
+# sides, two processes first won at 400 turns (10 folds of 40) and tied at
+# 320 (BENCH_32.json)
+MIN_TURNS_PER_PROCESS = 200
 
 THRESHOLDS = {
     "kl_max": 1.0,
@@ -197,9 +210,9 @@ def _semantic_similarity(
     The real questions' vectors are the retriever's index rows, and the
     simulated questions' come from `retriever.encode`'s memo. The fold's
     distinct simulated and real replies that are not in `replies` (the vectors
-    of the replies earlier folds of a run scored) are encoded in one batch and
-    added to it, so a run encodes no reply twice and the retriever's memo holds
-    no reply.
+    of the replies earlier folds on this process scored) are encoded in one
+    batch and added to it, so a process encodes no reply twice and the
+    retriever's memo holds no reply.
     """
     if replies is None:
         replies = {}
@@ -218,27 +231,37 @@ def loo_validate(
     cfg: FidelityConfig,
     ontology: Ontology | None = None,
 ) -> FidelityReport:
-    """Leave-one-out validation of the patient agent against its source bank."""
+    """Leave-one-out validation of the patient agent against its source bank.
+
+    The components, profiles and reply-vector cache are built once. The folds
+    then run on the smallest of: the usable CPUs, the patients, and the
+    simulated turns over `MIN_TURNS_PER_PROCESS`; the calling process takes
+    the first chunk of patients and one forked child each further chunk. The
+    results are folded in patient order, so the report is the serial one. The
+    first fold to fail, in patient order, raises its error, and no child is
+    left running.
+    """
     patients = bank.patient_ids()
     if len(patients) < 2:
         raise InsufficientPatientsError("leave-one-out needs at least 2 patients")
     components = build_components(EpisodeConfig(), bank, ontology)
     profiles = {pid: base_rates(bank, pid) for pid in patients}
-
-    kls: list[float] = []
-    ferrs: list[float] = []
-    sims: list[float] = []
     replies: dict[str, np.ndarray] = {}
-    detected_by_strategy: dict[str, list[frozenset[TraitId]]] = {}
-    for pid, profile in profiles.items():
-        turns = _simulate_patient(bank, pid, cfg, components, profile)
+
+    def fold(pid: str) -> tuple[float, float, float, list[tuple[str, frozenset[TraitId]]]]:
+        turns = _simulate_patient(bank, pid, cfg, components, profiles[pid])
         real = trait_frequencies(s.traits for s in bank.patient_snippets(pid))
         simulated = trait_frequencies(detected for _, _, _, detected in turns)
-        kls.append(kl_divergence(real, simulated))
-        ferrs.append(frequency_error(real, simulated))
-        sims.append(_semantic_similarity(components.retriever, pid, [(q, r) for _, q, r, _ in turns], replies))
-        for strategy, _, _, detected in turns:
-            detected_by_strategy.setdefault(strategy.value, []).append(detected)
+        sim = _semantic_similarity(components.retriever, pid, [(q, r) for _, q, r, _ in turns], replies)
+        detections = [(strategy.value, detected) for strategy, _, _, detected in turns]
+        return kl_divergence(real, simulated), frequency_error(real, simulated), sim, detections
+
+    n_turns = len(patients) * cfg.episodes_per_patient * cfg.turns
+    processes = min(fanout.usable_cpus(), n_turns // MIN_TURNS_PER_PROCESS)
+    kls, ferrs, sims, detections = map(list, zip(*fanout.fan_out(fold, patients, processes)))
+    detected_by_strategy: dict[str, list[frozenset[TraitId]]] = {}
+    for label, detected in chain.from_iterable(detections):
+        detected_by_strategy.setdefault(label, []).append(detected)
 
     per_trait: dict[str, dict] = {}
     included: list[float] = []

@@ -30,7 +30,7 @@ from .bank import PatientProfile, Snippet, SnippetBank, base_rates
 from .belief import BeliefState
 from .detector import DetectionResult, LlmDetector, RuleDetector
 from .dialogue import HistoryTurn
-from .errors import BackendError, InputError, parse_json
+from .errors import BackendError, InputError, parse_json, read_text
 from .ontology import TRAIT_BY_NAME, Ontology, Scenario, Strategy, STRATEGY_ORDER, TraitId, default_ontology
 from .patient import EmissionParams, LlmRealiser, TemplateRealiser, emit_traits
 from .retrieval import AnchorRetriever, EmptyCandidateSetError, FallbackEncoder, RemoteEncoder, cosine
@@ -570,13 +570,36 @@ def write_logs(result: BatchResult, out_dir: str | Path) -> list[Path]:
 def read_logs(log_dir: str | Path) -> Iterator[EpisodeLog]:
     """Each episode log in `log_dir` but `manifest.json`, read and checked one at a time in file-name order.
 
-    The directory is checked and listed at the call. A malformed file raises
+    The directory is checked and listed at the call. When it holds a
+    `manifest.json`, its other `*.json` files must be exactly the manifest's
+    `episodes`, each as `<episode_id>.json`; the first extra or missing file
+    in name order raises `LogFormatError` naming it. A malformed file raises
     `LogFormatError` naming it when the iteration reaches it, so a caller that
     writes only after the last log writes nothing for a bad directory.
     """
     if not Path(log_dir).is_dir():
         raise LogFormatError(f"{log_dir}: not a directory")
-    return map(_read_log, sorted(p for p in Path(log_dir).glob("*.json") if p.name != "manifest.json"))
+    paths = sorted(p for p in Path(log_dir).glob("*.json") if p.name != "manifest.json")
+    manifest = Path(log_dir) / "manifest.json"
+    if manifest.is_file():
+        held = {p.name for p in paths}
+        name = min(_listed_logs(manifest) ^ held, default=None)
+        if name is not None:
+            fault = "is not listed in" if name in held else "is missing; it is listed in"
+            raise LogFormatError(f"{Path(log_dir) / name} {fault} {manifest}")
+    return map(_read_log, paths)
+
+
+def _listed_logs(manifest: Path) -> set[str]:
+    """The `<episode_id>.json` file names of a run manifest's `episodes`."""
+    try:
+        doc = parse_json(read_text(manifest))
+    except json.JSONDecodeError as e:
+        raise LogFormatError(f"{manifest}: JSONDecodeError: {e}") from e
+    episodes = doc.get("episodes") if isinstance(doc, dict) else None
+    if not isinstance(episodes, list) or not all(type(e) is str for e in episodes):
+        raise LogFormatError(f"{manifest}: episodes must be a list of episode ids")
+    return {f"{e}.json" for e in episodes}
 
 
 def _read_log(path: Path) -> EpisodeLog:

@@ -1006,6 +1006,73 @@ def test_run_and_replay_refuse_an_out_that_holds_a_json_file_before_reading_inpu
     assert (other / "notes.txt").read_text() == "kept" and any(other.glob("*.json"))
 
 
+@pytest.mark.parametrize("command", ["run", "replay", "report"])
+@pytest.mark.parametrize("under", [False, True])
+def test_an_out_dir_that_is_a_file_exits_1_naming_the_flag_before_reading_input(tmp_path, capsys, command, under):
+    # before, each did its whole work, then failed on mkdir with an error that named no flag
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out = afile / "logs" if under else afile
+    missing = str(tmp_path / "missing")  # never read: the check comes first
+    argv, flag = {
+        "run": (["run", "--bank", missing, "--episodes", "1", "--out", str(out)], "--out"),
+        "replay": (["replay", "--in", missing, "--ground-truth", "F10", "--out", str(out)], "--out"),
+        "report": (["report", "--logs", missing, "--out-dir", str(out)], "--out-dir"),
+    }[command]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error: {flag} {out}: {afile} is not a directory\n"
+    assert afile.read_text() == "kept" and sorted(tmp_path.iterdir()) == [afile]
+
+
+@pytest.fixture
+def run_dir(tmp_path):
+    """The logs and manifest of one golden-bank tpa run."""
+    logs = tmp_path / "logs"
+    assert run_cli("run", "--bank", str(GOLDEN), "--episodes", "3", "--seed", "1", "--out", str(logs)) == 0
+    return logs
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+@pytest.mark.parametrize("fault", ["extra", "missing"])
+def test_logs_that_are_not_the_manifests_episodes_exit_1_naming_the_first_such_file(
+    run_dir, tmp_path, capsys, command, fault
+):
+    # a log directory with a manifest holds exactly that run's episodes
+    names = sorted(p.name for p in run_dir.glob("*.json") if p.name != "manifest.json")
+    if fault == "extra":
+        (run_dir / "a-stray.json").write_bytes((run_dir / names[0]).read_bytes())
+        (run_dir / "z-stray.json").write_bytes((run_dir / names[0]).read_bytes())
+        named, wording = "a-stray.json", "is not listed in"
+    else:
+        for name in names[1:]:
+            (run_dir / name).unlink()
+        named, wording = names[1], "is missing; it is listed in"
+    out = tmp_path / "out"
+    argv = {
+        "evaluate": ["evaluate", "--logs", str(run_dir), "--out", str(tmp_path / "report.json")],
+        "report": ["report", "--logs", str(run_dir), "--out-dir", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error: {run_dir / named} {wording} {run_dir / 'manifest.json'}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["logs"]
+
+
+@pytest.mark.parametrize("doc", ["not json", "[]", '{"episodes": "tpa-0000-P001"}', '{"episodes": [1]}'])
+def test_a_manifest_without_a_list_of_episode_ids_exits_1_naming_it(run_dir, capsys, doc):
+    (run_dir / "manifest.json").write_text(doc)
+    capsys.readouterr()
+    assert run_cli("evaluate", "--logs", str(run_dir)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {run_dir / 'manifest.json'}: ")
+
+
+def test_a_run_directory_that_matches_its_manifest_evaluates_as_before(run_dir, tmp_path, capsys):
+    assert run_cli("evaluate", "--logs", str(run_dir), "--out", str(tmp_path / "with.json")) == 0
+    (run_dir / "manifest.json").unlink()
+    assert run_cli("evaluate", "--logs", str(run_dir), "--out", str(tmp_path / "without.json")) == 0
+    assert (tmp_path / "with.json").read_bytes() == (tmp_path / "without.json").read_bytes()
+
+
 def test_run_and_validate_write_the_same_bytes_under_any_hash_seed(tmp_path):
     # a fresh interpreter per hash seed: str hashes, and so set iteration orders, differ between them
     src = str(Path(elicit.__file__).resolve().parents[1])
@@ -1025,6 +1092,26 @@ def test_run_and_validate_write_the_same_bytes_under_any_hash_seed(tmp_path):
         written.append((_episode_logs(out / "logs"), (out / "validate.json").read_bytes()))
     assert len(written[0][0]) == 3
     assert hashlib.sha256(written[0][1]).hexdigest() == VALIDATE_GOLDEN_SHA256
+    assert written[0] == written[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call on this platform")
+def test_validate_writes_the_same_bytes_on_one_cpu_as_on_every_cpu(tmp_path):
+    # 20 x 10 patients, 2 episodes of 20 turns: enough turns to fan the folds out on a multi-CPU host
+    bank = tmp_path / "bank.jsonl"
+    assert run_cli("synth", "--patients", "20", "--snippets", "10", "--seed", "1", "--out", str(bank)) == 0
+    src = str(Path(elicit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def one_cpu():
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+    written = []
+    for name, preexec in (("one-cpu", one_cpu), ("every-cpu", None)):
+        out = tmp_path / f"{name}.json"
+        subprocess.run([sys.executable, "-m", "elicit.cli", "validate", "--bank", str(bank), "--out", str(out)],
+                       env=env, capture_output=True, check=True, timeout=120, preexec_fn=preexec)
+        written.append(out.read_bytes())
     assert written[0] == written[1]
 
 

@@ -1,11 +1,16 @@
+import json
 import math
+import os
 import random
 import statistics
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elicit import fanout, fidelity
 from elicit.bank import SnippetBank, SynthSpec, synthesize_bank, trait_frequencies
 from elicit.fidelity import (
     MIN_PATIENTS_PER_TRAIT,
@@ -210,7 +215,9 @@ def test_loo_raises_when_an_anchor_comes_from_the_held_out_patient(loo_bank, mon
 def test_loo_encodes_every_text_once(monkeypatch):
     from elicit import runner
 
-    # the index build's doctor texts, then each question and each real or simulated reply once
+    # the index build's doctor texts, then each question and each real or simulated reply once.
+    # "once" holds per process: a forked child encodes what it meets again. This bank's 36
+    # turns are below MIN_TURNS_PER_PROCESS, so the run stays on the calling process.
     bank = synthesize_bank(SynthSpec(n_patients=3, snippets_per_patient=6), seed=5)
     enc = CountingEncoder()
     monkeypatch.setattr(runner, "FallbackEncoder", lambda: enc)
@@ -255,6 +262,163 @@ def test_trait_frequencies_count_a_patients_snippets(loo_bank):
     for t in ALL_TRAITS:
         expected = sum(1 for s in snippets if t in s.traits) / len(snippets)
         assert freqs[t] == pytest.approx(expected)
+
+
+# --- folds fanned out over forked processes --------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Lets a run take `n` processes on any host, and counts the children it forks."""
+    forked = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forked.append(1)
+        return real_fork()
+
+    def allow(n):
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: n)
+        monkeypatch.setattr(fidelity, "MIN_TURNS_PER_PROCESS", 1)
+        forked.clear()
+        return forked
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return allow
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _leak_for(patient_id):
+    """A retriever whose anchor for `patient_id` alone is one of that patient's own snippets."""
+    retrieve = AnchorRetriever.retrieve
+
+    def leaky(self, query, exclude_patient):
+        if exclude_patient == patient_id:
+            return self.bank.patient_snippets(exclude_patient)[0], 1.0
+        return retrieve(self, query, exclude_patient)
+
+    return leaky
+
+
+@pytest.fixture(scope="module")
+def nine_patients():
+    return synthesize_bank(SynthSpec(n_patients=9, snippets_per_patient=6), seed=13)
+
+
+def test_loo_writes_the_same_bytes_on_one_two_and_three_processes(nine_patients, forks):
+    cfg = FidelityConfig(episodes_per_patient=1, turns=6, seed=4)
+    written = []
+    for n in (1, 2, 3):
+        forked = forks(n)
+        written.append(json.dumps(loo_validate(nine_patients, cfg).to_dict(), sort_keys=True, indent=1))
+        assert len(forked) == n - 1
+        _no_child_left()
+    assert written[0] == written[1] == written[2]
+
+
+def test_a_leak_in_a_childs_fold_reaches_the_caller(nine_patients, forks, monkeypatch):
+    last = nine_patients.patient_ids()[-1]
+    monkeypatch.setattr(AnchorRetriever, "retrieve", _leak_for(last))
+    forked = forks(2)
+    with pytest.raises(AssertionError, match=f"retrieval leaked an anchor from held-out {last}"):
+        loo_validate(nine_patients, FidelityConfig(episodes_per_patient=1, turns=4))
+    assert len(forked) == 1
+    _no_child_left()
+
+
+def test_a_leak_in_the_callers_own_chunk_leaves_no_child(nine_patients, forks, monkeypatch):
+    first = nine_patients.patient_ids()[0]
+    monkeypatch.setattr(AnchorRetriever, "retrieve", _leak_for(first))
+    forked = forks(3)
+    with pytest.raises(AssertionError, match=f"retrieval leaked an anchor from held-out {first}"):
+        loo_validate(nine_patients, FidelityConfig(episodes_per_patient=1, turns=4))
+    assert len(forked) == 2
+    _no_child_left()
+
+
+@pytest.mark.parametrize("why", ["another thread runs", "no os.fork"])
+def test_fan_out_maps_on_the_calling_process_when_it_cannot_fork_safely(forks, monkeypatch, why):
+    forked = forks(3)
+    release = threading.Event()
+    worker = threading.Thread(target=release.wait, args=(10,))
+    if why == "no os.fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        worker.start()
+    try:
+        assert fanout.fan_out(abs, [-3, -2, -1], 3) == [3, 2, 1]
+    finally:
+        release.set()
+        if worker.is_alive():
+            worker.join(timeout=10)
+    assert not forked and not worker.is_alive()
+
+
+def test_a_fork_that_fails_leaves_no_child_and_no_pipe(monkeypatch):
+    real_fork = os.fork
+    calls = []
+
+    def second_fails():
+        calls.append(1)
+        if len(calls) == 2:
+            raise BlockingIOError("fork: resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    with pytest.raises(BlockingIOError, match="resource temporarily unavailable"):
+        fanout.fan_out(abs, [1, 2, 3], 3)
+    _no_child_left()
+    if fds is not None:
+        assert set(os.listdir("/proc/self/fd")) == fds
+
+
+def _fails_at_once_or_sleeps(x):
+    if x == 0:
+        raise ValueError("item 0")
+    time.sleep(20)
+
+
+def test_a_failure_in_the_callers_own_chunk_kills_the_children_rather_than_waiting():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="item 0"):
+        fanout.fan_out(_fails_at_once_or_sleeps, [0, 1, 2], 3)
+    assert time.perf_counter() - start < 10
+    _no_child_left()
+
+
+class _TwoArgError(Exception):
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
+
+
+def _fails_on_odd_items_from_3(x):
+    if x >= 3 and x % 2:
+        raise ValueError(f"item {x}")
+    return x * x
+
+
+def test_fan_out_maps_in_order_and_raises_the_first_failing_item():
+    assert fanout.fan_out(abs, range(-4, 3), 3) == [4, 3, 2, 1, 0, 1, 2]
+    # chunks [0, 1], [2, 3], [4, 5]: items 3 and 5 fail in two children, and 3 comes first
+    with pytest.raises(ValueError, match="item 3"):
+        fanout.fan_out(_fails_on_odd_items_from_3, list(range(6)), 3)
+    _no_child_left()
+
+
+def test_fan_out_keeps_the_message_of_an_exception_that_cannot_be_unpickled():
+    def fail(x):
+        if x:
+            raise _TwoArgError("E7", "bad item")
+        return x
+
+    with pytest.raises(RuntimeError, match="_TwoArgError: E7: bad item"):
+        fanout.fan_out(fail, [0, 1], 2)
+    _no_child_left()
 
 
 # --- semantic similarity ----------------------------------------------------------
