@@ -38,74 +38,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="elicit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", parents=[], help="validate a snippet bank file")
-    p.add_argument("--in", dest="path", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic snippet bank")
-    p.add_argument("--patients", type=int, required=True)
-    p.add_argument("--snippets", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--ontology", default=None)
-
-    p = sub.add_parser("run", help="run assessment episodes against a bank")
-    p.add_argument("--bank", required=True)
-    p.add_argument("--mode", choices=["tpa", "random", "replay"], default="tpa")
-    p.add_argument("--episodes", type=int, default=0, help="0 in replay mode means one per patient")
-    p.add_argument("--turns", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    p.add_argument("--parallel", type=int, default=1, help="bound on episodes in flight when a kind waits on a backend")
-    p.add_argument("--selector", choices=KINDS["selector"], default=None)
-    p.add_argument("--realiser", choices=KINDS["realiser"], default=None)
-    p.add_argument("--detector", choices=KINDS["detector"], default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--ontology", default=None)
-    p.add_argument("--record", default=None, help="record backend traffic to this replay log")
-    p.add_argument("--replay-log", default=None, help="serve backend traffic from this replay log")
-
-    p = sub.add_parser("replay", help="replay an explicit transcript through detection")
-    p.add_argument("--in", dest="path", required=True, help="JSON-lines of {question, response}")
-    p.add_argument("--ground-truth", required=True, help="comma-separated trait ids, e.g. F2,F6")
-    p.add_argument("--turns", type=int)
-    p.add_argument("--out", required=True)
-    p.add_argument("--detector", choices=KINDS["detector"], default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--ontology", default=None)
-
-    p = sub.add_parser("evaluate", help="compute metrics over episode logs")
-    p.add_argument("--logs", required=True)
-    p.add_argument("--out", default=None, help="report JSON path")
-    p.add_argument("--csv", default=None, help="per-episode CSV path")
-    p.add_argument("--include-aborted", action="store_true")
-
-    p = sub.add_parser("validate", help="leave-one-out patient-agent fidelity check")
-    p.add_argument("--bank", required=True)
-    p.add_argument("--episodes-per-patient", type=int)
-    p.add_argument("--turns", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", default=None)
-    p.add_argument("--ontology", default=None)
-
-    p = sub.add_parser("report", help="emit frozen-schema CSVs from episode logs")
-    p.add_argument("--logs", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--include-aborted", action="store_true")
-
-    p = sub.add_parser("detect", help="run the trait detector over a transcript file")
-    p.add_argument("--in", dest="path", required=True, help="JSON-lines of {question, response}")
-    p.add_argument("--backend", choices=KINDS["detector"], default=None, help="detector kind")
-    p.add_argument("--out", default=None, help="output JSON-lines path (default stdout)")
-    p.add_argument("--config", default=None)
-    p.add_argument("--ontology", default=None)
-
-    return parser
-
-
 def _load_ontology(path: str | None):
     return load_ontology(path) if path else default_ontology()
 
@@ -170,6 +102,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    _check_outputs({"--out": args.out})
     ont = _load_ontology(args.ontology)
     spec = SynthSpec(n_patients=args.patients, snippets_per_patient=args.snippets)
     bank = synthesize_bank(spec, seed=args.seed, ontology=ont)
@@ -191,6 +124,7 @@ def _cmd_run(args) -> int:
     if args.parallel < 1:
         raise UsageError("--parallel must be >= 1")
     _check_log_dir(args.out)
+    _check_outputs({"--record": args.record})
     settings = _settings(
         args,
         max_turns=args.turns,
@@ -317,6 +251,9 @@ def _check_log_dir(out: str) -> None:
 def _cmd_evaluate(args) -> int:
     curves = Path(args.csv).parent / "curves.csv" if args.csv else None
     _check_outputs({"--out": args.out, "--csv": args.csv, "the curves.csv beside --csv": curves})
+    if args.out and Path(args.out).parent.resolve() == Path(args.logs).resolve():
+        # the next evaluate or report of --logs would read it as a log
+        raise UsageError(f"--out {args.out} is inside --logs {args.logs}; write the report elsewhere")
     report = aggregate(read_logs(args.logs), include_aborted=args.include_aborted)
     _write_json(report.to_dict(), args.out)
     if args.csv:
@@ -346,12 +283,17 @@ def _cmd_validate(args) -> int:
 
 def _cmd_report(args) -> int:
     _check_out_dir("--out-dir", args.out_dir)
-    report = aggregate(read_logs(args.logs), include_aborted=args.include_aborted)
     out_dir = Path(args.out_dir)
+    writers = {
+        "report.csv": _write_episode_csv, "curves.csv": _write_curves_csv, "strategy_dist.csv": _write_strategy_csv
+    }
+    for name in writers:
+        if (out_dir / name).is_dir():
+            raise UsageError(f"--out-dir {args.out_dir}: {out_dir / name} is a directory")
+    report = aggregate(read_logs(args.logs), include_aborted=args.include_aborted)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_episode_csv(report, out_dir / "report.csv")
-    _write_curves_csv(report, out_dir / "curves.csv")
-    _write_strategy_csv(report, out_dir / "strategy_dist.csv")
+    for name, write in writers.items():
+        write(report, out_dir / name)
     print(f"wrote report.csv, curves.csv, strategy_dist.csv to {out_dir}")
     return 0
 
@@ -372,27 +314,108 @@ def _cmd_detect(args) -> int:
     return 0
 
 
+# name -> (handler, help, flags); each flag is its option string and add_argument's keywords
 _COMMANDS = {
-    "ingest": _cmd_ingest,
-    "synth": _cmd_synth,
-    "run": _cmd_run,
-    "replay": _cmd_replay,
-    "evaluate": _cmd_evaluate,
-    "validate": _cmd_validate,
-    "report": _cmd_report,
-    "detect": _cmd_detect,
+    "ingest": (_cmd_ingest, "validate a snippet bank file", {
+        "--in": dict(dest="path", required=True),
+    }),
+    "synth": (_cmd_synth, "generate a synthetic snippet bank", {
+        "--patients": dict(type=int, required=True),
+        "--snippets": dict(type=int, required=True),
+        "--seed": dict(type=int, default=0),
+        "--out": dict(required=True),
+        "--ontology": dict(default=None),
+    }),
+    "run": (_cmd_run, "run assessment episodes against a bank", {
+        "--bank": dict(required=True),
+        "--mode": dict(choices=["tpa", "random", "replay"], default="tpa"),
+        "--episodes": dict(type=int, default=0, help="0 in replay mode means one per patient"),
+        "--turns": dict(type=int),
+        "--seed": dict(type=int),
+        "--out": dict(required=True),
+        "--parallel": dict(type=int, default=1, help="bound on episodes in flight when a kind waits on a backend"),
+        "--selector": dict(choices=KINDS["selector"], default=None),
+        "--realiser": dict(choices=KINDS["realiser"], default=None),
+        "--detector": dict(choices=KINDS["detector"], default=None),
+        "--config": dict(default=None),
+        "--ontology": dict(default=None),
+        "--record": dict(default=None, help="record backend traffic to this replay log"),
+        "--replay-log": dict(default=None, help="serve backend traffic from this replay log"),
+    }),
+    "replay": (_cmd_replay, "replay an explicit transcript through detection", {
+        "--in": dict(dest="path", required=True, help="JSON-lines of {question, response}"),
+        "--ground-truth": dict(required=True, help="comma-separated trait ids, e.g. F2,F6"),
+        "--turns": dict(type=int),
+        "--out": dict(required=True),
+        "--detector": dict(choices=KINDS["detector"], default=None),
+        "--config": dict(default=None),
+        "--ontology": dict(default=None),
+    }),
+    "evaluate": (_cmd_evaluate, "compute metrics over episode logs", {
+        "--logs": dict(required=True),
+        "--out": dict(default=None, help="report JSON path"),
+        "--csv": dict(default=None, help="per-episode CSV path"),
+        "--include-aborted": dict(action="store_true"),
+    }),
+    "validate": (_cmd_validate, "leave-one-out patient-agent fidelity check", {
+        "--bank": dict(required=True),
+        "--episodes-per-patient": dict(type=int),
+        "--turns": dict(type=int),
+        "--seed": dict(type=int),
+        "--out": dict(default=None),
+        "--ontology": dict(default=None),
+    }),
+    "report": (_cmd_report, "emit frozen-schema CSVs from episode logs", {
+        "--logs": dict(required=True),
+        "--out-dir": dict(required=True),
+        "--include-aborted": dict(action="store_true"),
+    }),
+    "detect": (_cmd_detect, "run the trait detector over a transcript file", {
+        "--in": dict(dest="path", required=True, help="JSON-lines of {question, response}"),
+        "--backend": dict(choices=KINDS["detector"], default=None, help="detector kind"),
+        "--out": dict(default=None, help="output JSON-lines path (default stdout)"),
+        "--config": dict(default=None),
+        "--ontology": dict(default=None),
+    }),
 }
 
 
+def _build_parser(names=_COMMANDS) -> _Parser:
+    """The parser of the named commands, by default all eight."""
+    parser = _Parser(prog="elicit", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        _, help_text, flags = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in flags.items():
+            p.add_argument(flag, **kwargs)
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`argv` parsed by the parser of its command alone, or of every command when it names none.
+
+    Each `add_argument` makes a HelpFormatter, which asks for the terminal size,
+    so the parser of one command is several times cheaper to build than that of
+    all eight. A usage error parses again with every command, since the top-level
+    usage line lists the commands its parser has.
+    """
+    if argv and argv[0] in _COMMANDS:
+        try:
+            return _build_parser(argv[:1]).parse_args(argv)
+        except UsageError:
+            pass
+    return _build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except UsageError as e:
         print(str(e), file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except BackendError as e:
         print(f"backend error: {e}", file=sys.stderr)
         return 2

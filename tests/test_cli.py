@@ -1,5 +1,8 @@
+import argparse
+import contextlib
 import copy
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import elicit
+from elicit import cli
 from elicit.belief import MAX_TURNS
 from elicit.cli import main
 from elicit.ontology import ALL_TRAITS, STRATEGY_ORDER
@@ -553,10 +557,108 @@ def test_readme_commands_parse_and_name_scripts_that_exist():
     assert elicit and scripts
     for argv in elicit:
         try:
-            _build_parser().parse_args(argv)
+            parsed = _build_parser().parse_args(argv)
         except UsageError as e:
             pytest.fail(f"README command `elicit {shlex.join(argv)}` does not parse: {e}")
+        assert _build_parser(argv[:1]).parse_args(argv) == parsed
     assert [s for s in scripts if not (root / s).is_file()] == []
+
+
+def _parsed(parse, argv):
+    """What `parse(argv)` gives: the Namespace's fields, the usage error's text, or the exit code and help printed."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return vars(parse(argv))
+    except cli.UsageError as e:
+        return str(e)
+    except SystemExit as e:
+        return e.code, out.getvalue()
+
+
+def _usage_cases(name):
+    """`-h`, each missing required flag, each bad choice and each non-integer count of one command."""
+    flags = cli._COMMANDS[name][2]
+    value = {flag: "1" if kwargs.get("type") is int else "v" for flag, kwargs in flags.items()}
+    required = [flag for flag, kwargs in flags.items() if kwargs.get("required")]
+    complete = [tok for flag in required for tok in (flag, value[flag])]
+    yield [name, "-h"]
+    for flag in required:
+        yield [name, *(tok for other in required if other != flag for tok in (other, value[other]))]
+    for flag, kwargs in flags.items():
+        if "choices" in kwargs:
+            yield [name, *complete, flag, "nope"]
+        if kwargs.get("type") is int:
+            yield [name, *complete, flag, "x"]
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_each_commands_usage_errors_and_help_read_alike_from_its_own_parser_and_the_full_one(name):
+    for argv in _usage_cases(name):
+        alone = _parsed(cli._build_parser([name]).parse_args, argv)
+        assert alone == _parsed(cli._build_parser().parse_args, argv)
+        if argv[1:] == ["-h"]:
+            assert alone[0] == 0 and alone[1].startswith(f"usage: elicit {name}")
+        else:
+            assert alone.startswith(f"elicit {name}: "), argv
+
+
+_VALUES = ["1", "-1", "x", "", "tpa", "replay", "rule", "llm", "F2,F6", "--"]
+_JUNK = ["-h", "--help", "--bogus", "-x", "--pat", "--out=o", "--logs=", "frobnicate", "evaluate", "run"]
+
+
+@st.composite
+def _argvs(draw):
+    """A command, or a junk token, then flag-value pairs of that command with junk tokens among them."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    flags = cli._COMMANDS[name][2]
+    pairs = []
+    for flag in draw(st.lists(st.sampled_from(list(flags)), max_size=6)):
+        pairs.append((flag, draw(st.sampled_from([*flags[flag].get("choices", ["1"]), *_VALUES]))))
+    if draw(st.booleans()):  # so that many draws give every required flag and parse
+        pairs += [(flag, "1") for flag, kwargs in flags.items() if kwargs.get("required")]
+    argv = [draw(st.sampled_from([name] * 4 + _JUNK)), *itertools.chain.from_iterable(pairs)]
+    for token in draw(st.lists(st.sampled_from(_VALUES + _JUNK), max_size=2)):
+        argv.insert(draw(st.integers(1, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_mains_parse_reads_any_argv_as_the_full_parser_does(argv):
+    assert _parsed(cli._parse, argv) == _parsed(cli._build_parser().parse_args, argv)
+
+
+def test_a_command_builds_its_own_subparser_alone(golden_logs, tmp_path, monkeypatch):
+    # building all eight subparsers was about half of a short evaluate or report call
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert run_cli("evaluate", "--logs", str(golden_logs), "--out", str(tmp_path / "r.json")) == 0
+    assert built == ["evaluate"]
+
+
+def test_the_module_entry_point_parses_sys_argv():
+    src = str(Path(elicit.__file__).resolve().parents[1])
+    env = dict(os.environ, COLUMNS="200",  # one usage line, as it is wrapped to the terminal's width
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def elicit_cli(*argv):
+        return subprocess.run([sys.executable, "-m", "elicit.cli", *argv], env=env, capture_output=True, text=True,
+                              timeout=60)
+
+    usage = "usage: elicit [-h] {ingest,synth,run,replay,evaluate,validate,report,detect} ..."
+    every = elicit_cli("-h")
+    assert every.returncode == 0 and every.stdout.startswith(usage)
+    one = elicit_cli("evaluate", "-h")
+    assert one.returncode == 0 and one.stdout.startswith("usage: elicit evaluate")
+    unknown = elicit_cli("frobnicate")
+    assert unknown.returncode == 1 and unknown.stdout == "" and usage in unknown.stderr
 
 
 def test_deterministic_pipeline_runs_with_networking_disabled(tmp_path, monkeypatch):
@@ -1244,6 +1346,28 @@ def test_evaluate_refuses_an_output_it_cannot_write_before_writing_any(golden_lo
     assert [p.name for p in tmp_path.iterdir()] == ["d"] and not any((tmp_path / "d").iterdir())
 
 
+@pytest.mark.parametrize("spelling", ["logs/r.json", "./logs/../logs/r.json"])
+def test_evaluate_refuses_an_out_inside_logs_and_writes_nothing(run_dir, tmp_path, capsys, monkeypatch, spelling):
+    # once written there, the report broke every later evaluate or report of the run
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("evaluate", "--logs", "logs/", "--out", spelling) == 1
+    assert capsys.readouterr().err == (
+        f"error: --out {spelling} is inside --logs logs/; write the report elsewhere\n"
+    )
+    assert not (run_dir / "r.json").exists()
+    assert run_cli("evaluate", "--logs", "logs", "--out", "r.json") == 0
+
+
+@pytest.mark.parametrize("name", ["report.csv", "curves.csv", "strategy_dist.csv"])
+def test_report_refuses_an_out_dir_whose_csv_is_a_directory_before_writing_any(golden_logs, tmp_path, capsys, name):
+    # report used to write report.csv, then fail on the directory with an error naming no flag
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert run_cli("report", "--logs", str(golden_logs), "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == f"error: --out-dir {out}: {out / name} is a directory\n"
+    assert sorted(out.iterdir()) == [out / name]
+
+
 def _with_lone_surrogate_escape(path: Path, line: int, key: str) -> None:
     """Append U+D800 to `key` of one JSON line of `path`, written as the escape json.dumps gives it."""
     lines = path.read_text("utf-8").splitlines()
@@ -1322,6 +1446,29 @@ def test_validate_and_detect_refuse_an_out_they_cannot_write_before_reading_inpu
     assert run_cli(command, *source, "--out", str(out)) == 1
     assert capsys.readouterr().err == f"error: --out {out}: no directory {out.parent}\n"
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "run"])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_synth_out_and_run_record_are_checked_before_the_bank_is_read(tmp_path, capsys, monkeypatch, command, target):
+    # synth used to build the whole bank first, and run with deterministic kinds never opened --record
+    def never(*args, **kwargs):
+        raise AssertionError("bank read before the output was checked")
+
+    monkeypatch.setattr("elicit.cli.synthesize_bank", never)
+    monkeypatch.setattr("elicit.cli.ingest", never)
+    directory = tmp_path / "a-dir"
+    directory.mkdir()
+    path = tmp_path / "missing" / "x.jsonl" if target == "missing" else directory
+    argv, flag = {
+        "synth": (["synth", "--patients", "3", "--snippets", "4", "--out", str(path)], "--out"),
+        "run": (["run", "--bank", str(GOLDEN), "--episodes", "1", "--out", str(tmp_path / "logs"),
+                 "--record", str(path)], "--record"),
+    }[command]
+    assert run_cli(*argv) == 1
+    problem = f": no directory {path.parent}" if target == "missing" else " is a directory"
+    assert capsys.readouterr().err == f"error: {flag} {path}{problem}\n"
+    assert sorted(tmp_path.iterdir()) == [directory] and not any(directory.iterdir())
 
 
 def test_an_escaped_surrogate_pair_still_reads(golden_logs, tmp_path):
