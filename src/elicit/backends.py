@@ -21,9 +21,7 @@ import math
 import os
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,6 +83,10 @@ class HttpTransport:
         self._key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
 
     def __call__(self, path: str, body: dict) -> dict:
+        # imported here, where a connection is opened: urllib.request loads http.client and ssl
+        import urllib.error
+        import urllib.request
+
         if not self._key:
             raise AuthError(f"no API key: set {API_KEY_ENV}")
         req = urllib.request.Request(

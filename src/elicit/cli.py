@@ -20,12 +20,14 @@ from pathlib import Path
 from . import __version__
 from .backends import HttpBackend, HttpTransport, RecordingTransport, ReplayTransport
 from .bank import SynthSpec, ingest, read_object, require_text, synthesize_bank, write_bank
-from .config import Settings, load_settings
+from .config import KINDS, Settings, load_settings
+from .episode_log import BatchResult, read_logs, write_logs
 from .errors import BackendError, InputError, numbered_lines, read_text
-from .fidelity import FidelityConfig, loo_validate
 from .metrics import CorpusReport, aggregate
 from .ontology import TraitId, default_ontology, load_ontology
-from .runner import KINDS, BatchResult, build_components, read_logs, run_batch, run_replay, write_logs
+
+# The simulation stack (`runner`, `fidelity`, and with them numpy) is imported
+# inside the handlers that build it, so a command that only reads loads none.
 
 
 class UsageError(InputError):
@@ -58,6 +60,8 @@ def _settings(args, **episode_flags) -> Settings:
 
 
 def _components(settings: Settings, bank, ont, record: str | None = None, replay_log: str | None = None):
+    from .runner import build_components
+
     # building a client opens no connection; only the kinds that need one use it
     transport = ReplayTransport(replay_log) if replay_log else HttpTransport(settings.backend)
     if record:
@@ -102,7 +106,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    _check_outputs({"--out": args.out})
+    _check_outputs({"--out": args.out}, {"--ontology": args.ontology})
     ont = _load_ontology(args.ontology)
     spec = SynthSpec(n_patients=args.patients, snippets_per_patient=args.snippets)
     bank = synthesize_bank(spec, seed=args.seed, ontology=ont)
@@ -118,13 +122,17 @@ def _fail_if_all_aborted(logs) -> None:
 
 
 def _cmd_run(args) -> int:
+    from .runner import run_batch
+
     floor = 0 if args.mode == "replay" else 1  # 0 in replay mode means one per patient
     if args.episodes < floor:
         raise UsageError(f"--episodes must be >= {floor} in {args.mode} mode")
     if args.parallel < 1:
         raise UsageError("--parallel must be >= 1")
     _check_log_dir(args.out)
-    _check_outputs({"--record": args.record})
+    _check_outputs({"--record": args.record}, {
+        "--bank": args.bank, "--config": args.config, "--ontology": args.ontology, "--replay-log": args.replay_log
+    })
     settings = _settings(
         args,
         max_turns=args.turns,
@@ -165,6 +173,8 @@ def _read_transcript(path: str) -> list[tuple[str, str]]:
 
 
 def _cmd_replay(args) -> int:
+    from .runner import run_replay
+
     _check_log_dir(args.out)
     settings = _settings(args, max_turns=args.turns, detector_kind=args.detector)
     ont = _load_ontology(settings.ontology_path)
@@ -211,13 +221,15 @@ def _write_strategy_csv(report: CorpusReport, path: Path) -> None:
     _write_csv(path, ["phase", "strategy", "proportion"], rows)
 
 
-def _check_outputs(outputs: dict[str, str | Path | None]) -> None:
-    """Raise a UsageError unless each output is a file path in an existing directory, and no two are one file.
+def _check_outputs(outputs: dict[str, str | Path | None], inputs: dict[str, str | None] | None = None) -> None:
+    """Raise a UsageError unless each output is a file path in an existing directory and no other output or input.
 
-    None is no output. A command checks its outputs before it reads any input,
-    so an output it cannot write never leaves another behind.
+    None is no output or input. `inputs` are the command's input files, which
+    an output that resolves to one would replace. A command checks its outputs
+    before it reads any input, so an output it cannot write never leaves
+    another behind.
     """
-    seen: dict[Path, str] = {}
+    seen = {Path(path).resolve(): name for name, path in (inputs or {}).items() if path}
     for name, path in outputs.items():
         if path:
             if not Path(path).parent.is_dir():
@@ -268,7 +280,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    _check_outputs({"--out": args.out})
+    from .fidelity import FidelityConfig, loo_validate
+
+    _check_outputs({"--out": args.out}, {"--bank": args.bank, "--ontology": args.ontology})
     ont = _load_ontology(args.ontology)
     bank = ingest(args.bank)
     cfg = FidelityConfig(
@@ -299,7 +313,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    _check_outputs({"--out": args.out})
+    _check_outputs({"--out": args.out}, {"--in": args.path, "--config": args.config, "--ontology": args.ontology})
     settings = _settings(args, detector_kind=args.backend)
     detector = _components(settings, None, _load_ontology(settings.ontology_path)).detector
     transcript = _read_transcript(args.path)  # every line is checked before any output is written

@@ -3,19 +3,57 @@
 Precedence is CLI flag > config file > built-in default. Each key names one
 field of the dataclass that reads it, and that field's default is the only
 default; the field's annotation gives the key's type. The effective settings
-are snapshotted into the run manifest, keyed as in the file.
+are snapshotted into the run manifest, keyed as in the file. The episode
+config and each role's `KINDS` live here, not in `runner`, so the parser and
+`Settings` load no simulation stack.
 """
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import belief as belief_mod
 from .backends import BackendConfig
 from .errors import InputError, read_text
 from .patient import EmissionParams
-from .runner import EpisodeConfig
+
+# each role's kinds: the deterministic one, then the one that needs a backend client
+KINDS = {
+    "encoder": ("fallback", "remote"),
+    "selector": ("heuristic", "llm"),
+    "realiser": ("template", "llm"),
+    "detector": ("rule", "llm"),
+}
+
+
+@dataclass(frozen=True)
+class EpisodeConfig:
+    max_turns: int = 20
+    tau: float = belief_mod.DEFAULT_TAU
+    seed: int = 0
+    selector_kind: str = "heuristic"
+    realiser_kind: str = "template"
+    detector_kind: str = "rule"
+    encoder_kind: str = "fallback"
+    emission: EmissionParams = field(default_factory=EmissionParams)
+    selector_temperature: float = 0.7
+    realiser_temperature: float = 0.7
+    prompt_dir: str | None = None
+
+    def __post_init__(self):
+        if not 1 <= self.max_turns <= belief_mod.MAX_TURNS:
+            raise InputError(f"max_turns must be in 1..{belief_mod.MAX_TURNS}, got {self.max_turns}")
+        if not 0.0 <= self.tau < 1.0:  # also false for nan
+            raise InputError(f"tau must be in [0, 1), got {self.tau}")
+        for name in ("selector_temperature", "realiser_temperature"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # also false for nan
+                raise InputError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        for role, kinds in KINDS.items():
+            if (kind := getattr(self, f"{role}_kind")) not in kinds:
+                raise InputError(f"unknown {role} kind {kind!r}")
 
 
 @dataclass(frozen=True)

@@ -41,20 +41,13 @@ import numpy as np
 from . import fanout
 from .bank import PatientProfile, SnippetBank, base_rates, trait_frequencies
 from .belief import MAX_TURNS, BeliefState
+from .config import EpisodeConfig
 from .errors import InputError
 from .metrics import ci95_halfwidth, exact_mean, exact_stdev
 from .ontology import ALL_TRAITS, Ontology, Strategy, TraitId
 from .patient import EmissionParams, emit_traits  # emit_traits is unused here; perfbench traces it by name
 from .retrieval import AnchorRetriever, cosine
-from .runner import (
-    Components,
-    EpisodeConfig,
-    build_components,
-    derive_seed,
-    patient_turn,
-    plan_topics,
-    random_question,
-)
+from .runner import Components, build_components, derive_seed, patient_turn, plan_topics, random_question
 from .selector import SessionContext
 
 KL_SMOOTHING = 1e-6

@@ -22,7 +22,7 @@ from typing import Iterable
 from .belief import MAX_TURNS
 from .errors import InputError
 from .ontology import STRATEGY_ORDER
-from .runner import EpisodeLog
+from .episode_log import EpisodeLog
 
 PHASES: tuple[tuple[str, int, float], ...] = (("early", 1, 5), ("mid", 6, 12), ("late", 13, math.inf))
 # the phase of each turn number a log may hold, at its index

@@ -137,12 +137,13 @@ class TemplateRealiser:
             raise ValueError("question must be non-empty")
         if not anchor.patient_reply.strip():
             raise EmptyAnchorError("anchor reply is empty")
-        rng = random.Random(seed)
         skeleton = self._skeletons.get(anchor.patient_reply)
         if skeleton is None:
             skeleton = self._skeletons[anchor.patient_reply] = self._skeleton(anchor.patient_reply)
         words = skeleton.split()
-        for t in sorted(set(emitted)):
+        traits = sorted(set(emitted))
+        rng = random.Random(seed) if traits else None  # seeded only when a marker is woven in
+        for t in traits:
             lexicon = self.ontology.traits[t].marker_lexicon
             marker = lexicon[rng.randrange(len(lexicon))]
             pos = rng.randrange(1, len(words) + 1) if words else 0

@@ -22,9 +22,9 @@ import elicit
 from elicit import cli
 from elicit.belief import MAX_TURNS
 from elicit.cli import main
+from elicit.episode_log import EpisodeLog
 from elicit.ontology import ALL_TRAITS, STRATEGY_ORDER
 from elicit.prompting import load_prompt
-from elicit.runner import EpisodeLog
 
 GOLDEN = Path(__file__).parent / "data" / "golden_bank.jsonl"
 
@@ -466,8 +466,8 @@ def _run_capturing(monkeypatch, work_dir, config_text, *flags):
     """`elicit run` up to the episodes: returns what the components and batch receive, and the manifest."""
     from importlib import resources
 
-    import elicit.cli as cli
-    from elicit.runner import BatchResult
+    from elicit import runner
+    from elicit.episode_log import BatchResult
 
     monkeypatch.chdir(work_dir)
     ontology = json.loads(resources.files("elicit").joinpath("data/ontology.json").read_text("utf-8"))
@@ -483,8 +483,9 @@ def _run_capturing(monkeypatch, work_dir, config_text, *flags):
         seen["cfg"] = cfg
         return BatchResult(logs=(), skipped=())
 
-    monkeypatch.setattr(cli, "build_components", capture_components)
-    monkeypatch.setattr(cli, "run_batch", capture_batch)
+    # the run command imports these from runner when it runs, so they are patched there
+    monkeypatch.setattr(runner, "build_components", capture_components)
+    monkeypatch.setattr(runner, "run_batch", capture_batch)
     assert run_cli("synth", "--patients", "2", "--snippets", "4", "--seed", "1", "--out", "bank.jsonl") == 0
     assert run_cli("run", "--bank", "bank.jsonl", "--episodes", "1", "--config", "run.cfg",
                    "--out", "logs", *flags) == 0
@@ -1197,6 +1198,50 @@ def test_run_and_validate_write_the_same_bytes_under_any_hash_seed(tmp_path):
     assert written[0] == written[1]
 
 
+# run in a fresh interpreter: each `elicit` call is a process of its own, and a module this
+# process has loaded for another test would hide a load
+_HEAVY_MODULES_LOADED = """
+import json, sys
+before = set(sys.modules)
+heavy = lambda: [m for m in ("numpy", "urllib.request", "http.client", "ssl") if m in sys.modules and m not in before]
+from elicit import cli
+loaded = {"import": heavy()}
+for argv in json.loads(sys.argv[1]):
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:  # -h
+        code = e.code
+    assert code == 0, (argv, code)
+    loaded[argv[0]] = heavy()
+print(json.dumps(loaded))
+"""
+
+
+def _heavy_modules_loaded(*commands: list[str]) -> dict[str, list[str]]:
+    """The heavy modules loaded by `import elicit.cli`, then by each command in turn, cumulatively."""
+    src = str(Path(elicit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _HEAVY_MODULES_LOADED, json.dumps(commands)], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_the_commands_that_only_read_load_neither_numpy_nor_the_http_stack(golden_logs, tmp_path):
+    loaded = _heavy_modules_loaded(
+        ["-h"],
+        ["ingest", "--in", str(GOLDEN)],
+        ["synth", "--patients", "3", "--snippets", "4", "--out", str(tmp_path / "bank.jsonl")],
+        ["evaluate", "--logs", str(golden_logs), "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "e.csv")],
+        ["report", "--logs", str(golden_logs), "--out-dir", str(tmp_path / "report")],
+    )
+    assert loaded == {"import": [], "-h": [], "ingest": [], "synth": [], "evaluate": [], "report": []}
+
+
+def test_a_run_of_deterministic_kinds_loads_numpy_but_not_the_http_stack(tmp_path):
+    loaded = _heavy_modules_loaded(["run", "--bank", str(GOLDEN), "--episodes", "2", "--out", str(tmp_path / "logs")])
+    assert loaded == {"import": [], "run": ["numpy"]}
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call on this platform")
 def test_validate_writes_the_same_bytes_on_one_cpu_as_on_every_cpu(tmp_path):
     # 20 x 10 patients, 2 episodes of 20 turns: enough turns to fan the folds out on a multi-CPU host
@@ -1436,7 +1481,7 @@ def test_validate_and_detect_refuse_an_out_they_cannot_write_before_reading_inpu
     def never(*args):
         raise AssertionError("input read before --out was checked")
 
-    monkeypatch.setattr("elicit.cli.loo_validate", never)
+    monkeypatch.setattr("elicit.fidelity.loo_validate", never)  # validate imports it from fidelity when it runs
     monkeypatch.setattr("elicit.cli.ingest", never)
     monkeypatch.setattr("elicit.cli._read_transcript", never)
     transcript = tmp_path / "t.jsonl"
@@ -1469,6 +1514,41 @@ def test_synth_out_and_run_record_are_checked_before_the_bank_is_read(tmp_path, 
     problem = f": no directory {path.parent}" if target == "missing" else " is a directory"
     assert capsys.readouterr().err == f"error: {flag} {path}{problem}\n"
     assert sorted(tmp_path.iterdir()) == [directory] and not any(directory.iterdir())
+
+
+@pytest.mark.parametrize("command,output,source", [
+    ("detect", "--out", "--in"),
+    ("validate", "--out", "--bank"),
+    ("synth", "--out", "--ontology"),
+    ("run", "--record", "--bank"),
+    ("run", "--record", "--config"),
+    ("run", "--record", "--ontology"),
+    ("run", "--record", "--replay-log"),
+])
+def test_an_output_that_is_one_of_the_commands_inputs_exits_1_naming_both_before_reading_input(
+    tmp_path, capsys, monkeypatch, command, output, source
+):
+    # detect --in t.jsonl --out t.jsonl used to exit 0 with the transcript replaced by its detections
+    def never(*args, **kwargs):
+        raise AssertionError("input read before the outputs were checked")
+
+    for name in ("ingest", "_read_transcript", "load_settings", "load_ontology"):
+        monkeypatch.setattr(f"elicit.cli.{name}", never)
+    shared = tmp_path / "shared.jsonl"
+    shared.write_bytes(GOLDEN.read_bytes())
+    (tmp_path / "sub").mkdir()
+    flags = {
+        "detect": {"--in": GOLDEN, "--out": tmp_path / "d.jsonl"},
+        "validate": {"--bank": GOLDEN, "--out": tmp_path / "v.json"},
+        "synth": {"--patients": 3, "--snippets": 4, "--out": tmp_path / "bank.jsonl"},
+        "run": {"--bank": GOLDEN, "--episodes": 1, "--out": tmp_path / "logs", "--record": tmp_path / "r.jsonl"},
+    }[command]
+    flags[source] = tmp_path / "sub" / ".." / shared.name  # another spelling of the same file
+    flags[output] = shared
+    assert run_cli(command, *(str(x) for flag in flags.items() for x in flag)) == 1
+    assert capsys.readouterr().err == f"error: {source} and {output} are the same file {shared}\n"
+    assert shared.read_bytes() == GOLDEN.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["shared.jsonl", "sub"]
 
 
 def test_an_escaped_surrogate_pair_still_reads(golden_logs, tmp_path):

@@ -11,15 +11,8 @@ from elicit.bank import SynthSpec, ingest, synthesize_bank
 from elicit.metrics import aggregate
 from elicit.ontology import ALL_TRAITS, TRAIT_NAMES
 from elicit.patient import EmissionParams
-from elicit.runner import (
-    BatchResult,
-    EpisodeConfig,
-    EpisodeLog,
-    LogFormatError,
-    read_logs,
-    run_batch,
-    write_logs,
-)
+from elicit.episode_log import BatchResult, EpisodeLog, LogFormatError, read_logs, write_logs
+from elicit.runner import EpisodeConfig, run_batch
 
 GOLDEN = Path(__file__).parent / "data" / "golden_bank.jsonl"
 
@@ -278,3 +271,16 @@ def test_evaluating_a_log_directory_holds_one_log_at_a_time(batches, tmp_path):
         aggregate(read_logs(tmp_path / str(n)))  # untraced, so that lazy set-up is not counted once
         peaks[n] = _peak_bytes_to_aggregate(tmp_path / str(n))
     assert peaks[400] - peaks[100] <= 300 * 4096
+
+
+def test_the_log_format_names_runner_cli_and_metrics_import_are_the_same_objects():
+    # perfbench patches runner.EpisodeLog.to_json, runner.write_logs, cli.read_logs and cli.aggregate
+    # by name, and builds runner.EpisodeConfig; each must be the object the code that runs uses
+    from elicit import cli, config, episode_log, metrics, runner
+
+    for name in ("BatchResult", "EpisodeLog", "TurnRecord", "write_logs"):
+        assert getattr(runner, name) is getattr(episode_log, name), name
+    for name in ("BatchResult", "read_logs", "write_logs"):
+        assert getattr(cli, name) is getattr(episode_log, name), name
+    assert metrics.EpisodeLog is episode_log.EpisodeLog and cli.aggregate is metrics.aggregate
+    assert runner.EpisodeConfig is config.EpisodeConfig and runner.KINDS is cli.KINDS is config.KINDS

@@ -15,7 +15,7 @@ from elicit.metrics import (
     exact_stdev,
 )
 from elicit.ontology import ALL_TRAITS, Strategy, TraitId
-from elicit.runner import EpisodeLog, TurnRecord
+from elicit.episode_log import EpisodeLog, TurnRecord
 
 from conftest import episode_metrics
 

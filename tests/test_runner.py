@@ -15,19 +15,17 @@ from elicit.fidelity import FidelityConfig
 from elicit.ontology import ALL_TRAITS, STRATEGY_ORDER, OntologyError, TraitId, default_ontology
 from elicit.patient import EmissionParams
 from elicit.retrieval import FallbackEncoder
+from elicit.episode_log import LogFormatError, read_logs, write_logs
 from elicit.runner import (
     KINDS,
     EpisodeConfig,
-    LogFormatError,
     build_components,
     derive_seed,
     plan_topics,
-    read_logs,
     run_batch,
     run_episode,
     run_replay,
     replay_transcript_for_patient,
-    write_logs,
 )
 
 from conftest import CountingEncoder
@@ -149,7 +147,7 @@ def test_anchor_exclusion_logged(stack):
 def test_episode_log_round_trips(stack):
     cfg, bank, comps = stack
     log = run_episode(cfg, bank, base_rates(bank, "P002"), comps, "rt")
-    from elicit.runner import EpisodeLog
+    from elicit.episode_log import EpisodeLog
 
     again = EpisodeLog.from_json(log.to_json())
     assert again == log
