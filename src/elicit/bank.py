@@ -16,7 +16,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
-from .errors import InputError, numbered_lines, parse_json, read_text
+from .errors import InputError, holds_lone_surrogate, json_whitespace, parse_json, read_text, scan_json
 from .ontology import ALL_TRAITS, TRAIT_BY_NAME, Ontology, TraitId, default_ontology
 
 THETA_EPS = 1e-3  # clamp keeps logit(theta) finite
@@ -36,6 +36,8 @@ class UnknownPatientError(KeyError):
 
 @dataclass(frozen=True)
 class Snippet:
+    # `ingest` sets these six fields itself, as the generated `__init__` does: a
+    # `__post_init__` or another field added here must be added there too
     patient_id: str
     session_id: str
     scenario_id: int
@@ -121,51 +123,70 @@ def _trait_set(line_no: int, names) -> frozenset[TraitId]:
 _fields = itemgetter(*REQUIRED_FIELDS)
 
 
-def _parse_line(line_no: int, raw: str) -> Snippet:
-    """One bank line's snippet, its fields read in one pass.
-
-    The first fault is the one named, in this order: a missing field (the
-    first in `REQUIRED_FIELDS` order), `scenario_id`, `patient_id`'s type,
-    a '/' or U+0000 in it, `doctor_curr`, `patient_reply`, `session_id`,
-    `traits`. Values are checked inline with exact types (a parsed JSON
-    value is never a subclass); `_id_text` and `require_text` are called
-    only to turn an integer id into text or to word a fault.
-    """
-    obj = read_object(line_no, raw)
-    try:
-        patient_id, session_id, scenario_id, doctor_curr, patient_reply, traits = _fields(obj)
-    except KeyError:
-        missing = next(f for f in REQUIRED_FIELDS if f not in obj)
-        raise BankSchemaError(line_no, f"missing field {missing!r}") from None
-    if type(scenario_id) is not int or not 1 <= scenario_id <= 15:
-        raise BankSchemaError(line_no, f"scenario_id out of range 1..15: {scenario_id!r}")
-    if type(patient_id) is not str:
-        patient_id = _id_text(line_no, obj, "patient_id")
-    if "/" in patient_id or "\0" in patient_id:  # it ends an episode log's file name
-        raise BankSchemaError(line_no, f"patient_id must not hold '/' or U+0000, got {patient_id!r}")
-    if type(doctor_curr) is not str or not doctor_curr.strip():
-        require_text(line_no, obj, "doctor_curr")  # raises
-    if type(patient_reply) is not str or not patient_reply.strip():
-        require_text(line_no, obj, "patient_reply")  # raises
-    if type(session_id) is not str:
-        session_id = _id_text(line_no, obj, "session_id")
-    return Snippet(
-        patient_id=patient_id,
-        session_id=session_id,
-        scenario_id=scenario_id,
-        doctor_curr=doctor_curr,
-        patient_reply=patient_reply,
-        traits=_trait_set(line_no, traits),
-    )
-
-
 def ingest(path: str | Path) -> SnippetBank:
     """Load and validate a JSON-lines snippet bank.
 
     Raises BankSchemaError naming the first offending line; an empty file
-    yields an empty bank carrying a warning.
+    yields an empty bank carrying a warning. Lines are split on "\\n" only and
+    blank ones are skipped, as `errors.numbered_lines` does.
+
+    A line's first fault is the one named, in this order: bad JSON, a value
+    that is no object, a missing field (the first in `REQUIRED_FIELDS`
+    order), `scenario_id`, `patient_id`'s type, a '/' or U+0000 in it,
+    `doctor_curr`, `patient_reply`, `session_id`, `traits`. Values are
+    checked inline with exact types (a parsed JSON value is never a
+    subclass); `_id_text` and `require_text` are called only to turn an
+    integer id into text or to word a fault. Equal trait lists share one
+    frozenset, and each snippet's fields are set as `Snippet`'s generated
+    `__init__` sets them, without its frame.
     """
-    snippets = [_parse_line(line_no, raw) for line_no, raw in numbered_lines(read_text(path))]
+    snippets = []
+    trait_sets: dict[tuple, frozenset[TraitId]] = {}  # tuple(names) -> its set, for this call only
+    new, set_field = object.__new__, object.__setattr__
+    for line_no, raw in enumerate(read_text(path).split("\n"), start=1):
+        if not raw.strip():
+            continue
+        try:  # `parse_json`'s fast path, inline
+            obj, end = scan_json(raw, 0)
+            if end != len(raw) and json_whitespace(raw, end).end() != len(raw):
+                raise ValueError("extra data")
+            if "\\" in raw and "\\u" in raw and holds_lone_surrogate(obj):
+                raise ValueError("lone surrogate")
+        except (StopIteration, ValueError, RecursionError):
+            obj = read_object(line_no, raw)  # parses again, so that `parse_json` words the fault
+        if type(obj) is not dict:
+            raise BankSchemaError(line_no, "expected a JSON object")
+        try:
+            patient_id, session_id, scenario_id, doctor_curr, patient_reply, traits = _fields(obj)
+        except KeyError:
+            missing = next(f for f in REQUIRED_FIELDS if f not in obj)
+            raise BankSchemaError(line_no, f"missing field {missing!r}") from None
+        if type(scenario_id) is not int or not 1 <= scenario_id <= 15:
+            raise BankSchemaError(line_no, f"scenario_id out of range 1..15: {scenario_id!r}")
+        if type(patient_id) is not str:
+            patient_id = _id_text(line_no, obj, "patient_id")
+        if "/" in patient_id or "\0" in patient_id:  # it ends an episode log's file name
+            raise BankSchemaError(line_no, f"patient_id must not hold '/' or U+0000, got {patient_id!r}")
+        if type(doctor_curr) is not str or not doctor_curr.strip():
+            require_text(line_no, obj, "doctor_curr")  # raises
+        if type(patient_reply) is not str or not patient_reply.strip():
+            require_text(line_no, obj, "patient_reply")  # raises
+        if type(session_id) is not str:
+            session_id = _id_text(line_no, obj, "session_id")
+        try:
+            trait_set = trait_sets.get(tuple(traits)) if type(traits) is list else None
+        except TypeError:  # an entry that is a list or an object: no key
+            trait_set = None
+        if trait_set is None:
+            trait_set = trait_sets[tuple(traits)] = _trait_set(line_no, traits)  # raises on a bad list
+        snippet = new(Snippet)
+        set_field(snippet, "patient_id", patient_id)
+        set_field(snippet, "session_id", session_id)
+        set_field(snippet, "scenario_id", scenario_id)
+        set_field(snippet, "doctor_curr", doctor_curr)
+        set_field(snippet, "patient_reply", patient_reply)
+        set_field(snippet, "traits", trait_set)
+        snippets.append(snippet)
     warnings = () if snippets else ("bank is empty",)
     return SnippetBank(snippets=tuple(snippets), warnings=warnings)
 

@@ -21,6 +21,7 @@ from . import __version__
 from .backends import HttpBackend, HttpTransport, RecordingTransport, ReplayTransport
 from .bank import SynthSpec, ingest, read_object, require_text, synthesize_bank, write_bank
 from .config import KINDS, Settings, load_settings
+from .detector import build_detector
 from .episode_log import BatchResult, read_logs, write_logs
 from .errors import BackendError, InputError, numbered_lines, read_text
 from .metrics import CorpusReport, aggregate
@@ -59,15 +60,18 @@ def _settings(args, **episode_flags) -> Settings:
     )
 
 
-def _components(settings: Settings, bank, ont, record: str | None = None, replay_log: str | None = None):
-    from .runner import build_components
-
+def _client(settings: Settings, record: str | None = None, replay_log: str | None = None) -> HttpBackend:
     # building a client opens no connection; only the kinds that need one use it
     transport = ReplayTransport(replay_log) if replay_log else HttpTransport(settings.backend)
     if record:
         transport = RecordingTransport(transport, record)
-    client = HttpBackend(settings.backend, transport=transport)
-    return build_components(settings.episode, bank, ont, client=client)
+    return HttpBackend(settings.backend, transport=transport)
+
+
+def _components(settings: Settings, bank, ont, record: str | None = None, replay_log: str | None = None):
+    from .runner import build_components
+
+    return build_components(settings.episode, bank, ont, client=_client(settings, record, replay_log))
 
 
 def _write_json(doc: dict, out: str | Path | None) -> None:
@@ -315,7 +319,8 @@ def _cmd_report(args) -> int:
 def _cmd_detect(args) -> int:
     _check_outputs({"--out": args.out}, {"--in": args.path, "--config": args.config, "--ontology": args.ontology})
     settings = _settings(args, detector_kind=args.backend)
-    detector = _components(settings, None, _load_ontology(settings.ontology_path)).detector
+    ont = _load_ontology(settings.ontology_path)
+    detector = build_detector(settings.episode.detector_kind, _client(settings), ont, settings.episode.prompt_dir)
     transcript = _read_transcript(args.path)  # every line is checked before any output is written
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:

@@ -98,3 +98,10 @@ class LlmDetector:
             lambda doc: DetectionResult(labels=tuple(doc[n] for n in TRAIT_NAMES), evidence={}),
             DetectorParseError,
         )
+
+
+def build_detector(kind: str, client, ontology: Ontology, prompt_dir: str | None):
+    """The detector of the configured kind: the lexical one, or the zero-shot one on `client`."""
+    if kind == "llm":
+        return LlmDetector(client, ontology, prompt_dir=prompt_dir)
+    return RuleDetector(ontology)

@@ -36,17 +36,19 @@ def read_text(path: str | Path) -> str:
         raise InputError(f"{path}: not UTF-8 text ({e})") from None
 
 
-_DECODER = json.JSONDecoder()  # `json.loads`'s own settings
-_WHITESPACE = json.decoder.WHITESPACE.match
+# (text, index) -> (value, end): the scanner under `json.loads`, with its settings; the C one where there is one
+scan_json = json.JSONDecoder().scan_once
+json_whitespace = json.decoder.WHITESPACE.match
 
 
 def parse_json(text: str):
     """`json.loads(text)`, where bad JSON of three more kinds is a `json.JSONDecodeError` like any other.
 
-    The value comes from one `raw_decode` call, accepted when only JSON
-    whitespace follows it; that is `json.loads` without its wrappers. Any
-    other text (bad JSON, extra data, leading whitespace, a BOM) is parsed
-    again by `json.loads`, so each error keeps its wording and position.
+    The value comes from one call of the decoder's scanner at index 0,
+    accepted when only JSON whitespace follows it; that is `json.loads`
+    without its `decode` and `raw_decode` frames. Any other text (bad JSON,
+    extra data, leading whitespace, a BOM) is parsed again by `json.loads`,
+    so each error keeps its wording and position.
 
     - JSON nested too deep to parse: `json.loads` raises `RecursionError`,
       which no boundary that catches bad JSON would catch.
@@ -60,12 +62,12 @@ def parse_json(text: str):
       search is a memchr, and one for `\\u` is many times slower.
     """
     try:
-        value, end = _DECODER.raw_decode(text)
-        if end != len(text) and _WHITESPACE(text, end).end() != len(text):
+        value, end = scan_json(text, 0)
+        if end != len(text) and json_whitespace(text, end).end() != len(text):
             raise ValueError("extra data")  # json.loads words it
-    except (ValueError, RecursionError):
+    except (StopIteration, ValueError, RecursionError):  # StopIteration: no value starts at 0
         value = _loads(text)
-    if "\\" in text and "\\u" in text and _holds_lone_surrogate(value):
+    if "\\" in text and "\\u" in text and holds_lone_surrogate(value):
         raise json.JSONDecodeError("a string holds a lone surrogate", text, 0)
     return value
 
@@ -82,7 +84,7 @@ def _loads(text: str):
         raise json.JSONDecodeError("a number has too many digits to convert", text, 0) from None
 
 
-def _holds_lone_surrogate(value) -> bool:
+def holds_lone_surrogate(value) -> bool:
     """Whether a parsed JSON value holds a string, key or not, with a code point in U+D800..U+DFFF."""
     stack = [value]  # no recursion: the value may nest as deep as `json.loads` allows
     while stack:

@@ -25,7 +25,7 @@ from . import belief as belief_mod
 from .bank import PatientProfile, Snippet, SnippetBank, base_rates
 from .belief import BeliefState
 from .config import KINDS, EpisodeConfig
-from .detector import DetectionResult, LlmDetector, RuleDetector
+from .detector import DetectionResult, build_detector
 from .dialogue import HistoryTurn
 from .episode_log import BatchResult, EpisodeLog, TurnRecord, write_logs  # write_logs: perfbench patches it here
 from .errors import BackendError
@@ -88,10 +88,7 @@ def build_components(
         realiser = LlmRealiser(client, ont, temperature=cfg.realiser_temperature, prompt_dir=cfg.prompt_dir)
     else:
         realiser = TemplateRealiser(ont)
-    if cfg.detector_kind == "llm":
-        detector = LlmDetector(client, ont, prompt_dir=cfg.prompt_dir)
-    else:
-        detector = RuleDetector(ont)
+    detector = build_detector(cfg.detector_kind, client, ont, cfg.prompt_dir)
     retriever = AnchorRetriever(bank, encoder) if bank is not None and len(bank) else None
     return Components(
         ontology=ont,

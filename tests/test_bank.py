@@ -1,11 +1,15 @@
+import gc
 import json
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elicit.bank import (
+    REQUIRED_FIELDS,
     BankSchemaError,
     SynthSpec,
     THETA_EPS,
@@ -232,6 +236,100 @@ def test_write_then_ingest_round_trip(tmp_path, synth_bank):
     write_bank(synth_bank, p)
     again = ingest(p)
     assert again.snippets == synth_bank.snippets
+
+
+_VALID_LINES = [json.dumps(s.to_dict(), sort_keys=True) for s in synthesize_bank(SynthSpec(3, 3), seed=5).snippets]
+
+
+@st.composite
+def _bank_lines(draw) -> tuple[str, str | None]:
+    """A valid synthetic bank line, or one mutated in a way that may break it, and how that line must
+    ingest alone: "ok", the start of its fault's message, or None where the mutation may go either way."""
+    doc = json.loads(draw(st.sampled_from(_VALID_LINES)))
+    kind = draw(st.sampled_from(["valid", "drop", "wrong type", "escapes", "lone surrogate", "unhashable trait",
+                                 "trait object", "whitespace", "two values", "blank"]))
+    expected = {"drop": "missing field", "lone surrogate": "invalid JSON", "unhashable trait": "traits must be",
+                "trait object": "traits must be", "two values": "invalid JSON", "wrong type": None}.get(kind, "ok")
+    if kind == "drop":
+        del doc[draw(st.sampled_from(REQUIRED_FIELDS))]
+    elif kind == "wrong type":
+        doc[draw(st.sampled_from(REQUIRED_FIELDS))] = draw(st.sampled_from([None, 0, 1.5, True, "", " ", [], {}]))
+    elif kind == "escapes":  # written as \" and \u00e9: valid
+        doc["doctor_curr"] += ' "quoted" caf\u00e9'
+    elif kind == "lone surrogate":
+        doc[draw(st.sampled_from(["patient_reply", "session_id"]))] += "\ud800"
+    elif kind == "unhashable trait":
+        doc["traits"] = draw(st.sampled_from([[["F1"]], [{}], ["F2", ["F1"]], ["F1", {"F2": 1}]]))
+    elif kind == "trait object":  # its keys are a valid list's names
+        doc["traits"] = dict.fromkeys(doc["traits"], True)
+    line = json.dumps(doc, sort_keys=True)
+    if kind == "whitespace":  # JSON whitespace is valid around a value; a form feed is not
+        if draw(st.booleans()):
+            line = draw(st.sampled_from([" ", "\t", "\x0c"])) + line  # a lone "\r" is read as a line end
+        else:
+            line += draw(st.sampled_from([" ", "\t", "\r", "\x0c"]))
+        expected = "invalid JSON" if "\x0c" in line else "ok"
+    elif kind == "two values":
+        line += draw(st.sampled_from(["", " "])) + line
+    elif kind == "blank":
+        line = draw(st.sampled_from(["", " ", "\t", "\r", "\x0c"]))
+    return line, expected
+
+
+def _ingested(path: Path):
+    """`ingest(path)`'s snippets as a list, or its error's line number and message without the line."""
+    try:
+        return list(ingest(path).snippets)
+    except BankSchemaError as e:
+        return e.line_no, str(e).partition(": ")[2]
+
+
+def _with_traits(line: str, traits) -> str:
+    return json.dumps(dict(json.loads(line), traits=traits), sort_keys=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=st.lists(_bank_lines(), min_size=1, max_size=8))
+@example(drawn=[  # an object whose keys are the names of an earlier valid list
+    (_with_traits(_VALID_LINES[0], ["F7", "F8"]), "ok"),
+    (_with_traits(_VALID_LINES[0], {"F7": True, "F8": True}), "traits must be"),
+])
+def test_a_bank_fails_on_its_first_line_that_fails_alone_with_that_lines_message(drawn):
+    lines = [line for line, _ in drawn]
+    with tempfile.TemporaryDirectory() as tmp:
+        alone = []
+        for i, (line, expected) in enumerate(drawn):
+            p = Path(tmp) / f"line{i}.jsonl"
+            p.write_text(line + "\n", encoding="utf-8")
+            alone.append(_ingested(p))
+            if expected == "ok":
+                assert type(alone[-1]) is list
+            elif expected:
+                assert alone[-1][0] == 1 and alone[-1][1].startswith(expected)
+        whole = Path(tmp) / "bank.jsonl"
+        whole.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        faults = [(i, result[1]) for i, result in enumerate(alone, start=1) if type(result) is tuple]
+        if faults:
+            assert _ingested(whole) == faults[0]
+        else:
+            assert _ingested(whole) == [s for snippets in alone for s in snippets]
+
+
+def test_equal_trait_lists_share_one_set_and_a_snippet_keeps_under_600_bytes(tmp_path):
+    p = tmp_path / "bank.jsonl"
+    write_bank(synthesize_bank(SynthSpec(n_patients=200, snippets_per_patient=10), seed=1), p)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        bank = ingest(p)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(bank) == 2000
+    assert kept / len(bank) < 600  # 560 B each with one set per distinct list, 769 B with one set per line
+    shared = {}
+    assert all(shared.setdefault(s.traits, s.traits) is s.traits for s in bank.snippets)
+    assert len({id(s.traits) for s in bank.snippets}) == len(shared) < 100
 
 
 @settings(max_examples=20, deadline=None)

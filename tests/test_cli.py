@@ -1203,7 +1203,7 @@ def test_run_and_validate_write_the_same_bytes_under_any_hash_seed(tmp_path):
 _HEAVY_MODULES_LOADED = """
 import json, sys
 before = set(sys.modules)
-heavy = lambda: [m for m in ("numpy", "urllib.request", "http.client", "ssl") if m in sys.modules and m not in before]
+heavy = lambda: [m for m in json.loads(sys.argv[2]) if m in sys.modules and m not in before]
 from elicit import cli
 loaded = {"import": heavy()}
 for argv in json.loads(sys.argv[1]):
@@ -1217,12 +1217,12 @@ print(json.dumps(loaded))
 """
 
 
-def _heavy_modules_loaded(*commands: list[str]) -> dict[str, list[str]]:
-    """The heavy modules loaded by `import elicit.cli`, then by each command in turn, cumulatively."""
+def _heavy_modules_loaded(*commands: list[str], watched=("numpy", "urllib.request", "http.client", "ssl")):
+    """The `watched` modules loaded by `import elicit.cli`, then by each command in turn, cumulatively."""
     src = str(Path(elicit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _HEAVY_MODULES_LOADED, json.dumps(commands)], env=env,
-                          capture_output=True, text=True, check=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", _HEAVY_MODULES_LOADED, json.dumps(commands), json.dumps(watched)],
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -1235,6 +1235,16 @@ def test_the_commands_that_only_read_load_neither_numpy_nor_the_http_stack(golde
         ["report", "--logs", str(golden_logs), "--out-dir", str(tmp_path / "report")],
     )
     assert loaded == {"import": [], "-h": [], "ingest": [], "synth": [], "evaluate": [], "report": []}
+
+
+def test_detect_with_the_rule_detector_loads_no_numpy_and_no_simulation_stack(tmp_path):
+    transcript = tmp_path / "t.jsonl"
+    _write_transcript(transcript, ["It went fine, as they say."])
+    loaded = _heavy_modules_loaded(
+        ["detect", "--in", str(transcript), "--backend", "rule", "--out", str(tmp_path / "d.jsonl")],
+        watched=("numpy", "elicit.runner", "elicit.retrieval", "urllib.request"),
+    )
+    assert loaded == {"import": [], "detect": []}
 
 
 def test_a_run_of_deterministic_kinds_loads_numpy_but_not_the_http_stack(tmp_path):
