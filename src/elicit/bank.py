@@ -16,7 +16,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
-from .errors import InputError, holds_lone_surrogate, json_whitespace, parse_json, read_text, scan_json
+from .errors import InputError, numbered_lines, parse_json, read_text
 from .ontology import ALL_TRAITS, TRAIT_BY_NAME, Ontology, TraitId, default_ontology
 
 THETA_EPS = 1e-3  # clamp keeps logit(theta) finite
@@ -36,8 +36,6 @@ class UnknownPatientError(KeyError):
 
 @dataclass(frozen=True)
 class Snippet:
-    # `ingest` sets these six fields itself, as the generated `__init__` does: a
-    # `__post_init__` or another field added here must be added there too
     patient_id: str
     session_id: str
     scenario_id: int
@@ -127,8 +125,7 @@ def ingest(path: str | Path) -> SnippetBank:
     """Load and validate a JSON-lines snippet bank.
 
     Raises BankSchemaError naming the first offending line; an empty file
-    yields an empty bank carrying a warning. Lines are split on "\\n" only and
-    blank ones are skipped, as `errors.numbered_lines` does.
+    yields an empty bank carrying a warning.
 
     A line's first fault is the one named, in this order: bad JSON, a value
     that is no object, a missing field (the first in `REQUIRED_FIELDS`
@@ -137,25 +134,12 @@ def ingest(path: str | Path) -> SnippetBank:
     checked inline with exact types (a parsed JSON value is never a
     subclass); `_id_text` and `require_text` are called only to turn an
     integer id into text or to word a fault. Equal trait lists share one
-    frozenset, and each snippet's fields are set as `Snippet`'s generated
-    `__init__` sets them, without its frame.
+    frozenset.
     """
     snippets = []
     trait_sets: dict[tuple, frozenset[TraitId]] = {}  # tuple(names) -> its set, for this call only
-    new, set_field = object.__new__, object.__setattr__
-    for line_no, raw in enumerate(read_text(path).split("\n"), start=1):
-        if not raw.strip():
-            continue
-        try:  # `parse_json`'s fast path, inline
-            obj, end = scan_json(raw, 0)
-            if end != len(raw) and json_whitespace(raw, end).end() != len(raw):
-                raise ValueError("extra data")
-            if "\\" in raw and "\\u" in raw and holds_lone_surrogate(obj):
-                raise ValueError("lone surrogate")
-        except (StopIteration, ValueError, RecursionError):
-            obj = read_object(line_no, raw)  # parses again, so that `parse_json` words the fault
-        if type(obj) is not dict:
-            raise BankSchemaError(line_no, "expected a JSON object")
+    for line_no, raw in numbered_lines(read_text(path)):
+        obj = read_object(line_no, raw)
         try:
             patient_id, session_id, scenario_id, doctor_curr, patient_reply, traits = _fields(obj)
         except KeyError:
@@ -179,14 +163,7 @@ def ingest(path: str | Path) -> SnippetBank:
             trait_set = None
         if trait_set is None:
             trait_set = trait_sets[tuple(traits)] = _trait_set(line_no, traits)  # raises on a bad list
-        snippet = new(Snippet)
-        set_field(snippet, "patient_id", patient_id)
-        set_field(snippet, "session_id", session_id)
-        set_field(snippet, "scenario_id", scenario_id)
-        set_field(snippet, "doctor_curr", doctor_curr)
-        set_field(snippet, "patient_reply", patient_reply)
-        set_field(snippet, "traits", trait_set)
-        snippets.append(snippet)
+        snippets.append(Snippet(patient_id, session_id, scenario_id, doctor_curr, patient_reply, trait_set))
     warnings = () if snippets else ("bank is empty",)
     return SnippetBank(snippets=tuple(snippets), warnings=warnings)
 

@@ -37,8 +37,8 @@ def read_text(path: str | Path) -> str:
 
 
 # (text, index) -> (value, end): the scanner under `json.loads`, with its settings; the C one where there is one
-scan_json = json.JSONDecoder().scan_once
-json_whitespace = json.decoder.WHITESPACE.match
+_SCAN = json.JSONDecoder().scan_once
+_WHITESPACE = json.decoder.WHITESPACE.match
 
 
 def parse_json(text: str):
@@ -62,12 +62,12 @@ def parse_json(text: str):
       search is a memchr, and one for `\\u` is many times slower.
     """
     try:
-        value, end = scan_json(text, 0)
-        if end != len(text) and json_whitespace(text, end).end() != len(text):
+        value, end = _SCAN(text, 0)
+        if end != len(text) and _WHITESPACE(text, end).end() != len(text):
             raise ValueError("extra data")  # json.loads words it
     except (StopIteration, ValueError, RecursionError):  # StopIteration: no value starts at 0
         value = _loads(text)
-    if "\\" in text and "\\u" in text and holds_lone_surrogate(value):
+    if "\\" in text and "\\u" in text and _holds_lone_surrogate(value):
         raise json.JSONDecodeError("a string holds a lone surrogate", text, 0)
     return value
 
@@ -84,7 +84,7 @@ def _loads(text: str):
         raise json.JSONDecodeError("a number has too many digits to convert", text, 0) from None
 
 
-def holds_lone_surrogate(value) -> bool:
+def _holds_lone_surrogate(value) -> bool:
     """Whether a parsed JSON value holds a string, key or not, with a code point in U+D800..U+DFFF."""
     stack = [value]  # no recursion: the value may nest as deep as `json.loads` allows
     while stack:

@@ -265,7 +265,7 @@ def _bank_lines(draw) -> tuple[str, str | None]:
     line = json.dumps(doc, sort_keys=True)
     if kind == "whitespace":  # JSON whitespace is valid around a value; a form feed is not
         if draw(st.booleans()):
-            line = draw(st.sampled_from([" ", "\t", "\x0c"])) + line  # a lone "\r" is read as a line end
+            line = draw(st.sampled_from([" ", "\t", "\x0c"])) + line  # a leading "\r": the xfail example below
         else:
             line += draw(st.sampled_from([" ", "\t", "\r", "\x0c"]))
         expected = "invalid JSON" if "\x0c" in line else "ok"
@@ -294,6 +294,10 @@ def _with_traits(line: str, traits) -> str:
     (_with_traits(_VALID_LINES[0], ["F7", "F8"]), "ok"),
     (_with_traits(_VALID_LINES[0], {"F7": True, "F8": True}), "traits must be"),
 ])
+@example(drawn=[  # read_text reads a lone "\r" as a line end, so the second line is numbered 3 (CHANGES.md FOUND)
+    ("\r" + _VALID_LINES[0], "ok"),
+    (json.dumps(dict(json.loads(_VALID_LINES[1]), traits=None)), "traits must be"),
+]).xfail(reason="a lone CR splits a JSON-lines line", raises=AssertionError)
 def test_a_bank_fails_on_its_first_line_that_fails_alone_with_that_lines_message(drawn):
     lines = [line for line, _ in drawn]
     with tempfile.TemporaryDirectory() as tmp:
