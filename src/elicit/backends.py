@@ -25,7 +25,7 @@ import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import BackendError, InputError, numbered_lines, parse_json, read_text
+from .errors import BackendError, InputError, numbered_lines, parse_json
 
 logger = logging.getLogger(__name__)
 
@@ -150,7 +150,7 @@ class ReplayTransport:
 
     def __init__(self, log_path: str | Path):
         self._responses: dict[str, list] = {}
-        for line_no, line in numbered_lines(read_text(log_path)):
+        for line_no, line in numbered_lines(log_path):
             try:
                 entry = parse_json(line)
             except ValueError as e:

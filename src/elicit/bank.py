@@ -16,7 +16,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
-from .errors import InputError, numbered_lines, parse_json, read_text
+from .errors import InputError, numbered_lines, parse_json
 from .ontology import ALL_TRAITS, TRAIT_BY_NAME, Ontology, TraitId, default_ontology
 
 THETA_EPS = 1e-3  # clamp keeps logit(theta) finite
@@ -138,7 +138,7 @@ def ingest(path: str | Path) -> SnippetBank:
     """
     snippets = []
     trait_sets: dict[tuple, frozenset[TraitId]] = {}  # tuple(names) -> its set, for this call only
-    for line_no, raw in numbered_lines(read_text(path)):
+    for line_no, raw in numbered_lines(path):
         obj = read_object(line_no, raw)
         try:
             patient_id, session_id, scenario_id, doctor_curr, patient_reply, traits = _fields(obj)

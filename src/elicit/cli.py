@@ -23,7 +23,7 @@ from .bank import SynthSpec, ingest, read_object, require_text, synthesize_bank,
 from .config import KINDS, Settings, load_settings
 from .detector import build_detector
 from .episode_log import BatchResult, read_logs, write_logs
-from .errors import BackendError, InputError, numbered_lines, read_text
+from .errors import BackendError, InputError, numbered_lines
 from .metrics import CorpusReport, aggregate
 from .ontology import TraitId, default_ontology, load_ontology
 
@@ -170,7 +170,7 @@ def _parse_ground_truth(text: str) -> frozenset[TraitId]:
 
 def _read_transcript(path: str) -> list[tuple[str, str]]:
     pairs = []
-    for line_no, raw in numbered_lines(read_text(path)):
+    for line_no, raw in numbered_lines(path):
         obj = read_object(line_no, raw)
         pairs.append((require_text(line_no, obj, "question"), require_text(line_no, obj, "response")))
     return pairs

@@ -7,11 +7,11 @@ round-trip), and a zero-shot generation-backed detector that classifies the
 response against the full trait definitions.
 
 The lexical detector finds every trait's markers in one scan of the response
-with the ontology's union pattern, and each trait's evidence is still its
-leftmost match. A scan steps over whatever starts inside a match; where
-another trait's phrase can start there (the ontology's overlap table, empty
-for the embedded vocabulary), that trait's own pattern is tried at each
-position of the match.
+with the ontology's union pattern, and each trait's evidence is its leftmost
+match. The ontology admits no two traits whose phrases can match at one
+position, so a scan that resumes one character past each match's start
+visits every position where some trait matches, and finds what one search
+per trait would.
 """
 
 from __future__ import annotations
@@ -61,18 +61,11 @@ class RuleDetector:
     def detect(self, question: str, response: str) -> DetectionResult:
         if not response.strip():
             raise EmptyResponseError("response must be non-empty")
-        union, patterns, overlaps = self._markers.union, self._markers.patterns, self._markers.overlaps
         evidence: dict[TraitId, str] = {}
-        for m in union.finditer(response):
-            t = TRAIT_BY_NAME[m.lastgroup]
-            evidence.setdefault(t, m.group())
-            for u in overlaps[t - 1]:
-                if u not in evidence:
-                    for pos in range(m.start(), m.end()):
-                        hit = patterns[u - 1].match(response, pos)
-                        if hit:
-                            evidence[u] = hit.group()
-                            break
+        m = self._markers.search(response)
+        while m:
+            evidence.setdefault(TRAIT_BY_NAME[m.lastgroup], m.group())
+            m = self._markers.search(response, m.start() + 1)
         return DetectionResult(labels=tuple(t in evidence for t in ALL_TRAITS), evidence=evidence)
 
 

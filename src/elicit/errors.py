@@ -102,12 +102,21 @@ def _holds_lone_surrogate(value) -> bool:
     return False
 
 
-def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
-    """The (line number, line) pairs of `text`'s non-blank lines, split on "\\n" only.
+def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """The (line number, line) pairs of a JSON-lines file's non-blank lines, split on "\\n" only.
 
-    JSON allows U+2028, U+2029 and U+0085 raw inside a string, so a
-    JSON-lines reader must not split on them as `str.splitlines` does.
+    JSON allows "\\r" as whitespace between tokens, and U+2028, U+2029 and
+    U+0085 raw inside a string, so a JSON-lines reader must not split on them
+    as universal-newline reading and `str.splitlines` do. Each line loses one
+    trailing "\\r", so a "\\r\\n" ending reads as "\\n" does. Bytes that are
+    not UTF-8 are an InputError naming the file, as in `read_text`.
     """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text ({e})") from None
     for line_no, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
         if line.strip():
             yield line_no, line

@@ -3,6 +3,9 @@
 Everything here is immutable reference data loaded from a versioned JSON file.
 It is safe to share one Ontology instance across any number of concurrent
 episode runners.
+
+Validation leaves no two traits whose marker phrases can match at one position
+of a text, so one pattern (`Ontology.markers`) serves the rule detector's scan.
 """
 
 from __future__ import annotations
@@ -111,24 +114,11 @@ class Ontology:
         return tuple(s for s in self.scenarios if s.dialogic)
 
     @cached_property
-    def markers(self) -> Markers:
-        """Every trait's markers compiled under the marker grammar; built on first use, then kept."""
+    def markers(self) -> re.Pattern:
+        """Every trait's phrases in one marker-grammar pattern; a match's `lastgroup` names its trait."""
         lexicons = [self.traits[t].marker_lexicon for t in ALL_TRAITS]
         groups = (f"(?P<{t.name}>{_alternatives(lex)})" for t, lex in zip(ALL_TRAITS, lexicons))
-        return Markers(
-            union=_whole_words("|".join(groups), [p for lex in lexicons for p in lex]),
-            patterns=tuple(marker_regex(lex) for lex in lexicons),
-            overlaps=_overlaps(lexicons),
-        )
-
-
-@dataclass(frozen=True)
-class Markers:
-    """An ontology's marker phrases under the marker grammar, traits in trait order."""
-
-    union: re.Pattern  # every phrase; a match's `lastgroup` names its trait ("F1".."F10")
-    patterns: tuple[re.Pattern, ...]  # trait t's phrases alone, at index t - 1
-    overlaps: tuple[tuple[TraitId, ...], ...]  # at index t - 1: other traits a scan may step over in a t match
+        return _whole_words("|".join(groups), [p for lex in lexicons for p in lex])
 
 
 def _alternatives(phrases: Iterable[str]) -> str:
@@ -149,41 +139,7 @@ def marker_regex(phrases: Iterable[str]) -> re.Pattern:
     return _whole_words(_alternatives(phrases), phrases)
 
 
-_BOUNDARY = re.compile(r"\b")
 _WORD_EDGED = re.compile(r"\w(?:.*\w)?", re.DOTALL)  # the grammar's \b can bracket the phrase
-
-
-def _folded(lexicons: list[tuple[str, ...]]) -> list[list[str]]:
-    """The phrases with each character replaced by the lowest of the phrases' characters that
-    the grammar's IGNORECASE equates with it, so two folded strings are equal exactly when
-    the grammar equates them (k, K and the Kelvin sign K all fold to K)."""
-    chars = sorted({c for lexicon in lexicons for p in lexicon for c in p})
-    first = re.compile("|".join(f"({re.escape(c)})" for c in chars), re.IGNORECASE)
-    table = {ord(c): chars[first.fullmatch(c).lastindex - 1] for c in chars}
-    return [[p.translate(table) for p in lexicon] for lexicon in lexicons]
-
-
-def _overlaps(lexicons: list[tuple[str, ...]]) -> tuple[tuple[TraitId, ...], ...]:
-    """For each trait t, the other traits one of whose phrases can match at or inside a match of t.
-
-    A u phrase matching at offset i of a t match agrees with the t phrase over
-    their common length, ignoring case as the grammar does, and starts on a word
-    boundary, which for i > 0 the t phrase's own characters decide. A one-pass
-    scan steps over such a u match, so the detector looks for it there.
-    """
-    folded = _folded(lexicons)
-    tails = [
-        [f[i:] for p, f in zip(lexicon, fs) for i in range(len(p)) if i == 0 or _BOUNDARY.match(p, i)]
-        for lexicon, fs in zip(lexicons, folded)
-    ]
-    return tuple(
-        tuple(
-            u
-            for u, fs in zip(ALL_TRAITS, folded)
-            if u != t and any(tail.startswith(f) or f.startswith(tail) for tail in tails[t - 1] for f in fs)
-        )
-        for t in ALL_TRAITS
-    )
 
 
 def _validate(ont: Ontology) -> None:
@@ -216,8 +172,8 @@ def _validate(ont: Ontology) -> None:
             if not _WORD_EDGED.fullmatch(phrase):
                 raise OntologyError(f"{t.id}: marker {phrase!r} must begin and end with a word character")
 
-    # Markers must be usable by the rule detector without cross-trait ambiguity:
-    # no phrase may be shared with, or word-boundary-contained in, another trait's phrase.
+    # No phrase may equal another trait's ignoring case, or sit inside one as whole words:
+    # then no two traits match at one position, which the rule detector's one scan needs.
     for a in ont.traits.values():
         for pa in a.marker_lexicon:
             for b in ont.traits.values():

@@ -111,7 +111,7 @@ class TemplateRealiser:
 
     def __init__(self, ontology: Ontology):
         self.ontology = ontology
-        self._any_marker = self.ontology.markers.union
+        self._any_marker = self.ontology.markers
         self._skeletons: dict[str, str] = {}
 
     def _skeleton(self, text: str) -> str:

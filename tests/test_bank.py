@@ -66,6 +66,14 @@ def test_ingest_reads_crlf_line_ends(tmp_path):
     assert [s.patient_reply for s in ingest(p).snippets] == ["r0", "r1", "r2"]
 
 
+def test_ingest_reads_a_file_whose_line_ends_are_bare_cr_as_one_line(tmp_path):
+    line = {"patient_id": "A", "session_id": "s", "scenario_id": 3, "doctor_curr": "q", "patient_reply": "r", "traits": []}
+    p = tmp_path / "bank.jsonl"
+    p.write_bytes(((json.dumps(line) + "\r") * 2).encode("utf-8"))
+    with pytest.raises(BankSchemaError, match="line 1: invalid JSON \\(Extra data"):
+        ingest(p)
+
+
 def test_ingest_unknown_trait_names_line(tmp_path):
     good = {"patient_id": "A", "session_id": "s", "scenario_id": 3,
             "doctor_curr": "q", "patient_reply": "r", "traits": []}
@@ -265,7 +273,7 @@ def _bank_lines(draw) -> tuple[str, str | None]:
     line = json.dumps(doc, sort_keys=True)
     if kind == "whitespace":  # JSON whitespace is valid around a value; a form feed is not
         if draw(st.booleans()):
-            line = draw(st.sampled_from([" ", "\t", "\x0c"])) + line  # a leading "\r": the xfail example below
+            line = draw(st.sampled_from([" ", "\t", "\r", "\x0c"])) + line
         else:
             line += draw(st.sampled_from([" ", "\t", "\r", "\x0c"]))
         expected = "invalid JSON" if "\x0c" in line else "ok"
@@ -294,10 +302,10 @@ def _with_traits(line: str, traits) -> str:
     (_with_traits(_VALID_LINES[0], ["F7", "F8"]), "ok"),
     (_with_traits(_VALID_LINES[0], {"F7": True, "F8": True}), "traits must be"),
 ])
-@example(drawn=[  # read_text reads a lone "\r" as a line end, so the second line is numbered 3 (CHANGES.md FOUND)
+@example(drawn=[  # a lone "\r" is JSON whitespace, not a line end, so the second line is numbered 2
     ("\r" + _VALID_LINES[0], "ok"),
     (json.dumps(dict(json.loads(_VALID_LINES[1]), traits=None)), "traits must be"),
-]).xfail(reason="a lone CR splits a JSON-lines line", raises=AssertionError)
+])
 def test_a_bank_fails_on_its_first_line_that_fails_alone_with_that_lines_message(drawn):
     lines = [line for line, _ in drawn]
     with tempfile.TemporaryDirectory() as tmp:

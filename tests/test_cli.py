@@ -874,6 +874,27 @@ def test_json_nested_too_deeply_exits_1_with_the_boundary_error(tmp_path, capsys
     assert capsys.readouterr().err.startswith(expected.format(path=path))
 
 
+@pytest.mark.parametrize("reader,line,expected", [
+    ("ingest", {"patient_id": "A", "session_id": "s", "scenario_id": 3, "doctor_curr": "q",
+                "patient_reply": "r", "traits": []}, "error: line 3: invalid JSON"),
+    ("detect --in", {"question": "q", "response": "r"}, "error: line 3: invalid JSON"),
+    ("run --replay-log", {"fingerprint": "f", "response": "r"}, "error: {path}: line 3: invalid JSON"),
+], ids=["ingest", "detect", "replay-log"])
+def test_a_lone_cr_in_a_json_lines_file_is_whitespace_not_a_line_end(tmp_path, capsys, reader, line, expected):
+    # line 1 holds a "\r" between tokens and line 2 starts with one; both parse, so line 3 is named
+    path = tmp_path / "in.jsonl"
+    text = json.dumps(line)
+    path.write_bytes((text.replace(", ", ",\r", 1) + "\n\r" + text + "\n{not json\n").encode("utf-8"))
+    run = ["run", "--bank", str(GOLDEN), "--episodes", "1", "--out", str(tmp_path / "out")]
+    argv = {
+        "ingest": ["ingest", "--in", str(path)],
+        "detect --in": ["detect", "--in", str(path)],
+        "run --replay-log": [*run, "--detector", "llm", "--replay-log", str(path)],
+    }[reader]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith(expected.format(path=path))
+
+
 def test_an_internal_check_that_fails_keeps_its_traceback(tmp_path, monkeypatch):
     # a broken invariant is a bug, not bad input: it must not exit 1 as a usage error
     def broken_update(state, labels):

@@ -3,7 +3,7 @@ import re
 from importlib import resources
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from elicit.detector import (
@@ -120,17 +120,16 @@ def overlapping(tmp_path_factory):
     return write_ontology(tmp_path_factory.mktemp("ontology") / "overlapping.json", OVERLAPPING_MARKERS)
 
 
-def test_the_embedded_vocabulary_has_no_cross_trait_overlap(ontology):
-    assert ontology.markers.overlaps == ((),) * len(ALL_TRAITS)
-
-
-def test_the_overlap_table_names_each_trait_that_can_start_inside_another(overlapping):
-    table = dict(zip(ALL_TRAITS, overlapping.markers.overlaps))
-    assert {t: set(us) for t, us in table.items() if us} == {
-        TraitId.F1: {TraitId.F2},
-        TraitId.F2: {TraitId.F3},
-        TraitId.F6: {TraitId.F7},
-    }
+@pytest.mark.parametrize("phrase,message", [
+    ("OKAY THEN", "marker 'okay then' owned by both F1 and F4"),
+    ("\u212aind of fine", "marker '\u212aind of fine' owned by both F4 and F8"),  # KELVIN SIGN
+    ("okay", "marker 'okay' (F4) is contained in 'okay then' (F1)"),
+    ("then", "marker 'then' (F4) is contained in 'okay then' (F1)"),
+])
+def test_a_marker_that_could_match_where_another_traits_marker_matches_is_rejected(tmp_path, phrase, message):
+    # the rule detector's one scan is exact only because no two traits can match at one position
+    with pytest.raises(OntologyError, match=re.escape(message)):
+        write_ontology(tmp_path / "shared.json", {**OVERLAPPING_MARKERS, "F4": [phrase]})
 
 
 @pytest.mark.parametrize("phrase", ["!wow", "wow!", "!wow there", "", " wow"])
@@ -172,6 +171,31 @@ def test_one_scan_finds_what_ten_searches_find(overlapping, vocabulary, data):
     text = "".join(p + sep for p, sep in parts)
     assume(text.strip())
     assert RuleDetector(ont).detect(Q, text) == ten_search_detect(ont, text)
+
+
+_VOCABULARY_WORDS = ("okay", "then", "again", "so", "\u017fo", "kind", "\u212aind", "of", "fine", "x-ray", "ray")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_scan_finds_what_ten_searches_find_in_a_random_vocabulary(tmp_path_factory, data):
+    # one phrase per trait; about a third of the vocabularies pass validation
+    phrase = st.lists(st.sampled_from(_VOCABULARY_WORDS), min_size=2, max_size=3).map(" ".join)
+    phrases = data.draw(st.lists(phrase, min_size=len(ALL_TRAITS), max_size=len(ALL_TRAITS)))
+    try:
+        ont = write_ontology(
+            tmp_path_factory.getbasetemp() / "random-vocabulary.json",
+            {t.name: [p] for t, p in zip(ALL_TRAITS, phrases)},
+        )
+    except OntologyError:
+        reject()
+    piece = st.tuples(st.sampled_from(_pieces(ont)), st.sampled_from(_CASES)).map(lambda pc: pc[1](pc[0]))
+    texts = st.lists(st.tuples(piece, st.sampled_from(_SEPARATORS)), min_size=1, max_size=10).map(
+        lambda parts: "".join(p + sep for p, sep in parts)
+    )
+    detector = RuleDetector(ont)
+    for text in data.draw(st.lists(texts.filter(str.strip), min_size=5, max_size=5)):
+        assert detector.detect(Q, text) == ten_search_detect(ont, text)
 
 
 def test_empty_response_error():
