@@ -68,10 +68,9 @@ def _client(settings: Settings, record: str | None = None, replay_log: str | Non
     return HttpBackend(settings.backend, transport=transport)
 
 
-def _components(settings: Settings, bank, ont, record: str | None = None, replay_log: str | None = None):
-    from .runner import build_components
-
-    return build_components(settings.episode, bank, ont, client=_client(settings, record, replay_log))
+def _detector(settings: Settings, ont):
+    """The configured detector alone, for the commands that run nothing else."""
+    return build_detector(settings.episode.detector_kind, _client(settings), ont, settings.episode.prompt_dir)
 
 
 def _write_json(doc: dict, out: str | Path | None) -> None:
@@ -126,7 +125,7 @@ def _fail_if_all_aborted(logs) -> None:
 
 
 def _cmd_run(args) -> int:
-    from .runner import run_batch
+    from .runner import build_components, run_batch
 
     floor = 0 if args.mode == "replay" else 1  # 0 in replay mode means one per patient
     if args.episodes < floor:
@@ -137,6 +136,9 @@ def _cmd_run(args) -> int:
     _check_outputs({"--record": args.record}, {
         "--bank": args.bank, "--config": args.config, "--ontology": args.ontology, "--replay-log": args.replay_log
     })
+    if args.record and Path(args.record).exists():
+        # the recorder appends, so a second run's traffic would follow the first's in one log
+        raise UsageError(f"--record {args.record} already exists; give a new path")
     settings = _settings(
         args,
         max_turns=args.turns,
@@ -150,8 +152,11 @@ def _cmd_run(args) -> int:
     if not len(bank):
         raise UsageError("bank is empty")
 
-    components = _components(settings, bank, ont, args.record, args.replay_log)
-
+    # replay mode runs only the detector, so it gets no bank and builds no retrieval index
+    components = build_components(
+        settings.episode, None if args.mode == "replay" else bank, ont,
+        client=_client(settings, args.record, args.replay_log),
+    )
     result = run_batch(
         settings.episode, bank, args.mode, args.episodes, parallel=args.parallel, components=components
     )
@@ -188,8 +193,7 @@ def _cmd_replay(args) -> int:
     gt = _parse_ground_truth(args.ground_truth)
     if not gt:
         raise UsageError("ground truth is empty")
-    components = _components(settings, None, ont)
-    log = run_replay(transcript, gt, settings.episode, components, episode_id="replay-0000-manual")
+    log = run_replay(transcript, gt, settings.episode, _detector(settings, ont), episode_id="replay-0000-manual")
     out_dir = Path(args.out)
     write_logs(BatchResult(logs=(log,), skipped=()), out_dir)
     print(f"wrote replay log to {out_dir}")
@@ -320,7 +324,7 @@ def _cmd_detect(args) -> int:
     _check_outputs({"--out": args.out}, {"--in": args.path, "--config": args.config, "--ontology": args.ontology})
     settings = _settings(args, detector_kind=args.backend)
     ont = _load_ontology(settings.ontology_path)
-    detector = build_detector(settings.episode.detector_kind, _client(settings), ont, settings.episode.prompt_dir)
+    detector = _detector(settings, ont)
     transcript = _read_transcript(args.path)  # every line is checked before any output is written
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import belief as belief_mod
 from .backends import BackendConfig
-from .errors import InputError, read_text
+from .errors import InputError, numbered_lines
 from .patient import EmissionParams
 
 # each role's kinds: the deterministic one, then the one that needs a backend client
@@ -108,10 +108,10 @@ def _field_type(cls: type, name: str) -> type:
 
 
 def load_settings(path: str | Path | None = None) -> Settings:
-    """Parse `key = value` lines; '#' starts a comment, blank lines ignored."""
+    """Parse `key = value` lines, which end at "\\n" only; '#' starts a comment, blank lines ignored."""
     values: dict[type, dict] = {cls: {} for cls, _ in KEYS.values()}
     if path is not None:
-        for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
+        for line_no, raw in numbered_lines(path):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

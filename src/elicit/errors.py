@@ -103,13 +103,15 @@ def _holds_lone_surrogate(value) -> bool:
 
 
 def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """The (line number, line) pairs of a JSON-lines file's non-blank lines, split on "\\n" only.
+    """The (line number, line) pairs of a file's non-blank lines, split on "\\n" only.
 
-    JSON allows "\\r" as whitespace between tokens, and U+2028, U+2029 and
-    U+0085 raw inside a string, so a JSON-lines reader must not split on them
-    as universal-newline reading and `str.splitlines` do. Each line loses one
-    trailing "\\r", so a "\\r\\n" ending reads as "\\n" does. Bytes that are
-    not UTF-8 are an InputError naming the file, as in `read_text`.
+    It reads the JSON-lines files and the config. JSON allows "\\r" as
+    whitespace between tokens, and U+2028, U+2029 and U+0085 raw inside a
+    string, and a config comment may hold a form feed, so neither reader may
+    split on them as universal-newline reading and `str.splitlines` do. Each
+    line loses one trailing "\\r", so a "\\r\\n" ending reads as "\\n" does.
+    Bytes that are not UTF-8 are an InputError naming the file, as in
+    `read_text`.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:

@@ -14,13 +14,13 @@ patient's real snippet whose doctor question is nearest to the simulated
 question by exact cosine under the fallback encoder; a tie goes to the
 patient's first such snippet. The turn scores the cosine of the simulated and
 the real reply. The real questions' vectors are the retriever's index rows,
-and each fold encodes in one batch the distinct replies that no earlier fold
-on its process encoded.
+and each fold encodes its distinct replies in one batch and drops them when
+it ends, so memory does not grow with the number of folds.
 
 The folds are independent once the components are built, so a long run maps
 them over contiguous chunks of patients on forked processes (`fanout`), each
-a copy-on-write image of the built components. Memos and reply vectors are
-per process; no output byte depends on the number of processes.
+a copy-on-write image of the built components. Memos are per process; no
+output byte depends on the number of processes.
 
 Conventions the source material leaves open, fixed here: KL smoothing adds
 1e-6 to every trait mass before normalising; frequency error is the mean
@@ -35,8 +35,6 @@ import statistics
 from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping
-
-import numpy as np
 
 from . import fanout
 from .bank import PatientProfile, SnippetBank, base_rates, trait_frequencies
@@ -196,26 +194,21 @@ def _semantic_similarity(
     retriever: AnchorRetriever,
     patient_id: str,
     sim_pairs: list[tuple[str, str]],
-    replies: dict[str, np.ndarray] | None = None,
 ) -> float:
     """Mean cosine between each simulated reply and the real reply whose question is nearest.
 
     The real questions' vectors are the retriever's index rows, and the
     simulated questions' come from `retriever.encode`'s memo. The fold's
-    distinct simulated and real replies that are not in `replies` (the vectors
-    of the replies earlier folds on this process scored) are encoded in one
-    batch and added to it, so a process encodes no reply twice and the
-    retriever's memo holds no reply.
+    distinct simulated and real replies are encoded in one batch and dropped
+    on return, so the retriever's memo holds no reply.
     """
-    if replies is None:
-        replies = {}
     real = retriever.bank.patient_snippets(patient_id)
     questions = list(dict.fromkeys(q for q, _ in sim_pairs))
     picks = retriever.nearest(retriever.bank.by_patient[patient_id], [retriever.encode(q) for q in questions])
     nearest = dict(zip(questions, picks))
     pairs = [(r_sim, real[nearest[q_sim]].patient_reply) for q_sim, r_sim in sim_pairs]
-    new = [r for r in dict.fromkeys(chain.from_iterable(pairs)) if r not in replies]
-    replies.update(zip(new, retriever.encoder.encode_many(new)))
+    texts = list(dict.fromkeys(chain.from_iterable(pairs)))
+    replies = dict(zip(texts, retriever.encoder.encode_many(texts)))
     return exact_mean(cosine(replies[r_sim], replies[r_real]) for r_sim, r_real in pairs)
 
 
@@ -226,26 +219,24 @@ def loo_validate(
 ) -> FidelityReport:
     """Leave-one-out validation of the patient agent against its source bank.
 
-    The components, profiles and reply-vector cache are built once. The folds
-    then run on the smallest of: the usable CPUs, the patients, and the
-    simulated turns over `MIN_TURNS_PER_PROCESS`; the calling process takes
-    the first chunk of patients and one forked child each further chunk. The
-    results are folded in patient order, so the report is the serial one. The
-    first fold to fail, in patient order, raises its error, and no child is
-    left running.
+    The components and profiles are built once. The folds then run on the
+    smallest of: the usable CPUs, the patients, and the simulated turns over
+    `MIN_TURNS_PER_PROCESS`; the calling process takes the first chunk of
+    patients and one forked child each further chunk. The results are folded
+    in patient order, so the report is the serial one. The first fold to
+    fail, in patient order, raises its error, and no child is left running.
     """
     patients = bank.patient_ids()
     if len(patients) < 2:
         raise InsufficientPatientsError("leave-one-out needs at least 2 patients")
     components = build_components(EpisodeConfig(), bank, ontology)
     profiles = {pid: base_rates(bank, pid) for pid in patients}
-    replies: dict[str, np.ndarray] = {}
 
     def fold(pid: str) -> tuple[float, float, float, list[tuple[str, frozenset[TraitId]]]]:
         turns = _simulate_patient(bank, pid, cfg, components, profiles[pid])
         real = trait_frequencies(s.traits for s in bank.patient_snippets(pid))
         simulated = trait_frequencies(detected for _, _, _, detected in turns)
-        sim = _semantic_similarity(components.retriever, pid, [(q, r) for _, q, r, _ in turns], replies)
+        sim = _semantic_similarity(components.retriever, pid, [(q, r) for _, q, r, _ in turns])
         detections = [(strategy.value, detected) for strategy, _, _, detected in turns]
         return kl_divergence(real, simulated), frequency_error(real, simulated), sim, detections
 

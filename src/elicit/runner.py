@@ -294,21 +294,20 @@ def run_replay(
     transcript: Sequence[tuple[str, str]],
     ground_truth: frozenset[TraitId],
     cfg: EpisodeConfig,
-    components: Components | None = None,
+    detector,
     episode_id: str = "replay-0",
     patient_id: str = "replayed",
 ) -> EpisodeLog:
-    """Feed an existing transcript through the detector and belief tracker only; it aborts as `run_episode` does."""
+    """Feed an existing transcript through `detector` and the belief tracker only; it aborts as `run_episode` does."""
     if not transcript:
         raise ValueError("transcript must be non-empty")
-    comps = components or build_components(cfg, bank=None)
     gt = frozenset(ground_truth)
     state = BeliefState(tau=cfg.tau)
     turns: list[TurnRecord] = []
     abort_reason = None
     for question, response in transcript[: cfg.max_turns]:
         try:
-            detections = comps.detector.detect(question, response)
+            detections = detector.detect(question, response)
         except BackendError as e:
             abort_reason = _abort_reason(episode_id, len(turns) + 1, e)
             break
@@ -327,7 +326,8 @@ def run_batch(
     mode: str,
     n_episodes: int,
     parallel: int = 1,
-    components: Components | None = None,
+    *,
+    components: Components,
 ) -> BatchResult:
     """Run a batch of episodes round-robin over the bank's patients.
 
@@ -341,7 +341,6 @@ def run_batch(
         raise ValueError(f"unknown mode {mode!r}")
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
-    comps = components or build_components(cfg, bank)
     patients = bank.patient_ids()
     if not patients:
         raise ValueError("bank has no patients")
@@ -358,12 +357,12 @@ def run_batch(
         episode_id, pid = job
         ecfg = replace(cfg, seed=derive_seed(cfg.seed, episode_id))
         if mode != "replay":
-            return run_episode(ecfg, bank, profiles[pid], comps, episode_id, mode=mode)
+            return run_episode(ecfg, bank, profiles[pid], components, episode_id, mode=mode)
         transcript = replay_transcript_for_patient(bank, pid)
         gt = frozenset(profiles[pid].ground_truth)
         if not transcript or not gt:
             return None
-        return run_replay(transcript, gt, ecfg, comps, episode_id, patient_id=pid)
+        return run_replay(transcript, gt, ecfg, components.detector, episode_id, patient_id=pid)
 
     if parallel > 1 and _backend_roles(cfg):
         with ThreadPoolExecutor(max_workers=parallel) as pool:

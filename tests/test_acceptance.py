@@ -165,13 +165,14 @@ def test_criterion_6_replay_baseline_oracle():
         ("How was your week?", "Busy, you know what I mean, and he said mideast on the news."),
         ("What did you see?", "Nothing much after that, it quieted down."),
     ]
-    log = run_replay(transcript, frozenset({TraitId.F2, TraitId.F6}), cfg)
+    rules = RuleDetector(default_ontology())
+    log = run_replay(transcript, frozenset({TraitId.F2, TraitId.F6}), cfg, rules)
     m = episode_metrics(log)
     assert m.coverage == pytest.approx(1.0)
     assert m.f1 == pytest.approx(1.0)
 
     clean = [("q1", "Nothing much happened."), ("q2", "Just a normal day.")]
-    m2 = episode_metrics(run_replay(clean, frozenset({TraitId.F2, TraitId.F6}), cfg))
+    m2 = episode_metrics(run_replay(clean, frozenset({TraitId.F2, TraitId.F6}), cfg, rules))
     assert m2.coverage == 0.0
     _report("6 replay-baseline oracle", t0, 1.0)
 

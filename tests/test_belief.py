@@ -15,7 +15,8 @@ from elicit.belief import (
     priority_traits,
     update,
 )
-from elicit.ontology import ALL_TRAITS, TRAIT_NAMES, TraitId
+from elicit.detector import RuleDetector
+from elicit.ontology import ALL_TRAITS, TRAIT_NAMES, TraitId, default_ontology
 from elicit.runner import EpisodeConfig, run_replay
 
 
@@ -291,7 +292,7 @@ def test_a_log_folds_back_to_its_beta_snapshots():
         ("And then?", "He said mideast on the news."),  # F2, a turn late: mean 0.5, under tau
         ("Anything else?", "Nothing much."),
     ]
-    log = run_replay(transcript, frozenset({TraitId.F2, TraitId.F6}), EpisodeConfig())
+    log = run_replay(transcript, frozenset({TraitId.F2, TraitId.F6}), EpisodeConfig(), RuleDetector(default_ontology()))
     state = BeliefState(tau=log.tau)
     for turn in log.turns:
         state = update(state, tuple(turn.detections["labels"][n] for n in TRAIT_NAMES))

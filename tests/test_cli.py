@@ -167,6 +167,34 @@ def test_run_replay_mode(tmp_path):
     assert len(episode_files) == 3
 
 
+def test_replay_builds_its_detector_alone(tmp_path, monkeypatch):
+    from elicit import runner
+
+    def never(*args, **kwargs):
+        raise AssertionError("replay built a component stack")
+
+    monkeypatch.setattr(runner, "build_components", never)
+    transcript = tmp_path / "t.jsonl"
+    _write_transcript(transcript, ["Good, you know what I mean."])
+    assert run_cli("replay", "--in", str(transcript), "--ground-truth", "F6", "--out", str(tmp_path / "logs")) == 0
+
+
+def test_run_in_replay_mode_with_the_remote_encoder_posts_no_embedding_request(tmp_path, monkeypatch):
+    # replay mode runs the detector alone, so it builds no retrieval index and embeds no doctor text
+    service, posted = _fake_llm_service(), []
+
+    def counting(path, body):
+        posted.append(path)
+        return service(path, body)
+
+    monkeypatch.setattr("elicit.cli.HttpTransport", lambda config: counting)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("encoder.kind = remote\ndetector.kind = llm\n")
+    assert run_cli("run", "--bank", str(GOLDEN), "--mode", "replay", "--config", str(cfg),
+                   "--out", str(tmp_path / "logs")) == 0
+    assert posted and set(posted) == {"/v1/chat/completions"}
+
+
 def test_replay_subcommand(tmp_path):
     transcript = tmp_path / "t.jsonl"
     lines = [
@@ -433,6 +461,18 @@ def test_config_rejects_unknown_key(tmp_path):
     # a removed key fails the same way: a weight of 0 is how the affinity hook is turned off
     cfg.write_text("emitter.affinity_enabled = true\n")
     with pytest.raises(ConfigError, match="unknown config key"):
+        load_settings(cfg)
+
+
+def test_config_lines_end_at_newline_only(tmp_path):
+    from elicit.config import ConfigError, load_settings
+
+    # a form feed or U+2028 inside a comment stays in the comment; blank lines still count
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# see page 2\x0c of the notes\nselector.kind = heuristic\n", encoding="utf-8")
+    assert load_settings(cfg).episode.selector_kind == "heuristic"
+    cfg.write_text("# a\u2028b\x0c c\r\n\n\x0cnonsense = 1\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="^line 3: unknown config key 'nonsense'$"):
         load_settings(cfg)
 
 
@@ -1087,6 +1127,20 @@ def test_a_recorded_all_llm_tpa_run_replays_to_identical_logs(tmp_path, monkeypa
     assert {"input" in r for r in requests} == {True, False}  # embeddings and completions alike
     assert run_cli(*run, "--out", str(tmp_path / "again"), "--replay-log", str(record)) == 0
     assert _episode_logs(tmp_path / "again") == live
+
+
+def test_run_refuses_a_record_path_that_already_exists(tmp_path, monkeypatch, capsys):
+    # the recorder appends, so a second run's traffic would follow the first's and replay in its place
+    def never(*args, **kwargs):
+        raise AssertionError("input read before the outputs were checked")
+
+    monkeypatch.setattr("elicit.cli.ingest", never)
+    record, out = tmp_path / "record.jsonl", tmp_path / "logs"
+    record.write_text("old line\n")
+    assert run_cli("run", "--bank", str(GOLDEN), "--mode", "replay", "--detector", "llm",
+                   "--out", str(out), "--record", str(record)) == 1
+    assert capsys.readouterr().err == f"error: --record {record} already exists; give a new path\n"
+    assert record.read_text() == "old line\n" and not out.exists()
 
 
 def test_recording_a_replay_writes_a_log_that_replays_alike(tmp_path, monkeypatch):

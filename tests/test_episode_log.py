@@ -12,7 +12,7 @@ from elicit.metrics import aggregate
 from elicit.ontology import ALL_TRAITS, TRAIT_NAMES
 from elicit.patient import EmissionParams
 from elicit.episode_log import BatchResult, EpisodeLog, LogFormatError, read_logs, write_logs
-from elicit.runner import EpisodeConfig, run_batch
+from elicit.runner import EpisodeConfig, build_components, run_batch
 
 GOLDEN = Path(__file__).parent / "data" / "golden_bank.jsonl"
 
@@ -84,7 +84,8 @@ GOLDEN_LOG_SHA256 = {
 def _golden_bank_logs(case: str, out: Path) -> list[Path]:
     mode, *settings = case.split()
     emission = EmissionParams(**{k: float(v) for k, v in (s.split("=") for s in settings)})
-    result = run_batch(EpisodeConfig(emission=emission), ingest(GOLDEN), mode, len(PRE_SLIM_LOG_SHA256[case]))
+    cfg, bank = EpisodeConfig(emission=emission), ingest(GOLDEN)
+    result = run_batch(cfg, bank, mode, len(PRE_SLIM_LOG_SHA256[case]), components=build_components(cfg, bank))
     return write_logs(result, out)
 
 
@@ -144,7 +145,7 @@ def test_all_llm_episode_keeps_its_log_bytes_and_requests():
     from elicit.backends import BackendConfig, HttpBackend
     from elicit.bank import base_rates
     from elicit.ontology import ALL_TRAITS, STRATEGY_ORDER
-    from elicit.runner import build_components, run_episode
+    from elicit.runner import run_episode
 
     turns = 6
     script = []
@@ -184,7 +185,8 @@ def test_all_llm_episode_keeps_its_log_bytes_and_requests():
 def batches():
     bank = synthesize_bank(SynthSpec(n_patients=4, snippets_per_patient=8), seed=11)
     cfg = EpisodeConfig(seed=5, max_turns=12)
-    return {mode: run_batch(cfg, bank, mode, 4) for mode in ("tpa", "random", "replay")}
+    comps = build_components(cfg, bank)
+    return {mode: run_batch(cfg, bank, mode, 4, components=comps) for mode in ("tpa", "random", "replay")}
 
 
 @pytest.mark.parametrize("mode", ["tpa", "random", "replay"])

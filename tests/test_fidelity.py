@@ -5,6 +5,9 @@ import random
 import statistics
 import threading
 import time
+import tracemalloc
+from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -215,15 +218,40 @@ def test_loo_raises_when_an_anchor_comes_from_the_held_out_patient(loo_bank, mon
 def test_loo_encodes_every_text_once(monkeypatch):
     from elicit import runner
 
-    # the index build's doctor texts, then each question and each real or simulated reply once.
-    # "once" holds per process: a forked child encodes what it meets again. This bank's 36
-    # turns are below MIN_TURNS_PER_PROCESS, so the run stays on the calling process.
+    # per process: the index build's doctor texts in one batch, then each question once. Per fold:
+    # the fold's distinct real and simulated replies in one batch, dropped when the fold ends, so
+    # a reply two folds meet is encoded by each. A forked child encodes what it meets again; this
+    # bank's 36 turns are below MIN_TURNS_PER_PROCESS, so the run stays on the calling process.
     bank = synthesize_bank(SynthSpec(n_patients=3, snippets_per_patient=6), seed=5)
     enc = CountingEncoder()
     monkeypatch.setattr(runner, "FallbackEncoder", lambda: enc)
     loo_validate(bank, FidelityConfig(episodes_per_patient=2, turns=6))
-    assert len(enc.texts) > len({s.doctor_curr for s in bank.snippets})
-    assert len(enc.texts) == len(set(enc.texts))
+    index, *folds = enc.batches
+    assert index == list(dict.fromkeys(s.doctor_curr for s in bank.snippets))
+    assert len(folds) == len(bank.patient_ids())
+    for pid, replies in zip(bank.patient_ids(), folds):
+        assert len(replies) == len(set(replies))
+        assert set(replies) & {s.patient_reply for s in bank.patient_snippets(pid)}
+    assert len(set(chain.from_iterable(folds))) < sum(map(len, folds))  # two folds of this bank share a reply
+    questions = Counter(enc.texts) - Counter(chain.from_iterable(enc.batches))
+    assert questions and set(questions.values()) == {1}
+
+
+def test_loo_memory_does_not_grow_with_the_number_of_folds(monkeypatch):
+    # each fold's reply vectors are dropped when it ends; at 40 patients a cache kept across
+    # folds held ~2.7 MB more than at 10, while what the folds keep grows by ~0.4 MB
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
+    cfg = FidelityConfig(episodes_per_patient=2, turns=20)
+    peaks = []
+    for n_patients in (10, 40):
+        bank = synthesize_bank(SynthSpec(n_patients=n_patients, snippets_per_patient=4), seed=3)
+        tracemalloc.start()
+        try:
+            loo_validate(bank, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1_000_000, peaks
 
 
 def test_loo_deterministic(loo_bank):

@@ -14,16 +14,16 @@ ALLOWED = frozenset({
 })
 
 
-def places_naming_default_ontology(source: str, module: str) -> list[str]:
-    """Each place `source` names `default_ontology`: the enclosing `module.Class.function`,
+def places_naming(source: str, module: str, name: str = NAME) -> list[str]:
+    """Each place `source` names `name`: the enclosing `module.Class.function`,
     or `module` for module level, with ":import" added for an import."""
     places = []
 
     def visit(node, scope):
         if isinstance(node, ast.ImportFrom | ast.Import):
-            if any(alias.name.rpartition(".")[2] == NAME for alias in node.names):
+            if any(alias.name.rpartition(".")[2] == name for alias in node.names):
                 places.append(scope + ":import")
-        elif isinstance(node, ast.Name) and node.id == NAME or isinstance(node, ast.Attribute) and node.attr == NAME:
+        elif isinstance(node, ast.Name) and node.id == name or isinstance(node, ast.Attribute) and node.attr == name:
             places.append(scope)
         if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
             scope = f"{scope}.{node.name}"
@@ -36,7 +36,7 @@ def places_naming_default_ontology(source: str, module: str) -> list[str]:
 
 def test_default_ontology_is_named_only_where_the_ontology_is_resolved():
     modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "ontology.py"]
-    places = {p.stem: found for p in modules if (found := places_naming_default_ontology(p.read_text("utf-8"), p.stem))}
+    places = {p.stem: found for p in modules if (found := places_naming(p.read_text("utf-8"), p.stem))}
     assert len(modules) > 10 and places
     assert {place for found in places.values() for place in found} <= ALLOWED, places
 
@@ -61,7 +61,7 @@ class RuleDetector:
 def build_components(cfg, ontology=None):
     return ontology or default_ontology()
 """
-    assert places_naming_default_ontology(source, "m") == [
+    assert places_naming(source, "m") == [
         "m:import",
         "m.SessionContext",
         "m.RuleDetector.__init__",

@@ -10,6 +10,7 @@ import pytest
 from elicit.backends import ScriptExhaustedError
 from elicit.bank import PatientProfile, THETA_EPS, base_rates
 from elicit.belief import MAX_TURNS
+from elicit.detector import RuleDetector
 from elicit.errors import InputError
 from elicit.fidelity import FidelityConfig
 from elicit.ontology import ALL_TRAITS, STRATEGY_ORDER, OntologyError, TraitId, default_ontology
@@ -29,6 +30,8 @@ from elicit.runner import (
 )
 
 from conftest import CountingEncoder
+
+RULES = RuleDetector(default_ontology())
 
 
 def coverages(log):
@@ -247,7 +250,7 @@ def test_replay_full_coverage():
         ("What did you see?", "Nothing much after that."),
     ]
     cfg = EpisodeConfig(max_turns=20)
-    log = run_replay(transcript, frozenset({TraitId.F2, TraitId.F6}), cfg)
+    log = run_replay(transcript, frozenset({TraitId.F2, TraitId.F6}), cfg, RULES)
     assert coverages(log)[-1] == 1.0
     assert all(t.strategy == "replay" for t in log.turns)
     assert all(t.thought is None for t in log.turns)
@@ -259,25 +262,25 @@ def test_replay_late_single_detection_stays_below_threshold():
         ("q1", "A plain first answer."),
         ("q2", "He said mideast on the news."),
     ]
-    log = run_replay(transcript, frozenset({TraitId.F2}), EpisodeConfig())
+    log = run_replay(transcript, frozenset({TraitId.F2}), EpisodeConfig(), RULES)
     assert coverages(log)[-1] == 0.0
 
 
 def test_replay_no_markers_zero_coverage():
     transcript = [("q1", "Nothing special."), ("q2", "Just a normal day.")]
-    log = run_replay(transcript, frozenset({TraitId.F2}), EpisodeConfig())
+    log = run_replay(transcript, frozenset({TraitId.F2}), EpisodeConfig(), RULES)
     assert coverages(log)[-1] == 0.0
 
 
 def test_replay_truncates_to_budget():
     transcript = [(f"q{i}", "plain reply") for i in range(25)]
-    log = run_replay(transcript, frozenset({TraitId.F2}), EpisodeConfig(max_turns=20))
+    log = run_replay(transcript, frozenset({TraitId.F2}), EpisodeConfig(max_turns=20), RULES)
     assert len(log.turns) == 20
 
 
 def test_replay_rejects_empty_transcript():
     with pytest.raises(ValueError):
-        run_replay([], frozenset({TraitId.F2}), EpisodeConfig())
+        run_replay([], frozenset({TraitId.F2}), EpisodeConfig(), RULES)
 
 
 def test_replay_transcript_for_patient(synth_bank):
@@ -415,13 +418,14 @@ def test_a_deterministic_batch_runs_on_the_calling_thread_whatever_parallel_is(s
     from elicit import runner
 
     cfg = EpisodeConfig(seed=9)
-    serial = run_batch(cfg, synth_bank, mode, 4)
+    comps = build_components(cfg, synth_bank)
+    serial = run_batch(cfg, synth_bank, mode, 4, components=comps)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a batch of deterministic kinds started a thread pool")
 
     monkeypatch.setattr(runner, "ThreadPoolExecutor", no_pool)
-    parallel = run_batch(cfg, synth_bank, mode, 4, parallel=4)
+    parallel = run_batch(cfg, synth_bank, mode, 4, parallel=4, components=comps)
     assert [l.to_json() for l in parallel.logs] == [l.to_json() for l in serial.logs]
 
 
@@ -468,7 +472,7 @@ def test_a_batch_encodes_every_text_once(synth_bank, monkeypatch):
 
 def test_batch_replay_mode(synth_bank):
     cfg = EpisodeConfig(seed=9)
-    result = run_batch(cfg, synth_bank, "replay", 0)
+    result = run_batch(cfg, synth_bank, "replay", 0, components=build_components(cfg, None))
     assert len(result.logs) == len(synth_bank.patient_ids())
     assert all(l.mode == "replay" for l in result.logs)
 
@@ -497,20 +501,22 @@ def test_batch_builds_profiles_only_for_the_patients_it_runs(monkeypatch, mode):
     assert [l.to_json() for l in two.logs] == [l.to_json() for l in six.logs[:2]]
 
 
-def test_batch_unknown_mode(synth_bank):
+def test_batch_unknown_mode(stack):
+    cfg, bank, comps = stack
     with pytest.raises(ValueError):
-        run_batch(EpisodeConfig(), synth_bank, "mcts", 4)
+        run_batch(cfg, bank, "mcts", 4, components=comps)
 
 
 @pytest.mark.parametrize("parallel", [0, -3])
-def test_batch_rejects_a_parallel_count_below_one(synth_bank, parallel):
+def test_batch_rejects_a_parallel_count_below_one(stack, parallel):
+    cfg, bank, comps = stack
     with pytest.raises(ValueError, match="parallel must be >= 1"):
-        run_batch(EpisodeConfig(), synth_bank, "tpa", 1, parallel=parallel)
+        run_batch(cfg, bank, "tpa", 1, parallel=parallel, components=comps)
 
 
 def test_write_and_read_logs_round_trip(synth_bank, tmp_path):
     cfg = EpisodeConfig(seed=3)
-    result = run_batch(cfg, synth_bank, "random", 4)
+    result = run_batch(cfg, synth_bank, "random", 4, components=build_components(cfg, synth_bank))
     write_logs(result, tmp_path)
     again = read_logs(tmp_path)
     assert [l.episode_id for l in again] == sorted(l.episode_id for l in result.logs)
@@ -558,7 +564,8 @@ def _turn_not_an_object(d):
      (b"\xff{}", "UnicodeDecodeError")],
 )
 def test_read_logs_names_the_malformed_file_and_the_problem(synth_bank, tmp_path, corrupt, problem):
-    paths = write_logs(run_batch(EpisodeConfig(seed=3), synth_bank, "random", 2), tmp_path)
+    cfg = EpisodeConfig(seed=3)
+    paths = write_logs(run_batch(cfg, synth_bank, "random", 2, components=build_components(cfg, synth_bank)), tmp_path)
     bad = paths[1]
     if callable(corrupt):
         doc = json.loads(bad.read_text("utf-8"))
@@ -582,7 +589,8 @@ def test_batch_skips_patients_without_ground_truth():
         make_snippet("P001", patient_reply="Plain reply with no markers at all.", traits=()),
         make_snippet("P002", patient_reply="It is the circle of life I suppose.", traits=("F10",)),
     ))
-    result = run_batch(EpisodeConfig(seed=1), bank, "tpa", 2)
+    cfg = EpisodeConfig(seed=1)
+    result = run_batch(cfg, bank, "tpa", 2, components=build_components(cfg, bank))
     assert len(result.logs) == 1
     assert result.logs[0].patient_id == "P002"
     assert len(result.skipped) == 1
