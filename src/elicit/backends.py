@@ -59,20 +59,21 @@ class BackendConfig:
     model: str = ""
     embed_model: str = ""
     timeout_s: float = DEFAULT_TIMEOUT_S
-    max_concurrency: int = 4
 
     def __post_init__(self):
         try:
             url = urllib.parse.urlsplit(self.endpoint)
-            is_url = url.scheme in ("http", "https") and bool(url.hostname)
-        except ValueError:  # an unclosed IPv6 bracket
+            url.port  # a port that is not a number in 0..65535 raises ValueError
+            host = urllib.parse.unquote(url.netloc)  # the host urllib.request hands http.client
+            # http.client refuses \x00-\x20 and \x7f in a URL or a host, and reads "user:password@" as a bad port
+            is_url = (url.scheme in ("http", "https") and bool(url.hostname) and "@" not in host
+                      and not any(c <= " " or c == "\x7f" for c in self.endpoint + host))
+        except ValueError:  # also an unclosed IPv6 bracket
             is_url = False
         if not is_url:
             raise InputError(f"endpoint must be an http(s) URL with a host, got {self.endpoint!r}")
         if not 0.0 < self.timeout_s < float("inf"):  # also false for nan
             raise InputError(f"timeout_s must be finite and > 0, got {self.timeout_s}")
-        if self.max_concurrency < 1:
-            raise InputError(f"max_concurrency must be >= 1, got {self.max_concurrency}")
 
 
 class HttpTransport:
@@ -84,6 +85,7 @@ class HttpTransport:
 
     def __call__(self, path: str, body: dict) -> dict:
         # imported here, where a connection is opened: urllib.request loads http.client and ssl
+        import http.client
         import urllib.error
         import urllib.request
 
@@ -107,7 +109,7 @@ class HttpTransport:
             if e.code in RETRYABLE_STATUS or e.code >= 500:
                 raise TransportError(f"HTTP {e.code}") from e
             raise BackendError(f"request rejected: HTTP {e.code}") from e
-        except (urllib.error.URLError, TimeoutError, OSError) as e:
+        except (OSError, http.client.HTTPException) as e:  # OSError holds URLError and TimeoutError
             raise TransportError(str(e)) from e
         try:
             return parse_json(raw.decode("utf-8"))
@@ -188,7 +190,7 @@ def _float_row(index: int, vec) -> list[float]:
 
 
 class HttpBackend:
-    """Chat-completions client with bounded retries and a concurrency cap.
+    """Chat-completions client with bounded retries.
 
     `transport(path, body) -> dict` posts one request and returns the wire
     reply. Every reply, whichever transport gave it, is checked here.
@@ -197,7 +199,6 @@ class HttpBackend:
     def __init__(self, config: BackendConfig, transport):
         self.config = config
         self._transport = transport
-        self._semaphore = threading.Semaphore(config.max_concurrency)
         self._lock = threading.Lock()
         self.retry_count = 0
 
@@ -206,8 +207,7 @@ class HttpBackend:
         attempt = 0
         while True:
             try:
-                with self._semaphore:
-                    return self._transport(path, body)
+                return self._transport(path, body)
             except AuthError:
                 raise
             except TransportError as e:

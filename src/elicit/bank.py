@@ -230,12 +230,11 @@ _TOPIC_WORDS = [
 ]
 
 
-def weave_markers(skeleton: str, markers: list[str], rng: random.Random) -> str:
-    """Insert each marker phrase mid-sentence at a seeded position."""
+def weave_markers(skeleton: str, markers: Iterable[str], rng: random.Random) -> str:
+    """Insert each marker phrase mid-sentence at a seeded position; `skeleton` holds at least one word."""
     words = skeleton.split()
     for marker in markers:
-        pos = rng.randrange(1, len(words) + 1) if words else 0
-        words.insert(pos, marker + ",")
+        words.insert(rng.randrange(1, len(words) + 1), marker + ",")
     return " ".join(words)
 
 

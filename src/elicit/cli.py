@@ -133,6 +133,9 @@ def _cmd_run(args) -> int:
     if args.parallel < 1:
         raise UsageError("--parallel must be >= 1")
     _check_log_dir(args.out)
+    if args.record and Path(args.record).parent.resolve() == Path(args.out).resolve():
+        # the run writes its logs and manifest there, which a later evaluate checks against each other
+        raise UsageError(f"--record {args.record} is inside --out {args.out}; write the replay log elsewhere")
     _check_outputs({"--record": args.record}, {
         "--bank": args.bank, "--config": args.config, "--ontology": args.ontology, "--replay-log": args.replay_log
     })
@@ -356,7 +359,7 @@ _COMMANDS = {
         "--turns": dict(type=int),
         "--seed": dict(type=int),
         "--out": dict(required=True),
-        "--parallel": dict(type=int, default=1, help="bound on episodes in flight when a kind waits on a backend"),
+        "--parallel": dict(type=int, default=1, help="bound on episodes, and so backend requests, in flight"),
         "--selector": dict(choices=KINDS["selector"], default=None),
         "--realiser": dict(choices=KINDS["realiser"], default=None),
         "--detector": dict(choices=KINDS["detector"], default=None),

@@ -91,7 +91,6 @@ KEYS: dict[str, tuple[type, str]] = {
     "backend.model": (BackendConfig, "model"),
     "backend.embed_model": (BackendConfig, "embed_model"),
     "backend.timeout_s": (BackendConfig, "timeout_s"),
-    "backend.max_concurrency": (BackendConfig, "max_concurrency"),
     "tau": (EpisodeConfig, "tau"),
     "ontology": (Settings, "ontology_path"),
 }
@@ -122,6 +121,8 @@ def load_settings(path: str | Path | None = None) -> Settings:
                 raise ConfigError(f"line {line_no}: unknown config key {key!r}")
             cls, name = KEYS[key]
             try:
+                if "\0" in value:  # no value holds one, and open() raises ValueError on a path that does
+                    raise ValueError("a NUL character")
                 values[cls][name] = _field_type(cls, name)(value)
             except ValueError as e:
                 raise ConfigError(f"line {line_no}: bad value for {key}: {e}") from None

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .bank import THETA_EPS, PatientProfile, Snippet
+from .bank import THETA_EPS, PatientProfile, Snippet, weave_markers
 from .dialogue import HistoryTurn, render_history
 from .errors import BackendError, InputError
 from .ontology import ALL_TRAITS, Ontology, TraitId
@@ -140,16 +140,11 @@ class TemplateRealiser:
         skeleton = self._skeletons.get(anchor.patient_reply)
         if skeleton is None:
             skeleton = self._skeletons[anchor.patient_reply] = self._skeleton(anchor.patient_reply)
-        words = skeleton.split()
         traits = sorted(set(emitted))
         rng = random.Random(seed) if traits else None  # seeded only when a marker is woven in
-        for t in traits:
-            lexicon = self.ontology.traits[t].marker_lexicon
-            marker = lexicon[rng.randrange(len(lexicon))]
-            pos = rng.randrange(1, len(words) + 1) if words else 0
-            words.insert(pos, marker + ",")
-        reply = " ".join(words)
-        return reply if reply.strip() else _FALLBACK_SKELETON
+        # drawn as the weave takes each marker, so the draws go marker, position, marker, position
+        markers = (rng.choice(self.ontology.traits[t].marker_lexicon) for t in traits)
+        return weave_markers(skeleton, markers, rng)
 
 
 def _non_empty(reply: str) -> str:

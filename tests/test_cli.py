@@ -462,6 +462,10 @@ def test_config_rejects_unknown_key(tmp_path):
     cfg.write_text("emitter.affinity_enabled = true\n")
     with pytest.raises(ConfigError, match="unknown config key"):
         load_settings(cfg)
+    # --parallel is the one bound on the backend requests in flight
+    cfg.write_text("backend.max_concurrency = 4\n")
+    with pytest.raises(ConfigError, match="^line 1: unknown config key 'backend.max_concurrency'$"):
+        load_settings(cfg)
 
 
 def test_config_lines_end_at_newline_only(tmp_path):
@@ -494,7 +498,6 @@ SETTINGS_TABLE = [
     ("backend.model", "gen-model", "gen-model", lambda seen: seen["client"].config.model),
     ("backend.embed_model", "embed-model", "embed-model", lambda seen: seen["client"].config.embed_model),
     ("backend.timeout_s", "12.5", 12.5, lambda seen: seen["client"].config.timeout_s),
-    ("backend.max_concurrency", "7", 7, lambda seen: seen["client"].config.max_concurrency),
     ("tau", "0.85", 0.85, lambda seen: seen["cfg"].tau),
     ("ontology", "custom_ontology.json", "custom_ontology.json", lambda seen: seen["ontology"].version),
 ]
@@ -542,7 +545,7 @@ def every_key_set(tmp_path_factory):
 def test_settings_table_covers_every_config_key():
     from elicit.config import KEYS
 
-    assert len(SETTINGS_TABLE) == 18
+    assert len(SETTINGS_TABLE) == 17
     assert [key for key, *_ in SETTINGS_TABLE] == list(KEYS)
 
 
@@ -755,12 +758,11 @@ def test_replay_honours_config_tau(tmp_path):
 
 @pytest.mark.parametrize("line", ["tau = nan", "tau = inf", "tau = 1.5", "tau = -0.1",
                                   "emitter.M = nan", "emitter.strategy_gain = nan",
-                                  "emitter.affinity_weight = nan", "backend.max_concurrency = 0",
-                                  "backend.max_concurrency = -3", "backend.timeout_s = nan",
+                                  "emitter.affinity_weight = nan", "backend.timeout_s = nan",
                                   "backend.timeout_s = inf", "backend.timeout_s = 0",
                                   "selector.temperature = nan", "selector.temperature = inf",
                                   "realiser.temperature = -2", "realiser.temperature = nan",
-                                  "detector.kind = bert", "encoder.kind = bert"])
+                                  "detector.kind = bert", "encoder.kind = bert", "backend.max_concurrency = 4"])
 @pytest.mark.parametrize("command", ["run", "replay", "detect"])
 def test_an_out_of_range_setting_exits_1_with_an_error(tmp_path, capsys, command, line):
     transcript = tmp_path / "t.jsonl"
@@ -778,7 +780,10 @@ def test_an_out_of_range_setting_exits_1_with_an_error(tmp_path, capsys, command
     assert not out.exists()
 
 
-def test_an_endpoint_that_is_not_an_http_url_is_a_config_error_not_a_backend_failure(tmp_path, monkeypatch, capsys):
+# http.client would raise InvalidURL, which no command handles, on the first request to the last two
+@pytest.mark.parametrize("endpoint", ["localhost:8000", "http://example.com:abc", "http://exa mple.com"])
+def test_an_endpoint_that_is_not_an_http_url_is_a_config_error_not_a_backend_failure(tmp_path, monkeypatch, capsys,
+                                                                                     endpoint):
     monkeypatch.setenv("ELICIT_API_KEY", "k")
     monkeypatch.setattr("elicit.backends.time.sleep", lambda s: None)
     calls = []
@@ -789,12 +794,25 @@ def test_an_endpoint_that_is_not_an_http_url_is_a_config_error_not_a_backend_fai
 
     monkeypatch.setattr(urllib.request, "urlopen", urlopen)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("backend.endpoint = localhost:8000\n")
+    cfg.write_text(f"backend.endpoint = {endpoint}\n")
     out = tmp_path / "out"
     code = run_cli("run", "--bank", str(GOLDEN), "--episodes", "1", "--selector", "llm",
                    "--config", str(cfg), "--out", str(out))
     assert (code, calls) == (1, [])
-    assert capsys.readouterr().err == "error: endpoint must be an http(s) URL with a host, got 'localhost:8000'\n"
+    assert capsys.readouterr().err == f"error: endpoint must be an http(s) URL with a host, got {endpoint!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["ontology", "selector.prompt_dir"])
+def test_a_config_value_with_a_nul_character_exits_1_naming_the_line(tmp_path, capsys, key):
+    # open() raises ValueError, which no command handles, on a path that holds one
+    transcript = tmp_path / "t.jsonl"
+    _write_transcript(transcript, ["It went fine, as they say."])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"detector.kind = llm\n{key} = custom\x00ontology.json\n")
+    out = tmp_path / "labels.jsonl"
+    assert run_cli("detect", "--in", str(transcript), "--config", str(cfg), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: line 2: bad value for {key}: a NUL character\n"
     assert not out.exists()
 
 
@@ -1141,6 +1159,22 @@ def test_run_refuses_a_record_path_that_already_exists(tmp_path, monkeypatch, ca
                    "--out", str(out), "--record", str(record)) == 1
     assert capsys.readouterr().err == f"error: --record {record} already exists; give a new path\n"
     assert record.read_text() == "old line\n" and not out.exists()
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "traffic.json", "traffic.jsonl"])
+def test_run_refuses_a_record_path_inside_out(tmp_path, monkeypatch, capsys, name):
+    # the manifest would overwrite the recording, or evaluate would refuse a *.json file the manifest does not list
+    def never(*args, **kwargs):
+        raise AssertionError("input read before the outputs were checked")
+
+    monkeypatch.setattr("elicit.cli.ingest", never)
+    out = tmp_path / "logs"
+    out.mkdir()
+    record = out / name
+    assert run_cli("run", "--bank", str(GOLDEN), "--mode", "replay", "--detector", "llm",
+                   "--out", str(out), "--record", str(record)) == 1
+    assert capsys.readouterr().err == f"error: --record {record} is inside --out {out}; write the replay log elsewhere\n"
+    assert list(out.iterdir()) == []
 
 
 def test_recording_a_replay_writes_a_log_that_replays_alike(tmp_path, monkeypatch):
@@ -1732,6 +1766,41 @@ def test_a_mutated_episode_log_exits_0_or_1_and_writes_nothing_on_1(golden_tpa_l
         assert (code == 1) == (not any(evaluated.iterdir()))
         assert run_cli("report", "--logs", str(logs), "--out-dir", str(reported), *flags) == code
         assert reported.exists() == (code == 0)
+
+
+_CONFIG_VALUES = ["llm", "rule", "remote", "bert", "0", "0.5", "2", "-3", "nan", "inf", "1e400", "abc", "",
+                  "http://localhost:9", "http://exa mple.com", "http://example.com:abc", "localhost:8000", "no/such/dir"]
+
+
+@st.composite
+def _config_text(draw) -> str:
+    """Config lines of set keys, good and bad values, comments, blank lines, unknown keys and junk, with odd breaks."""
+    from elicit.config import KEYS
+
+    key = st.sampled_from([*KEYS, "backend.max_concurrency", "no.such.key"])
+    setting = st.builds("{} {} {}".format, key, st.sampled_from(["=", " = ", "=="]), st.sampled_from(_CONFIG_VALUES))
+    other = st.sampled_from(["", "   ", "# tau = 2", "tau = 0.5 # a comment", "junk", "= 3", "tau ="])
+    lines = []
+    for line in draw(st.lists(setting | other, max_size=6)):
+        at = draw(st.integers(0, len(line)))
+        lines.append(line[:at] + draw(st.sampled_from(["", "\r", "\x0c", "\u2028", "\x00"])) + line[at:])
+    return "\n".join(lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_config_text())
+def test_any_config_file_exits_0_1_or_2_and_writes_no_output_on_1(config_text):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.delenv("ELICIT_API_KEY", raising=False)  # so an llm detector fails before it opens a connection
+        transcript, cfg, out = Path(tmp) / "t.jsonl", Path(tmp) / "run.cfg", Path(tmp) / "labels.jsonl"
+        _write_transcript(transcript, ["It went fine, as they say."])
+        cfg.write_text(config_text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli("detect", "--in", str(transcript), "--config", str(cfg), "--out", str(out))
+        prefix = {0: "", 1: "error: ", 2: "backend error: "}[code]
+        assert err.getvalue().startswith(prefix), err.getvalue()
+        assert out.exists() == (code != 1)
 
 
 def test_cli_import_loads_no_scipy():

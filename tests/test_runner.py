@@ -3,12 +3,13 @@ import json
 import math
 import random
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from elicit.backends import ScriptExhaustedError
-from elicit.bank import PatientProfile, THETA_EPS, base_rates
+from elicit.backends import BackendConfig, HttpBackend, ScriptExhaustedError
+from elicit.bank import PatientProfile, SynthSpec, THETA_EPS, base_rates, synthesize_bank
 from elicit.belief import MAX_TURNS
 from elicit.detector import RuleDetector
 from elicit.errors import InputError
@@ -446,6 +447,28 @@ def test_a_batch_with_a_kind_that_waits_on_a_backend_runs_on_a_thread_pool(synth
     result = run_batch(cfg, synth_bank, "tpa", 4, parallel=3, components=comps)
     assert pools == [3]
     assert len(result.logs) == 4  # the llm kinds' episodes abort on their first completion
+
+
+def test_a_batch_puts_as_many_backend_requests_in_flight_as_parallel_episodes():
+    # six episode threads each wait at their first request until all six are waiting there
+    bank = synthesize_bank(SynthSpec(n_patients=6, snippets_per_patient=2), seed=1)
+    barrier = threading.Barrier(6, timeout=10)
+    waited, lock = set(), threading.Lock()
+    labels = json.dumps({t.name: False for t in ALL_TRAITS})
+
+    def transport(path, body):
+        with lock:
+            first = threading.get_ident() not in waited
+            waited.add(threading.get_ident())
+        if first:
+            barrier.wait()  # BrokenBarrierError unless six requests are in flight at once
+        return {"choices": [{"message": {"content": labels}}]}
+
+    cfg = EpisodeConfig(detector_kind="llm")
+    client = HttpBackend(BackendConfig(), transport)
+    result = run_batch(cfg, bank, "replay", 0, parallel=6, components=build_components(cfg, None, client=client))
+    assert len(waited) == 6 and not barrier.broken
+    assert len(result.logs) == 6 and not any(log.aborted for log in result.logs)
 
 
 def test_each_build_starts_with_memos_of_its_own(synth_bank):
