@@ -41,8 +41,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def _load_ontology(path: str | None):
-    return load_ontology(path) if path else default_ontology()
+def _load_ontology(args, settings: Settings | None = None):
+    """The ontology --ontology names, else the one `settings`' config key names, else the embedded one.
+
+    A path that cannot be read is an error naming the flag or key that gave it.
+    """
+    setting, path = "--ontology", args.ontology
+    if not path and settings is not None:
+        setting, path = "config key ontology =", settings.ontology_path
+    if not path:
+        return default_ontology()
+    try:
+        return load_ontology(path)
+    except OSError as e:
+        raise InputError(f"{setting} {path}: {e.strerror}") from None
 
 
 def _given(**flags) -> dict:
@@ -110,7 +122,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_synth(args) -> int:
     _check_outputs({"--out": args.out}, {"--ontology": args.ontology})
-    ont = _load_ontology(args.ontology)
+    ont = _load_ontology(args)
     spec = SynthSpec(n_patients=args.patients, snippets_per_patient=args.snippets)
     bank = synthesize_bank(spec, seed=args.seed, ontology=ont)
     write_bank(bank, args.out)
@@ -150,7 +162,7 @@ def _cmd_run(args) -> int:
         realiser_kind=args.realiser,
         detector_kind=args.detector,
     )
-    ont = _load_ontology(settings.ontology_path)
+    ont = _load_ontology(args, settings)
     bank = ingest(args.bank)
     if not len(bank):
         raise UsageError("bank is empty")
@@ -189,7 +201,7 @@ def _cmd_replay(args) -> int:
 
     _check_log_dir(args.out)
     settings = _settings(args, max_turns=args.turns, detector_kind=args.detector)
-    ont = _load_ontology(settings.ontology_path)
+    ont = _load_ontology(args, settings)
     transcript = _read_transcript(args.path)
     if not transcript:
         raise UsageError("transcript is empty")
@@ -294,7 +306,7 @@ def _cmd_validate(args) -> int:
     from .fidelity import FidelityConfig, loo_validate
 
     _check_outputs({"--out": args.out}, {"--bank": args.bank, "--ontology": args.ontology})
-    ont = _load_ontology(args.ontology)
+    ont = _load_ontology(args)
     bank = ingest(args.bank)
     cfg = FidelityConfig(
         **_given(episodes_per_patient=args.episodes_per_patient, turns=args.turns, seed=args.seed)
@@ -326,7 +338,7 @@ def _cmd_report(args) -> int:
 def _cmd_detect(args) -> int:
     _check_outputs({"--out": args.out}, {"--in": args.path, "--config": args.config, "--ontology": args.ontology})
     settings = _settings(args, detector_kind=args.backend)
-    ont = _load_ontology(settings.ontology_path)
+    ont = _load_ontology(args, settings)
     detector = _detector(settings, ont)
     transcript = _read_transcript(args.path)  # every line is checked before any output is written
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout

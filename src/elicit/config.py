@@ -86,7 +86,6 @@ KEYS: dict[str, tuple[type, str]] = {
     "emitter.M": (EmissionParams, "M"),
     "emitter.max_traits": (EmissionParams, "max_traits_per_turn"),
     "emitter.strategy_gain": (EmissionParams, "strategy_gain"),
-    "emitter.affinity_weight": (EmissionParams, "affinity_weight"),
     "backend.endpoint": (BackendConfig, "endpoint"),
     "backend.model": (BackendConfig, "model"),
     "backend.embed_model": (BackendConfig, "embed_model"),

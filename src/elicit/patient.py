@@ -3,7 +3,7 @@
 Emission: each trait is included independently with probability
 sigma(logit(theta) - M*[confirmed] + offset), where theta is the patient's
 clamped base rate, M suppresses traits the doctor has already confirmed, and
-offset carries the optional strategy/affinity hooks (0 by default). At most
+offset carries the asked strategy's affinity boost (0 by default). At most
 `max_traits_per_turn` traits survive; overflow keeps the highest-probability
 ones.
 
@@ -43,10 +43,9 @@ class EmissionParams:
     M: float = DEFAULT_SUPPRESSION
     max_traits_per_turn: int = 2
     strategy_gain: float = 0.0  # logit boost for traits in the asked strategy's affinity (off by default)
-    affinity_weight: float = 0.0  # weight of the question/definition semantic-affinity hook (0 is off)
 
     def __post_init__(self):
-        for name in ("M", "strategy_gain", "affinity_weight"):
+        for name in ("M", "strategy_gain"):
             if not math.isfinite(getattr(self, name)):
                 raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         if self.M <= 0:

@@ -8,19 +8,25 @@ reads every reply; `complete_json` the selector's and detector's JSON.
 
 from __future__ import annotations
 
+import os
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, TypeVar
 
-from .errors import parse_json, read_text
+from .errors import InputError, parse_json, read_text
 
 T = TypeVar("T")
 
 
 def load_prompt(name: str, prompt_dir: str | Path | None) -> str:
-    if prompt_dir is not None:
-        return read_text(Path(prompt_dir) / f"{name}.txt")
-    return resources.files("elicit").joinpath(f"prompts/{name}.txt").read_text("utf-8")
+    """The `name` template, from `prompt_dir` (the config key `selector.prompt_dir`) or the packaged ones."""
+    if prompt_dir is None:
+        return resources.files("elicit").joinpath(f"prompts/{name}.txt").read_text("utf-8")
+    path = os.path.join(prompt_dir, f"{name}.txt")
+    try:
+        return read_text(path)
+    except OSError as e:
+        raise InputError(f"config key selector.prompt_dir = {prompt_dir}: {path}: {e.strerror}") from None
 
 
 def extract_json_object(text: str, keys: Mapping[str, type]) -> dict:

@@ -31,7 +31,7 @@ from .episode_log import BatchResult, EpisodeLog, TurnRecord, write_logs  # writ
 from .errors import BackendError
 from .ontology import Ontology, Scenario, Strategy, STRATEGY_ORDER, TraitId, default_ontology
 from .patient import EmissionParams, LlmRealiser, TemplateRealiser, emit_traits
-from .retrieval import AnchorRetriever, EmptyCandidateSetError, FallbackEncoder, RemoteEncoder, cosine
+from .retrieval import AnchorRetriever, EmptyCandidateSetError, FallbackEncoder, RemoteEncoder
 from .selector import HeuristicSelector, LlmSelector, SessionContext, Thought
 
 logger = logging.getLogger(__name__)
@@ -115,24 +115,6 @@ def plan_topics(scenarios: Sequence[Scenario], seed: int, n_turns: int) -> list[
     return [order[i % len(order)] for i in range(n_turns)]
 
 
-def _emission_offsets(
-    components: Components,
-    params: EmissionParams,
-    strategy: Strategy | None,
-    question: str,
-) -> dict[TraitId, float]:
-    offsets: dict[TraitId, float] = {}
-    if params.strategy_gain and strategy is not None:
-        for t in components.ontology.strategies[strategy].affinity:
-            offsets[t] = offsets.get(t, 0.0) + params.strategy_gain
-    if params.affinity_weight:
-        q_emb = components.retriever.encode(question)
-        for t, trait in components.ontology.traits.items():
-            sim = cosine(q_emb, components.retriever.encode(trait.definition))
-            offsets[t] = offsets.get(t, 0.0) + params.affinity_weight * sim
-    return offsets
-
-
 def patient_turn(
     components: Components,
     params: EmissionParams,
@@ -149,7 +131,8 @@ def patient_turn(
     emission first, then once for the realiser's seed.
     """
     anchor, score = components.retriever.retrieve(question, profile.patient_id)
-    offsets = _emission_offsets(components, params, strategy, question)
+    gain = params.strategy_gain
+    offsets = dict.fromkeys(components.ontology.strategies[strategy].affinity, gain) if gain else {}
     emitted = emit_traits(profile, confirmed, params, rng, offsets)
     response = components.realiser.realise(question, history, anchor, emitted, seed=rng.randrange(2**31))
     return anchor, score, response, components.detector.detect(question, response)
@@ -225,9 +208,9 @@ def random_question(components: Components, ctx: SessionContext, rng: random.Ran
 
 def run_episode(
     cfg: EpisodeConfig,
-    bank: SnippetBank,
+    bank: SnippetBank,  # unused; perfbench's tracer reads episode_id as the fifth argument
     profile: PatientProfile,
-    components: Components | None = None,
+    components: Components,
     episode_id: str = "episode-0",
     mode: str = "tpa",
 ) -> EpisodeLog | None:
@@ -246,11 +229,10 @@ def run_episode(
     if not gt:
         logger.warning("skipping %s: patient %s has empty ground truth", episode_id, profile.patient_id)
         return None
-    comps = components or build_components(cfg, bank)
-    if comps.retriever is None:
+    if components.retriever is None:
         raise EmptyCandidateSetError("no bank snippets available for anchor retrieval")
     rng = random.Random(cfg.seed)
-    topics = plan_topics(comps.ontology.dialogic_scenarios(), cfg.seed, cfg.max_turns)
+    topics = plan_topics(components.ontology.dialogic_scenarios(), cfg.seed, cfg.max_turns)
     state = BeliefState(tau=cfg.tau)
     history: list[HistoryTurn] = []
     turns: list[TurnRecord] = []
@@ -261,13 +243,13 @@ def run_episode(
         try:
             if mode == "random":
                 thought = None
-                strategy, question = random_question(comps, ctx, rng)
+                strategy, question = random_question(components, ctx, rng)
             else:
-                thought = comps.selector.think(ctx)
-                strategy = comps.selector.plan(ctx, thought)
-                question = comps.selector.ask(ctx, thought, strategy)
+                thought = components.selector.think(ctx)
+                strategy = components.selector.plan(ctx, thought)
+                question = components.selector.ask(ctx, thought, strategy)
             anchor, score, response, detections = patient_turn(
-                comps, cfg.emission, profile, state.confirmed, history, rng, strategy, question
+                components, cfg.emission, profile, state.confirmed, history, rng, strategy, question
             )
         except BackendError as e:
             abort_reason = _abort_reason(episode_id, len(turns) + 1, e)

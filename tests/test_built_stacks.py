@@ -1,8 +1,7 @@
 """A command builds only what it runs: `replay` and `detect` build their detector
 alone, and `run --mode replay` builds no retrieval index. So the full component
-stack is built only where a command runs it, and by `run_episode`'s fallback for
-a caller that passes none; a command that starts building a stack it never runs
-must fail here."""
+stack is built only where a command runs it; a command that starts building a
+stack it never runs must fail here."""
 
 from pathlib import Path
 
@@ -11,7 +10,7 @@ from test_ontology_defaults import places_naming
 SRC = Path(__file__).resolve().parents[1] / "src" / "elicit"
 NAME = "build_components"
 ALLOWED = frozenset({
-    "cli._cmd_run", "fidelity.loo_validate", "runner.run_episode",
+    "cli._cmd_run", "fidelity.loo_validate",
     "cli._cmd_run:import", "fidelity:import",
 })
 

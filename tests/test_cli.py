@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import errno
 import hashlib
 import io
 import itertools
@@ -443,12 +444,10 @@ def test_config_file_overrides(tmp_path):
         "emitter.M = 6.5\n"
         "emitter.strategy_gain = 2.0\n"
         "detector.kind = rule\n"
-        "emitter.affinity_weight = 0.5\n"
     )
     settings = load_settings(cfg)
     assert settings.episode.emission.M == 6.5
     assert settings.episode.emission.strategy_gain == 2.0
-    assert settings.episode.emission.affinity_weight == 0.5
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -458,9 +457,13 @@ def test_config_rejects_unknown_key(tmp_path):
     cfg.write_text("nonsense.key = 1\n")
     with pytest.raises(ConfigError):
         load_settings(cfg)
-    # a removed key fails the same way: a weight of 0 is how the affinity hook is turned off
+    # a removed key fails the same way
     cfg.write_text("emitter.affinity_enabled = true\n")
     with pytest.raises(ConfigError, match="unknown config key"):
+        load_settings(cfg)
+    # the asked strategy's boost is the one emission hook
+    cfg.write_text("# question/definition affinity\nemitter.affinity_weight = 0.5\n")
+    with pytest.raises(ConfigError, match="^line 2: unknown config key 'emitter.affinity_weight'$"):
         load_settings(cfg)
     # --parallel is the one bound on the backend requests in flight
     cfg.write_text("backend.max_concurrency = 4\n")
@@ -493,7 +496,6 @@ SETTINGS_TABLE = [
     ("emitter.M", "5.5", 5.5, lambda seen: seen["cfg"].emission.M),
     ("emitter.max_traits", "3", 3, lambda seen: seen["cfg"].emission.max_traits_per_turn),
     ("emitter.strategy_gain", "1.5", 1.5, lambda seen: seen["cfg"].emission.strategy_gain),
-    ("emitter.affinity_weight", "0.75", 0.75, lambda seen: seen["cfg"].emission.affinity_weight),
     ("backend.endpoint", "http://localhost:9", "http://localhost:9", lambda seen: seen["client"].config.endpoint),
     ("backend.model", "gen-model", "gen-model", lambda seen: seen["client"].config.model),
     ("backend.embed_model", "embed-model", "embed-model", lambda seen: seen["client"].config.embed_model),
@@ -545,7 +547,7 @@ def every_key_set(tmp_path_factory):
 def test_settings_table_covers_every_config_key():
     from elicit.config import KEYS
 
-    assert len(SETTINGS_TABLE) == 17
+    assert len(SETTINGS_TABLE) == 16
     assert [key for key, *_ in SETTINGS_TABLE] == list(KEYS)
 
 
@@ -582,6 +584,15 @@ def test_readme_configuration_block_lists_exactly_the_config_keys():
     section = readme.split("## Configuration", 1)[1]
     block = section.split("```", 2)[1]
     assert sorted(re.findall(r"([\w.]+) = ", block)) == sorted(KEYS)
+
+
+def test_readme_layout_names_every_module():
+    import re
+
+    root = Path(__file__).parent.parent
+    block = (root / "README.md").read_text("utf-8").split("## Layout", 1)[1].split("```", 2)[1]
+    modules = {p.name for p in (root / "src" / "elicit").glob("*.py")} - {"__init__.py"}
+    assert modules <= set(re.findall(r"^  (\w+\.py) ", block, re.MULTILINE))
 
 
 def test_readme_commands_parse_and_name_scripts_that_exist():
@@ -758,11 +769,11 @@ def test_replay_honours_config_tau(tmp_path):
 
 @pytest.mark.parametrize("line", ["tau = nan", "tau = inf", "tau = 1.5", "tau = -0.1",
                                   "emitter.M = nan", "emitter.strategy_gain = nan",
-                                  "emitter.affinity_weight = nan", "backend.timeout_s = nan",
-                                  "backend.timeout_s = inf", "backend.timeout_s = 0",
+                                  "backend.timeout_s = nan", "backend.timeout_s = inf", "backend.timeout_s = 0",
                                   "selector.temperature = nan", "selector.temperature = inf",
                                   "realiser.temperature = -2", "realiser.temperature = nan",
-                                  "detector.kind = bert", "encoder.kind = bert", "backend.max_concurrency = 4"])
+                                  "detector.kind = bert", "encoder.kind = bert", "backend.max_concurrency = 4",
+                                  "emitter.affinity_weight = 0.5"])
 @pytest.mark.parametrize("command", ["run", "replay", "detect"])
 def test_an_out_of_range_setting_exits_1_with_an_error(tmp_path, capsys, command, line):
     transcript = tmp_path / "t.jsonl"
@@ -814,6 +825,45 @@ def test_a_config_value_with_a_nul_character_exits_1_naming_the_line(tmp_path, c
     assert run_cli("detect", "--in", str(transcript), "--config", str(cfg), "--out", str(out)) == 1
     assert capsys.readouterr().err == f"error: line 2: bad value for {key}: a NUL character\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "replay", "detect", "validate", "synth"])
+def test_an_ontology_flag_that_cannot_be_read_exits_1_naming_the_flag(tmp_path, capsys, command):
+    transcript = tmp_path / "t.jsonl"
+    _write_transcript(transcript, ["It went fine, as they say."])
+    out = tmp_path / "out"
+    argv = {
+        "run": ["run", "--bank", str(GOLDEN), "--episodes", "1"],
+        "replay": ["replay", "--in", str(transcript), "--ground-truth", "F10"],
+        "detect": ["detect", "--in", str(transcript)],
+        "validate": ["validate", "--bank", str(GOLDEN)],
+        "synth": ["synth", "--patients", "2", "--snippets", "2"],
+    }[command]
+    assert run_cli(*argv, "--ontology", str(tmp_path), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: --ontology {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "replay", "detect"])
+def test_a_config_path_that_cannot_be_read_exits_1_naming_the_key(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.delenv("ELICIT_API_KEY", raising=False)
+    monkeypatch.chdir(tmp_path)  # holds no prompt template
+    _write_transcript(tmp_path / "t.jsonl", ["It went fine, as they say."])
+    argv = {
+        "run": ["run", "--bank", str(GOLDEN), "--episodes", "1"],
+        "replay": ["replay", "--in", "t.jsonl", "--ground-truth", "F10"],
+        "detect": ["detect", "--in", "t.jsonl"],
+    }[command]
+    Path("ontology.cfg").write_text("ontology = .\n")
+    assert run_cli(*argv, "--config", "ontology.cfg", "--out", "out") == 1
+    assert capsys.readouterr().err == f"error: config key ontology = .: {os.strerror(errno.EISDIR)}\n"
+    Path("prompts.cfg").write_text("detector.kind = llm\nselector.prompt_dir = .\n")
+    assert run_cli(*argv, "--config", "prompts.cfg", "--out", "out") == 1
+    template = os.path.join(".", "detect.txt")
+    assert capsys.readouterr().err == (
+        f"error: config key selector.prompt_dir = .: {template}: {os.strerror(errno.ENOENT)}\n"
+    )
+    assert not Path("out").exists()
 
 
 @pytest.mark.parametrize("command", ["replay", "detect"])
@@ -1798,6 +1848,56 @@ def test_any_config_file_exits_0_1_or_2_and_writes_no_output_on_1(config_text):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = run_cli("detect", "--in", str(transcript), "--config", str(cfg), "--out", str(out))
+        prefix = {0: "", 1: "error: ", 2: "backend error: "}[code]
+        assert err.getvalue().startswith(prefix), err.getvalue()
+        assert out.exists() == (code != 1)
+
+
+_ONTOLOGY_STRINGS = ["", " ", "F3", "F11", "f3", "F03", "open_ended", "word for word", "word", "WORD FOR WORD",
+                     "word for word again", " ready", "ready ", "-", "a\rb", "\r", "\ud800", "x\udfffy", "é"]
+_ONTOLOGY_VALUES = [None, 0, 3, 16, -1, 2**70, 1.5, True, [], {}, ["F1"], [""], *_ONTOLOGY_STRINGS]
+
+
+@st.composite
+def _mutated_ontology(draw) -> bytes:
+    """The embedded ontology with keys dropped or retyped, entries duplicated or renumbered,
+    odd markers added and odd strings put in, written as JSON (a lone surrogate as its escape)."""
+    from importlib import resources
+
+    doc = json.loads(resources.files("elicit").joinpath("data/ontology.json").read_text("utf-8"))
+    for _ in range(draw(st.integers(1, 4))):
+        section = doc.get(draw(st.sampled_from(["traits", "strategies", "scenarios"])))
+        entries = section if isinstance(section, list) else []
+        entry = draw(st.sampled_from([doc, *entries]))  # the document itself, or one of its entries
+        if not entry:
+            continue
+        key = draw(st.sampled_from(sorted(entry)))
+        kind = draw(st.sampled_from(["drop", "retype", "duplicate", "marker", "junk"]))
+        if kind == "drop":
+            del entry[key]
+        elif kind == "retype":
+            entry[key] = draw(st.sampled_from(_ONTOLOGY_VALUES))
+        elif kind == "duplicate" and entries:
+            entries.append(copy.deepcopy(draw(st.sampled_from(entries))))
+        elif kind == "marker" and isinstance(entry.get("markers"), list):
+            entry["markers"].append(draw(st.sampled_from(_ONTOLOGY_STRINGS)))
+        elif kind == "junk" and isinstance(entry[key], str):
+            at = draw(st.integers(0, len(entry[key])))
+            entry[key] = entry[key][:at] + draw(st.sampled_from(["\r", "\ud800", "\x00", "}", "junk"])) + entry[key][at:]
+    return json.dumps(doc).encode("utf-8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mutated_ontology())
+def test_any_ontology_file_exits_0_1_or_2_and_writes_no_output_on_1(ontology):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.delenv("ELICIT_API_KEY", raising=False)
+        transcript, ont, out = Path(tmp) / "t.jsonl", Path(tmp) / "ontology.json", Path(tmp) / "labels.jsonl"
+        _write_transcript(transcript, ["It went fine, word for word, ready to roll."])
+        ont.write_bytes(ontology)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli("detect", "--in", str(transcript), "--ontology", str(ont), "--out", str(out))
         prefix = {0: "", 1: "error: ", 2: "backend error: "}[code]
         assert err.getvalue().startswith(prefix), err.getvalue()
         assert out.exists() == (code != 1)

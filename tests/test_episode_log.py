@@ -36,19 +36,6 @@ PRE_SLIM_LOG_SHA256 = {
         "random-0000-P001.json": "7b72efed159355fa9d2ce852beb9a2639556856edb953d69806fb4241ad8515d",
         "random-0001-P002.json": "987edc8006e63cf8951e7087dbbe842a5cd72bddb6d0faa901150a3c88a68946",
     },
-    "tpa affinity_weight=0.7": {
-        "tpa-0000-P001.json": "0f751b9aa1c430533f418ae7224c882e49d80d7446015fc73afacabdfb8d64c6",
-        "tpa-0001-P002.json": "ff4fb4fcb2a565b30545bf16736b40175261aa3d2b15bfe309f7f96ce571a6f3",
-    },
-    # on this bank the affinity hook at 0.7 moves no random-mode draw: these are the default bytes
-    "random affinity_weight=0.7": {
-        "random-0000-P001.json": "7b72efed159355fa9d2ce852beb9a2639556856edb953d69806fb4241ad8515d",
-        "random-0001-P002.json": "1bdf82ceebd80004302b0626856cfbe5fc526d47456beeec9104af4218b269a7",
-    },
-    "tpa strategy_gain=1.5 affinity_weight=0.7": {
-        "tpa-0000-P001.json": "cf5bf47bdb297c092bf04f622b003215405049ccb38e058942007c9beb72c785",
-        "tpa-0001-P002.json": "b31905b9561423d166c491f1225782a9dac0135574008be328f5bb91f6d89f16",
-    },
 }
 
 # sha256 of the same files as now written: one line of compact JSON, in which
@@ -65,18 +52,6 @@ GOLDEN_LOG_SHA256 = {
     "random strategy_gain=1.5": {
         "random-0000-P001.json": "f757d832cb5e942e66002b67cc80ad22b8af53b2863f93193dfb4d7ad3d9fc05",
         "random-0001-P002.json": "8c9aecdc6165bdfb56d9a5f24367bfa8c6c22b54a95282387082bc787f2a6739",
-    },
-    "tpa affinity_weight=0.7": {
-        "tpa-0000-P001.json": "81897641f666aedea18e2fc9de1bff9bc3b7d3e0e4c8d978bb6bff82fdc0c678",
-        "tpa-0001-P002.json": "4efacf72707de87a21c60e164a5384ab972713591062cf1d92ac2ae142d98c62",
-    },
-    "random affinity_weight=0.7": {
-        "random-0000-P001.json": "f757d832cb5e942e66002b67cc80ad22b8af53b2863f93193dfb4d7ad3d9fc05",
-        "random-0001-P002.json": "b141678c424b5f254c0aa05e499fc2de2a4b2207a0bbc7d2d90f86ccc9efd1e4",
-    },
-    "tpa strategy_gain=1.5 affinity_weight=0.7": {
-        "tpa-0000-P001.json": "004b4b05bf2cb39ae1f43f19f36c4fe5db3808b9ca038fefe4843b537bf613be",
-        "tpa-0001-P002.json": "1f08b2e00b4362da499f1d4d74b7b897be15cc9913a39e78a97b5e53c9318137",
     },
 }
 

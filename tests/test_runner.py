@@ -351,20 +351,6 @@ def test_emitter_reads_only_base_rates():
     assert emitted == emit_traits(profile, (), EmissionParams(), random.Random(1), {})
 
 
-def test_affinity_weight_turns_the_affinity_hook_on(stack):
-    from elicit.retrieval import cosine
-    from elicit.runner import _emission_offsets
-
-    _, _, comps = stack
-    question = "Tell me about the people you talk to and what you say to them."
-    assert _emission_offsets(comps, EmissionParams(), None, question) == {}
-    offsets = _emission_offsets(comps, EmissionParams(affinity_weight=0.5), None, question)
-    encode = comps.retriever.encode
-    definitions = {t: encode(comps.ontology.traits[t].definition) for t in ALL_TRAITS}
-    assert offsets == {t: 0.5 * cosine(encode(question), definitions[t]) for t in ALL_TRAITS}
-    assert any(offsets.values())
-
-
 # --- batches -------------------------------------------------------------------
 
 
@@ -401,11 +387,10 @@ class EmbeddingClient:
         raise ScriptExhaustedError("no completions scripted")
 
 
-@pytest.mark.parametrize("affinity_weight", [0.0, 0.7])
-def test_cold_threads_fill_the_memos_as_a_serial_run_does(synth_bank, affinity_weight):
+def test_cold_threads_fill_the_memos_as_a_serial_run_does(synth_bank):
     # the remote encoder waits on a backend, so parallel episodes run on threads that share
     # one fresh set of memos from their first turn
-    cfg = EpisodeConfig(seed=9, encoder_kind="remote", emission=EmissionParams(affinity_weight=affinity_weight))
+    cfg = EpisodeConfig(seed=9, encoder_kind="remote")
     threaded = build_components(cfg, synth_bank, client=EmbeddingClient())
     parallel = run_batch(cfg, synth_bank, "tpa", 8, parallel=4, components=threaded)
     cold = build_components(cfg, synth_bank, client=EmbeddingClient())
@@ -484,13 +469,15 @@ def test_each_build_starts_with_memos_of_its_own(synth_bank):
 def test_a_batch_encodes_every_text_once(synth_bank, monkeypatch):
     from elicit import runner
 
-    # the index build's doctor texts, each question, and each trait definition once
+    # the index build's doctor texts in one batch, then each question once, as first asked
     enc = CountingEncoder()
     monkeypatch.setattr(runner, "FallbackEncoder", lambda: enc)
-    cfg = EpisodeConfig(seed=9, emission=EmissionParams(affinity_weight=0.7))
-    run_batch(cfg, synth_bank, "tpa", 4, components=build_components(cfg, synth_bank))
-    assert len(enc.texts) > len({s.doctor_curr for s in synth_bank.snippets}) + len(ALL_TRAITS)
-    assert len(enc.texts) == len(set(enc.texts))
+    cfg = EpisodeConfig(seed=9)
+    result = run_batch(cfg, synth_bank, "tpa", 4, components=build_components(cfg, synth_bank))
+    doctor_texts = list(dict.fromkeys(s.doctor_curr for s in synth_bank.snippets))
+    questions = list(dict.fromkeys(t.question for log in result.logs for t in log.turns))
+    assert enc.batches == [doctor_texts]
+    assert enc.texts == doctor_texts + questions
 
 
 def test_batch_replay_mode(synth_bank):
