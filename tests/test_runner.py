@@ -351,6 +351,28 @@ def test_emitter_reads_only_base_rates():
     assert emitted == emit_traits(profile, (), EmissionParams(), random.Random(1), {})
 
 
+@pytest.mark.parametrize("gain", [0.0, 1.5])
+def test_strategy_gain_boosts_exactly_the_asked_strategys_affinity(stack, monkeypatch, gain):
+    from elicit import runner
+
+    _, _, comps = stack
+    seen = []
+
+    def emit(profile, confirmed, params, rng, offsets):
+        seen.append(offsets)
+        return ()
+
+    monkeypatch.setattr(runner, "emit_traits", emit)
+    profile = profile_with({"F2": 0.5})
+    question = "Tell me about the people you talk to and what you say to them."
+    for strategy in STRATEGY_ORDER:
+        runner.patient_turn(
+            comps, EmissionParams(strategy_gain=gain), profile, (), [], random.Random(1), strategy, question
+        )
+    affinities = [comps.ontology.strategies[s].affinity for s in STRATEGY_ORDER]
+    assert seen == [{t: gain for t in affinity} if gain else {} for affinity in affinities]
+
+
 # --- batches -------------------------------------------------------------------
 
 
@@ -387,10 +409,11 @@ class EmbeddingClient:
         raise ScriptExhaustedError("no completions scripted")
 
 
-def test_cold_threads_fill_the_memos_as_a_serial_run_does(synth_bank):
+@pytest.mark.parametrize("strategy_gain", [0.0, 2.0])
+def test_cold_threads_fill_the_memos_as_a_serial_run_does(synth_bank, strategy_gain):
     # the remote encoder waits on a backend, so parallel episodes run on threads that share
     # one fresh set of memos from their first turn
-    cfg = EpisodeConfig(seed=9, encoder_kind="remote")
+    cfg = EpisodeConfig(seed=9, encoder_kind="remote", emission=EmissionParams(strategy_gain=strategy_gain))
     threaded = build_components(cfg, synth_bank, client=EmbeddingClient())
     parallel = run_batch(cfg, synth_bank, "tpa", 8, parallel=4, components=threaded)
     cold = build_components(cfg, synth_bank, client=EmbeddingClient())
